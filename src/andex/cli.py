@@ -142,12 +142,7 @@ def main(argv=None) -> int:
             model = _model_from_args(args)
             s = field.sample_field(model, args.L, args.seed)
             V = np.array(s.values)
-            res = (
-                spectrum.dense_eigs(V, args.k)
-                if V.size <= spectrum.DENSE_SITE_LIMIT
-                else spectrum.top_k_eigs(V, args.k)
-            )
-            print(res.to_json())
+            print(spectrum.top_k_eigs(V, args.k).to_json())
         elif args.command == "bar-problem":
             model = _model_from_args(args)
             bar = spectrum.solve_bar_problem(model, args.a_L, args.r_L)

@@ -26,6 +26,7 @@ __all__ = [
     "order_statistics",
     "box_maxima",
     "rank_permutation",
+    "site_ranks",
     "sample_ppp_reference",
     "ppp_rank_one_probability",
     "cross_box_covariance",
@@ -200,6 +201,24 @@ def rank_permutation(
                 f"eigenfunction centre {c} not among the listed maxima"
             )
         ranks.append(index[c])
+    return tuple(ranks)
+
+
+def site_ranks(values: np.ndarray, sites: Sequence[tuple]) -> tuple:
+    """1-based rank of each grid-index site in the descending order of values.
+
+    A rank counts the larger values and the equal values earlier in C
+    order, so it is the position in the stable descending sort of
+    order_statistics, found in O(n) per site without sorting.
+    """
+    flat = values.ravel(order="C")
+    ranks = []
+    for site in sites:
+        i = int(np.ravel_multi_index(tuple(site), values.shape))
+        v = flat[i]
+        ranks.append(
+            int(np.count_nonzero(flat > v)) + int(np.count_nonzero(flat[:i] == v)) + 1
+        )
     return tuple(ranks)
 
 

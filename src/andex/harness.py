@@ -146,8 +146,20 @@ class _Context:
         self.cond_value = float(ov.get("value", self.a_L))
 
     def check_memory(self):
-        side = field.grid_side(self.cfg.L)
-        need = (side**self.cfg.d) * 16 * 6
+        """Refuse runs whose field grids and eigensolver working set would
+        exceed the memory budget."""
+        cfg = self.cfg
+        sites = field.grid_side(cfg.L) ** cfg.d
+        need = sites * 16 * 6
+        solve_sites = {
+            "eigenvalue_stats": sites,
+            "rank_permutation": sites,
+            "macro_meso": sites,
+            "localisation": field.grid_side(self.scales.R_L) ** cfg.d,
+        }.get(cfg.experiment)
+        if solve_sites:
+            # k + 2 pairs bounds what every trial body asks for
+            need += spectrum.solver_bytes(solve_sites, cfg.d, self.k + 2)
         if need > _MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"estimated working set {need} bytes exceeds budget"
@@ -181,10 +193,7 @@ def _trial_eigenvalue_stats(ctx: _Context, i: int) -> dict:
     s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
     V = np.array(s.values)
     k = max(ctx.k, 2)
-    if V.size <= spectrum.DENSE_SITE_LIMIT:
-        res = spectrum.dense_eigs(V, k)
-    else:
-        res = spectrum.top_k_eigs(V, k)
+    res = spectrum.top_k_eigs(V, k)
     lam1 = float(res.eigenvalues[0])
     out = {
         "lambda_1": lam1,
@@ -211,7 +220,7 @@ def _trial_localisation(ctx: _Context, i: int) -> dict:
     Rh = R_L // 2
     core = (slice(h - Rh, h + Rh + 1),) * cfg.d
     V = np.array(s.values[core])
-    res = spectrum.dense_eigs(V, 2) if V.size <= spectrum.DENSE_SITE_LIMIT else spectrum.top_k_eigs(V, 2)
+    res = spectrum.top_k_eigs(V, 2)
     view = field.fluctuation_view(s, x0)
     eig_err, fun_err = spectrum.approximation_error(
         s, ctx.bar, res, view, ctx.scales
@@ -243,15 +252,8 @@ def _trial_rank_permutation(ctx: _Context, i: int) -> dict:
     s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
     V = np.array(s.values)
     k = ctx.k
-    res = (
-        spectrum.dense_eigs(V, k)
-        if V.size <= spectrum.DENSE_SITE_LIMIT
-        else spectrum.top_k_eigs(V, k)
-    )
-    order = extremes.order_statistics(s, ctx.a_L)
-    positions = [pos for pos, _ in order.order]
-    centers = [res.center_coords(j) for j in range(res.k)]
-    ranks = extremes.rank_permutation(centers, positions)
+    res = spectrum.top_k_eigs(V, k)
+    ranks = extremes.site_ranks(V, res.centers)
     out = {"lambda_1": float(res.eigenvalues[0])}
     if res.k >= 2:
         out["gap"] = res.gap
@@ -284,7 +286,7 @@ def _rows_tail_lemma(ctx: _Context) -> list[dict]:
     return rows
 
 
-def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, h: int, k: int):
+def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
     """Top-k pooled eigenpairs of the operator restricted to the union of
     cores (block-diagonal over boxes).  Returns a list of
     (lam, box index, eigenfunction-on-core, core slices) descending."""
@@ -293,7 +295,7 @@ def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, h: int, k: int
         sl = part.core_slices(j)
         Vb = np.array(V[sl])
         kk = min(k, Vb.size)
-        res = spectrum.dense_eigs(Vb, kk)
+        res = spectrum.top_k_eigs(Vb, kk)
         for t in range(res.k):
             pool.append((float(res.eigenvalues[t]), j, res.eigenfunctions[t], sl))
     pool.sort(key=lambda item: -item[0])
@@ -308,7 +310,7 @@ def _trial_macro_meso(ctx: _Context, i: int) -> dict:
     res = spectrum.top_k_eigs(V, k + 1)
     part = extremes.build_partition(cfg.L, ctx.scales.R_L, cfg.d)
     h = s.half
-    pool = _pooled_box_eigs(V, part, h, k + 1)
+    pool = _pooled_box_eigs(V, part, k + 1)
     a_L, d_L = ctx.a_L, ctx.d_L
     out: dict = {}
     gap_event = len(pool) == k + 1
@@ -623,10 +625,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
         columns = sorted(
             {k for r in all_rows for k in r if k not in ("trial", "seed")}
         )
-        if start == 0:
-            _write_rows(records_path, columns, new_rows, 0)
-        else:
-            _write_rows(records_path, columns, new_rows, start)
+        _write_rows(records_path, columns, new_rows, start)
         done_rows = all_rows
 
     agg = _aggregate(cfg, ctx, [r for r in done_rows if not r.get("failed")])

@@ -115,6 +115,21 @@ class TestRankPermutation:
             extremes.rank_permutation([(9,)], [(-3,), (0,)])
 
 
+class TestSiteRanks:
+    def test_hand_case_with_ties(self):
+        # 2.0 ties at indices 1 and 3: the earlier one ranks first
+        values = np.array([0.5, 2.0, -1.0, 2.0, 0.0])
+        assert extremes.site_ranks(values, [(1,), (3,), (0,), (2,)]) == (1, 2, 3, 5)
+
+    @pytest.mark.parametrize("shape", [(257,), (9, 11)])
+    def test_matches_stable_descending_sort(self, shape):
+        # integer values force many ties
+        values = np.random.default_rng(3).integers(0, 20, size=shape).astype(float)
+        order = np.argsort(-values.ravel(), kind="stable")
+        sites = [np.unravel_index(int(i), shape) for i in order]
+        assert extremes.site_ranks(values, sites) == tuple(range(1, values.size + 1))
+
+
 class TestPPPReference:
     def test_zero_decoration_identity(self):
         ref = extremes.sample_ppp_reference(0.0, 200, seed=1)

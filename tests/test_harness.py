@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from andex import cli, harness
+from andex import cli, harness, spectrum
 from andex.errors import ConfigError
 
 
@@ -166,6 +166,45 @@ class TestFailureBudget:
         monkeypatch.setitem(harness._TRIAL_BODIES, "eigenvalue_stats", bomb)
         with pytest.raises(RuntimeError):
             harness.run_experiment(cfg)
+
+
+class TestMemoryCheck:
+    def _ctx(self, tmp_path, experiment, **kw):
+        cfg = make_cfg(
+            tmp_path, experiment=experiment, model={"family": "iid"}, L=60, d=2,
+            overrides={"k": 3, "R_L": 13, "r_L": 5}, **kw,
+        )
+        return harness._Context(cfg)
+
+    def test_counts_the_arpack_basis(self, tmp_path, monkeypatch):
+        # 61 x 61 sites: above the subset-eigh limit, so ARPACK holds
+        # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles
+        ctx = self._ctx(tmp_path, "macro_meso")
+        grids = 61**2 * 16 * 6
+        basis = 20 * 61**2 * 8
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + basis)
+        ctx.check_memory()
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + basis - 1)
+        with pytest.raises(ConfigError):
+            ctx.check_memory()
+
+    def test_counts_the_subset_eigh_matrix(self, tmp_path, monkeypatch):
+        # localisation solves on the 13 x 13 core with a dense n x n matrix
+        ctx = self._ctx(tmp_path, "localisation")
+        grids = 61**2 * 16 * 6
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + 169**2 * 8 - 1)
+        with pytest.raises(ConfigError):
+            ctx.check_memory()
+
+    def test_no_solver_no_solver_bytes(self, tmp_path, monkeypatch):
+        ctx = self._ctx(tmp_path, "potential_extremes")
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", 61**2 * 16 * 6)
+        ctx.check_memory()
+
+    def test_solver_bytes_per_path(self):
+        assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8
+        assert spectrum.solver_bytes(169, 2, 4) == 8 * 169**2
+        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 20
 
 
 class TestRowExperiments:

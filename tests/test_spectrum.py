@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from andex import covariance as cov, field, harness, scales, spectrum
 from andex.errors import SolverConvergenceError
@@ -178,11 +179,90 @@ class TestLanczos:
         assert np.max(top.residuals) <= 1e-10
         assert np.max(np.abs(top.eigenvalues - oracle.eigenvalues)) <= 1e-9
 
-    def test_nonconvergence_raises(self):
-        rng = np.random.default_rng(10)
-        V = rng.standard_normal(2001)
+    def test_nonconvergence_raises(self, monkeypatch):
+        # ARPACK giving up on the large d >= 2 path surfaces as a
+        # SolverConvergenceError
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spectrum, "eigsh", no_convergence)
+        V = np.random.default_rng(10).standard_normal((25, 25))
         with pytest.raises(SolverConvergenceError):
-            spectrum.top_k_eigs(V, 8, tol=1e-10, max_iter=9)
+            spectrum.top_k_eigs(V, 8)
+
+    def test_residual_above_tol_raises(self, monkeypatch):
+        # a pair whose true residual exceeds tol is refused on every path
+        real = spectrum.eigh_tridiagonal
+
+        def off_by_1e6(*args, **kwargs):
+            w, U = real(*args, **kwargs)
+            return w + 1e-6, U
+
+        monkeypatch.setattr(spectrum, "eigh_tridiagonal", off_by_1e6)
+        V = np.random.default_rng(10).standard_normal(201)
+        with pytest.raises(SolverConvergenceError):
+            spectrum.top_k_eigs(V, 3, tol=1e-10)
+        assert np.max(spectrum.top_k_eigs(V, 3, tol=1e-5).residuals) > 1e-10
+
+
+# Box shapes for the oracle matrix: d = 1, and for d = 2, 3 one box on each
+# side of the switch from the dense subset eigh to ARPACK.
+ORACLE_SHAPES = [(301,), (19, 19), (21, 21), (7, 7, 7), (9, 9, 9)]
+
+
+def _flat(res, idx):
+    return res.eigenfunctions[idx].reshape(len(idx), -1)
+
+
+class TestTopKEigsOracle:
+    def test_shapes_straddle_the_switch(self):
+        limit = spectrum.SUBSET_SITE_LIMIT
+        assert 19**2 <= limit < 21**2
+        assert 7**3 <= limit < 9**3
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_random_potential_matches_oracle(self, shape, k):
+        V = 3.0 * np.random.default_rng(math.prod(shape)).standard_normal(shape)
+        top = spectrum.top_k_eigs(V, k, tol=1e-10)
+        oracle = spectrum.dense_eigs(V, k)
+        assert top.k == k
+        assert np.max(top.residuals) <= 1e-10
+        assert np.max(np.abs(top.eigenvalues - oracle.eigenvalues)) <= 1e-9
+        overlaps = np.abs(np.sum(_flat(top, range(k)) * _flat(oracle, range(k)), axis=1))
+        assert np.min(overlaps) >= 1.0 - 1e-8
+        assert top.centers == oracle.centers
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_degenerate_box_matches_oracle_projectors(self, shape, k):
+        # V = 0 has multiple eigenvalues for d >= 2, so eigenvectors are not
+        # unique: compare eigenvalues, and the projector onto the returned
+        # vectors of each eigenvalue with the oracle's eigenspace projector
+        V = np.zeros(shape)
+        top = spectrum.top_k_eigs(V, k, tol=1e-10)
+        oracle = spectrum.dense_eigs(V)
+        assert np.max(top.residuals) <= 1e-10
+        assert np.max(np.abs(top.eigenvalues - oracle.eigenvalues[:k])) <= 1e-9
+        for block in top.tied_blocks(tol=1e-8):
+            Q = _flat(top, block)
+            space = np.flatnonzero(np.abs(oracle.eigenvalues - top.eigenvalues[block[0]]) <= 1e-8)
+            U = _flat(oracle, space)
+            # the returned vectors lie in the eigenspace ...
+            assert np.linalg.norm(U @ Q.T) ** 2 >= len(block) - 1e-8
+            if len(space) == len(block):
+                # ... and span all of it when the block is whole
+                assert np.linalg.norm(Q.T @ Q - U.T @ U) <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(21, 21), (9, 9, 9)])
+    def test_arpack_path_is_bit_reproducible(self, shape):
+        V = np.random.default_rng(11).standard_normal(shape)
+        assert V.size > spectrum.SUBSET_SITE_LIMIT
+        a = spectrum.top_k_eigs(V, 5)
+        b = spectrum.top_k_eigs(V, 5)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
+        assert np.array_equal(a.residuals, b.residuals)
 
 
 class TestSpectralResult:
