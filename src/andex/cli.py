@@ -179,7 +179,7 @@ def main(argv=None) -> int:
             manifest = harness.run_experiment(cfg, workers=args.workers)
             print(str(manifest))
         elif args.command == "report":
-            ok = harness.report(args.run_dir, check=args.check)
+            ok = harness.report(args.run_dir)
             if args.check and not ok:
                 return EXIT_CHECK
         else:  # pragma: no cover

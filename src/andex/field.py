@@ -108,11 +108,6 @@ class FieldSample:
             json.dump(meta, fh)
 
 
-def _offsets_from_origin(d: int, h: int) -> np.ndarray:
-    axes = [np.arange(-h, h + 1)] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 # Factorizations depend only on (model, L); cache them so batched draws
 # across many seeds do not refactor the same covariance.
 _FACTOR_CACHE: dict = {}
@@ -130,7 +125,7 @@ def _dense_factor(model, L):
     h = box_half(L)
     side = 2 * h + 1
     n = side**model.d
-    pts = _offsets_from_origin(model.d, h).reshape(n, model.d)
+    pts = cov._offset_grid(model.d, h).reshape(n, model.d)
     diffs = pts[:, None, :] - pts[None, :, :]
     C = cov.eval_cov_offsets(model, diffs)
     try:
@@ -226,7 +221,7 @@ def _profile_grid(sample: FieldSample, x0) -> np.ndarray:
     """v(x - x0) over the whole grid."""
     h = sample.half
     x0 = np.atleast_1d(np.asarray(x0, dtype=int))
-    offs = _offsets_from_origin(sample.d, h) - x0
+    offs = cov._offset_grid(sample.d, h) - x0
     return cov.eval_cov_offsets(sample.model, offs)
 
 
@@ -319,7 +314,7 @@ def compute_tau(model: cov.CovarianceModel, bar_phi: np.ndarray) -> float:
     Translation invariance makes the base point irrelevant.
     """
     rh = _check_profile(bar_phi, model.d)
-    pts = _offsets_from_origin(model.d, rh).reshape(-1, model.d)
+    pts = cov._offset_grid(model.d, rh).reshape(-1, model.d)
     w = (bar_phi**2).reshape(-1)
     keep = ~np.all(pts == 0, axis=-1)
     pts, w = pts[keep], w[keep]
@@ -346,7 +341,7 @@ def phi_at(view: FluctuationView, bar_phi: np.ndarray, y) -> float:
     h = sample.half
     if any(abs(c) + rh > h for c in y):
         raise ValueError(f"window of half-width {rh} around {y} leaves the box")
-    offs = _offsets_from_origin(sample.d, rh).reshape(-1, sample.d)
+    offs = cov._offset_grid(sample.d, rh).reshape(-1, sample.d)
     w = (bar_phi**2).reshape(-1)
     keep = ~np.all(offs == 0, axis=-1)
     offs, w = offs[keep], w[keep]
@@ -373,7 +368,7 @@ def xi_cap(view: FluctuationView, bar_phi: np.ndarray) -> tuple[np.ndarray, int]
     sub_half = h - rh
     if sub_half < 0:
         raise ValueError("profile window larger than the box")
-    offs = _offsets_from_origin(sample.d, rh).reshape(-1, sample.d)
+    offs = cov._offset_grid(sample.d, rh).reshape(-1, sample.d)
     w = (bar_phi**2).reshape(-1)
     keep = ~np.all(offs == 0, axis=-1)
     offs, w = offs[keep], w[keep]
@@ -440,7 +435,7 @@ def event_check(
     zeta[point_to_index(x0, h)] = 0.0
 
     # E2 on the wide window, excluding x0 itself (both sides vanish there).
-    offs = _offsets_from_origin(d, h) - np.asarray(x0)
+    offs = cov._offset_grid(d, h) - np.asarray(x0)
     sup = np.max(np.abs(offs), axis=-1)
     wide = sup <= wide_half
     nonzero = sup > 0

@@ -648,7 +648,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
 # reporting
 
 
-def report(run_dir, check: bool = False) -> bool:
+def report(run_dir) -> bool:
     """Aggregate a finished run into tables, plot-data files and a printed
     summary.  Returns overall pass/fail of the run's own test reports."""
     run_dir = Path(run_dir)

@@ -6,7 +6,8 @@ stencil is applied).  Eigenvalues are kept in non-increasing order
 lambda_1 >= lambda_2 >= ...
 
 Two solvers: top_k_eigs, the one entry point for the top of the spectrum,
-backed by LAPACK (tridiagonal and subset solvers) and ARPACK; and
+backed by LAPACK (tridiagonal and subset solvers) and ARPACK, with a
+certified solve on windows around the highest sites in d = 1; and
 dense_eigs, a full symmetric eigendecomposition used as the independent
 oracle on small boxes.
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -46,6 +48,14 @@ DENSE_SITE_LIMIT = 4000  # dense_eigs, the full-eigh oracle
 # ARPACK at 169 sites, about even near 400, 86 ms against 13 ms at 961.
 SUBSET_SITE_LIMIT = 400
 _ARPACK_V0_SEED = 12345
+# top_k_eigs, d = 1: windows of this half-width around the
+# WINDOW_PEAKS_PER_PAIR * k + WINDOW_SPARE_PEAKS highest sites.
+WINDOW_HALF_WIDTH = 24
+WINDOW_PEAKS_PER_PAIR = 4
+WINDOW_SPARE_PEAKS = 8
+# Slack of the completeness count, in units of eps * ||H||: covers the
+# rounding of the residuals and the backward error of the Sturm count.
+_COUNT_SLACK_ULPS = 16
 TIE_TOL = 1e-12
 
 
@@ -84,6 +94,7 @@ class SpectralResult:
     centers: tuple  # grid-index tuples of argmax |phi|
     residuals: np.ndarray
     half: int  # box half-width, for coordinate conversion
+    solver: str  # "window", "tridiagonal", "subset", "arpack" or "dense"
 
     def __post_init__(self):
         lam = self.eigenvalues
@@ -126,7 +137,7 @@ class SpectralResult:
         )
 
 
-def _finalize(lams, phis, V) -> SpectralResult:
+def _finalize(lams, phis, V, solver: str) -> SpectralResult:
     """Order, sign-fix and package eigenpairs; compute true residuals."""
     order = np.argsort(-lams, kind="stable")
     lams = np.asarray(lams, dtype=float)[order]
@@ -147,6 +158,7 @@ def _finalize(lams, phis, V) -> SpectralResult:
         centers=tuple(centers),
         residuals=np.asarray(residuals),
         half=V.shape[0] // 2,
+        solver=solver,
     )
 
 
@@ -209,14 +221,75 @@ def dense_eigs(V: np.ndarray, k: int | None = None) -> SpectralResult:
     sel = np.argsort(-w)[:k]
     lams = w[sel]
     phis = [U[:, i].reshape(V.shape) for i in sel]
-    return _finalize(lams, phis, V)
+    return _finalize(lams, phis, V, "dense")
+
+
+def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
+    """Certified top-k pairs of the d = 1 operator from windows around its
+    highest sites, or None when the windows cannot be certified.
+
+    One LAPACK call solves the principal submatrix of H on the union of the
+    windows; windows that do not touch are not coupled.  Zero-extended, the
+    k top Ritz vectors have residual block R on the full H.  Were they
+    orthonormal, k eigenvalues of H would lie within r = ||R||_F of the
+    Ritz values mu_1 >= ... >= mu_k (Kahan).  A loss delta of
+    orthonormality widens r to bound = (r + 2 max|mu| delta)(1 + delta) /
+    (1 - delta), so all k lie above theta = mu_k - bound - slack.  A Sturm
+    count (LAPACK dstebz) of the eigenvalues of H above theta decides: if
+    it finds exactly k, they are the top k and the pairs are returned.
+    """
+    n = V.size
+    if 2 * (2 * WINDOW_HALF_WIDTH + 1) >= n:
+        return None  # a single window covers half the sites
+    m = min(n, WINDOW_PEAKS_PER_PAIR * k + WINDOW_SPARE_PEAKS)
+    peaks = np.argpartition(V, n - m)[n - m :]
+    offsets = np.arange(-WINDOW_HALF_WIDTH, WINDOW_HALF_WIDTH + 1)
+    inside = np.zeros(n, dtype=bool)
+    inside[np.clip(peaks[:, None] + offsets, 0, n - 1)] = True
+    sites = np.flatnonzero(inside)
+    t = sites.size
+    if 2 * t >= n:
+        return None
+    mu, U = eigh_tridiagonal(
+        V[sites] - 2.0,
+        (np.diff(sites) == 1).astype(float),
+        select="i",
+        select_range=(t - k, t - 1),
+    )
+    phis = np.zeros((k, n))
+    phis[:, sites] = U.T
+    result = _finalize(mu, phis, V, "window")
+    gram = result.eigenfunctions @ result.eigenfunctions.T
+    delta = float(np.linalg.norm(gram - np.eye(k)))
+    if np.any(result.residuals > tol) or delta > tol:
+        return None
+    r = math.sqrt(float(np.sum(result.residuals**2)))
+    mu = result.eigenvalues
+    # Kahan's bound for the orthonormal polar factor of the Ritz vectors
+    bound = (r + 2.0 * float(np.max(np.abs(mu))) * delta) * (1.0 + delta) / (1.0 - delta)
+    h_norm = float(np.max(np.abs(V - 2.0))) + 2.0
+    slack = _COUNT_SLACK_ULPS * np.finfo(float).eps * h_norm
+    theta = float(mu[-1]) - bound - slack
+    top = float(np.max(V)) + 1.0  # above every eigenvalue (Gershgorin)
+    # range 1: count by value in (theta, top]; an abstol as wide as that
+    # interval stops the bisection at once, leaving only the count
+    count, _, _, _, info = dstebz(
+        V - 2.0, np.ones(n - 1), 1, theta, top, 0, 0, top - theta, b"E"
+    )
+    if info != 0 or count != k:
+        return None
+    return result
 
 
 def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     """Top-k eigenpairs of Delta + V; each pair satisfies
     ||H phi - lambda phi||_2 <= tol or SolverConvergenceError is raised.
+    The result's solver field names the path that produced it.
 
-    d = 1: LAPACK bisection and inverse iteration on the tridiagonal H
+    d = 1: a solve on windows around the highest sites, kept only when a
+    Sturm count certifies that no eigenvalue was missed (_window_eigs);
+    otherwise, and when the windows would cover half the sites, LAPACK
+    bisection and inverse iteration on the whole tridiagonal H
     (eigh_tridiagonal).  d >= 2 up to SUBSET_SITE_LIMIT sites: dense
     LAPACK eigh restricted to the top k indices.  Larger d >= 2 boxes:
     ARPACK (eigsh) on a sparse H from a fixed start vector, so results are
@@ -231,19 +304,25 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
         raise ValueError("tol below achievable double precision")
     try:
         if V.ndim == 1:
+            result = _window_eigs(V, k, tol)
+            if result is not None:
+                return result
+            solver = "tridiagonal"
             lams, U = eigh_tridiagonal(
                 V - 2.0, np.ones(n - 1), select="i", select_range=(n - k, n - 1)
             )
         elif n <= SUBSET_SITE_LIMIT:
+            solver = "subset"
             lams, U = eigh(_assemble_dense(V), subset_by_index=[n - k, n - 1])
         else:
+            solver = "arpack"
             v0 = np.random.default_rng(_ARPACK_V0_SEED).standard_normal(n)
             lams, U = eigsh(
                 _assemble_sparse(V), k, which="LA", tol=0, ncv=_arpack_ncv(n, k), v0=v0
             )
     except (ArpackNoConvergence, LinAlgError) as exc:
         raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    result = _finalize(lams, [U[:, i].reshape(V.shape) for i in range(k)], V)
+    result = _finalize(lams, [U[:, i].reshape(V.shape) for i in range(k)], V, solver)
     if np.any(result.residuals > tol):
         raise SolverConvergenceError(
             f"eigenpair residuals {result.residuals} exceed tol={tol}"

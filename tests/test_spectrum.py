@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from andex import covariance as cov, field, harness, scales, spectrum
@@ -265,6 +266,149 @@ class TestTopKEigsOracle:
         assert np.array_equal(a.residuals, b.residuals)
 
 
+def _global_1d(V, k):
+    """Top-k pairs of the whole d = 1 chain, descending: the fallback path."""
+    n = V.size
+    w, U = eigh_tridiagonal(V - 2.0, np.ones(n - 1), select="i", select_range=(n - k, n - 1))
+    return w[::-1], U[:, ::-1].T
+
+
+def _assert_agrees_with_global(res, V, k):
+    lams, U = _global_1d(V, k)
+    assert res.k == k
+    assert np.max(res.residuals) <= 1e-10
+    assert np.max(np.abs(res.eigenvalues - lams)) <= 1e-12
+    assert res.centers == tuple((int(np.argmax(np.abs(u))),) for u in U)
+    overlaps = np.abs(np.sum(res.eigenfunctions * U, axis=1))
+    assert np.min(overlaps) >= 1.0 - 1e-10
+
+
+@pytest.fixture
+def counted_dstebz(monkeypatch):
+    """Wraps spectrum.dstebz; records (vl, count) of every call."""
+    calls = []
+    real = spectrum.dstebz
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args[3], out[0]))
+        return out
+
+    monkeypatch.setattr(spectrum, "dstebz", recording)
+    return calls
+
+
+WINDOW_MODELS = [
+    cov.CovarianceModel("iid", 1, {}),
+    cov.CovarianceModel("cube_indicator", 1, {"m": 2}),
+    cov.CovarianceModel("gaussian_kernel", 1, {"ell": 2.0}),
+]
+
+
+class TestWindowPath:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("model", WINDOW_MODELS, ids=lambda m: m.family)
+    def test_agrees_with_global_solver(self, model, k, counted_dstebz):
+        # at seed 1 the windows certify in every case; a draw where they do
+        # not takes the whole-chain path, as in the fallback tests below
+        V = np.array(field.sample_field(model, 4096, 1).values)
+        assert V.size == 4097
+        res = spectrum.top_k_eigs(V, k)
+        assert res.solver == "window"
+        _assert_agrees_with_global(res, V, k)
+        # one count, taken at or below mu_k - r (Kahan's bound), where
+        # it found exactly k eigenvalues
+        (vl, count), = counted_dstebz
+        r = math.sqrt(float(np.sum(res.residuals**2)))
+        assert count == k
+        assert vl <= res.eigenvalues[-1] - r
+        assert vl >= res.eigenvalues[-1] - r - 1e-12
+
+    def test_plateau_away_from_the_highest_sites_falls_back(self):
+        # the top modes sit on a broad plateau at 0; the highest single
+        # sites are isolated spikes at 1.5 whose windows hold only spike
+        # modes, near -0.33.  Every window residual is tiny; only the count
+        # shows the plateau modes.
+        V = np.full(4097, -10.0)
+        V[1000:1300] = 0.0
+        V[2000:4000:50] = 1.5
+        res = spectrum.top_k_eigs(V, 2)
+        assert res.solver == "tridiagonal"
+        _assert_agrees_with_global(res, V, 2)
+        assert res.eigenvalues[0] > -1e-3
+
+    def test_windows_one_site_apart_stay_uncoupled(self):
+        # peaks 50 apart, so neighbouring windows leave one deep site
+        # between them; both window edges next to that site are high.
+        # Coupled across the gap, the two edges would form a dimer above
+        # every true eigenvalue.
+        V = np.full(4097, -8.0)
+        peaks = 100 + 50 * np.arange(12)
+        V[peaks] = 3.0 - 0.01 * np.arange(12)
+        V[peaks[:-1] + spectrum.WINDOW_HALF_WIDTH] = 2.5
+        V[peaks[1:] - spectrum.WINDOW_HALF_WIDTH] = 2.5
+        res = spectrum.top_k_eigs(V, 1)
+        assert res.solver == "window"
+        _assert_agrees_with_global(res, V, 1)
+        assert res.centers == ((100,),)
+
+    def test_count_widens_by_the_loss_of_orthonormality(self, monkeypatch, counted_dstebz):
+        # Ritz vectors orthonormal only to about 1e-11: Kahan's bound holds
+        # for their orthonormal polar factor, so the count starts lower
+        real = spectrum.eigh_tridiagonal
+
+        def skewed(*args, **kwargs):
+            w, U = real(*args, **kwargs)
+            U = U.copy()
+            U[:, 0] += 1e-11 * U[:, 1]
+            return w, U
+
+        monkeypatch.setattr(spectrum, "eigh_tridiagonal", skewed)
+        V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, 1).values)
+        res = spectrum.top_k_eigs(V, 2)
+        assert res.solver == "window"
+        phi = res.eigenfunctions
+        delta = np.linalg.norm(phi @ phi.T - np.eye(2))
+        assert delta > 1e-12
+        r = math.sqrt(float(np.sum(res.residuals**2)))
+        (vl, count), = counted_dstebz
+        assert vl <= res.eigenvalues[-1] - r - 2.0 * np.max(np.abs(res.eigenvalues)) * delta
+
+    def test_count_other_than_k_falls_back(self, monkeypatch):
+        real = spectrum.dstebz
+
+        def one_too_many(*args):
+            m, *rest = real(*args)
+            return (m + 1, *rest)
+
+        monkeypatch.setattr(spectrum, "dstebz", one_too_many)
+        V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, 1).values)
+        res = spectrum.top_k_eigs(V, 2)
+        assert res.solver == "tridiagonal"
+        _assert_agrees_with_global(res, V, 2)
+
+    def test_small_box_stays_global(self, counted_dstebz):
+        # the 41-site cores of the localisation experiment: windows would
+        # cover at least half the sites
+        V = 3.0 * np.random.default_rng(41).standard_normal(41)
+        res = spectrum.top_k_eigs(V, 2)
+        assert res.solver == "tridiagonal"
+        assert counted_dstebz == []
+        _assert_agrees_with_global(res, V, 2)
+
+    def test_long_chain_is_certified(self):
+        V = np.random.default_rng(17).standard_normal(2**17)
+        res = spectrum.top_k_eigs(V, 2)
+        assert res.solver == "window"
+        _assert_agrees_with_global(res, V, 2)
+
+    def test_solver_names_the_path(self):
+        rng = np.random.default_rng(12)
+        assert spectrum.top_k_eigs(rng.standard_normal((19, 19)), 2).solver == "subset"
+        assert spectrum.top_k_eigs(rng.standard_normal((21, 21)), 2).solver == "arpack"
+        assert spectrum.dense_eigs(rng.standard_normal(9), 2).solver == "dense"
+
+
 class TestSpectralResult:
     def test_gap(self):
         res = spectrum.dense_eigs(np.zeros(9), k=3)
@@ -292,6 +436,7 @@ class TestSpectralResult:
                 centers=res.centers,
                 residuals=res.residuals,
                 half=res.half,
+                solver=res.solver,
             )
 
 
