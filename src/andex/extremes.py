@@ -1,4 +1,4 @@
-"""Order statistics, mesoscopic partition, rank permutation, and the
+"""Order statistics, mesoscopic partition, site ranks, and the
 decorated-PPP reference law.
 
 The mesoscopic partition covers the centered box Q_L with super-boxes of
@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import LocalisationError
-
 __all__ = [
     "MesoPartition",
     "ExtremeRecord",
@@ -25,7 +23,6 @@ __all__ = [
     "build_partition",
     "order_statistics",
     "box_maxima",
-    "rank_permutation",
     "site_ranks",
     "sample_ppp_reference",
     "ppp_rank_one_probability",
@@ -148,11 +145,11 @@ def order_statistics(sample, a_L: float, top: int | None = None) -> ExtremeRecor
 def box_maxima(
     sample,
     partition: MesoPartition,
-    a_L: float,
     xi_grid: Optional[np.ndarray] = None,
 ) -> ExtremeRecord:
     """Per-core argmax records for the field and optionally a shifted grid
-    of the same shape (use NaN outside its admissible region)."""
+    of the same shape (use NaN outside its admissible region).  ``order``
+    and ``rescaled`` stay empty; order_statistics gives those."""
     h = sample.half
     maxima = []
     maxima_xi: list | None = [] if xi_grid is not None else None
@@ -176,32 +173,12 @@ def box_maxima(
                     int(p) + s.start - h for p, s in zip(xpos, sl)
                 )
                 maxima_xi.append((xcoord, float(xblock[xpos])))
-    rec = order_statistics(sample, a_L, top=0)
     return ExtremeRecord(
-        order=rec.order,
-        rescaled=rec.rescaled,
+        order=(),
+        rescaled=(),
         box_maxima=tuple(maxima),
         box_maxima_xi=tuple(maxima_xi) if maxima_xi is not None else None,
     )
-
-
-def rank_permutation(
-    eig_centers: Sequence[tuple], extreme_order: Sequence[tuple]
-) -> tuple:
-    """1-based rank of each eigenfunction centre among the field maxima.
-
-    extreme_order is the descending sequence of maxima positions.
-    """
-    index = {tuple(pos): i + 1 for i, pos in enumerate(extreme_order)}
-    ranks = []
-    for c in eig_centers:
-        c = tuple(int(v) for v in c)
-        if c not in index:
-            raise LocalisationError(
-                f"eigenfunction centre {c} not among the listed maxima"
-            )
-        ranks.append(index[c])
-    return tuple(ranks)
 
 
 def site_ranks(values: np.ndarray, sites: Sequence[tuple]) -> tuple:

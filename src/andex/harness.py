@@ -1,11 +1,12 @@
 """Monte Carlo experiment orchestration: configs, seeding, persistence.
 
 Experiments confront the asymptotic theorems with finite-size simulation.
-Each experiment runs N independent trials; the per-trial seed is a fixed
-counter-based function of (master_seed, trial_index, stream tag), so
-samplers, decorations and oracles never share randomness.  Records are
-flat per-trial rows appended to a CSV as soon as a contiguous prefix of
-trials completes (crash-resumable); aggregates land in a manifest JSON.
+Each experiment is one entry of ``_EXPERIMENTS``.  Each trial's seed is a
+fixed counter-based function of (master_seed, trial_index, stream tag), so
+samplers, decorations and oracles never share randomness.  Records are flat
+rows in a CSV written once, when the run ends (a crash loses the run's new
+rows; streaming writes are an open ROADMAP item); a re-run resumes after the
+rows already written.  Aggregates land in a manifest JSON.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,16 +29,6 @@ from .errors import ConfigError
 __all__ = ["ExperimentConfig", "run_experiment", "report"]
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = (
-    "potential_extremes",
-    "eigenvalue_stats",
-    "localisation",
-    "rank_permutation",
-    "tail_lemma",
-    "macro_meso",
-    "bar_sweep",
-)
 
 _STREAMS = {"field": 0, "ppp": 1, "oracle": 2}
 
@@ -63,7 +54,7 @@ class ExperimentConfig:
     overrides: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -71,10 +62,7 @@ class ExperimentConfig:
             raise ConfigError("invalid box side or dimension")
 
     @classmethod
-    def from_json(cls, path_or_text) -> "ExperimentConfig":
-        text = path_or_text
-        if os.path.exists(str(path_or_text)):
-            text = Path(path_or_text).read_text()
+    def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -148,18 +136,11 @@ class _Context:
     def check_memory(self):
         """Refuse runs whose field grids and eigensolver working set would
         exceed the memory budget."""
-        cfg = self.cfg
-        sites = field.grid_side(cfg.L) ** cfg.d
-        need = sites * 16 * 6
-        solve_sites = {
-            "eigenvalue_stats": sites,
-            "rank_permutation": sites,
-            "macro_meso": sites,
-            "localisation": field.grid_side(self.scales.R_L) ** cfg.d,
-        }.get(cfg.experiment)
+        need = _box_sites(self) * 16 * 6
+        solve_sites = _EXPERIMENTS[self.cfg.experiment].solve_sites
         if solve_sites:
             # k + 2 pairs bounds what every trial body asks for
-            need += spectrum.solver_bytes(solve_sites, cfg.d, self.k + 2)
+            need += spectrum.solver_bytes(solve_sites(self), self.cfg.d, self.k + 2)
         if need > _MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"estimated working set {need} bytes exceeds budget"
@@ -167,14 +148,32 @@ class _Context:
 
 
 # ---------------------------------------------------------------------------
-# per-experiment trial bodies: (ctx, trial_index) -> dict
+# per-experiment code: trial body (ctx, trial_index) -> dict or row table
+# (ctx) -> list[dict]; aggregate (ctx, rows) -> (tests, summary); plot data
+# rows -> (file name, header, cells).  The table _EXPERIMENTS joins them.
+
+
+def _box_sites(ctx: _Context) -> int:
+    return field.grid_side(ctx.cfg.L) ** ctx.cfg.d
+
+
+def _core_sites(ctx: _Context) -> int:
+    return field.grid_side(ctx.scales.R_L) ** ctx.cfg.d
+
+
+def _col(rows: list[dict], name: str) -> np.ndarray:
+    return np.array([r[name] for r in rows if name in r and r[name] != ""])
+
+
+def _median_p95(vals: np.ndarray) -> dict:
+    return {"median": float(np.median(vals)), "p95": float(np.percentile(vals, 95))}
 
 
 def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
     s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
     part = extremes.build_partition(cfg.L, ctx.scales.R_L, cfg.d)
-    rec = extremes.box_maxima(s, part, ctx.a_L)
+    rec = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
     level = float(cfg.overrides.get("count_level", 0.0))
     n_exceed = sum(
@@ -186,6 +185,36 @@ def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
         "n_exceed": n_exceed,
         "n_boxes": part.n_boxes,
     }
+
+
+def _agg_potential_extremes(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
+    rescaled = np.sort(_col(rows, "rescaled_max"))
+    ks = stats.ks_statistic(rescaled, stats.gumbel_cdf)
+    thr = float(ctx.cfg.overrides.get("ks_threshold", 0.1))
+    tests = {
+        "gumbel_ks": stats.TestReport.make(
+            ks, rescaled.size, thr, "KS distance of rescaled maxima to Gumbel"
+        ),
+        "poisson_dispersion": stats.poisson_dispersion(
+            _col(rows, "n_exceed").astype(int)
+        ),
+    }
+    summary = {}
+    if rescaled.size >= 100:
+        est, se = stats.tail_frequency(rescaled, 0.0)
+        summary["tail_frequency_u0"] = {"estimate": est, "stderr": se}
+    return tests, summary
+
+
+def _plot_cdf_vs_gumbel(rows: list[dict]):
+    vals = np.sort(np.array([r["rescaled_max"] for r in rows]))
+    ecdf = np.arange(1, vals.size + 1) / vals.size
+    ref = stats.gumbel_cdf(vals)
+    cells = [
+        [repr(float(v)), repr(float(e)), repr(float(g))]
+        for v, e, g in zip(vals, ecdf, ref)
+    ]
+    return "cdf_vs_gumbel.csv", ["rescaled_max", "ecdf", "gumbel_cdf"], cells
 
 
 def _trial_eigenvalue_stats(ctx: _Context, i: int) -> dict:
@@ -204,6 +233,13 @@ def _trial_eigenvalue_stats(ctx: _Context, i: int) -> dict:
     for axis, c in enumerate(res.center_coords(0)):
         out[f"center_{axis}"] = c
     return out
+
+
+def _agg_eigenvalue_stats(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
+    return {}, {
+        "rescaled_lambda_1": _median_p95(_col(rows, "rescaled_lambda_1")),
+        "gap_median": float(np.median(_col(rows, "gap"))),
+    }
 
 
 def _trial_localisation(ctx: _Context, i: int) -> dict:
@@ -247,6 +283,29 @@ def _trial_localisation(ctx: _Context, i: int) -> dict:
     }
 
 
+def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
+    e1, e2, e3, gap_ok = (
+        _col(rows, name).astype(bool) for name in ("in_E1", "in_E2", "in_E3", "gap_ok")
+    )
+    summary = {
+        "eig_err": _median_p95(_col(rows, "eig_err")),
+        "fun_err": _median_p95(_col(rows, "fun_err")),
+        "event_counts": {
+            "E1": int(e1.sum()),
+            "E2": int(e2.sum()),
+            "E3": int(e3.sum()),
+            "full_event": int((e1 & e2 & e3).sum()),
+            "n": len(rows),
+        },
+    }
+    sel = e1 & e3
+    if sel.any():
+        summary["gap_pass_frequency_on_event"] = float(gap_ok[sel].mean())
+    summary["gap_pass_frequency"] = float(gap_ok.mean())
+    summary["interval_frequency"] = float(_col(rows, "max_in_interval").mean())
+    return {}, summary
+
+
 def _trial_rank_permutation(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
     s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
@@ -260,6 +319,25 @@ def _trial_rank_permutation(ctx: _Context, i: int) -> dict:
     for j, r in enumerate(ranks):
         out[f"ell_{j + 1}"] = int(r)
     return out
+
+
+def _agg_rank_permutation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
+    ell1 = _col(rows, "ell_1").astype(int)
+    return {}, {
+        "p_ell1_eq_1": float(np.mean(ell1 == 1)),
+        "ell_1_histogram": {str(v): int(np.sum(ell1 == v)) for v in np.unique(ell1)},
+    }
+
+
+def _plot_rank_histogram(rows: list[dict]):
+    ell = np.array([r["ell_1"] for r in rows], dtype=int)
+    edges = np.arange(1, max(ell.max(), 5) + 2)
+    hist, _ = np.histogram(ell, bins=edges)
+    cells = [
+        [int(edge), int(c), repr(float(c / ell.size))]
+        for edge, c in zip(edges[:-1], hist)
+    ]
+    return "rank_histogram.csv", ["rank", "count", "frequency"], cells
 
 
 def _rows_tail_lemma(ctx: _Context) -> list[dict]:
@@ -284,6 +362,11 @@ def _rows_tail_lemma(ctx: _Context) -> list[dict]:
                 }
             )
     return rows
+
+
+def _agg_tail_lemma(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
+    ratios = _col(rows, "ratio")
+    return {}, {"max_abs_ratio_err": float(np.max(np.abs(ratios - 1.0)))}
 
 
 def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
@@ -347,6 +430,32 @@ def _trial_macro_meso(ctx: _Context, i: int) -> dict:
     return out
 
 
+def _agg_macro_meso(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
+    gap_event = _col(rows, "gap_event").astype(bool)
+    peaks_in = _col(rows, "peaks_in_cores").astype(bool)
+    sel = gap_event & peaks_in
+    summary: dict = {
+        "conditioning": {
+            "gap_event": int(gap_event.sum()),
+            "peaks_in_cores": int(peaks_in.sum()),
+            "both": int(sel.sum()),
+            "n": len(rows),
+        }
+    }
+    for j in range(1, ctx.k + 1):
+        eig = _col(rows, f"eig_diff_{j}")
+        fun = _col(rows, f"fun_diff_{j}")
+        entry = {
+            "eig_median": float(np.median(eig)),
+            "fun_median": float(np.median(fun)),
+        }
+        if sel.any():
+            entry["eig_median_on_event"] = float(np.median(eig[sel]))
+            entry["fun_median_on_event"] = float(np.median(fun[sel]))
+        summary[f"rank_{j}"] = entry
+    return {}, summary
+
+
 def _rows_bar_sweep(ctx: _Context) -> list[dict]:
     ov = ctx.cfg.overrides
     ratios = ov.get("ratios", [5.0, 10.0, 20.0, 40.0])
@@ -372,12 +481,66 @@ def _rows_bar_sweep(ctx: _Context) -> list[dict]:
     return rows
 
 
-_TRIAL_BODIES = {
-    "potential_extremes": _trial_potential_extremes,
-    "eigenvalue_stats": _trial_eigenvalue_stats,
-    "localisation": _trial_localisation,
-    "rank_permutation": _trial_rank_permutation,
-    "macro_meso": _trial_macro_meso,
+def _agg_bar_sweep(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
+    by_family: dict = {}
+    for r in rows:
+        by_family.setdefault(r["family"], []).append((r["ratio"], r["err_over_scale"]))
+    summary = {}
+    for fam, pairs in by_family.items():
+        pairs.sort()
+        errs = [e for _, e in pairs]
+        summary[fam] = {
+            "errs": errs,
+            "monotone_decreasing": bool(all(a > b for a, b in zip(errs, errs[1:]))),
+            "final_err": errs[-1],
+        }
+    return {}, summary
+
+
+def _plot_bar_sweep_table(rows: list[dict]):
+    cells = [
+        [r["family"], r["ratio"], repr(float(r["err_over_scale"]))] for r in rows
+    ]
+    return "bar_sweep_table.csv", ["family", "ratio", "err_over_scale"], cells
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment.  Exactly one of ``trial`` (run once per trial) and
+    ``rows`` (one deterministic table) is set.  ``solve_sites`` gives the
+    sites of the largest eigensolve for the memory check (None: no solver);
+    ``plot``, if set, gives the plot-data file that ``report`` writes."""
+
+    aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
+    trial: Callable[[_Context, int], dict] | None = None
+    rows: Callable[[_Context], list[dict]] | None = None
+    solve_sites: Callable[[_Context], int] | None = None
+    plot: Callable[[list[dict]], tuple[str, list[str], list[list]]] | None = None
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "potential_extremes": _Experiment(
+        _agg_potential_extremes, trial=_trial_potential_extremes, plot=_plot_cdf_vs_gumbel
+    ),
+    "eigenvalue_stats": _Experiment(
+        _agg_eigenvalue_stats, trial=_trial_eigenvalue_stats, solve_sites=_box_sites
+    ),
+    "localisation": _Experiment(
+        _agg_localisation, trial=_trial_localisation, solve_sites=_core_sites
+    ),
+    "rank_permutation": _Experiment(
+        _agg_rank_permutation,
+        trial=_trial_rank_permutation,
+        solve_sites=_box_sites,
+        plot=_plot_rank_histogram,
+    ),
+    "tail_lemma": _Experiment(_agg_tail_lemma, rows=_rows_tail_lemma),
+    "macro_meso": _Experiment(
+        _agg_macro_meso, trial=_trial_macro_meso, solve_sites=_box_sites
+    ),
+    "bar_sweep": _Experiment(
+        _agg_bar_sweep, rows=_rows_bar_sweep, plot=_plot_bar_sweep_table
+    ),
 }
 
 
@@ -392,16 +555,14 @@ def _format_cell(v):
 
 
 def _write_rows(path: Path, columns: list[str], rows: list[dict], start: int):
-    new_file = not path.exists() or start == 0
-    mode = "w" if new_file else "a"
-    with open(path, mode, newline="") as fh:
+    """Rows as trials start, start + 1, ...; a new file when start is 0."""
+    with open(path, "w" if start == 0 else "a", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        if start == 0:
             writer.writerow(["trial", "seed"] + columns)
         for off, row in enumerate(rows):
-            i = start + off
             writer.writerow(
-                [i, row.get("__seed", "")]
+                [start + off, row.get("seed", "")]
                 + [_format_cell(row.get(c, "")) for c in columns]
             )
             fh.flush()
@@ -427,208 +588,82 @@ def _read_records(path: Path) -> tuple[list[str], list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# aggregates
+# driver
 
 
 def _aggregate(cfg: ExperimentConfig, ctx: _Context, rows: list[dict]) -> dict:
-    ov = cfg.overrides
-    exp = cfg.experiment
-    tests = {}
-    summary: dict = {}
-    if not rows:
-        return {"tests": tests, "summary": summary}
-
-    def col(name):
-        return np.array([r[name] for r in rows if name in r and r[name] != ""])
-
-    if exp == "potential_extremes":
-        rescaled = np.sort(col("rescaled_max"))
-        ks = stats.ks_statistic(rescaled, stats.gumbel_cdf)
-        thr = float(ov.get("ks_threshold", 0.1))
-        tests["gumbel_ks"] = stats.TestReport.make(
-            ks, rescaled.size, thr, "KS distance of rescaled maxima to Gumbel"
-        )
-        counts = col("n_exceed").astype(int)
-        tests["poisson_dispersion"] = stats.poisson_dispersion(counts)
-        if rescaled.size >= 100:
-            est, se = stats.tail_frequency(rescaled, 0.0)
-            summary["tail_frequency_u0"] = {"estimate": est, "stderr": se}
-    elif exp == "eigenvalue_stats":
-        vals = col("rescaled_lambda_1")
-        summary["rescaled_lambda_1"] = {
-            "median": float(np.median(vals)),
-            "p95": float(np.percentile(vals, 95)),
-        }
-        summary["gap_median"] = float(np.median(col("gap")))
-    elif exp == "localisation":
-        eig = col("eig_err")
-        fun = col("fun_err")
-        summary["eig_err"] = {
-            "median": float(np.median(eig)),
-            "p95": float(np.percentile(eig, 95)),
-        }
-        summary["fun_err"] = {
-            "median": float(np.median(fun)),
-            "p95": float(np.percentile(fun, 95)),
-        }
-        e1 = col("in_E1").astype(bool)
-        e2 = col("in_E2").astype(bool)
-        e3 = col("in_E3").astype(bool)
-        summary["event_counts"] = {
-            "E1": int(e1.sum()),
-            "E2": int(e2.sum()),
-            "E3": int(e3.sum()),
-            "full_event": int((e1 & e2 & e3).sum()),
-            "n": len(rows),
-        }
-        sel = e1 & e3
-        gap_ok = col("gap_ok").astype(bool)
-        if sel.any():
-            summary["gap_pass_frequency_on_event"] = float(
-                gap_ok[sel].mean()
-            )
-        summary["gap_pass_frequency"] = float(gap_ok.mean())
-        summary["interval_frequency"] = float(col("max_in_interval").mean())
-    elif exp == "rank_permutation":
-        ell1 = col("ell_1").astype(int)
-        freq = float(np.mean(ell1 == 1))
-        summary["p_ell1_eq_1"] = freq
-        summary["ell_1_histogram"] = {
-            str(v): int(np.sum(ell1 == v)) for v in np.unique(ell1)
-        }
-    elif exp == "tail_lemma":
-        ratios = col("ratio")
-        summary["max_abs_ratio_err"] = float(np.max(np.abs(ratios - 1.0)))
-    elif exp == "macro_meso":
-        sel = (col("gap_event").astype(bool)) & (
-            col("peaks_in_cores").astype(bool)
-        )
-        summary["conditioning"] = {
-            "gap_event": int(col("gap_event").sum()),
-            "peaks_in_cores": int(col("peaks_in_cores").sum()),
-            "both": int(sel.sum()),
-            "n": len(rows),
-        }
-        for j in range(1, ctx.k + 1):
-            eig = col(f"eig_diff_{j}")
-            fun = col(f"fun_diff_{j}")
-            entry = {
-                "eig_median": float(np.median(eig)),
-                "fun_median": float(np.median(fun)),
-            }
-            if sel.any():
-                entry["eig_median_on_event"] = float(np.median(eig[sel]))
-                entry["fun_median_on_event"] = float(np.median(fun[sel]))
-            summary[f"rank_{j}"] = entry
-    elif exp == "bar_sweep":
-        by_family: dict = {}
-        for r in rows:
-            by_family.setdefault(r["family"], []).append(
-                (r["ratio"], r["err_over_scale"])
-            )
-        for fam, pairs in by_family.items():
-            pairs.sort()
-            errs = [e for _, e in pairs]
-            summary[fam] = {
-                "errs": errs,
-                "monotone_decreasing": bool(
-                    all(a > b for a, b in zip(errs, errs[1:]))
-                ),
-                "final_err": errs[-1],
-            }
+    tests, summary = (
+        _EXPERIMENTS[cfg.experiment].aggregate(ctx, rows) if rows else ({}, {})
+    )
     return {
         "tests": {k: json.loads(v.to_json()) for k, v in tests.items()},
         "summary": summary,
     }
 
 
-# ---------------------------------------------------------------------------
-# driver
+def _run_trials(
+    ctx: _Context, body: Callable[[_Context, int], dict], start: int, workers: int
+):
+    """Rows of trials start .. trials - 1 and the reprs of their failures."""
+    cfg = ctx.cfg
+
+    def run_one(i):
+        seed = trial_seed(cfg.master_seed, i)
+        try:
+            return {"seed": seed, **body(ctx, i)}, None
+        except Exception as exc:  # per-trial failure budget
+            return {"seed": seed, "failed": 1}, repr(exc)
+
+    indices = range(start, cfg.trials)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_one, indices))
+    else:
+        results = [run_one(i) for i in indices]
+    errors = [err for _, err in results if err]
+    if len(errors) > 0.05 * cfg.trials:
+        raise RuntimeError(
+            f"{len(errors)}/{cfg.trials} trials failed (budget 5%): {errors[:3]}"
+        )
+    return [row for row, _ in results], errors
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
-    """Execute the experiment; returns the path of the manifest JSON."""
+    """Execute the experiment; returns the path of the manifest JSON.
+
+    A trial experiment resumes after readable records of at most
+    ``cfg.trials`` rows.  When the new rows bring a column that the file
+    lacks, the whole file is rewritten under the new header."""
     ctx = _Context(cfg)
     ctx.check_memory()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.csv"
     manifest_path = out / "manifest.json"
+    exp = _EXPERIMENTS[cfg.experiment]
 
     t0 = time.time()
-    if cfg.experiment == "tail_lemma":
-        rows = _rows_tail_lemma(ctx)
-    elif cfg.experiment == "bar_sweep":
-        rows = _rows_bar_sweep(ctx)
+    header, existing, errors = None, [], []
+    if exp.rows is not None:
+        rows = exp.rows(ctx)
     else:
-        rows = None
-
-    failures = 0
-    if rows is not None:
-        columns = sorted({k for r in rows for k in r})
-        if records_path.exists():
-            records_path.unlink()
-        _write_rows(records_path, columns, rows, 0)
-        done_rows = rows
-    else:
-        body = _TRIAL_BODIES[cfg.experiment]
-        start = 0
-        existing: list[dict] = []
         if records_path.exists():
             try:
-                _, existing = _read_records(records_path)
-                start = len(existing)
-            except Exception:
-                records_path.unlink()
-                start = 0
-                existing = []
-        if start > cfg.trials:
-            records_path.unlink()
-            start, existing = 0, []
-        indices = list(range(start, cfg.trials))
+                header, existing = _read_records(records_path)
+            except Exception:  # unreadable records: start over
+                pass
+        if len(existing) > cfg.trials:
+            existing = []
+        rows, errors = _run_trials(ctx, exp.trial, len(existing), workers)
 
-        def run_one(i):
-            try:
-                row = body(ctx, i)
-                row["__seed"] = trial_seed(cfg.master_seed, i)
-                return i, row, None
-            except Exception as exc:  # per-trial failure budget
-                return i, None, repr(exc)
+    start = len(existing)
+    all_rows = existing + rows
+    columns = sorted({k for r in all_rows for k in r} - {"trial", "seed"})
+    if columns != header:
+        start, rows = 0, all_rows
+    _write_rows(records_path, columns, rows, start)
 
-        results: dict[int, dict | None] = {}
-        errors: dict[int, str] = {}
-        if workers > 1 and indices:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for i, row, err in pool.map(run_one, indices):
-                    results[i] = row
-                    if err:
-                        errors[i] = err
-        else:
-            for i in indices:
-                i, row, err = run_one(i)
-                results[i] = row
-                if err:
-                    errors[i] = err
-        failures = len(errors)
-        if failures > 0.05 * cfg.trials:
-            raise RuntimeError(
-                f"{failures}/{cfg.trials} trials failed "
-                f"(budget 5%): {list(errors.values())[:3]}"
-            )
-        new_rows = [
-            results[i] if results[i] is not None else {"__seed": trial_seed(cfg.master_seed, i), "failed": 1}
-            for i in indices
-        ]
-        all_rows = existing + [
-            {k: v for k, v in r.items() if k != "__seed"} for r in new_rows
-        ]
-        columns = sorted(
-            {k for r in all_rows for k in r if k not in ("trial", "seed")}
-        )
-        _write_rows(records_path, columns, new_rows, start)
-        done_rows = all_rows
-
-    agg = _aggregate(cfg, ctx, [r for r in done_rows if not r.get("failed")])
+    agg = _aggregate(cfg, ctx, [r for r in all_rows if not r.get("failed")])
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.echo(),
@@ -636,7 +671,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
         "tau_L": ctx.tau_L,
         "bar_lambda": ctx.bar.bar_lambda,
         "bar_expansion": ctx.bar.expansion_value,
-        "trials_failed": failures,
+        "trials_failed": len(errors),
         "wall_time_s": time.time() - t0,
         **agg,
     }
@@ -663,7 +698,7 @@ def report(run_dir) -> bool:
     cfg = manifest["config"]
     if cfg["trials"] < 1:
         raise ValueError("empty run")
-    columns, rows = _read_records(run_dir / "records.csv")
+    _, rows = _read_records(run_dir / "records.csv")
     exp = cfg["experiment"]
 
     lines = [f"experiment: {exp}  trials: {len(rows)}"]
@@ -678,31 +713,14 @@ def report(run_dir) -> bool:
     for key, val in manifest.get("summary", {}).items():
         lines.append(f"  {key}: {json.dumps(val)}")
 
-    # plot-data files
-    if exp == "potential_extremes" and rows:
-        vals = np.sort(np.array([r["rescaled_max"] for r in rows]))
-        ecdf = np.arange(1, vals.size + 1) / vals.size
-        ref = stats.gumbel_cdf(vals)
-        with open(run_dir / "cdf_vs_gumbel.csv", "w", newline="") as fh:
+    plot = _EXPERIMENTS[exp].plot
+    done = [r for r in rows if not r.get("failed")]
+    if plot and done:
+        name, header, cells = plot(done)
+        with open(run_dir / name, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["rescaled_max", "ecdf", "gumbel_cdf"])
-            for v, e, g in zip(vals, ecdf, ref):
-                w.writerow([repr(float(v)), repr(float(e)), repr(float(g))])
-    if exp == "rank_permutation" and rows:
-        ell = np.array([r["ell_1"] for r in rows], dtype=int)
-        edges = np.arange(1, max(ell.max(), 5) + 2)
-        hist, _ = np.histogram(ell, bins=edges)
-        with open(run_dir / "rank_histogram.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "count", "frequency"])
-            for edge, c in zip(edges[:-1], hist):
-                w.writerow([int(edge), int(c), repr(float(c / ell.size))])
-    if exp == "bar_sweep" and rows:
-        with open(run_dir / "bar_sweep_table.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["family", "ratio", "err_over_scale"])
-            for r in rows:
-                w.writerow([r["family"], r["ratio"], repr(float(r["err_over_scale"]))])
+            w.writerow(header)
+            w.writerows(cells)
 
     print("\n".join(lines))
     return ok

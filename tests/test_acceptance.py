@@ -277,7 +277,7 @@ def test_criterion_07_poisson_dispersion():
     counts = np.empty(n, dtype=int)
     for i in range(n):
         s = field.sample_field(model, L, harness.trial_seed(seed, i))
-        rec = extremes.box_maxima(s, part, a_L)
+        rec = extremes.box_maxima(s, part)
         counts[i] = sum(1 for _, v in rec.box_maxima if a_L * (v - a_L) > 0.0)
     rep = stats.poisson_dispersion(counts)
     crit(7, rep.passed, rep.description)

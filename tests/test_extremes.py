@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from andex import extremes, field, stats
-from andex.errors import LocalisationError
 
 
 class TestPartition:
@@ -83,7 +82,7 @@ class TestBoxMaxima:
     def test_per_core_argmax(self, iid1):
         s = field.sample_field(iid1, 64, seed=3)
         p = extremes.build_partition(64, 15, 1)
-        rec = extremes.box_maxima(s, p, a_L=3.0)
+        rec = extremes.box_maxima(s, p)
         assert len(rec.box_maxima) == 3
         for j, (coord, val) in enumerate(rec.box_maxima):
             block = s.values[p.core_slices(j)]
@@ -95,24 +94,9 @@ class TestBoxMaxima:
         p = extremes.build_partition(64, 15, 1)
         xi = s.values.copy()
         xi[p.core_slices(0)] = np.nan
-        rec = extremes.box_maxima(s, p, a_L=3.0, xi_grid=xi)
+        rec = extremes.box_maxima(s, p, xi_grid=xi)
         assert rec.box_maxima_xi[0] is None
         assert rec.box_maxima_xi[1] is not None
-
-
-class TestRankPermutation:
-    def test_identity(self):
-        order = [(-3,), (0,), (5,)]
-        assert extremes.rank_permutation(order, order) == (1, 2, 3)
-
-    def test_swap(self):
-        order = [(-3,), (0,), (5,)]
-        centers = [(0,), (-3,), (5,)]
-        assert extremes.rank_permutation(centers, order) == (2, 1, 3)
-
-    def test_missing_center(self):
-        with pytest.raises(LocalisationError):
-            extremes.rank_permutation([(9,)], [(-3,), (0,)])
 
 
 class TestSiteRanks:

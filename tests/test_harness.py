@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -21,6 +23,20 @@ def make_cfg(tmp_path, **kw):
     )
     base.update(kw)
     return harness.ExperimentConfig(**base)
+
+
+def fail_trial(monkeypatch, experiment, index):
+    """Make trial ``index`` of ``experiment`` raise."""
+    entry = harness._EXPERIMENTS[experiment]
+
+    def body(ctx, i):
+        if i == index:
+            raise RuntimeError(f"trial {index}")
+        return entry.trial(ctx, i)
+
+    monkeypatch.setitem(
+        harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
+    )
 
 
 class TestSeeding:
@@ -69,12 +85,6 @@ class TestConfig:
         assert cfg.experiment == "bar_sweep"
         assert cfg.trials == 1
 
-    def test_from_json_file(self, tmp_path):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"experiment": "tail_lemma", "L": 64}))
-        cfg = harness.ExperimentConfig.from_json(str(p))
-        assert cfg.experiment == "tail_lemma"
-
     def test_invalid_json(self):
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_json("{not json")
@@ -82,6 +92,28 @@ class TestConfig:
     def test_missing_field(self):
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_json('{"experiment": "tail_lemma"}')
+
+
+class TestExperimentTable:
+    def test_config_accepts_exactly_the_table(self, tmp_path):
+        assert set(harness._EXPERIMENTS) == {
+            "potential_extremes",
+            "eigenvalue_stats",
+            "localisation",
+            "rank_permutation",
+            "tail_lemma",
+            "macro_meso",
+            "bar_sweep",
+        }
+        for name in harness._EXPERIMENTS:
+            assert make_cfg(tmp_path, experiment=name).experiment == name
+        for name in ("", "Bar_sweep", "rank_permutations"):
+            with pytest.raises(ConfigError):
+                make_cfg(tmp_path, experiment=name)
+
+    def test_each_entry_has_trial_or_rows(self):
+        for name, entry in harness._EXPERIMENTS.items():
+            assert (entry.trial is None) != (entry.rows is None), name
 
 
 class TestRunDeterminism:
@@ -155,6 +187,33 @@ class TestResume:
         _, rows = harness._read_records(out / "records.csv")
         assert len(rows) == 3
 
+    def test_failed_trial_on_resume_rewrites_the_header(self, tmp_path, monkeypatch):
+        # 20 clean trials, then a resume to 40 in which trial 25 fails: the
+        # new "failed" column must not shift the appended cells
+        cfg20 = make_cfg(tmp_path, trials=20)
+        harness.run_experiment(cfg20)
+        path = Path(cfg20.out_dir) / "records.csv"
+        _, before = harness._read_records(path)
+        fail_trial(monkeypatch, "eigenvalue_stats", 25)
+        manifest = harness.run_experiment(make_cfg(tmp_path, trials=40))
+        assert json.loads(manifest.read_text())["trials_failed"] == 1
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert len(lines) == 41
+        assert all(len(line) == len(lines[0]) for line in lines)
+        cols, after = harness._read_records(path)
+        assert "failed" in cols
+        for old, new in zip(before, after[:20]):
+            assert new == {**old, "failed": ""}
+        assert after[25]["failed"] == 1
+        assert after[25]["seed"] == harness.trial_seed(7, 25)
+        assert all(r["failed"] == "" for i, r in enumerate(after) if i != 25)
+        # the same file as a run that was never interrupted
+        fresh = make_cfg(tmp_path, trials=40, out_dir=str(tmp_path / "fresh"))
+        harness.run_experiment(fresh)
+        assert (tmp_path / "fresh" / "records.csv").read_text() == path.read_text()
+        assert harness.report(cfg20.out_dir)
+
 
 class TestFailureBudget:
     def test_budget_exceeded_raises(self, tmp_path, monkeypatch):
@@ -163,7 +222,8 @@ class TestFailureBudget:
         def bomb(ctx, i):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(harness._TRIAL_BODIES, "eigenvalue_stats", bomb)
+        entry = dataclasses.replace(harness._EXPERIMENTS["eigenvalue_stats"], trial=bomb)
+        monkeypatch.setitem(harness._EXPERIMENTS, "eigenvalue_stats", entry)
         with pytest.raises(RuntimeError):
             harness.run_experiment(cfg)
 
@@ -311,6 +371,55 @@ class TestReport:
         text = capsys.readouterr().out
         assert "gumbel_ks" in text
         assert (Path(cfg.out_dir) / "cdf_vs_gumbel.csv").exists()
+
+    def test_rank_histogram_and_bar_sweep_table(self, tmp_path, capsys):
+        ranks = make_cfg(
+            tmp_path,
+            experiment="rank_permutation",
+            model={"family": "iid"},
+            L=512,
+            trials=5,
+            overrides={"k": 2, "R_L": 63, "r_L": 9},
+            out_dir=str(tmp_path / "ranks"),
+        )
+        harness.run_experiment(ranks)
+        harness.report(ranks.out_dir)
+        _, rows = harness._read_records(tmp_path / "ranks" / "records.csv")
+        with open(tmp_path / "ranks" / "rank_histogram.csv", newline="") as fh:
+            hist = list(csv.reader(fh))
+        assert hist[0] == ["rank", "count", "frequency"]
+        # one bin per rank 1 .. max(largest ell_1, 5)
+        assert len(hist) - 1 == max(max(r["ell_1"] for r in rows), 5)
+        assert sum(int(line[1]) for line in hist[1:]) == 5
+
+        sweep = make_cfg(
+            tmp_path,
+            experiment="bar_sweep",
+            L=64,
+            overrides={"a_L": 6.0, "R_L": 15, "r_L": 9},
+            out_dir=str(tmp_path / "sweep"),
+        )
+        harness.run_experiment(sweep)
+        harness.report(sweep.out_dir)
+        with open(tmp_path / "sweep" / "bar_sweep_table.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["family", "ratio", "err_over_scale"]
+        assert len(table) - 1 == 8  # 2 default families x 4 default ratios
+
+    def test_plot_data_skips_failed_trials(self, tmp_path, monkeypatch, capsys):
+        fail_trial(monkeypatch, "potential_extremes", 3)
+        cfg = make_cfg(
+            tmp_path,
+            experiment="potential_extremes",
+            model={"family": "iid"},
+            L=256,
+            trials=60,
+            overrides={"R_L": 15, "r_L": 9},
+        )
+        harness.run_experiment(cfg)
+        harness.report(cfg.out_dir)
+        with open(Path(cfg.out_dir) / "cdf_vs_gumbel.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 59
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
