@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,6 +59,18 @@ class MesoPartition:
         return tuple(
             slice(ci + h - self.core_half, ci + h + self.core_half + 1) for ci in c
         )
+
+    @cached_property
+    def core_sites(self) -> np.ndarray:
+        """Flat indices into the C-ordered Q_L grid of each core's sites:
+        one row per core, in the core's own C order.  Read-only."""
+        side = 2 * (self.L // 2) + 1
+        grid = np.arange(side**self.d).reshape((side,) * self.d)
+        sites = np.stack(
+            [grid[self.core_slices(j)].ravel() for j in range(self.n_boxes)]
+        )
+        sites.setflags(write=False)
+        return sites
 
     def core_mask(self, shape: tuple) -> np.ndarray:
         mask = np.zeros(shape, dtype=bool)
@@ -150,19 +163,23 @@ def box_maxima(
     """Per-core argmax records for the field and optionally a shifted grid
     of the same shape (use NaN outside its admissible region).  ``order``
     and ``rescaled`` stay empty; order_statistics gives those."""
+    if sample.L // 2 != partition.L // 2 or sample.d != partition.d:
+        raise ValueError("partition was built for another box")
     h = sample.half
-    maxima = []
-    maxima_xi: list | None = [] if xi_grid is not None else None
-    for j in range(partition.n_boxes):
-        sl = partition.core_slices(j)
-        block = sample.values[sl]
-        flat_i = int(np.argmax(block.ravel(order="C")))
-        pos = np.unravel_index(flat_i, block.shape)
-        coord = tuple(
-            int(p) + s.start - h for p, s in zip(pos, sl)
-        )
-        maxima.append((coord, float(block[pos])))
-        if maxima_xi is not None:
+    flat = sample.values.ravel()
+    sites = partition.core_sites
+    # argmax keeps the first of tied sites, the first in each core's C order
+    best = sites[np.arange(len(sites)), np.argmax(flat[sites], axis=1)]
+    coords = np.stack(np.unravel_index(best, sample.values.shape), axis=1) - h
+    maxima = [
+        (tuple(int(c) for c in coord), float(flat[i]))
+        for coord, i in zip(coords, best)
+    ]
+    maxima_xi: list | None = None
+    if xi_grid is not None:
+        maxima_xi = []
+        for j in range(partition.n_boxes):
+            sl = partition.core_slices(j)
             xblock = xi_grid[sl]
             if np.all(np.isnan(xblock)):
                 maxima_xi.append(None)

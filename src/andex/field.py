@@ -22,6 +22,7 @@ marginal variance is 1 + tau^2.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -108,20 +109,33 @@ class FieldSample:
             json.dump(meta, fh)
 
 
-# Factorizations depend only on (model, L); cache them so batched draws
-# across many seeds do not refactor the same covariance.
-_FACTOR_CACHE: dict = {}
+def _cache_key(model) -> tuple:
+    """Hashable stand-in for a model, whose params dict is not hashable."""
+    return (model.family, model.d, tuple(sorted(model.params.items())))
 
 
-def _cache_key(model, L, kind):
-    return (kind, model.family, model.d, tuple(sorted(model.params.items())), L)
+def _per_model_cache(build):
+    """Cache ``build(model, n)`` in an LRU of 8 entries keyed on
+    (_cache_key(model), n), so batched draws across many seeds do not
+    refactor the same covariance.  Cached arrays are read-only, because
+    every caller shares them."""
+
+    @functools.lru_cache(maxsize=8)
+    def cached(key, n):
+        family, d, params = key
+        out = build(cov.CovarianceModel(family, d, dict(params)), n)
+        out.setflags(write=False)
+        return out
+
+    @functools.wraps(build)
+    def lookup(model, n):
+        return cached(_cache_key(model), n)
+
+    return lookup
 
 
+@_per_model_cache
 def _dense_factor(model, L):
-    key = _cache_key(model, L, "dense")
-    F = _FACTOR_CACHE.get(key)
-    if F is not None:
-        return F
     h = box_half(L)
     side = 2 * h + 1
     n = side**model.d
@@ -129,18 +143,14 @@ def _dense_factor(model, L):
     diffs = pts[:, None, :] - pts[None, :, :]
     C = cov.eval_cov_offsets(model, diffs)
     try:
-        F = np.linalg.cholesky(C)
+        return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(C)
         if np.min(w) < -1e-8 * max(np.max(w), 1.0):
             raise CovarianceInconsistencyError(
                 f"covariance matrix has eigenvalue {np.min(w):.3e}"
             )
-        F = V * np.sqrt(np.clip(w, 0.0, None))
-    if len(_FACTOR_CACHE) > 8:
-        _FACTOR_CACHE.clear()
-    _FACTOR_CACHE[key] = F
-    return F
+        return V * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _dense_draw(model, L, rng):
@@ -156,16 +166,10 @@ def _dense_draw(model, L, rng):
     return (F @ z).reshape((side,) * model.d)
 
 
+@_per_model_cache
 def _circulant_amplitude(model, M):
-    key = _cache_key(model, M, "circulant")
-    amp = _FACTOR_CACHE.get(key)
-    if amp is None:
-        spec = cov.circulant_spectrum(model, M)  # raises if invalid
-        amp = np.sqrt(np.clip(spec, 0.0, None))
-        if len(_FACTOR_CACHE) > 8:
-            _FACTOR_CACHE.clear()
-        _FACTOR_CACHE[key] = amp
-    return amp
+    spec = cov.circulant_spectrum(model, M)  # raises if invalid
+    return np.sqrt(np.clip(spec, 0.0, None))
 
 
 def _circulant_draw(model, L, rng):
@@ -177,11 +181,13 @@ def _circulant_draw(model, L, rng):
     shape = (M,) * model.d
     a = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
-    X = np.fft.fftn(amp * (a + 1j * b)) / M ** (model.d / 2.0)
-    # Real and imaginary parts are independent exact draws; keep the real one.
-    grid = X.real
+    X = cov._fftn(amp * (a + 1j * b))
+    # Real and imaginary parts are independent exact draws; keep the real
+    # one.  Scaling the real part alone equals (X / M^(d/2)).real bit for
+    # bit: numpy divides a complex by a real scalar as a product with its
+    # reciprocal.
     sl = (slice(0, side),) * model.d
-    return np.ascontiguousarray(grid[sl])
+    return X.real[sl] * (1.0 / M ** (model.d / 2.0))
 
 
 def sample_field(

@@ -12,6 +12,7 @@ rows already written.  Aggregates land in a manifest JSON.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -95,7 +96,8 @@ class ExperimentConfig:
 
 
 class _Context:
-    """Shared per-run deterministic state (model, scales, bar problem)."""
+    """Shared per-run deterministic state (model, scales, bar problem,
+    mesoscopic partition)."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -132,6 +134,10 @@ class _Context:
         self.interval_C = float(ov.get("interval_C", 3.0))
         self.shape_factor = float(ov.get("shape_factor", 0.1))
         self.cond_value = float(ov.get("value", self.a_L))
+
+    @functools.cached_property
+    def partition(self) -> extremes.MesoPartition:
+        return extremes.build_partition(self.cfg.L, self.scales.R_L, self.cfg.d)
 
     def check_memory(self):
         """Refuse runs whose field grids and eigensolver working set would
@@ -172,7 +178,7 @@ def _median_p95(vals: np.ndarray) -> dict:
 def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
     s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
-    part = extremes.build_partition(cfg.L, ctx.scales.R_L, cfg.d)
+    part = ctx.partition
     rec = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
     level = float(cfg.overrides.get("count_level", 0.0))
@@ -195,11 +201,17 @@ def _agg_potential_extremes(ctx: _Context, rows: list[dict]) -> tuple[dict, dict
         "gumbel_ks": stats.TestReport.make(
             ks, rescaled.size, thr, "KS distance of rescaled maxima to Gumbel"
         ),
-        "poisson_dispersion": stats.poisson_dispersion(
-            _col(rows, "n_exceed").astype(int)
-        ),
     }
     summary = {}
+    counts = _col(rows, "n_exceed").astype(int)
+    if counts.size >= stats.DISPERSION_MIN_COUNTS and counts.any():
+        tests["poisson_dispersion"] = stats.poisson_dispersion(counts)
+    else:
+        summary["poisson_dispersion"] = (
+            f"not computed: {counts.size} counts with {int(counts.sum())} "
+            f"exceedances; the test needs at least {stats.DISPERSION_MIN_COUNTS}"
+            " counts, not all zero"
+        )
     if rescaled.size >= 100:
         est, se = stats.tail_frequency(rescaled, 0.0)
         summary["tail_frequency_u0"] = {"estimate": est, "stderr": se}
@@ -391,7 +403,7 @@ def _trial_macro_meso(ctx: _Context, i: int) -> dict:
     V = np.array(s.values)
     k = ctx.k
     res = spectrum.top_k_eigs(V, k + 1)
-    part = extremes.build_partition(cfg.L, ctx.scales.R_L, cfg.d)
+    part = ctx.partition
     h = s.half
     pool = _pooled_box_eigs(V, part, k + 1)
     a_L, d_L = ctx.a_L, ctx.d_L

@@ -84,6 +84,10 @@ def gumbel_cdf(u):
     return np.exp(-np.exp(-np.asarray(u, dtype=float)))
 
 
+# Fewest counts poisson_dispersion accepts.
+DISPERSION_MIN_COUNTS = 50
+
+
 def poisson_dispersion(
     counts,
     band: tuple[float, float] = (0.8, 1.2),
@@ -97,8 +101,8 @@ def poisson_dispersion(
     statistic <= 0.
     """
     c = np.asarray(counts, dtype=float)
-    if c.ndim != 1 or c.size < 50:
-        raise ValueError("need at least 50 counts")
+    if c.ndim != 1 or c.size < DISPERSION_MIN_COUNTS:
+        raise ValueError(f"need at least {DISPERSION_MIN_COUNTS} counts")
     if np.any(c < 0) or np.any(c != np.round(c)):
         raise ValueError("counts must be nonnegative integers")
     mean = float(np.mean(c))

@@ -165,6 +165,14 @@ class TestCirculantSpectrum:
         spec = cov.circulant_spectrum(m, M)
         assert np.min(spec) >= -1e-8 * np.max(spec)
 
+    @pytest.mark.parametrize("shape", [(8193,), (4101,), (61, 61), (64, 65), (17, 17, 17)])
+    def test_fftn_equals_numpy_bit_for_bit(self, shape):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(shape)
+        z = x + 1j * rng.standard_normal(shape)
+        assert np.array_equal(cov._fftn(x), np.fft.fftn(x))
+        assert np.array_equal(cov._fftn(z), np.fft.fftn(z))
+
 
 class TestModelConstruction:
     def test_unknown_family(self):

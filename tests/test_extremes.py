@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from andex import extremes, field, stats
+from andex import covariance as cov, extremes, field, stats
 
 
 class TestPartition:
@@ -97,6 +97,98 @@ class TestBoxMaxima:
         rec = extremes.box_maxima(s, p, xi_grid=xi)
         assert rec.box_maxima_xi[0] is None
         assert rec.box_maxima_xi[1] is not None
+
+
+def brute_core_max(grid, sl, h):
+    """First site of the largest non-NaN value in the core's C order."""
+    best = None
+    for pos in np.ndindex(*(s.stop - s.start for s in sl)):
+        site = tuple(p + s.start for p, s in zip(pos, sl))
+        if not np.isnan(grid[site]) and (best is None or grid[site] > grid[best]):
+            best = site
+    if best is None:
+        return None
+    return tuple(i - h for i in best), float(grid[best])
+
+
+# (L, R_L, d): 3 cores of 15 sites, 4 of 81, 27 of 125
+BOXES = [(64, 15, 1), (31, 9, 2), (24, 5, 3)]
+
+
+class TestBoxMaximaBrute:
+    def _sample(self, L, d, seed):
+        model = cov.CovarianceModel("cube_indicator", d, {"m": 2})
+        return field.sample_field(model, L, seed)
+
+    def _with_values(self, s, values):
+        return field.FieldSample(
+            values=values, L=s.L, d=s.d, model=s.model, seed=s.seed, sampler=s.sampler
+        )
+
+    @pytest.mark.parametrize("L,R,d", BOXES)
+    def test_matches_brute_argmax(self, L, R, d):
+        p = extremes.build_partition(L, R, d)
+        for seed in range(3):
+            s = self._sample(L, d, seed)
+            rec = extremes.box_maxima(s, p)
+            assert rec.box_maxima == tuple(
+                brute_core_max(s.values, p.core_slices(j), s.half)
+                for j in range(p.n_boxes)
+            )
+
+    @pytest.mark.parametrize("L,R,d", BOXES)
+    def test_tie_goes_to_first_site_in_c_order(self, L, R, d):
+        p = extremes.build_partition(L, R, d)
+        s = self._sample(L, d, 0)
+        values = np.array(s.values)
+        sl = p.core_slices(1)
+        # (0, last, 0, ...) precedes (1, 0, 0, ...) in C order but not in
+        # Fortran order
+        first = [s.start for s in sl]
+        later = [s.start for s in sl]
+        if d > 1:
+            first[1] = sl[1].stop - 1
+        later[0] += 1
+        top = float(np.max(values)) + 1.0
+        values[tuple(later)] = top
+        values[tuple(first)] = top
+        rec = extremes.box_maxima(self._with_values(s, values), p)
+        assert rec.box_maxima[1] == (tuple(i - s.half for i in first), top)
+
+    @pytest.mark.parametrize("L,R,d", BOXES)
+    def test_core_sites_rows_are_core_slices_in_c_order(self, L, R, d):
+        p = extremes.build_partition(L, R, d)
+        side = 2 * (L // 2) + 1
+        assert p.core_sites.shape == (p.n_boxes, R**d)
+        assert not p.core_sites.flags.writeable
+        for j in range(p.n_boxes):
+            sl = p.core_slices(j)
+            expected = [
+                np.ravel_multi_index(
+                    tuple(q + s.start for q, s in zip(pos, sl)), (side,) * d
+                )
+                for pos in np.ndindex(*(s.stop - s.start for s in sl))
+            ]
+            assert p.core_sites[j].tolist() == expected
+
+    @pytest.mark.parametrize("L,R,d", BOXES)
+    def test_shifted_grid_matches_brute(self, L, R, d):
+        p = extremes.build_partition(L, R, d)
+        s = self._sample(L, d, 1)
+        xi = s.values + 0.1 * self._sample(L, d, 2).values
+        xi[p.core_slices(0)] = np.nan  # an all-NaN core
+        sl = p.core_slices(p.n_boxes - 1)
+        xi[tuple(slice(s.start, s.start + 2) for s in sl)] = np.nan  # part NaN
+        rec = extremes.box_maxima(s, p, xi_grid=xi)
+        assert rec.box_maxima_xi[0] is None
+        assert rec.box_maxima_xi == tuple(
+            brute_core_max(xi, p.core_slices(j), s.half) for j in range(p.n_boxes)
+        )
+
+    def test_partition_of_another_box_rejected(self):
+        s = self._sample(64, 1, 0)
+        with pytest.raises(ValueError):
+            extremes.box_maxima(s, extremes.build_partition(70, 15, 1))
 
 
 class TestSiteRanks:

@@ -118,6 +118,46 @@ class TestSamplers:
         assert meta["seed"] == 5 and meta["L"] == 8
 
 
+def v1_circulant_values(model, L, seed):
+    """Sampler v1's circulant synthesis, written out with numpy's FFT."""
+    side = field.grid_side(L)
+    M = side + 2 * cov.effective_radius(model)
+    k = np.arange(M)
+    signed = np.where(k <= M // 2, k, k - M)
+    offs = np.stack(np.meshgrid(*[signed] * model.d, indexing="ij"), axis=-1)
+    spec = np.fft.fftn(cov.eval_cov_offsets(model, offs)).real
+    amp = np.sqrt(np.clip(spec, 0.0, None))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    a = rng.standard_normal((M,) * model.d)
+    b = rng.standard_normal((M,) * model.d)
+    X = np.fft.fftn(amp * (a + 1j * b)) / M ** (model.d / 2.0)
+    return X.real[(slice(0, side),) * model.d]
+
+
+class TestSamplerContract:
+    """The seed -> field mapping of sampler v1 holds bit for bit."""
+
+    @pytest.mark.parametrize("d,L", [(1, 8192), (1, 4100), (2, 60), (3, 16)])
+    @pytest.mark.parametrize(
+        "family,params",
+        [("iid", {}), ("cube_indicator", {"m": 2}), ("gaussian_kernel", {"ell": 2.0})],
+    )
+    def test_circulant_draw_equals_v1(self, family, params, d, L):
+        m = cov.CovarianceModel(family, d, params)
+        for seed in (0, 1, 2024):
+            s = field.sample_field(m, L, seed, sampler_hint="circulant")
+            assert np.array_equal(s.values, v1_circulant_values(m, L, seed))
+
+    def test_cached_factors_are_shared_and_read_only(self, cube4):
+        same = cov.CovarianceModel("cube_indicator", 1, {"m": 4})
+        for factor, n in ((field._circulant_amplitude, 41), (field._dense_factor, 9)):
+            F = factor(cube4, n)
+            assert factor(same, n) is F
+            assert not F.flags.writeable
+            with pytest.raises(ValueError):
+                F[0] = 1.0
+
+
 class TestPeakConditioning:
     def test_exact_value_at_x0(self, cube4):
         s = field.peak_conditioned_sample(cube4, 33, [2], 6.0, seed=3)

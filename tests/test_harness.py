@@ -421,6 +421,31 @@ class TestReport:
         with open(Path(cfg.out_dir) / "cdf_vs_gumbel.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 1 + 59
 
+    @pytest.mark.parametrize(
+        "trials,level,counts",
+        [(20, 0.0, "20 counts"), (60, 100.0, "60 counts with 0 exceedances")],
+    )
+    def test_dispersion_left_out_when_it_cannot_run(
+        self, tmp_path, capsys, trials, level, counts
+    ):
+        # fewer than 50 counts, or counts that are all zero
+        cfg = make_cfg(
+            tmp_path,
+            experiment="potential_extremes",
+            model={"family": "iid"},
+            L=256,
+            trials=trials,
+            overrides={"R_L": 15, "r_L": 9, "count_level": level},
+        )
+        manifest = json.loads(harness.run_experiment(cfg).read_text())
+        assert list(manifest["tests"]) == ["gumbel_ks"]
+        assert manifest["summary"]["poisson_dispersion"].startswith(
+            f"not computed: {counts}"
+        )
+        harness.report(cfg.out_dir)
+        assert "poisson_dispersion" in capsys.readouterr().out
+        assert (Path(cfg.out_dir) / "cdf_vs_gumbel.csv").exists()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             harness.report(tmp_path)
