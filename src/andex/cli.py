@@ -100,12 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _model_from_args(args) -> cov.CovarianceModel:
     params = {}
-    key = {
-        "iid": None,
-        "cube_indicator": "m",
-        "gaussian_kernel": "ell",
-        "exponential": "alpha",
-    }.get(args.family)
+    key = cov._FAMILIES.get(args.family)
     if key is not None:
         if args.param is None:
             raise ConfigError(f"family {args.family} needs --param")

@@ -35,7 +35,13 @@ __all__ = [
     "circulant_spectrum",
 ]
 
-_FAMILIES = ("iid", "cube_indicator", "gaussian_kernel", "exponential")
+# family -> the name of its one parameter, None for a family without one
+_FAMILIES = {
+    "iid": None,
+    "cube_indicator": "m",
+    "gaussian_kernel": "ell",
+    "exponential": "alpha",
+}
 
 
 @dataclass(frozen=True)
@@ -49,13 +55,8 @@ class CovarianceModel:
             raise ValueError(f"unknown covariance family: {self.family!r}")
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1..3, got {self.d}")
-        needed = {
-            "iid": (),
-            "cube_indicator": ("m",),
-            "gaussian_kernel": ("ell",),
-            "exponential": ("alpha",),
-        }[self.family]
-        for key in needed:
+        key = _FAMILIES[self.family]
+        if key is not None:
             val = self.params.get(key)
             if val is None or val <= 0:
                 raise ValueError(f"{self.family} requires parameter {key} > 0")

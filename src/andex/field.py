@@ -10,13 +10,15 @@ samplers are provided:
 Both draw from the exact law; the circulant path refuses to run (rather
 than clip eigenvalues) when the embedding is not nonnegative.
 
-On top of a sample, this module builds the decomposition around a base
-point x0:
+On top of a sample, fluctuation_view builds the decomposition around a
+base point x0:
 
     xi(x) = xi(x0) * v(x - x0) + zeta(x),      zeta(x0) = 0,
 
-with zeta independent of xi(x0); the profile-weighted correction
-Phi(y) = sum_x w(x) zeta_y(x+y); and the shifted field Xi = xi + Phi whose
+with zeta independent of xi(x0).  The view carries v(. - x0) and zeta,
+and the peak-conditioned sampler and the event check read them from it.
+The module also gives the profile-weighted correction
+Phi(y) = sum_x w(x) zeta_y(x+y) and the shifted field Xi = xi + Phi, whose
 marginal variance is 1 + tau^2.
 """
 
@@ -205,19 +207,16 @@ def sample_field(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if sampler_hint not in (None, "dense", "circulant"):
         raise ValueError(f"unknown sampler {sampler_hint!r}")
-    if sampler_hint == "dense":
-        values = _dense_draw(model, L, rng)
-        kind = "dense"
-    elif sampler_hint == "circulant":
-        values = _circulant_draw(model, L, rng)
-        kind = "circulant"
-    else:
-        try:
-            values = _circulant_draw(model, L, rng)
-            kind = "circulant"
-        except EmbeddingInvalidError:
-            values = _dense_draw(model, L, rng)
-            kind = "dense"
+    kind = sampler_hint or "circulant"
+    draw = _dense_draw if kind == "dense" else _circulant_draw
+    try:
+        values = draw(model, L, rng)
+    except EmbeddingInvalidError:
+        # Raised before the rng draws anything, so the fallback sees the
+        # same stream as a dense-only draw.
+        if sampler_hint is not None:
+            raise
+        values, kind = _dense_draw(model, L, rng), "dense"
     return FieldSample(
         values=values, L=L, d=model.d, model=model, seed=seed, sampler=kind
     )
@@ -245,48 +244,42 @@ def peak_conditioned_sample(
     onto xi(x0), and put the prescribed value back.  The residual zeta is
     independent of xi(x0), so the law is the exact conditional one.
     """
-    base = sample_field(model, L, seed, sampler_hint)
-    prof = _profile_grid(base, x0)
-    zeta = base.values - base.at(x0) * prof
-    vals = value * prof + zeta
-    idx = point_to_index(x0, base.half)
-    vals[idx] = value  # exact, not up to roundoff
+    view = fluctuation_view(sample_field(model, L, seed, sampler_hint), x0)
+    vals = value * view.profile + view.zeta
+    vals[point_to_index(view.x0, view.base.half)] = value  # exact, no roundoff
     return FieldSample(
         values=vals,
         L=L,
         d=model.d,
         model=model,
         seed=seed,
-        sampler=base.sampler,
-        conditioned_at=(tuple(int(c) for c in np.atleast_1d(x0)), float(value)),
+        sampler=view.base.sampler,
+        conditioned_at=(view.x0, float(value)),
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FluctuationView:
-    """Fluctuation decomposition of one sample around a base point."""
+    """Fluctuation decomposition of one sample around a base point:
+    base.values = xi(x0) * profile + zeta, with profile = v(. - x0) over
+    the grid and zeta(x0) = 0.  Both arrays are read-only."""
 
     base: FieldSample
     x0: tuple
+    profile: np.ndarray
     zeta: np.ndarray
-
-    def __post_init__(self):
-        self._phi_cache: dict = {}
-        self.zeta.setflags(write=False)
-
-    def phi_cached(self, key):
-        return self._phi_cache.get(key)
-
-    def phi_store(self, key, value):
-        self._phi_cache[key] = value
 
 
 def fluctuation_view(sample: FieldSample, x0) -> FluctuationView:
+    """The decomposition of ``sample`` around x0; the only code that builds
+    v(. - x0) and zeta."""
     x0 = tuple(int(c) for c in np.atleast_1d(x0))
     prof = _profile_grid(sample, x0)
     zeta = sample.values - sample.at(x0) * prof
     zeta[point_to_index(x0, sample.half)] = 0.0
-    return FluctuationView(base=sample, x0=x0, zeta=zeta)
+    prof.setflags(write=False)
+    zeta.setflags(write=False)
+    return FluctuationView(base=sample, x0=x0, profile=prof, zeta=zeta)
 
 
 def cov_zeta(model: cov.CovarianceModel, x0, x, y) -> float:
@@ -313,17 +306,23 @@ def _check_profile(bar_phi: np.ndarray, d: int) -> int:
     return side // 2
 
 
+def _profile_weights(bar_phi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets x != 0 of a checked profile window, shape (n, d), and their
+    weights w(x) = bar_phi(x)^2."""
+    rh = _check_profile(bar_phi, d)
+    offs = cov._offset_grid(d, rh).reshape(-1, d)
+    w = (bar_phi**2).reshape(-1)
+    keep = ~np.all(offs == 0, axis=-1)
+    return offs[keep], w[keep]
+
+
 def compute_tau(model: cov.CovarianceModel, bar_phi: np.ndarray) -> float:
     """Std-dev of the profile-weighted fluctuation correction.
 
     tau^2 = sum_{x,y != 0} w(x) w(y) (v(x-y) - v(x) v(y)),  w = bar_phi^2.
     Translation invariance makes the base point irrelevant.
     """
-    rh = _check_profile(bar_phi, model.d)
-    pts = cov._offset_grid(model.d, rh).reshape(-1, model.d)
-    w = (bar_phi**2).reshape(-1)
-    keep = ~np.all(pts == 0, axis=-1)
-    pts, w = pts[keep], w[keep]
+    pts, w = _profile_weights(bar_phi, model.d)
     V = cov.eval_cov_offsets(model, pts[:, None, :] - pts[None, :, :])
     v0 = cov.eval_cov_offsets(model, pts)
     tau2 = float(w @ (V - np.outer(v0, v0)) @ w)
@@ -339,25 +338,17 @@ def phi_at(view: FluctuationView, bar_phi: np.ndarray, y) -> float:
     zeta_y is rebuilt on the fly from the same base sample.
     """
     y = tuple(int(c) for c in np.atleast_1d(y))
-    cached = view.phi_cached(y)
-    if cached is not None:
-        return cached
     sample = view.base
-    rh = _check_profile(bar_phi, sample.d)
+    offs, w = _profile_weights(bar_phi, sample.d)
+    rh = bar_phi.shape[0] // 2
     h = sample.half
     if any(abs(c) + rh > h for c in y):
         raise ValueError(f"window of half-width {rh} around {y} leaves the box")
-    offs = cov._offset_grid(sample.d, rh).reshape(-1, sample.d)
-    w = (bar_phi**2).reshape(-1)
-    keep = ~np.all(offs == 0, axis=-1)
-    offs, w = offs[keep], w[keep]
     xi_y = sample.at(y)
     v_offs = cov.eval_cov_offsets(sample.model, offs)
     idx = tuple((offs + np.array(y) + h).T)
     zeta_vals = sample.values[idx] - xi_y * v_offs
-    out = float(w @ zeta_vals)
-    view.phi_store(y, out)
-    return out
+    return float(w @ zeta_vals)
 
 
 def xi_cap(view: FluctuationView, bar_phi: np.ndarray) -> tuple[np.ndarray, int]:
@@ -369,15 +360,11 @@ def xi_cap(view: FluctuationView, bar_phi: np.ndarray) -> tuple[np.ndarray, int]
     Vectorized as a correlation: Xi(y) = xi(y) (1 - sum w v) + sum w xi(.+y).
     """
     sample = view.base
-    rh = _check_profile(bar_phi, sample.d)
-    h = sample.half
-    sub_half = h - rh
+    offs, w = _profile_weights(bar_phi, sample.d)
+    rh = bar_phi.shape[0] // 2
+    sub_half = sample.half - rh
     if sub_half < 0:
         raise ValueError("profile window larger than the box")
-    offs = cov._offset_grid(sample.d, rh).reshape(-1, sample.d)
-    w = (bar_phi**2).reshape(-1)
-    keep = ~np.all(offs == 0, axis=-1)
-    offs, w = offs[keep], w[keep]
     v_offs = cov.eval_cov_offsets(sample.model, offs)
     side = 2 * sub_half + 1
     core = (slice(rh, rh + side),) * sample.d
@@ -406,12 +393,11 @@ class EventReport:
 
 
 def event_check(
-    sample: FieldSample,
-    x0,
+    view: FluctuationView,
     scales,
     shape_factor: float = 0.1,
 ) -> EventReport:
-    """Check the three-part event around a candidate peak x0.
+    """Check the three-part event around the base point x0 of the view.
 
     E1: |xi(x0) - a_L| < theta (theta = 2d+1).
     E2: |zeta(x)| <= shape_factor * S(x - x0) on the window Q_{2R_L, x0}.
@@ -422,23 +408,18 @@ def event_check(
     Margins are the minimal slacks (bound minus attained value); their sign
     matches membership.
     """
-    x0 = tuple(int(c) for c in np.atleast_1d(x0))
-    d = sample.d
-    h = sample.half
+    x0, prof, zeta = view.x0, view.profile, view.zeta
+    d = view.base.d
+    h = view.base.half
     a_L, d_L, kappa, theta = scales.a_L, scales.d_L, scales.kappa, scales.theta
     R_half = scales.R_L // 2
     wide_half = (2 * scales.R_L) // 2  # half-width of Q_{2 R_L}
     if any(abs(c) + wide_half > h for c in x0):
         raise ValueError("Q_{2R_L, x0} leaves the sampled box")
 
-    xi0 = sample.at(x0)
-    dev = abs(xi0 - a_L)
+    dev = abs(view.base.at(x0) - a_L)
     margin1 = theta - dev
     in_e1 = dev < theta
-
-    prof = _profile_grid(sample, x0)
-    zeta = sample.values - xi0 * prof
-    zeta[point_to_index(x0, h)] = 0.0
 
     # E2 on the wide window, excluding x0 itself (both sides vanish there).
     offs = cov._offset_grid(d, h) - np.asarray(x0)

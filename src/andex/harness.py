@@ -256,23 +256,18 @@ def _agg_eigenvalue_stats(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 
 def _trial_localisation(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
-    R_L = ctx.scales.R_L
-    if field.box_half(cfg.L) < (2 * R_L) // 2:
-        raise ConfigError("localisation needs L >= 2*R_L")
     x0 = (0,) * cfg.d
     s = field.peak_conditioned_sample(
         ctx.model, cfg.L, x0, ctx.cond_value, trial_seed(cfg.master_seed, i)
     )
-    ev = field.event_check(s, x0, ctx.scales, shape_factor=ctx.shape_factor)
+    view = field.fluctuation_view(s, x0)
+    ev = field.event_check(view, ctx.scales, shape_factor=ctx.shape_factor)
     h = s.half
-    Rh = R_L // 2
+    Rh = ctx.scales.R_L // 2
     core = (slice(h - Rh, h + Rh + 1),) * cfg.d
     V = np.array(s.values[core])
     res = spectrum.top_k_eigs(V, 2)
-    view = field.fluctuation_view(s, x0)
-    eig_err, fun_err = spectrum.approximation_error(
-        s, ctx.bar, res, view, ctx.scales
-    )
+    eig_err, fun_err = spectrum.approximation_error(ctx.bar, res, view, ctx.scales)
     gap_ok, gap_margin = spectrum.spectral_gap_check(
         res, s.at(x0), ctx.scales, ctx.c_prime
     )

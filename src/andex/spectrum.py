@@ -25,6 +25,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import covariance as cov
+from . import field
 from .errors import SolverConvergenceError
 
 __all__ = [
@@ -476,10 +477,9 @@ def _embed_profile(bar_phi: np.ndarray, target_shape: tuple, x0_idx: tuple) -> n
 
 
 def approximation_error(
-    sample,
     bar: BarSolution,
     result: SpectralResult,
-    view,
+    view: field.FluctuationView,
     scales,
 ) -> tuple[float, float]:
     """Scaled eigenpair approximation errors at the conditioning point.
@@ -488,14 +488,12 @@ def approximation_error(
     fun_err = (a_L / d_L) * ||phi_1 - bar_phi(. - x0)||_2
 
     where Xi(x0) = xi(x0) + Phi(x0), result was computed on the central
-    box of the sample, and bar_phi is zero-extended.  x0 is the base point
-    of the fluctuation view (expected to be the conditioning point).
+    box of the view's sample, and bar_phi is zero-extended.  x0 is the base
+    point of the fluctuation view (expected to be the conditioning point).
     """
-    from . import field as field_mod
-
     bar_phi = bar.bar_phi
     x0 = view.x0
-    xi_cap_x0 = sample.at(x0) + field_mod.phi_at(view, bar_phi, x0)
+    xi_cap_x0 = view.base.at(x0) + field.phi_at(view, bar_phi, x0)
     lam1 = float(result.eigenvalues[0])
     eig_err = scales.a_L * abs(lam1 - (xi_cap_x0 + bar.bar_lambda))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,31 @@ class TestFluctuation:
         assert np.allclose(v5.zeta, v7.zeta, atol=1e-12)
 
 
+class TestViewConsumers:
+    @pytest.mark.parametrize(
+        "family,params", [("iid", {}), ("cube_indicator", {"m": 2})]
+    )
+    @pytest.mark.parametrize("d,L,x0", [(1, 33, [3]), (2, 13, [1, -2])])
+    def test_peak_conditioned_is_the_view_reassembled(self, family, params, d, L, x0):
+        model = cov.CovarianceModel(family, d, params)
+        v = field.fluctuation_view(field.sample_field(model, L, seed=5), x0)
+        expect = 5.5 * v.profile + v.zeta
+        expect[field.point_to_index(x0, v.base.half)] = 5.5
+        got = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5)
+        assert np.array_equal(got.values, expect)
+        assert got.sampler == v.base.sampler
+        assert got.conditioned_at == (tuple(x0), 5.5)
+
+    def test_view_is_frozen_and_read_only(self, cube4):
+        view = field.fluctuation_view(field.sample_field(cube4, 33, seed=1), [4])
+        with pytest.raises(ValueError):
+            view.profile[0] = 1.0
+        with pytest.raises(ValueError):
+            view.zeta[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.x0 = (0,)
+
+
 class TestTau:
     def test_iid_closed_form(self, iid1):
         # with no correlations tau^2 collapses to sum_{x != 0} w(x)^2
@@ -302,13 +328,6 @@ class TestPhiAndXiCap:
             acc += w[i + 3] * zeta_y
         assert field.phi_at(view, prof, [y]) == pytest.approx(acc, rel=1e-12)
 
-    def test_phi_cache(self, cube4):
-        s = field.sample_field(cube4, 33, seed=4)
-        view = field.fluctuation_view(s, [0])
-        prof = normalized_profile(7, 1)
-        a = field.phi_at(view, prof, [2])
-        assert view.phi_cached((2,)) == a
-
     def test_phi_out_of_box(self, cube4):
         s = field.sample_field(cube4, 17, seed=4)
         view = field.fluctuation_view(s, [0])
@@ -348,10 +367,10 @@ class TestEventCheck:
     def test_e1_deterministic(self, cube4):
         ss = self._scales(cube4)
         good = field.peak_conditioned_sample(cube4, 41, [0], 6.5, seed=0)
-        rep = field.event_check(good, [0], ss)
+        rep = field.event_check(field.fluctuation_view(good, [0]), ss)
         assert rep.in_E1 and rep.margins[0] == pytest.approx(2.5)
         bad = field.peak_conditioned_sample(cube4, 41, [0], 12.0, seed=0)
-        assert not field.event_check(bad, [0], ss).in_E1
+        assert not field.event_check(field.fluctuation_view(bad, [0]), ss).in_E1
 
     def test_constructed_member(self, cube4):
         # A hand-built field: exact profile plus a tiny admissible wiggle.
@@ -363,7 +382,7 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(s, [0], ss)
+        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         assert rep.in_event
         assert all(m > 0 for m in rep.margins)
 
@@ -374,7 +393,7 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(s, [0], ss)
+        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         # zeta vanishes identically, so E2/E3 hold with full slack
         assert rep.in_E2 and rep.in_E3
         assert rep.margins[1] == pytest.approx(0.1 * 6.0 * 0.25)  # min shape
@@ -388,14 +407,14 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(s, [0], ss)
+        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         assert not rep.in_E2
         assert rep.margins[1] == pytest.approx(0.3 - 1.0)
 
     def test_event_at_offset_base_point(self, cube4):
         ss = self._scales(cube4)
         s = field.peak_conditioned_sample(cube4, 61, [7], 6.0, seed=2)
-        rep = field.event_check(s, [7], ss)
+        rep = field.event_check(field.fluctuation_view(s, [7]), ss)
         assert rep.x0 == (7,)
         assert rep.in_E1
 
@@ -403,7 +422,7 @@ class TestEventCheck:
         ss = self._scales(cube4)
         s = field.sample_field(cube4, 41, seed=0)
         with pytest.raises(ValueError):
-            field.event_check(s, [18], ss)
+            field.event_check(field.fluctuation_view(s, [18]), ss)
 
     def test_member_implies_local_max_with_gap(self, cube4):
         # On the event the base point dominates the window by a margin.
@@ -416,7 +435,7 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(s, [0], ss)
+        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         assert rep.in_event
         window = s.values[h - 9 : h + 10]
         gap = s.at([0]) - np.max(np.delete(window, 9))

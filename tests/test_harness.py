@@ -324,6 +324,20 @@ class TestTrialExperiments:
         assert manifest["summary"]["event_counts"]["n"] == 4
         assert "eig_err" in manifest["summary"]
 
+    def test_localisation_window_wider_than_box(self, tmp_path):
+        # Q_{2 R_L} needs half-width 41 but L = 60 gives 30: every trial
+        # fails in the event check, and the run stops before any records.
+        cfg = make_cfg(
+            tmp_path,
+            experiment="localisation",
+            L=60,
+            trials=10,
+            overrides={"a_L": 6.0, "R_L": 41, "r_L": 9},
+        )
+        with pytest.raises(RuntimeError, match=r"10/10 trials failed.*Q_\{2R_L, x0\}"):
+            harness.run_experiment(cfg)
+        assert not (tmp_path / "run" / "records.csv").exists()
+
     def test_rank_permutation(self, tmp_path):
         cfg = make_cfg(
             tmp_path,

@@ -597,7 +597,7 @@ class TestApproximationPipeline:
         bar = spectrum.solve_bar_problem(cube2, a_L, r_L)
         view = field.fluctuation_view(s, [0])
         res = spectrum.dense_eigs(s.values.copy(), 2)
-        eig_err, fun_err = spectrum.approximation_error(s, bar, res, view, ss)
+        eig_err, fun_err = spectrum.approximation_error(bar, res, view, ss)
         # zeta = 0 so Phi = 0 and Xi(0) = a_L; the only error left is the
         # Dirichlet-window truncation of the profile
         assert eig_err < 1e-3
