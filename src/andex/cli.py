@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--seed", type=int, default=0, help="master seed")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--config", default=None, help="JSON config path")
     ap.add_argument(
         "--override",
@@ -165,13 +164,13 @@ def main(argv=None) -> int:
             if not args.config:
                 print("experiment requires --config", file=sys.stderr)
                 return EXIT_USAGE
-            raw = json.loads(open(args.config).read())
+            raw = harness._json_object(open(args.config).read())
             raw = _apply_overrides(raw, args.override)
             if args.out:
                 raw["out_dir"] = args.out
             raw.setdefault("master_seed", args.seed)
             cfg = harness.ExperimentConfig.from_json(json.dumps(raw))
-            manifest = harness.run_experiment(cfg, workers=args.workers)
+            manifest = harness.run_experiment(cfg)
             print(str(manifest))
         elif args.command == "report":
             ok = harness.report(args.run_dir)

@@ -15,11 +15,12 @@ base point x0:
 
     xi(x) = xi(x0) * v(x - x0) + zeta(x),      zeta(x0) = 0,
 
-with zeta independent of xi(x0).  The view carries v(. - x0) and zeta,
-and the peak-conditioned sampler and the event check read them from it.
-The module also gives the profile-weighted correction
-Phi(y) = sum_x w(x) zeta_y(x+y) and the shifted field Xi = xi + Phi, whose
-marginal variance is 1 + tau^2.
+with zeta independent of xi(x0).  The view carries v(. - x0) and zeta.
+The peak-conditioned sampler returns the view of its conditioned field,
+and the event check and the profile-weighted correction
+Phi(x0) = sum_x w(x) zeta(x0 + x) read from it; Phi at another point y is
+Phi of the view at y.  The shifted field Xi = xi + Phi has marginal
+variance 1 + tau^2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -237,25 +238,21 @@ def peak_conditioned_sample(
     value: float,
     seed: int,
     sampler_hint: Optional[str] = None,
-) -> FieldSample:
-    """Exact draw of the field conditioned on xi(x0) = value.
+) -> FluctuationView:
+    """Exact draw of the field conditioned on xi(x0) = value, returned as
+    its fluctuation view around x0; the field itself is ``view.base``.
 
     Built from the fluctuation decomposition: draw xi, strip its projection
     onto xi(x0), and put the prescribed value back.  The residual zeta is
-    independent of xi(x0), so the law is the exact conditional one.
+    independent of xi(x0), so the law is the exact conditional one.  The
+    returned view shares the unconditioned draw's profile, and its zeta is
+    formed from the conditioned values as fluctuation_view forms it.
     """
     view = fluctuation_view(sample_field(model, L, seed, sampler_hint), x0)
     vals = value * view.profile + view.zeta
     vals[point_to_index(view.x0, view.base.half)] = value  # exact, no roundoff
-    return FieldSample(
-        values=vals,
-        L=L,
-        d=model.d,
-        model=model,
-        seed=seed,
-        sampler=view.base.sampler,
-        conditioned_at=(view.x0, float(value)),
-    )
+    sample = replace(view.base, values=vals, conditioned_at=(view.x0, float(value)))
+    return _decompose(sample, view.x0, view.profile)
 
 
 @dataclass(frozen=True)
@@ -270,16 +267,22 @@ class FluctuationView:
     zeta: np.ndarray
 
 
-def fluctuation_view(sample: FieldSample, x0) -> FluctuationView:
-    """The decomposition of ``sample`` around x0; the only code that builds
-    v(. - x0) and zeta."""
-    x0 = tuple(int(c) for c in np.atleast_1d(x0))
-    prof = _profile_grid(sample, x0)
+def _decompose(sample: FieldSample, x0: tuple, prof: np.ndarray) -> FluctuationView:
+    """The view of ``sample`` around x0 given its read-only profile; the
+    only code that forms zeta."""
     zeta = sample.values - sample.at(x0) * prof
     zeta[point_to_index(x0, sample.half)] = 0.0
-    prof.setflags(write=False)
     zeta.setflags(write=False)
     return FluctuationView(base=sample, x0=x0, profile=prof, zeta=zeta)
+
+
+def fluctuation_view(sample: FieldSample, x0) -> FluctuationView:
+    """The decomposition of ``sample`` around x0; the only code that builds
+    v(. - x0)."""
+    x0 = tuple(int(c) for c in np.atleast_1d(x0))
+    prof = _profile_grid(sample, x0)
+    prof.setflags(write=False)
+    return _decompose(sample, x0, prof)
 
 
 def cov_zeta(model: cov.CovarianceModel, x0, x, y) -> float:
@@ -331,24 +334,19 @@ def compute_tau(model: cov.CovarianceModel, bar_phi: np.ndarray) -> float:
     return math.sqrt(max(tau2, 0.0))
 
 
-def phi_at(view: FluctuationView, bar_phi: np.ndarray, y) -> float:
-    """Profile-weighted fluctuation correction at y.
+def phi_at(view: FluctuationView, bar_phi: np.ndarray) -> float:
+    """Profile-weighted fluctuation correction at the view's base point.
 
-    Phi(y) = sum_{x in Q_r, x != 0} bar_phi(x)^2 * zeta_y(x + y), where
-    zeta_y is rebuilt on the fly from the same base sample.
+    Phi(x0) = sum_{x in Q_r, x != 0} bar_phi(x)^2 * zeta(x0 + x), read from
+    view.zeta.  Phi at another point y is
+    phi_at(fluctuation_view(view.base, y), bar_phi).
     """
-    y = tuple(int(c) for c in np.atleast_1d(y))
-    sample = view.base
-    offs, w = _profile_weights(bar_phi, sample.d)
+    offs, w = _profile_weights(bar_phi, view.base.d)
     rh = bar_phi.shape[0] // 2
-    h = sample.half
-    if any(abs(c) + rh > h for c in y):
-        raise ValueError(f"window of half-width {rh} around {y} leaves the box")
-    xi_y = sample.at(y)
-    v_offs = cov.eval_cov_offsets(sample.model, offs)
-    idx = tuple((offs + np.array(y) + h).T)
-    zeta_vals = sample.values[idx] - xi_y * v_offs
-    return float(w @ zeta_vals)
+    h = view.base.half
+    if any(abs(c) + rh > h for c in view.x0):
+        raise ValueError(f"window of half-width {rh} around {view.x0} leaves the box")
+    return float(w @ view.zeta[tuple((offs + np.array(view.x0) + h).T)])
 
 
 def xi_cap(view: FluctuationView, bar_phi: np.ndarray) -> tuple[np.ndarray, int]:

@@ -16,8 +16,7 @@ import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable
 
@@ -64,10 +63,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = _json_object(text)
         try:
             return cls(
                 experiment=raw["experiment"],
@@ -82,17 +78,16 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
 
-    def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "model": self.model,
-            "L": self.L,
-            "d": self.d,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "out_dir": self.out_dir,
-            "overrides": self.overrides,
-        }
+
+def _json_object(text: str) -> dict:
+    """The JSON object that ``text`` holds; ConfigError for anything else."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 class _Context:
@@ -257,10 +252,10 @@ def _agg_eigenvalue_stats(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 def _trial_localisation(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
     x0 = (0,) * cfg.d
-    s = field.peak_conditioned_sample(
+    view = field.peak_conditioned_sample(
         ctx.model, cfg.L, x0, ctx.cond_value, trial_seed(cfg.master_seed, i)
     )
-    view = field.fluctuation_view(s, x0)
+    s = view.base
     ev = field.event_check(view, ctx.scales, shape_factor=ctx.shape_factor)
     h = s.half
     Rh = ctx.scales.R_L // 2
@@ -608,31 +603,22 @@ def _aggregate(cfg: ExperimentConfig, ctx: _Context, rows: list[dict]) -> dict:
     }
 
 
-def _run_trials(
-    ctx: _Context, body: Callable[[_Context, int], dict], start: int, workers: int
-):
+def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], start: int):
     """Rows of trials start .. trials - 1 and the reprs of their failures."""
     cfg = ctx.cfg
-
-    def run_one(i):
+    rows, errors = [], []
+    for i in range(start, cfg.trials):
         seed = trial_seed(cfg.master_seed, i)
         try:
-            return {"seed": seed, **body(ctx, i)}, None
+            rows.append({"seed": seed, **body(ctx, i)})
         except Exception as exc:  # per-trial failure budget
-            return {"seed": seed, "failed": 1}, repr(exc)
-
-    indices = range(start, cfg.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, indices))
-    else:
-        results = [run_one(i) for i in indices]
-    errors = [err for _, err in results if err]
+            rows.append({"seed": seed, "failed": 1})
+            errors.append(repr(exc))
     if len(errors) > 0.05 * cfg.trials:
         raise RuntimeError(
             f"{len(errors)}/{cfg.trials} trials failed (budget 5%): {errors[:3]}"
         )
-    return [row for row, _ in results], errors
+    return rows, errors
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
@@ -640,7 +626,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
 
     A trial experiment resumes after readable records of at most
     ``cfg.trials`` rows.  When the new rows bring a column that the file
-    lacks, the whole file is rewritten under the new header."""
+    lacks, the whole file is rewritten under the new header.  Trials run
+    one after another; ``workers`` is accepted only as 1."""
+    if workers != 1:
+        raise ValueError(f"trials run in one thread; got workers={workers}")
     ctx = _Context(cfg)
     ctx.check_memory()
     out = Path(cfg.out_dir)
@@ -661,7 +650,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
                 pass
         if len(existing) > cfg.trials:
             existing = []
-        rows, errors = _run_trials(ctx, exp.trial, len(existing), workers)
+        rows, errors = _run_trials(ctx, exp.trial, len(existing))
 
     start = len(existing)
     all_rows = existing + rows
@@ -673,7 +662,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     agg = _aggregate(cfg, ctx, [r for r in all_rows if not r.get("failed")])
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.echo(),
+        "config": {k: v for k, v in asdict(cfg).items() if k != "out_dir"},
         "scales": json.loads(ctx.scales.to_json()),
         "tau_L": ctx.tau_L,
         "bar_lambda": ctx.bar.bar_lambda,

@@ -493,7 +493,7 @@ def approximation_error(
     """
     bar_phi = bar.bar_phi
     x0 = view.x0
-    xi_cap_x0 = view.base.at(x0) + field.phi_at(view, bar_phi, x0)
+    xi_cap_x0 = view.base.at(x0) + field.phi_at(view, bar_phi)
     lam1 = float(result.eigenvalues[0])
     eig_err = scales.a_L * abs(lam1 - (xi_cap_x0 + bar.bar_lambda))
 

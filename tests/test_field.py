@@ -161,7 +161,7 @@ class TestSamplerContract:
 
 class TestPeakConditioning:
     def test_exact_value_at_x0(self, cube4):
-        s = field.peak_conditioned_sample(cube4, 33, [2], 6.0, seed=3)
+        s = field.peak_conditioned_sample(cube4, 33, [2], 6.0, seed=3).base
         assert s.at([2]) == 6.0
         assert s.conditioned_at == ((2,), 6.0)
 
@@ -170,7 +170,7 @@ class TestPeakConditioning:
         n = 5000
         acc = np.zeros(field.grid_side(25))
         for seed in range(n):
-            acc += field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed).values
+            acc += field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed).base.values
         mean = acc / n
         h = 12
         prof = cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
@@ -181,7 +181,7 @@ class TestPeakConditioning:
         n = 5000
         vals = np.stack(
             [
-                field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed).values
+                field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed).base.values
                 for seed in range(n)
             ]
         )
@@ -227,27 +227,40 @@ class TestFluctuation:
 
     def test_zeta_independent_of_peak(self, cube4):
         # zeta is unchanged when the conditioning value changes
-        s5 = field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed=9)
-        s7 = field.peak_conditioned_sample(cube4, 25, [0], 7.0, seed=9)
-        v5 = field.fluctuation_view(s5, [0])
-        v7 = field.fluctuation_view(s7, [0])
+        v5 = field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed=9)
+        v7 = field.peak_conditioned_sample(cube4, 25, [0], 7.0, seed=9)
         assert np.allclose(v5.zeta, v7.zeta, atol=1e-12)
 
 
+VIEW_FAMILIES = pytest.mark.parametrize(
+    "family,params", [("iid", {}), ("cube_indicator", {"m": 2})]
+)
+VIEW_BOXES = pytest.mark.parametrize("d,L,x0", [(1, 33, [3]), (2, 13, [1, -2])])
+
+
 class TestViewConsumers:
-    @pytest.mark.parametrize(
-        "family,params", [("iid", {}), ("cube_indicator", {"m": 2})]
-    )
-    @pytest.mark.parametrize("d,L,x0", [(1, 33, [3]), (2, 13, [1, -2])])
+    @VIEW_FAMILIES
+    @VIEW_BOXES
     def test_peak_conditioned_is_the_view_reassembled(self, family, params, d, L, x0):
         model = cov.CovarianceModel(family, d, params)
         v = field.fluctuation_view(field.sample_field(model, L, seed=5), x0)
         expect = 5.5 * v.profile + v.zeta
         expect[field.point_to_index(x0, v.base.half)] = 5.5
-        got = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5)
+        got = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5).base
         assert np.array_equal(got.values, expect)
         assert got.sampler == v.base.sampler
         assert got.conditioned_at == (tuple(x0), 5.5)
+
+    @VIEW_FAMILIES
+    @VIEW_BOXES
+    def test_conditioned_view_is_the_view_of_its_field(self, family, params, d, L, x0):
+        model = cov.CovarianceModel(family, d, params)
+        got = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5)
+        expect = field.fluctuation_view(got.base, x0)
+        assert got.x0 == expect.x0
+        assert np.array_equal(got.profile, expect.profile)
+        assert np.array_equal(got.zeta, expect.zeta)
+        assert not got.profile.flags.writeable and not got.zeta.flags.writeable
 
     def test_view_is_frozen_and_read_only(self, cube4):
         view = field.fluctuation_view(field.sample_field(cube4, 33, seed=1), [4])
@@ -299,7 +312,7 @@ class TestTau:
         phis = np.empty(n)
         for seed in range(n):
             s = field.sample_field(cube4, 17, seed=seed)
-            phis[seed] = field.phi_at(field.fluctuation_view(s, [0]), prof, [0])
+            phis[seed] = field.phi_at(field.fluctuation_view(s, [0]), prof)
         assert np.var(phis) == pytest.approx(tau**2, abs=0.05)
         assert abs(np.mean(phis)) < 0.05
 
@@ -316,7 +329,6 @@ class TestTau:
 class TestPhiAndXiCap:
     def test_phi_brute_force(self, cube4):
         s = field.sample_field(cube4, 33, seed=4)
-        view = field.fluctuation_view(s, [0])
         prof = normalized_profile(7, 1, seed=2)
         w = prof**2
         y = 3
@@ -326,14 +338,15 @@ class TestPhiAndXiCap:
                 continue
             zeta_y = s.at([i + y]) - s.at([y]) * cov.eval_cov(cube4, [i])
             acc += w[i + 3] * zeta_y
-        assert field.phi_at(view, prof, [y]) == pytest.approx(acc, rel=1e-12)
+        view = field.fluctuation_view(s, [y])
+        assert field.phi_at(view, prof) == pytest.approx(acc, rel=1e-12)
 
     def test_phi_out_of_box(self, cube4):
         s = field.sample_field(cube4, 17, seed=4)
-        view = field.fluctuation_view(s, [0])
+        view = field.fluctuation_view(s, [7])
         prof = normalized_profile(7, 1)
         with pytest.raises(ValueError):
-            field.phi_at(view, prof, [7])
+            field.phi_at(view, prof)
 
     def test_xi_cap_matches_pointwise(self, cube4):
         s = field.sample_field(cube4, 33, seed=4)
@@ -342,7 +355,7 @@ class TestPhiAndXiCap:
         grid, sub_half = field.xi_cap(view, prof)
         assert sub_half == s.half - 3
         for y in (-sub_half, -2, 0, 5, sub_half):
-            expect = s.at([y]) + field.phi_at(view, prof, [y])
+            expect = s.at([y]) + field.phi_at(field.fluctuation_view(s, [y]), prof)
             assert grid[y + sub_half] == pytest.approx(expect, rel=1e-12)
 
     def test_xi_cap_variance(self, cube4):
@@ -367,10 +380,10 @@ class TestEventCheck:
     def test_e1_deterministic(self, cube4):
         ss = self._scales(cube4)
         good = field.peak_conditioned_sample(cube4, 41, [0], 6.5, seed=0)
-        rep = field.event_check(field.fluctuation_view(good, [0]), ss)
+        rep = field.event_check(good, ss)
         assert rep.in_E1 and rep.margins[0] == pytest.approx(2.5)
         bad = field.peak_conditioned_sample(cube4, 41, [0], 12.0, seed=0)
-        assert not field.event_check(field.fluctuation_view(bad, [0]), ss).in_E1
+        assert not field.event_check(bad, ss).in_E1
 
     def test_constructed_member(self, cube4):
         # A hand-built field: exact profile plus a tiny admissible wiggle.
@@ -413,8 +426,8 @@ class TestEventCheck:
 
     def test_event_at_offset_base_point(self, cube4):
         ss = self._scales(cube4)
-        s = field.peak_conditioned_sample(cube4, 61, [7], 6.0, seed=2)
-        rep = field.event_check(field.fluctuation_view(s, [7]), ss)
+        view = field.peak_conditioned_sample(cube4, 61, [7], 6.0, seed=2)
+        rep = field.event_check(view, ss)
         assert rep.x0 == (7,)
         assert rep.in_E1
 

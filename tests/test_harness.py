@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from andex import cli, harness, spectrum
+from andex import cli, covariance as cov, field, harness, spectrum
 from andex.errors import ConfigError
 
 
@@ -93,6 +93,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_json('{"experiment": "tail_lemma"}')
 
+    def test_json_array(self):
+        with pytest.raises(ConfigError):
+            harness.ExperimentConfig.from_json("[1, 2]")
+
 
 class TestExperimentTable:
     def test_config_accepts_exactly_the_table(self, tmp_path):
@@ -126,14 +130,16 @@ class TestRunDeterminism:
         rb = (Path(cfg_b.out_dir) / "records.csv").read_text()
         assert ra == rb
 
-    def test_workers_match_serial(self, tmp_path):
-        cfg_a = make_cfg(tmp_path, out_dir=str(tmp_path / "ser"))
-        cfg_b = make_cfg(tmp_path, out_dir=str(tmp_path / "par"))
-        harness.run_experiment(cfg_a, workers=1)
-        harness.run_experiment(cfg_b, workers=3)
-        ra = (Path(cfg_a.out_dir) / "records.csv").read_text()
-        rb = (Path(cfg_b.out_dir) / "records.csv").read_text()
-        assert ra == rb
+    def test_workers_other_than_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            harness.run_experiment(make_cfg(tmp_path), workers=2)
+
+    def test_manifest_does_not_depend_on_out_dir(self, tmp_path):
+        def manifest_lines(name):
+            path = harness.run_experiment(make_cfg(tmp_path, out_dir=str(tmp_path / name)))
+            return [ln for ln in path.read_text().splitlines() if "wall_time_s" not in ln]
+
+        assert manifest_lines("a") == manifest_lines("b")
 
     def test_roundtrip_bitwise(self, tmp_path):
         cfg = make_cfg(tmp_path)
@@ -337,6 +343,38 @@ class TestTrialExperiments:
         with pytest.raises(RuntimeError, match=r"10/10 trials failed.*Q_\{2R_L, x0\}"):
             harness.run_experiment(cfg)
         assert not (tmp_path / "run" / "records.csv").exists()
+
+    def test_localisation_builds_one_profile_per_trial(self, tmp_path, monkeypatch):
+        calls = {"profile": 0, "cov": 0, "cov_in_phi": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        def phi_at(*args, **kwargs):
+            before = calls["cov"]
+            out = real_phi_at(*args, **kwargs)
+            calls["cov_in_phi"] += calls["cov"] - before
+            return out
+
+        real_phi_at = field.phi_at
+        monkeypatch.setattr(field, "_profile_grid", counting("profile", field._profile_grid))
+        monkeypatch.setattr(cov, "eval_cov_offsets", counting("cov", cov.eval_cov_offsets))
+        monkeypatch.setattr(field, "phi_at", phi_at)
+        cfg = make_cfg(
+            tmp_path,
+            experiment="localisation",
+            L=83,
+            trials=10,
+            overrides={"a_L": 6.0, "R_L": 41, "r_L": 9},
+        )
+        manifest = json.loads(harness.run_experiment(cfg).read_text())
+        assert manifest["trials_failed"] == 0
+        assert calls["profile"] == 10
+        assert calls["cov"] > 0 and calls["cov_in_phi"] == 0
 
     def test_rank_permutation(self, tmp_path):
         cfg = make_cfg(
@@ -546,6 +584,16 @@ class TestCLI:
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"experiment": "warp", "L": 64}))
+        assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
+
+    def test_malformed_config_file_exit_code(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"experiment": "bar_sweep", "L": ')
+        assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
+
+    def test_config_file_array_exit_code(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("[1, 2]")
         assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
 
     def test_runtime_error_exit_code(self, tmp_path):
