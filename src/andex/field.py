@@ -21,6 +21,13 @@ and the event check and the profile-weighted correction
 Phi(x0) = sum_x w(x) zeta(x0 + x) read from it; Phi at another point y is
 Phi of the view at y.  The shifted field Xi = xi + Phi has marginal
 variance 1 + tau^2.
+
+What does not depend on the seed is built once per run and shared,
+read-only: the profile v(. - x0) per (model, L, x0), the event check's
+windows with 1 - v and sd(zeta) on them per (model, L, x0, R_L), each in
+an LRU of 8, and the offsets and weights of a profile, which
+ProfileWeights holds (BarSolution.weights builds them once per bar
+solution).  A trial then only draws, forms zeta and gathers it.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .errors import CovarianceInconsistencyError, EmbeddingInvalidError
 __all__ = [
     "FieldSample",
     "FluctuationView",
+    "ProfileWeights",
     "EventReport",
     "box_half",
     "grid_side",
@@ -118,22 +126,25 @@ def _cache_key(model) -> tuple:
 
 
 def _per_model_cache(build):
-    """Cache ``build(model, n)`` in an LRU of 8 entries keyed on
-    (_cache_key(model), n), so batched draws across many seeds do not
-    refactor the same covariance.  Cached arrays are read-only, because
-    every caller shares them."""
+    """Cache ``build(model, *args)``, the args hashable, in an LRU of 8
+    entries keyed on (_cache_key(model), *args), so trials across many
+    seeds do not rebuild what depends only on the model and the geometry.
+    ``build`` returns an array or a tuple of arrays; cached arrays are
+    read-only, because every caller shares them."""
 
     @functools.lru_cache(maxsize=8)
-    def cached(key, n):
+    def cached(key, *args):
         family, d, params = key
-        out = build(cov.CovarianceModel(family, d, dict(params)), n)
-        out.setflags(write=False)
+        out = build(cov.CovarianceModel(family, d, dict(params)), *args)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.setflags(write=False)
         return out
 
     @functools.wraps(build)
-    def lookup(model, n):
-        return cached(_cache_key(model), n)
+    def lookup(model, *args):
+        return cached(_cache_key(model), *args)
 
+    lookup.cache_clear = cached.cache_clear
     return lookup
 
 
@@ -223,12 +234,11 @@ def sample_field(
     )
 
 
-def _profile_grid(sample: FieldSample, x0) -> np.ndarray:
-    """v(x - x0) over the whole grid."""
-    h = sample.half
-    x0 = np.atleast_1d(np.asarray(x0, dtype=int))
-    offs = cov._offset_grid(sample.d, h) - x0
-    return cov.eval_cov_offsets(sample.model, offs)
+@_per_model_cache
+def _profile_grid(model, L, x0):
+    """v(x - x0) over the whole grid of Q_L; x0 is a tuple of ints."""
+    offs = cov._offset_grid(model.d, box_half(L)) - np.asarray(x0)
+    return cov.eval_cov_offsets(model, offs)
 
 
 def peak_conditioned_sample(
@@ -280,9 +290,7 @@ def fluctuation_view(sample: FieldSample, x0) -> FluctuationView:
     """The decomposition of ``sample`` around x0; the only code that builds
     v(. - x0)."""
     x0 = tuple(int(c) for c in np.atleast_1d(x0))
-    prof = _profile_grid(sample, x0)
-    prof.setflags(write=False)
-    return _decompose(sample, x0, prof)
+    return _decompose(sample, x0, _profile_grid(sample.model, sample.L, x0))
 
 
 def cov_zeta(model: cov.CovarianceModel, x0, x, y) -> float:
@@ -309,14 +317,27 @@ def _check_profile(bar_phi: np.ndarray, d: int) -> int:
     return side // 2
 
 
-def _profile_weights(bar_phi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets x != 0 of a checked profile window, shape (n, d), and their
-    weights w(x) = bar_phi(x)^2."""
-    rh = _check_profile(bar_phi, d)
-    offs = cov._offset_grid(d, rh).reshape(-1, d)
-    w = (bar_phi**2).reshape(-1)
-    keep = ~np.all(offs == 0, axis=-1)
-    return offs[keep], w[keep]
+@dataclass(frozen=True)
+class ProfileWeights:
+    """The checked window of an l2-normalized profile bar_phi on Q_r: its
+    half-width, the offsets x != 0 (shape (n, d)) and their weights
+    w(x) = bar_phi(x)^2, both arrays read-only.  Built once per profile
+    (BarSolution.weights) and read by phi_at and xi_cap."""
+
+    half: int
+    offsets: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, bar_phi: np.ndarray, d: int) -> "ProfileWeights":
+        rh = _check_profile(bar_phi, d)
+        offs = cov._offset_grid(d, rh).reshape(-1, d)
+        w = (bar_phi**2).reshape(-1)
+        keep = ~np.all(offs == 0, axis=-1)
+        offs, w = offs[keep], w[keep]
+        offs.setflags(write=False)
+        w.setflags(write=False)
+        return cls(half=rh, offsets=offs, weights=w)
 
 
 def compute_tau(model: cov.CovarianceModel, bar_phi: np.ndarray) -> float:
@@ -325,7 +346,8 @@ def compute_tau(model: cov.CovarianceModel, bar_phi: np.ndarray) -> float:
     tau^2 = sum_{x,y != 0} w(x) w(y) (v(x-y) - v(x) v(y)),  w = bar_phi^2.
     Translation invariance makes the base point irrelevant.
     """
-    pts, w = _profile_weights(bar_phi, model.d)
+    pw = ProfileWeights.of(bar_phi, model.d)
+    pts, w = pw.offsets, pw.weights
     V = cov.eval_cov_offsets(model, pts[:, None, :] - pts[None, :, :])
     v0 = cov.eval_cov_offsets(model, pts)
     tau2 = float(w @ (V - np.outer(v0, v0)) @ w)
@@ -334,22 +356,25 @@ def compute_tau(model: cov.CovarianceModel, bar_phi: np.ndarray) -> float:
     return math.sqrt(max(tau2, 0.0))
 
 
-def phi_at(view: FluctuationView, bar_phi: np.ndarray) -> float:
+def phi_at(view: FluctuationView, weights: ProfileWeights) -> float:
     """Profile-weighted fluctuation correction at the view's base point.
 
     Phi(x0) = sum_{x in Q_r, x != 0} bar_phi(x)^2 * zeta(x0 + x), read from
-    view.zeta.  Phi at another point y is
-    phi_at(fluctuation_view(view.base, y), bar_phi).
+    view.zeta, with the offsets and weights of bar_phi in ``weights``.  Phi
+    at another point y is phi_at(fluctuation_view(view.base, y), weights).
     """
-    offs, w = _profile_weights(bar_phi, view.base.d)
-    rh = bar_phi.shape[0] // 2
-    h = view.base.half
-    if any(abs(c) + rh > h for c in view.x0):
-        raise ValueError(f"window of half-width {rh} around {view.x0} leaves the box")
-    return float(w @ view.zeta[tuple((offs + np.array(view.x0) + h).T)])
+    d, h = view.base.d, view.base.half
+    if weights.offsets.shape[1] != d:
+        raise ValueError(f"profile must be {d}-dimensional")
+    if any(abs(c) + weights.half > h for c in view.x0):
+        raise ValueError(
+            f"window of half-width {weights.half} around {view.x0} leaves the box"
+        )
+    idx = weights.offsets + np.array(view.x0) + h
+    return float(weights.weights @ view.zeta[tuple(idx.T)])
 
 
-def xi_cap(view: FluctuationView, bar_phi: np.ndarray) -> tuple[np.ndarray, int]:
+def xi_cap(view: FluctuationView, weights: ProfileWeights) -> tuple[np.ndarray, int]:
     """Shifted field Xi = xi + Phi on the admissible sub-box.
 
     Returns (grid, sub_half) where the grid covers the points y with
@@ -358,8 +383,9 @@ def xi_cap(view: FluctuationView, bar_phi: np.ndarray) -> tuple[np.ndarray, int]
     Vectorized as a correlation: Xi(y) = xi(y) (1 - sum w v) + sum w xi(.+y).
     """
     sample = view.base
-    offs, w = _profile_weights(bar_phi, sample.d)
-    rh = bar_phi.shape[0] // 2
+    offs, w, rh = weights.offsets, weights.weights, weights.half
+    if offs.shape[1] != sample.d:
+        raise ValueError(f"profile must be {sample.d}-dimensional")
     sub_half = sample.half - rh
     if sub_half < 0:
         raise ValueError("profile window larger than the box")
@@ -373,6 +399,33 @@ def xi_cap(view: FluctuationView, bar_phi: np.ndarray) -> tuple[np.ndarray, int]
         )
         out += weight * sample.values[sl]
     return out, sub_half
+
+
+class _EventWindows(NamedTuple):
+    """What event_check needs of Q_{2R_L, x0} and Q_{R_L, x0} beyond the
+    seed, as flat grid indices; x0 itself is left out of both windows."""
+
+    wide: np.ndarray  # sites of Q_{2R_L, x0}
+    wide_dip: np.ndarray  # 1 - v(x - x0) on them
+    narrow: np.ndarray  # sites of Q_{R_L, x0}
+    narrow_l1: np.ndarray  # |x - x0|_1 on them
+    narrow_sd: np.ndarray  # sd(zeta(x)) = sqrt(1 - v(x - x0)^2) on them
+
+
+@_per_model_cache
+def _event_windows(model, L, x0, R_L):
+    prof = _profile_grid(model, L, x0).reshape(-1)
+    offs = (cov._offset_grid(model.d, box_half(L)) - np.asarray(x0)).reshape(-1, model.d)
+    sup = np.max(np.abs(offs), axis=-1)
+    wide = np.flatnonzero((sup <= (2 * R_L) // 2) & (sup > 0))
+    narrow = np.flatnonzero((sup <= R_L // 2) & (sup > 0))
+    return _EventWindows(
+        wide=wide,
+        wide_dip=1.0 - prof[wide],
+        narrow=narrow,
+        narrow_l1=np.sum(np.abs(offs[narrow]), axis=-1),
+        narrow_sd=np.sqrt(np.clip(1.0 - prof[narrow] ** 2, 0.0, None)),
+    )
 
 
 @dataclass(frozen=True)
@@ -406,39 +459,28 @@ def event_check(
     Margins are the minimal slacks (bound minus attained value); their sign
     matches membership.
     """
-    x0, prof, zeta = view.x0, view.profile, view.zeta
-    d = view.base.d
-    h = view.base.half
+    x0, zeta = view.x0, view.zeta
     a_L, d_L, kappa, theta = scales.a_L, scales.d_L, scales.kappa, scales.theta
-    R_half = scales.R_L // 2
     wide_half = (2 * scales.R_L) // 2  # half-width of Q_{2 R_L}
-    if any(abs(c) + wide_half > h for c in x0):
+    if any(abs(c) + wide_half > view.base.half for c in x0):
         raise ValueError("Q_{2R_L, x0} leaves the sampled box")
+    win = _event_windows(view.base.model, view.base.L, x0, scales.R_L)
 
     dev = abs(view.base.at(x0) - a_L)
     margin1 = theta - dev
     in_e1 = dev < theta
 
-    # E2 on the wide window, excluding x0 itself (both sides vanish there).
-    offs = cov._offset_grid(d, h) - np.asarray(x0)
-    sup = np.max(np.abs(offs), axis=-1)
-    wide = sup <= wide_half
-    nonzero = sup > 0
-    sel2 = wide & nonzero
-    S = a_L * (1.0 - prof)
-    slack2 = shape_factor * S[sel2] - np.abs(zeta[sel2])
+    # E2 on the wide window, S = a_L (1 - v)
+    slack2 = shape_factor * (a_L * win.wide_dip) - np.abs(zeta.take(win.wide))
     margin2 = float(np.min(slack2))
     in_e2 = margin2 >= 0.0
 
-    # E3 on the narrow window.
-    sel3 = (sup <= R_half) & nonzero
-    var = 1.0 - prof[sel3] ** 2
-    sd = np.sqrt(np.clip(var, 0.0, None))
-    ratio = np.zeros_like(sd)
-    pos = sd > 0
-    ratio[pos] = np.abs(zeta[sel3][pos]) / sd[pos]
-    l1 = np.sum(np.abs(offs[sel3]), axis=-1)
-    bound = (a_L / d_L) ** (kappa * l1) * math.sqrt(max(1.0, dev * a_L))
+    # E3 on the narrow window; ratio 0 where sd(zeta) = 0
+    sd = win.narrow_sd
+    ratio = np.divide(
+        np.abs(zeta.take(win.narrow)), sd, out=np.zeros(sd.size), where=sd > 0
+    )
+    bound = (a_L / d_L) ** (kappa * win.narrow_l1) * math.sqrt(max(1.0, dev * a_L))
     slack3 = bound - ratio
     margin3 = float(np.min(slack3))
     in_e3 = margin3 >= 0.0

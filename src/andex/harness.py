@@ -6,13 +6,15 @@ fixed counter-based function of (master_seed, trial_index, stream tag), so
 samplers, decorations and oracles never share randomness.  Records are flat
 rows in a CSV written once, when the run ends (a crash loses the run's new
 rows; streaming writes are an open ROADMAP item); a re-run resumes after the
-rows already written.  Aggregates land in a manifest JSON.
+whole rows already written and runs the trial of a partial row again.
+Aggregates land in a manifest JSON.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 import time
@@ -129,6 +131,9 @@ class _Context:
         self.interval_C = float(ov.get("interval_C", 3.0))
         self.shape_factor = float(ov.get("shape_factor", 0.1))
         self.cond_value = float(ov.get("value", self.a_L))
+        check = _EXPERIMENTS[cfg.experiment].check
+        if check is not None:
+            check(self)
 
     @functools.cached_property
     def partition(self) -> extremes.MesoPartition:
@@ -247,6 +252,14 @@ def _agg_eigenvalue_stats(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
         "rescaled_lambda_1": _median_p95(_col(rows, "rescaled_lambda_1")),
         "gap_median": float(np.median(_col(rows, "gap"))),
     }
+
+
+def _check_localisation(ctx: _Context):
+    # event_check's window Q_{2R_L} around x0 = 0 must lie in Q_L
+    if (2 * ctx.scales.R_L) // 2 > field.box_half(ctx.cfg.L):
+        raise ConfigError(
+            f"Q_{{2R_L}} with R_L={ctx.scales.R_L} leaves the box of side L={ctx.cfg.L}"
+        )
 
 
 def _trial_localisation(ctx: _Context, i: int) -> dict:
@@ -511,12 +524,14 @@ class _Experiment:
     """One experiment.  Exactly one of ``trial`` (run once per trial) and
     ``rows`` (one deterministic table) is set.  ``solve_sites`` gives the
     sites of the largest eigensolve for the memory check (None: no solver);
+    ``check``, if set, rejects a config with ConfigError before any draw;
     ``plot``, if set, gives the plot-data file that ``report`` writes."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
     trial: Callable[[_Context, int], dict] | None = None
     rows: Callable[[_Context], list[dict]] | None = None
     solve_sites: Callable[[_Context], int] | None = None
+    check: Callable[[_Context], None] | None = None
     plot: Callable[[list[dict]], tuple[str, list[str], list[list]]] | None = None
 
 
@@ -528,7 +543,10 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         _agg_eigenvalue_stats, trial=_trial_eigenvalue_stats, solve_sites=_box_sites
     ),
     "localisation": _Experiment(
-        _agg_localisation, trial=_trial_localisation, solve_sites=_core_sites
+        _agg_localisation,
+        trial=_trial_localisation,
+        solve_sites=_core_sites,
+        check=_check_localisation,
     ),
     "rank_permutation": _Experiment(
         _agg_rank_permutation,
@@ -570,12 +588,21 @@ def _write_rows(path: Path, columns: list[str], rows: list[dict], start: int):
             fh.flush()
 
 
-def _read_records(path: Path) -> tuple[list[str], list[dict]]:
+def _read_prefix(path: Path) -> tuple[list[str], list[dict], bool]:
+    """Columns and rows of the records, and whether every line was whole.
+
+    Rows are kept while they are whole: a line ended by its newline, with
+    a cell for every column, whose ``trial`` is its index.  The first row
+    that is not, such as a last line cut off by a crash, and every row after
+    it are dropped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = []
+        rows, whole = [], True
         for raw in reader:
+            if len(raw) != len(header) or raw[0] != str(len(rows)):
+                whole = False
+                break
             row = {}
             for key, cell in zip(header, raw):
                 try:
@@ -586,7 +613,16 @@ def _read_records(path: Path) -> tuple[list[str], list[dict]]:
                     except ValueError:
                         row[key] = cell
             rows.append(row)
-    return header[2:], rows
+    with open(path, "rb") as fh:
+        fh.seek(-1, io.SEEK_END)
+        if whole and fh.read(1) != b"\n":  # the last line lost its end
+            rows, whole = rows[:-1], False
+    return header[2:], rows, whole
+
+
+def _read_records(path: Path) -> tuple[list[str], list[dict]]:
+    """Columns and whole rows of the records (see _read_prefix)."""
+    return _read_prefix(path)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +660,12 @@ def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], start: int
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     """Execute the experiment; returns the path of the manifest JSON.
 
-    A trial experiment resumes after readable records of at most
-    ``cfg.trials`` rows.  When the new rows bring a column that the file
-    lacks, the whole file is rewritten under the new header.  Trials run
-    one after another; ``workers`` is accepted only as 1."""
+    A trial experiment resumes after the whole rows of readable records
+    (see _read_prefix) if there are at most ``cfg.trials`` of them; the
+    trial of a dropped partial row runs again.  When the new rows bring a
+    column that the file lacks, or a partial row was dropped, the whole file
+    is rewritten.  Trials run one after another; ``workers`` is accepted
+    only as 1."""
     if workers != 1:
         raise ValueError(f"trials run in one thread; got workers={workers}")
     ctx = _Context(cfg)
@@ -639,13 +677,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     exp = _EXPERIMENTS[cfg.experiment]
 
     t0 = time.time()
-    header, existing, errors = None, [], []
+    header, existing, errors, whole = None, [], [], True
     if exp.rows is not None:
         rows = exp.rows(ctx)
     else:
         if records_path.exists():
             try:
-                header, existing = _read_records(records_path)
+                header, existing, whole = _read_prefix(records_path)
             except Exception:  # unreadable records: start over
                 pass
         if len(existing) > cfg.trials:
@@ -655,7 +693,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     start = len(existing)
     all_rows = existing + rows
     columns = sorted({k for r in all_rows for k in r} - {"trial", "seed"})
-    if columns != header:
+    if columns != header or not whole:
         start, rows = 0, all_rows
     _write_rows(records_path, columns, rows, start)
 

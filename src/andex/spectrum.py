@@ -14,6 +14,7 @@ oracle on small boxes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -61,25 +62,23 @@ TIE_TOL = 1e-12
 
 
 def apply_hamiltonian(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(Delta psi)(x) + V(x) psi(x), psi extended by zero outside the box."""
-    if V.shape != psi.shape:
+    """(Delta psi)(x) + V(x) psi(x), psi extended by zero outside the box.
+
+    psi has V's shape, or a leading batch axis, shape (k,) + V.shape, to
+    apply H to k functions at once.
+    """
+    batch = psi.ndim - V.ndim
+    if batch not in (0, 1) or psi.shape[batch:] != V.shape:
         raise ValueError(f"shape mismatch: {V.shape} vs {psi.shape}")
-    d = psi.ndim
-    out = (V - 2.0 * d) * psi
-    for axis in range(d):
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
+    out = (V - 2.0 * V.ndim) * psi
+    for axis in range(batch, psi.ndim):
+        lo = [slice(None)] * psi.ndim
+        hi = [slice(None)] * psi.ndim
         lo[axis] = slice(0, -1)
         hi[axis] = slice(1, None)
         out[tuple(lo)] += psi[tuple(hi)]
         out[tuple(hi)] += psi[tuple(lo)]
     return out
-
-
-def _center_of(phi: np.ndarray) -> tuple:
-    """Argmax of |phi| with lexicographic tie-break (C-order argmax)."""
-    flat = np.abs(phi).ravel(order="C")
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(flat)), phi.shape))
 
 
 def _index_to_coord(idx: tuple, half: int) -> tuple:
@@ -139,25 +138,30 @@ class SpectralResult:
 
 
 def _finalize(lams, phis, V, solver: str) -> SpectralResult:
-    """Order, sign-fix and package eigenpairs; compute true residuals."""
+    """Order, sign-fix and package eigenpairs; compute true residuals.
+
+    phis holds the eigenfunctions as rows, shape (k,) + V.shape; all k are
+    normalized, centred, sign-fixed and residual-checked in one pass.
+    """
     order = np.argsort(-lams, kind="stable")
     lams = np.asarray(lams, dtype=float)[order]
-    phis = [np.ascontiguousarray(phis[i]) for i in order]
-    centers, residuals, fixed = [], [], []
-    for lam, phi in zip(lams, phis):
-        phi = phi / math.sqrt(float(np.sum(phi**2)))
-        c = _center_of(phi)
-        if phi[c] < 0:
-            phi = -phi
-        r = apply_hamiltonian(V, phi) - lam * phi
-        centers.append(c)
-        residuals.append(math.sqrt(float(np.sum(r**2))))
-        fixed.append(phi)
+    k = lams.size
+    stack = (k,) + (1,) * V.ndim  # broadcasts one number per row
+    P = np.asarray(phis)[order]
+    P = P / np.sqrt(np.sum(P.reshape(k, -1) ** 2, axis=1)).reshape(stack)
+    flat = P.reshape(k, -1)
+    # argmax of |phi|, first in C order on ties; positive there
+    peak = np.argmax(np.abs(flat), axis=1)
+    flip = flat[np.arange(k), peak] < 0
+    P[flip] = -P[flip]
+    R = apply_hamiltonian(V, P)
+    R -= lams.reshape(stack) * P
+    centers = zip(*(c.tolist() for c in np.unravel_index(peak, V.shape)))
     return SpectralResult(
         eigenvalues=lams,
-        eigenfunctions=np.stack(fixed),
+        eigenfunctions=P,
         centers=tuple(centers),
-        residuals=np.asarray(residuals),
+        residuals=np.sqrt(np.sum(R.reshape(k, -1) ** 2, axis=1)),
         half=V.shape[0] // 2,
         solver=solver,
     )
@@ -220,9 +224,7 @@ def dense_eigs(V: np.ndarray, k: int | None = None) -> SpectralResult:
     w, U = np.linalg.eigh(H)
     k = n if k is None else min(k, n)
     sel = np.argsort(-w)[:k]
-    lams = w[sel]
-    phis = [U[:, i].reshape(V.shape) for i in sel]
-    return _finalize(lams, phis, V, "dense")
+    return _finalize(w[sel], U[:, sel].T.reshape((k,) + V.shape), V, "dense")
 
 
 def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
@@ -323,7 +325,7 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
             )
     except (ArpackNoConvergence, LinAlgError) as exc:
         raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    result = _finalize(lams, [U[:, i].reshape(V.shape) for i in range(k)], V, solver)
+    result = _finalize(lams, U.T.reshape((k,) + V.shape), V, solver)
     if np.any(result.residuals > tol):
         raise SolverConvergenceError(
             f"eigenpair residuals {result.residuals} exceed tol={tol}"
@@ -345,6 +347,11 @@ class BarSolution:
         c = tuple(s // 2 for s in self.bar_phi.shape)
         if self.bar_phi[c] <= 0:
             raise ValueError("bar_phi must be positive at the origin")
+
+    @functools.cached_property
+    def weights(self) -> field.ProfileWeights:
+        """Offsets and weights of bar_phi, built once, for field.phi_at."""
+        return field.ProfileWeights.of(self.bar_phi, self.bar_phi.ndim)
 
 
 def bar_lambda_expansion(model: cov.CovarianceModel, a_L: float, d: int) -> float:
@@ -493,7 +500,7 @@ def approximation_error(
     """
     bar_phi = bar.bar_phi
     x0 = view.x0
-    xi_cap_x0 = view.base.at(x0) + field.phi_at(view, bar_phi)
+    xi_cap_x0 = view.base.at(x0) + field.phi_at(view, bar.weights)
     lam1 = float(result.eigenvalues[0])
     eig_err = scales.a_L * abs(lam1 - (xi_cap_x0 + bar.bar_lambda))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -308,11 +309,12 @@ class TestTau:
         # tau^2 is the variance of Phi(0); verify by simulation
         prof = normalized_profile(7, 1, seed=2)
         tau = field.compute_tau(cube4, prof)
+        weights = field.ProfileWeights.of(prof, 1)
         n = 6000
         phis = np.empty(n)
         for seed in range(n):
             s = field.sample_field(cube4, 17, seed=seed)
-            phis[seed] = field.phi_at(field.fluctuation_view(s, [0]), prof)
+            phis[seed] = field.phi_at(field.fluctuation_view(s, [0]), weights)
         assert np.var(phis) == pytest.approx(tau**2, abs=0.05)
         assert abs(np.mean(phis)) < 0.05
 
@@ -339,34 +341,36 @@ class TestPhiAndXiCap:
             zeta_y = s.at([i + y]) - s.at([y]) * cov.eval_cov(cube4, [i])
             acc += w[i + 3] * zeta_y
         view = field.fluctuation_view(s, [y])
-        assert field.phi_at(view, prof) == pytest.approx(acc, rel=1e-12)
+        weights = field.ProfileWeights.of(prof, 1)
+        assert field.phi_at(view, weights) == pytest.approx(acc, rel=1e-12)
 
     def test_phi_out_of_box(self, cube4):
         s = field.sample_field(cube4, 17, seed=4)
         view = field.fluctuation_view(s, [7])
-        prof = normalized_profile(7, 1)
+        weights = field.ProfileWeights.of(normalized_profile(7, 1), 1)
         with pytest.raises(ValueError):
-            field.phi_at(view, prof)
+            field.phi_at(view, weights)
 
     def test_xi_cap_matches_pointwise(self, cube4):
         s = field.sample_field(cube4, 33, seed=4)
         view = field.fluctuation_view(s, [0])
-        prof = normalized_profile(7, 1, seed=2)
-        grid, sub_half = field.xi_cap(view, prof)
+        weights = field.ProfileWeights.of(normalized_profile(7, 1, seed=2), 1)
+        grid, sub_half = field.xi_cap(view, weights)
         assert sub_half == s.half - 3
         for y in (-sub_half, -2, 0, 5, sub_half):
-            expect = s.at([y]) + field.phi_at(field.fluctuation_view(s, [y]), prof)
+            expect = s.at([y]) + field.phi_at(field.fluctuation_view(s, [y]), weights)
             assert grid[y + sub_half] == pytest.approx(expect, rel=1e-12)
 
     def test_xi_cap_variance(self, cube4):
         # Var Xi(y) = 1 + tau^2
         prof = normalized_profile(7, 1, seed=2)
         tau = field.compute_tau(cube4, prof)
+        weights = field.ProfileWeights.of(prof, 1)
         n = 6000
         vals = np.empty(n)
         for seed in range(n):
             s = field.sample_field(cube4, 17, seed=seed)
-            grid, sh = field.xi_cap(field.fluctuation_view(s, [0]), prof)
+            grid, sh = field.xi_cap(field.fluctuation_view(s, [0]), weights)
             vals[seed] = grid[sh]
         assert np.var(vals) == pytest.approx(1.0 + tau**2, abs=0.08)
 
@@ -453,3 +457,70 @@ class TestEventCheck:
         window = s.values[h - 9 : h + 10]
         gap = s.at([0]) - np.max(np.delete(window, 9))
         assert gap >= 0.5 * ss.a_L / ss.d_L
+
+
+def _event_check_uncached(view, ss, shape_factor=0.1):
+    """event_check from a freshly evaluated profile and windows, as every
+    trial computed it before they were cached."""
+    s, x0 = view.base, view.x0
+    offs = cov._offset_grid(s.d, s.half) - np.asarray(x0)
+    prof = cov.eval_cov_offsets(s.model, offs)
+    zeta = view.zeta
+    dev = abs(s.at(x0) - ss.a_L)
+    sup = np.max(np.abs(offs), axis=-1)
+    sel2 = (sup <= (2 * ss.R_L) // 2) & (sup > 0)
+    S = ss.a_L * (1.0 - prof)
+    margin2 = float(np.min(shape_factor * S[sel2] - np.abs(zeta[sel2])))
+    sel3 = (sup <= ss.R_L // 2) & (sup > 0)
+    sd = np.sqrt(np.clip(1.0 - prof[sel3] ** 2, 0.0, None))
+    ratio = np.zeros_like(sd)
+    pos = sd > 0
+    ratio[pos] = np.abs(zeta[sel3][pos]) / sd[pos]
+    l1 = np.sum(np.abs(offs[sel3]), axis=-1)
+    bound = (ss.a_L / ss.d_L) ** (ss.kappa * l1) * math.sqrt(max(1.0, dev * ss.a_L))
+    margin3 = float(np.min(bound - ratio))
+    return field.EventReport(
+        x0=x0,
+        in_E1=bool(dev < ss.theta),
+        in_E2=bool(margin2 >= 0.0),
+        in_E3=bool(margin3 >= 0.0),
+        margins=(float(ss.theta - dev), margin2, margin3),
+    ), prof
+
+
+class TestRunCaches:
+    # (d, L, R_L, x0) with two L and two R_L per d, for two models: 16
+    # geometries, twice the size of each cache, visited twice
+    GEOMETRIES = [
+        (d, L, R_L, x0)
+        for d, Ls, R_Ls, x0 in [
+            (1, (41, 61), (9, 13), (3,)),
+            (2, (21, 25), (5, 7), (1, -2)),
+        ]
+        for L in Ls
+        for R_L in R_Ls
+    ]
+    MODELS = [("cube_indicator", {"m": 2}), ("gaussian_kernel", {"ell": 1.5})]
+
+    def test_cached_geometry_equals_a_fresh_computation(self):
+        weights = {d: field.ProfileWeights.of(normalized_profile(5, d), d) for d in (1, 2)}
+        for sweep, (family, params), (d, L, R_L, x0) in itertools.product(
+            range(2), self.MODELS, self.GEOMETRIES
+        ):
+            model = cov.CovarianceModel(family, d, params)
+            s = field.sample_field(model, L, seed=100 * sweep + L + R_L)
+            view = field.fluctuation_view(s, x0)
+            ss = scales.build_scale_set(L=L, d=d, d_L=model.d_L, a_L=6.0, R_L=R_L, r_L=3)
+            want, prof = _event_check_uncached(view, ss)
+            assert field.event_check(view, ss) == want
+            assert view.profile.tobytes() == prof.tobytes()
+            # Phi(x0) from a fresh zeta and fresh weights
+            zeta = s.values - s.at(x0) * prof
+            zeta[field.point_to_index(x0, s.half)] = 0.0
+            fresh = field.ProfileWeights.of(normalized_profile(5, d), d)
+            idx = fresh.offsets + np.array(x0) + s.half
+            w = weights[d]
+            assert field.phi_at(view, w) == float(fresh.weights @ zeta[tuple(idx.T)])
+            windows = field._event_windows(model, L, x0, R_L)
+            cached = (view.profile, w.offsets, w.weights, *windows)
+            assert not any(a.flags.writeable for a in cached)

@@ -221,6 +221,32 @@ class TestResume:
         assert harness.report(cfg20.out_dir)
 
 
+    @pytest.mark.parametrize("cut", ["mid_row", "in_last_cell", "skipped_trial"])
+    def test_cut_records_resume_to_the_uninterrupted_file(self, tmp_path, cut):
+        # a crash leaves trials 0-2 whole and trial 3 partial; the resume
+        # drops the partial row, runs trials 3-5 and rewrites the file
+        fresh = make_cfg(tmp_path, trials=6, out_dir=str(tmp_path / "fresh"))
+        harness.run_experiment(fresh)
+        full = (tmp_path / "fresh" / "records.csv").read_bytes()
+        lines = full.splitlines(keepends=True)
+        head, row3 = b"".join(lines[:4]), lines[4]
+        partial = {
+            "mid_row": row3[: len(row3) // 2],
+            # every cell is there, but the last one lost its tail
+            "in_last_cell": row3.rstrip(b"\r\n")[:-1],
+            # a whole line whose trial is 4, not 3
+            "skipped_trial": lines[5],
+        }[cut]
+        cfg = make_cfg(tmp_path, trials=6)
+        path = Path(cfg.out_dir) / "records.csv"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(head + partial)
+        cols, rows = harness._read_records(path)
+        assert [r["trial"] for r in rows] == [0, 1, 2]
+        harness.run_experiment(cfg)
+        assert path.read_bytes() == full
+
+
 class TestFailureBudget:
     def test_budget_exceeded_raises(self, tmp_path, monkeypatch):
         cfg = make_cfg(tmp_path, trials=5)
@@ -330,9 +356,11 @@ class TestTrialExperiments:
         assert manifest["summary"]["event_counts"]["n"] == 4
         assert "eig_err" in manifest["summary"]
 
-    def test_localisation_window_wider_than_box(self, tmp_path):
-        # Q_{2 R_L} needs half-width 41 but L = 60 gives 30: every trial
-        # fails in the event check, and the run stops before any records.
+    def test_localisation_window_wider_than_box(self, tmp_path, monkeypatch):
+        # Q_{2 R_L} needs half-width 41 but L = 60 gives 30: the config is
+        # rejected at set-up, before any field is drawn
+        draws = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
         cfg = make_cfg(
             tmp_path,
             experiment="localisation",
@@ -340,19 +368,28 @@ class TestTrialExperiments:
             trials=10,
             overrides={"a_L": 6.0, "R_L": 41, "r_L": 9},
         )
-        with pytest.raises(RuntimeError, match=r"10/10 trials failed.*Q_\{2R_L, x0\}"):
+        with pytest.raises(ConfigError, match=r"Q_\{2R_L\}.*R_L=41.*L=60"):
             harness.run_experiment(cfg)
-        assert not (tmp_path / "run" / "records.csv").exists()
+        assert draws == []
+        assert not (tmp_path / "run").exists()
+        raw = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out_dir"}
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(raw))
+        out = ["--out", str(tmp_path / "cli"), "--config", str(p), "experiment"]
+        assert cli.main(out) == cli.EXIT_CONFIG
+        assert draws == []
 
-    def test_localisation_builds_one_profile_per_trial(self, tmp_path, monkeypatch):
-        calls = {"profile": 0, "cov": 0, "cov_in_phi": 0}
+    def test_localisation_evaluates_the_profile_once_per_run(self, tmp_path, monkeypatch):
+        # the profile v(. - x0) covers the whole 83-site grid; every other
+        # covariance evaluation of the run is on the bar window
+        calls = {"cov": 0, "profile": 0, "cov_in_phi": 0}
+        real_eval = cov.eval_cov_offsets
+        real_phi_at = field.phi_at
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
+        def eval_cov_offsets(model, offsets):
+            calls["cov"] += 1
+            calls["profile"] += np.shape(offsets)[:-1] == (83,)
+            return real_eval(model, offsets)
 
         def phi_at(*args, **kwargs):
             before = calls["cov"]
@@ -360,10 +397,10 @@ class TestTrialExperiments:
             calls["cov_in_phi"] += calls["cov"] - before
             return out
 
-        real_phi_at = field.phi_at
-        monkeypatch.setattr(field, "_profile_grid", counting("profile", field._profile_grid))
-        monkeypatch.setattr(cov, "eval_cov_offsets", counting("cov", cov.eval_cov_offsets))
+        monkeypatch.setattr(cov, "eval_cov_offsets", eval_cov_offsets)
         monkeypatch.setattr(field, "phi_at", phi_at)
+        field._profile_grid.cache_clear()
+        field._event_windows.cache_clear()
         cfg = make_cfg(
             tmp_path,
             experiment="localisation",
@@ -373,8 +410,8 @@ class TestTrialExperiments:
         )
         manifest = json.loads(harness.run_experiment(cfg).read_text())
         assert manifest["trials_failed"] == 0
-        assert calls["profile"] == 10
-        assert calls["cov"] > 0 and calls["cov_in_phi"] == 0
+        assert calls["profile"] == 1
+        assert calls["cov"] < 10 and calls["cov_in_phi"] == 0
 
     def test_rank_permutation(self, tmp_path):
         cfg = make_cfg(

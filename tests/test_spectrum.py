@@ -49,6 +49,17 @@ class TestApplyHamiltonian:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             spectrum.apply_hamiltonian(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            spectrum.apply_hamiltonian(np.zeros(3), np.zeros((2, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(9,), (5, 6), (3, 4, 5)])
+    def test_batch_axis_is_one_call_per_row(self, shape):
+        rng = np.random.default_rng(3)
+        V = rng.standard_normal(shape)
+        psi = rng.standard_normal((4,) + shape)
+        got = spectrum.apply_hamiltonian(V, psi)
+        for row, p in zip(got, psi):
+            assert row.tobytes() == spectrum.apply_hamiltonian(V, p).tobytes()
 
 
 class TestDenseEigs:
@@ -407,6 +418,76 @@ class TestWindowPath:
         assert spectrum.top_k_eigs(rng.standard_normal((19, 19)), 2).solver == "subset"
         assert spectrum.top_k_eigs(rng.standard_normal((21, 21)), 2).solver == "arpack"
         assert spectrum.dense_eigs(rng.standard_normal(9), 2).solver == "dense"
+
+
+def _finalize_per_pair(lams, phis, V, solver):
+    """_finalize one pair at a time: the reference the batched pass must
+    reproduce bit for bit."""
+    order = np.argsort(-lams, kind="stable")
+    lams = np.asarray(lams, dtype=float)[order]
+    centers, residuals, fixed = [], [], []
+    for lam, i in zip(lams, order):
+        phi = np.ascontiguousarray(phis[i])
+        phi = phi / math.sqrt(float(np.sum(phi**2)))
+        flat = np.abs(phi).ravel(order="C")
+        c = tuple(int(j) for j in np.unravel_index(int(np.argmax(flat)), phi.shape))
+        if phi[c] < 0:
+            phi = -phi
+        r = spectrum.apply_hamiltonian(V, phi) - lam * phi
+        centers.append(c)
+        residuals.append(math.sqrt(float(np.sum(r**2))))
+        fixed.append(phi)
+    return spectrum.SpectralResult(
+        eigenvalues=lams,
+        eigenfunctions=np.stack(fixed),
+        centers=tuple(centers),
+        residuals=np.asarray(residuals),
+        half=V.shape[0] // 2,
+        solver=solver,
+    )
+
+
+# (shape of V, the path that solves it): every top_k_eigs path, and the
+# dense oracle, in d = 1, 2 and 3
+FINALIZE_CASES = [
+    ((8001,), "window"),
+    ((61,), "tridiagonal"),
+    ((19, 19), "subset"),
+    ((7, 7, 7), "subset"),
+    ((21, 21), "arpack"),
+    ((9, 9, 9), "arpack"),
+    ((41,), "dense"),
+    ((7, 8), "dense"),
+    ((4, 5, 4), "dense"),
+]
+
+
+class TestFinalize:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape,solver", FINALIZE_CASES)
+    def test_matches_the_per_pair_reference(self, monkeypatch, shape, solver, k):
+        real = spectrum._finalize
+        pairs = []
+
+        def recording(lams, phis, V, solver):
+            out = real(lams, phis, V, solver)
+            pairs.append((out, _finalize_per_pair(lams, phis, V, solver)))
+            return out
+
+        monkeypatch.setattr(spectrum, "_finalize", recording)
+        V = 3.0 * np.random.default_rng(math.prod(shape) + k).standard_normal(shape)
+        if solver == "dense":
+            res = spectrum.dense_eigs(V, k)
+        else:
+            res = spectrum.top_k_eigs(V, k)
+        assert res.solver == solver and pairs
+        for got, want in pairs:
+            for name in ("eigenvalues", "eigenfunctions", "residuals"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert got.centers == want.centers
+            assert all(type(i) is int for c in got.centers for i in c)
+            assert (got.half, got.solver) == (want.half, want.solver)
 
 
 class TestSpectralResult:
