@@ -56,6 +56,9 @@ class CovarianceModel:
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1..3, got {self.d}")
         key = _FAMILIES[self.family]
+        extra = sorted(set(self.params) - {key})
+        if extra:
+            raise ValueError(f"{self.family} takes no parameter {', '.join(extra)}")
         if key is not None:
             val = self.params.get(key)
             if val is None or val <= 0:
@@ -68,8 +71,9 @@ class CovarianceModel:
     @classmethod
     def from_config(cls, cfg: dict, d: int) -> "CovarianceModel":
         cfg = dict(cfg)
-        family = cfg.pop("family")
-        return cls(family=family, d=d, params=cfg)
+        if "family" not in cfg:
+            raise ValueError("covariance config needs a family")
+        return cls(family=cfg.pop("family"), d=d, params=cfg)
 
     def to_config(self) -> dict:
         return {"family": self.family, **self.params}

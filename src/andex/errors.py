@@ -28,7 +28,3 @@ class CovarianceInconsistencyError(AndexError):
 
 class SolverConvergenceError(AndexError):
     """Iterative eigensolver failed to reach the requested residual."""
-
-
-class LocalisationError(AndexError):
-    """An eigenfunction centre could not be matched to a field maximum."""

@@ -127,7 +127,6 @@ class ExtremeRecord:
     order: tuple  # ((coords...), value) descending in value
     rescaled: tuple  # ((coords/L...), a_L*(value - a_L))
     box_maxima: Optional[tuple] = None  # ((coords...), value) per core
-    box_maxima_xi: Optional[tuple] = None  # same for the shifted field
 
 
 def _descending_order(values: np.ndarray, h: int, top: int | None = None):
@@ -155,14 +154,9 @@ def order_statistics(sample, a_L: float, top: int | None = None) -> ExtremeRecor
     return ExtremeRecord(order=tuple(order), rescaled=rescaled)
 
 
-def box_maxima(
-    sample,
-    partition: MesoPartition,
-    xi_grid: Optional[np.ndarray] = None,
-) -> ExtremeRecord:
-    """Per-core argmax records for the field and optionally a shifted grid
-    of the same shape (use NaN outside its admissible region).  ``order``
-    and ``rescaled`` stay empty; order_statistics gives those."""
+def box_maxima(sample, partition: MesoPartition) -> ExtremeRecord:
+    """Per-core argmax records of the field.  ``order`` and ``rescaled``
+    stay empty; order_statistics gives those."""
     if sample.L // 2 != partition.L // 2 or sample.d != partition.d:
         raise ValueError("partition was built for another box")
     h = sample.half
@@ -175,27 +169,7 @@ def box_maxima(
         (tuple(int(c) for c in coord), float(flat[i]))
         for coord, i in zip(coords, best)
     ]
-    maxima_xi: list | None = None
-    if xi_grid is not None:
-        maxima_xi = []
-        for j in range(partition.n_boxes):
-            sl = partition.core_slices(j)
-            xblock = xi_grid[sl]
-            if np.all(np.isnan(xblock)):
-                maxima_xi.append(None)
-            else:
-                xi_i = int(np.nanargmax(xblock.ravel(order="C")))
-                xpos = np.unravel_index(xi_i, xblock.shape)
-                xcoord = tuple(
-                    int(p) + s.start - h for p, s in zip(xpos, sl)
-                )
-                maxima_xi.append((xcoord, float(xblock[xpos])))
-    return ExtremeRecord(
-        order=(),
-        rescaled=(),
-        box_maxima=tuple(maxima),
-        box_maxima_xi=tuple(maxima_xi) if maxima_xi is not None else None,
-    )
+    return ExtremeRecord(order=(), rescaled=(), box_maxima=tuple(maxima))
 
 
 def site_ranks(values: np.ndarray, sites: Sequence[tuple]) -> tuple:

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -36,6 +36,13 @@ _STREAMS = {"field": 0, "ppp": 1, "oracle": 2}
 
 # Refuse runs whose working grids would obviously exhaust memory.
 _MEMORY_BUDGET_BYTES = 4_000_000_000
+
+# The only keys ``overrides`` may hold; any other is a ConfigError.
+_OVERRIDE_KEYS = frozenset({"a_L", "R_L", "r_L", "k", "count_level", "ratios"})
+
+# C of the interval I_{L,C} (localisation) and of the restricted sum tail
+# (tail_lemma).
+_INTERVAL_C = 3.0
 
 
 def trial_seed(master_seed: int, trial_index: int, stream: str = "field") -> int:
@@ -62,10 +69,23 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.L < 2 or self.d not in (1, 2, 3):
             raise ConfigError("invalid box side or dimension")
+        unknown = set(self.overrides) - _OVERRIDE_KEYS
+        if unknown:
+            raise ConfigError(
+                f"unknown override keys {sorted(unknown)}; "
+                f"accepted: {sorted(_OVERRIDE_KEYS)}"
+            )
+        try:
+            cov.CovarianceModel.from_config(self.model, self.d)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid model {self.model!r}: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = _json_object(text)
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
         try:
             return cls(
                 experiment=raw["experiment"],
@@ -100,37 +120,24 @@ class _Context:
         self.cfg = cfg
         ov = cfg.overrides
         self.model = cov.CovarianceModel.from_config(cfg.model, cfg.d)
-        self.d_L = cov.derive_dL(self.model)
-        self.a_L = float(ov["a_L"]) if "a_L" in ov else scales_mod.compute_aL(
-            cfg.L, cfg.d
-        )
-        if "R_L" in ov or "r_L" in ov:
-            R_L = int(ov.get("R_L", 0)) or None
-            r_L = int(ov.get("r_L", 0)) or None
-        else:
-            R_L = r_L = None
-        if R_L is None or r_L is None:
-            R_def, r_def = scales_mod.suggest_windows(self.a_L, self.d_L, cfg.L)
-            R_L = R_L or R_def
-            r_L = r_L or r_def
-        self.kappa = float(ov.get("kappa", 0.25))
-        self.bar = spectrum.solve_bar_problem(self.model, self.a_L, r_L)
-        self.tau_L = field.compute_tau(self.model, self.bar.bar_phi)
+        d_L = cov.derive_dL(self.model)
+        a_L = float(ov["a_L"]) if "a_L" in ov else scales_mod.compute_aL(cfg.L, cfg.d)
+        if "R_L" in ov and "r_L" in ov:
+            R_L, r_L = int(ov["R_L"]), int(ov["r_L"])
+        else:  # suggest_windows raises for L < 32: only when a window is missing
+            R_def, r_def = scales_mod.suggest_windows(a_L, d_L, cfg.L)
+            R_L, r_L = int(ov.get("R_L", R_def)), int(ov.get("r_L", r_def))
+        self.bar = spectrum.solve_bar_problem(self.model, a_L, r_L)
         self.scales = scales_mod.build_scale_set(
             L=cfg.L,
             d=cfg.d,
-            d_L=self.d_L,
-            tau_L=self.tau_L,
-            kappa=self.kappa,
-            a_L=self.a_L,
+            d_L=d_L,
+            tau_L=field.compute_tau(self.model, self.bar.bar_phi),
+            a_L=a_L,
             R_L=R_L,
             r_L=r_L,
         )
         self.k = int(ov.get("k", 1))
-        self.c_prime = float(ov.get("c_prime", 0.25))
-        self.interval_C = float(ov.get("interval_C", 3.0))
-        self.shape_factor = float(ov.get("shape_factor", 0.1))
-        self.cond_value = float(ov.get("value", self.a_L))
         check = _EXPERIMENTS[cfg.experiment].check
         if check is not None:
             check(self)
@@ -182,12 +189,11 @@ def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
     rec = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
     level = float(cfg.overrides.get("count_level", 0.0))
-    n_exceed = sum(
-        1 for (_, val) in rec.box_maxima if ctx.a_L * (val - ctx.a_L) > level
-    )
+    a_L = ctx.scales.a_L
+    n_exceed = sum(1 for (_, val) in rec.box_maxima if a_L * (val - a_L) > level)
     return {
         "max_value": m,
-        "rescaled_max": ctx.a_L * (m - ctx.a_L),
+        "rescaled_max": a_L * (m - a_L),
         "n_exceed": n_exceed,
         "n_boxes": part.n_boxes,
     }
@@ -196,10 +202,9 @@ def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
 def _agg_potential_extremes(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
     rescaled = np.sort(_col(rows, "rescaled_max"))
     ks = stats.ks_statistic(rescaled, stats.gumbel_cdf)
-    thr = float(ctx.cfg.overrides.get("ks_threshold", 0.1))
     tests = {
         "gumbel_ks": stats.TestReport.make(
-            ks, rescaled.size, thr, "KS distance of rescaled maxima to Gumbel"
+            ks, rescaled.size, 0.1, "KS distance of rescaled maxima to Gumbel"
         ),
     }
     summary = {}
@@ -238,7 +243,7 @@ def _trial_eigenvalue_stats(ctx: _Context, i: int) -> dict:
     lam1 = float(res.eigenvalues[0])
     out = {
         "lambda_1": lam1,
-        "rescaled_lambda_1": ctx.a_L
+        "rescaled_lambda_1": ctx.scales.a_L
         * (lam1 - ctx.scales.a_Xi - ctx.bar.bar_lambda),
         "gap": res.gap,
     }
@@ -265,24 +270,23 @@ def _check_localisation(ctx: _Context):
 def _trial_localisation(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
     x0 = (0,) * cfg.d
+    a_L = ctx.scales.a_L
     view = field.peak_conditioned_sample(
-        ctx.model, cfg.L, x0, ctx.cond_value, trial_seed(cfg.master_seed, i)
+        ctx.model, cfg.L, x0, a_L, trial_seed(cfg.master_seed, i)
     )
     s = view.base
-    ev = field.event_check(view, ctx.scales, shape_factor=ctx.shape_factor)
+    ev = field.event_check(view, ctx.scales)
     h = s.half
     Rh = ctx.scales.R_L // 2
     core = (slice(h - Rh, h + Rh + 1),) * cfg.d
     V = np.array(s.values[core])
     res = spectrum.top_k_eigs(V, 2)
     eig_err, fun_err = spectrum.approximation_error(ctx.bar, res, view, ctx.scales)
-    gap_ok, gap_margin = spectrum.spectral_gap_check(
-        res, s.at(x0), ctx.scales, ctx.c_prime
-    )
+    gap_ok, gap_margin = spectrum.spectral_gap_check(res, s.at(x0), ctx.scales)
     w_val = float(np.max(V))
-    lo, hi = scales_mod.interval_ILC(ctx.a_L, ctx.tau_L, ctx.interval_C)
+    lo, hi = scales_mod.interval_ILC(a_L, ctx.scales.tau_L, _INTERVAL_C)
     return {
-        "value": ctx.cond_value,
+        "value": a_L,
         "in_E1": int(ev.in_E1),
         "in_E2": int(ev.in_E2),
         "in_E3": int(ev.in_E3),
@@ -356,20 +360,17 @@ def _plot_rank_histogram(rows: list[dict]):
 
 
 def _rows_tail_lemma(ctx: _Context) -> list[dict]:
-    ov = ctx.cfg.overrides
-    s_grid = ov.get("s_grid", [-1.0, 0.0, 1.0, 2.0])
-    taus = ov.get("tau_list", [0.0, 0.05, 0.1])
+    a_L = ctx.scales.a_L
     Ld = float(ctx.cfg.L) ** ctx.cfg.d
-    C = ctx.interval_C
     rows = []
-    for tau in taus:
-        for s in s_grid:
-            exact, ref = scales_mod.gaussian_sum_tail(ctx.a_L, tau, s, Ld)
-            restricted = scales_mod.restricted_sum_tail(ctx.a_L, tau, s, Ld, C)
+    for tau in (0.0, 0.05, 0.1):
+        for s in (-1.0, 0.0, 1.0, 2.0):
+            exact, ref = scales_mod.gaussian_sum_tail(a_L, tau, s, Ld)
+            restricted = scales_mod.restricted_sum_tail(a_L, tau, s, Ld, _INTERVAL_C)
             rows.append(
                 {
-                    "tau": float(tau),
-                    "s": float(s),
+                    "tau": tau,
+                    "s": s,
                     "exact": exact,
                     "reference": ref,
                     "ratio": exact / ref,
@@ -409,7 +410,7 @@ def _trial_macro_meso(ctx: _Context, i: int) -> dict:
     part = ctx.partition
     h = s.half
     pool = _pooled_box_eigs(V, part, k + 1)
-    a_L, d_L = ctx.a_L, ctx.d_L
+    a_L, d_L = ctx.scales.a_L, ctx.scales.d_L
     out: dict = {}
     gap_event = len(pool) == k + 1
     if gap_event:
@@ -472,13 +473,11 @@ def _agg_macro_meso(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 
 
 def _rows_bar_sweep(ctx: _Context) -> list[dict]:
-    ov = ctx.cfg.overrides
-    ratios = ov.get("ratios", [5.0, 10.0, 20.0, 40.0])
-    families = ov.get("families", [{"family": "iid"}, {"family": "cube_indicator", "m": 2}])
+    ratios = ctx.cfg.overrides.get("ratios", [5.0, 10.0, 20.0, 40.0])
     r_L = ctx.scales.r_L
     rows = []
-    for fam in families:
-        model = cov.CovarianceModel.from_config(dict(fam), ctx.cfg.d)
+    for fam in ({"family": "iid"}, {"family": "cube_indicator", "m": 2}):
+        model = cov.CovarianceModel.from_config(fam, ctx.cfg.d)
         d_L = cov.derive_dL(model)
         for ratio in ratios:
             a_L = ratio * d_L
@@ -620,11 +619,6 @@ def _read_prefix(path: Path) -> tuple[list[str], list[dict], bool]:
     return header[2:], rows, whole
 
 
-def _read_records(path: Path) -> tuple[list[str], list[dict]]:
-    """Columns and whole rows of the records (see _read_prefix)."""
-    return _read_prefix(path)[:2]
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -702,7 +696,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
         "schema_version": SCHEMA_VERSION,
         "config": {k: v for k, v in asdict(cfg).items() if k != "out_dir"},
         "scales": json.loads(ctx.scales.to_json()),
-        "tau_L": ctx.tau_L,
+        "tau_L": ctx.scales.tau_L,
         "bar_lambda": ctx.bar.bar_lambda,
         "bar_expansion": ctx.bar.expansion_value,
         "trials_failed": len(errors),
@@ -732,7 +726,7 @@ def report(run_dir) -> bool:
     cfg = manifest["config"]
     if cfg["trials"] < 1:
         raise ValueError("empty run")
-    _, rows = _read_records(run_dir / "records.csv")
+    _, rows, _ = _read_prefix(run_dir / "records.csv")
     exp = cfg["experiment"]
 
     lines = [f"experiment: {exp}  trials: {len(rows)}"]

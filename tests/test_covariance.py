@@ -183,6 +183,18 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             cov.CovarianceModel("cube_indicator", 1, {})
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [("iid", {"m": 3}), ("cube_indicator", {"m": 2, "ell": 1.0})],
+    )
+    def test_parameter_the_family_does_not_take(self, family, params):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            cov.CovarianceModel(family, 1, params)
+
+    def test_config_without_family(self):
+        with pytest.raises(ValueError, match="family"):
+            cov.CovarianceModel.from_config({"m": 2}, 1)
+
     def test_config_roundtrip(self):
         m = cov.CovarianceModel.from_config({"family": "cube_indicator", "m": 4}, 2)
         assert m.family == "cube_indicator"

@@ -89,25 +89,14 @@ class TestBoxMaxima:
             assert val == np.max(block)
             assert s.at(coord) == val
 
-    def test_shifted_grid_with_nans(self, iid1):
-        s = field.sample_field(iid1, 64, seed=3)
-        p = extremes.build_partition(64, 15, 1)
-        xi = s.values.copy()
-        xi[p.core_slices(0)] = np.nan
-        rec = extremes.box_maxima(s, p, xi_grid=xi)
-        assert rec.box_maxima_xi[0] is None
-        assert rec.box_maxima_xi[1] is not None
-
 
 def brute_core_max(grid, sl, h):
-    """First site of the largest non-NaN value in the core's C order."""
+    """First site of the largest value in the core's C order."""
     best = None
     for pos in np.ndindex(*(s.stop - s.start for s in sl)):
         site = tuple(p + s.start for p, s in zip(pos, sl))
-        if not np.isnan(grid[site]) and (best is None or grid[site] > grid[best]):
+        if best is None or grid[site] > grid[best]:
             best = site
-    if best is None:
-        return None
     return tuple(i - h for i in best), float(grid[best])
 
 
@@ -170,20 +159,6 @@ class TestBoxMaximaBrute:
                 for pos in np.ndindex(*(s.stop - s.start for s in sl))
             ]
             assert p.core_sites[j].tolist() == expected
-
-    @pytest.mark.parametrize("L,R,d", BOXES)
-    def test_shifted_grid_matches_brute(self, L, R, d):
-        p = extremes.build_partition(L, R, d)
-        s = self._sample(L, d, 1)
-        xi = s.values + 0.1 * self._sample(L, d, 2).values
-        xi[p.core_slices(0)] = np.nan  # an all-NaN core
-        sl = p.core_slices(p.n_boxes - 1)
-        xi[tuple(slice(s.start, s.start + 2) for s in sl)] = np.nan  # part NaN
-        rec = extremes.box_maxima(s, p, xi_grid=xi)
-        assert rec.box_maxima_xi[0] is None
-        assert rec.box_maxima_xi == tuple(
-            brute_core_max(xi, p.core_slices(j), s.half) for j in range(p.n_boxes)
-        )
 
     def test_partition_of_another_box_rejected(self):
         s = self._sample(64, 1, 0)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from andex import cli, covariance as cov, field, harness, spectrum
+from andex import cli, covariance as cov, field, harness, scales, spectrum
 from andex.errors import ConfigError
 
 
@@ -97,6 +98,52 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_json("[1, 2]")
 
+    @pytest.mark.parametrize("key", ["ratio", "kappa", "value", "families", "R_l"])
+    def test_unknown_override_key(self, tmp_path, key):
+        overrides = {"a_L": 6.0, "R_L": 19, "r_L": 9, key: 1}
+        with pytest.raises(ConfigError, match="unknown override keys"):
+            make_cfg(tmp_path, overrides=overrides)
+
+    def test_unknown_top_level_key(self):
+        text = json.dumps({"experiment": "tail_lemma", "L": 64, "trails": 5})
+        with pytest.raises(ConfigError, match="trails"):
+            harness.ExperimentConfig.from_json(text)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {},
+            {"family": "warp"},
+            {"family": "cube_indicator"},
+            {"family": "cube_indicator", "m": -1},
+            {"family": "iid", "m": 3},
+        ],
+    )
+    def test_malformed_model(self, tmp_path, model):
+        with pytest.raises(ConfigError, match="invalid model"):
+            make_cfg(tmp_path, model=model)
+
+    def test_R_L_without_r_L_gets_the_default_r_L(self, tmp_path):
+        cfg = make_cfg(tmp_path, model={"family": "iid"}, L=256, overrides={"R_L": 15})
+        s = harness._Context(cfg).scales
+        _, r_default = scales.suggest_windows(s.a_L, s.d_L, 256)
+        assert (s.R_L, s.r_L) == (15, r_default)
+
+    def test_every_benchmark_workload_is_a_valid_config(self, tmp_path):
+        # bench/run.py is read, not imported: WORKLOADS is a literal
+        tree = ast.parse((Path(__file__).parents[1] / "bench" / "run.py").read_text())
+        workloads = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "WORKLOADS"
+        )
+        assert len(workloads) == 4
+        for name, workload in workloads.items():
+            harness.ExperimentConfig(
+                **workload["config"], master_seed=0, out_dir=str(tmp_path / name)
+            )
+
 
 class TestExperimentTable:
     def test_config_accepts_exactly_the_table(self, tmp_path):
@@ -144,7 +191,7 @@ class TestRunDeterminism:
     def test_roundtrip_bitwise(self, tmp_path):
         cfg = make_cfg(tmp_path)
         harness.run_experiment(cfg)
-        cols, rows = harness._read_records(Path(cfg.out_dir) / "records.csv")
+        cols, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")[:2]
         assert "rescaled_lambda_1" in cols
         # repr round-trip: parsed floats equal the original doubles exactly
         for r in rows:
@@ -181,7 +228,7 @@ class TestResume:
         harness.run_experiment(cfg)
         cfg3 = make_cfg(tmp_path, trials=3)
         harness.run_experiment(cfg3)
-        _, rows = harness._read_records(Path(cfg3.out_dir) / "records.csv")
+        _, rows = harness._read_prefix(Path(cfg3.out_dir) / "records.csv")[:2]
         assert len(rows) == 3
 
     def test_corrupt_records_restart(self, tmp_path):
@@ -190,7 +237,7 @@ class TestResume:
         out.mkdir(parents=True)
         (out / "records.csv").write_text("\x00garbage")
         harness.run_experiment(cfg)
-        _, rows = harness._read_records(out / "records.csv")
+        _, rows = harness._read_prefix(out / "records.csv")[:2]
         assert len(rows) == 3
 
     def test_failed_trial_on_resume_rewrites_the_header(self, tmp_path, monkeypatch):
@@ -199,7 +246,7 @@ class TestResume:
         cfg20 = make_cfg(tmp_path, trials=20)
         harness.run_experiment(cfg20)
         path = Path(cfg20.out_dir) / "records.csv"
-        _, before = harness._read_records(path)
+        _, before = harness._read_prefix(path)[:2]
         fail_trial(monkeypatch, "eigenvalue_stats", 25)
         manifest = harness.run_experiment(make_cfg(tmp_path, trials=40))
         assert json.loads(manifest.read_text())["trials_failed"] == 1
@@ -207,7 +254,7 @@ class TestResume:
             lines = list(csv.reader(fh))
         assert len(lines) == 41
         assert all(len(line) == len(lines[0]) for line in lines)
-        cols, after = harness._read_records(path)
+        cols, after = harness._read_prefix(path)[:2]
         assert "failed" in cols
         for old, new in zip(before, after[:20]):
             assert new == {**old, "failed": ""}
@@ -241,7 +288,7 @@ class TestResume:
         path = Path(cfg.out_dir) / "records.csv"
         path.parent.mkdir(parents=True)
         path.write_bytes(head + partial)
-        cols, rows = harness._read_records(path)
+        cols, rows = harness._read_prefix(path)[:2]
         assert [r["trial"] for r in rows] == [0, 1, 2]
         harness.run_experiment(cfg)
         assert path.read_bytes() == full
@@ -310,7 +357,7 @@ class TestRowExperiments:
         path = harness.run_experiment(cfg)
         manifest = json.loads(path.read_text())
         assert "max_abs_ratio_err" in manifest["summary"]
-        _, rows = harness._read_records(Path(cfg.out_dir) / "records.csv")
+        _, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")[:2]
         assert len(rows) == 12  # 3 taus x 4 shifts
         for r in rows:
             assert r["restricted"] <= r["exact"] + 1e-12
@@ -425,7 +472,7 @@ class TestTrialExperiments:
         path = harness.run_experiment(cfg)
         manifest = json.loads(path.read_text())
         assert "p_ell1_eq_1" in manifest["summary"]
-        _, rows = harness._read_records(Path(cfg.out_dir) / "records.csv")
+        _, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")[:2]
         for r in rows:
             assert r["ell_1"] >= 1 and r["ell_2"] >= 1
             assert r["ell_1"] != r["ell_2"]
@@ -473,7 +520,7 @@ class TestReport:
         )
         harness.run_experiment(ranks)
         harness.report(ranks.out_dir)
-        _, rows = harness._read_records(tmp_path / "ranks" / "records.csv")
+        _, rows = harness._read_prefix(tmp_path / "ranks" / "records.csv")[:2]
         with open(tmp_path / "ranks" / "rank_histogram.csv", newline="") as fh:
             hist = list(csv.reader(fh))
         assert hist[0] == ["rank", "count", "frequency"]
@@ -632,6 +679,35 @@ class TestCLI:
         p = tmp_path / "bad.json"
         p.write_text("[1, 2]")
         assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "trails=5",
+            "overrides.ratio=[10.0]",
+            "model.m=2",  # iid takes no parameter
+            "model={}",
+            'model.family="warp"',
+            'model={"family": "cube_indicator"}',
+        ],
+    )
+    def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, override):
+        out = tmp_path / "run"
+        p = tmp_path / "cfg.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "experiment": "bar_sweep",
+                    "L": 64,
+                    "model": {"family": "iid"},
+                    "overrides": {"a_L": 6.0, "R_L": 15, "r_L": 9},
+                    "out_dir": str(out),
+                }
+            )
+        )
+        argv = ["--config", str(p), "--override", override, "experiment"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == cli.EXIT_RUNTIME
