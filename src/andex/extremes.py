@@ -129,13 +129,25 @@ class ExtremeRecord:
     box_maxima: Optional[tuple] = None  # ((coords...), value) per core
 
 
+def descending_sites(flat: np.ndarray, top: int | None = None) -> np.ndarray:
+    """Indices of the ``top`` highest entries of a flat array (all when
+    None), by decreasing value, equal values in index order: the first
+    ``top`` of a stable descending sort.  With ``top`` below the size,
+    ``np.argpartition`` finds the cut-off value, and only the entries at or
+    above it are sorted."""
+    n = flat.size
+    if top is None or top >= n:
+        return np.argsort(-flat, kind="stable")
+    cut = flat[np.argpartition(flat, n - top)[n - top]]
+    idx = np.flatnonzero(flat >= cut)
+    return idx[np.argsort(-flat[idx], kind="stable")[:top]]
+
+
 def _descending_order(values: np.ndarray, h: int, top: int | None = None):
     """Positions and values sorted by decreasing value; ties broken
-    lexicographically by coordinates (stable sort over C-order)."""
+    lexicographically by coordinates (C order)."""
     flat = values.ravel(order="C")
-    idx = np.argsort(-flat, kind="stable")
-    if top is not None:
-        idx = idx[:top]
+    idx = descending_sites(flat, top)
     out = []
     for i in idx:
         pos = np.unravel_index(int(i), values.shape)
@@ -144,7 +156,8 @@ def _descending_order(values: np.ndarray, h: int, top: int | None = None):
 
 
 def order_statistics(sample, a_L: float, top: int | None = None) -> ExtremeRecord:
-    """Full descending sort of the field with the standard rescalings."""
+    """The field's ``top`` highest sites (all when None) in descending
+    order, equal values in C order, with the standard rescalings."""
     h = sample.half
     order = _descending_order(sample.values, h, top)
     L = sample.L

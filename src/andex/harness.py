@@ -120,24 +120,35 @@ class _Context:
         self.cfg = cfg
         ov = cfg.overrides
         self.model = cov.CovarianceModel.from_config(cfg.model, cfg.d)
-        d_L = cov.derive_dL(self.model)
-        a_L = float(ov["a_L"]) if "a_L" in ov else scales_mod.compute_aL(cfg.L, cfg.d)
-        if "R_L" in ov and "r_L" in ov:
-            R_L, r_L = int(ov["R_L"]), int(ov["r_L"])
-        else:  # suggest_windows raises for L < 32: only when a window is missing
-            R_def, r_def = scales_mod.suggest_windows(a_L, d_L, cfg.L)
-            R_L, r_L = int(ov.get("R_L", R_def)), int(ov.get("r_L", r_def))
-        self.bar = spectrum.solve_bar_problem(self.model, a_L, r_L)
-        self.scales = scales_mod.build_scale_set(
-            L=cfg.L,
-            d=cfg.d,
-            d_L=d_L,
-            tau_L=field.compute_tau(self.model, self.bar.bar_phi),
-            a_L=a_L,
-            R_L=R_L,
-            r_L=r_L,
-        )
-        self.k = int(ov.get("k", 1))
+        try:
+            a_L = float(ov["a_L"]) if "a_L" in ov else None
+            R_L = int(ov["R_L"]) if "R_L" in ov else None
+            r_L = int(ov["r_L"]) if "r_L" in ov else None
+            self.k = int(ov.get("k", 1))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid override value: {exc}") from exc
+        # The windows, the bar problem and the scales reject values that do
+        # not fit together (r_L even, r_L >= R_L, d_L >= a_L, ...).
+        try:
+            d_L = cov.derive_dL(self.model)
+            if a_L is None:
+                a_L = scales_mod.compute_aL(cfg.L, cfg.d)
+            if R_L is None or r_L is None:  # suggest_windows raises for L < 32
+                R_def, r_def = scales_mod.suggest_windows(a_L, d_L, cfg.L)
+                R_L = R_def if R_L is None else R_L
+                r_L = r_def if r_L is None else r_L
+            self.bar = spectrum.solve_bar_problem(self.model, a_L, r_L)
+            self.scales = scales_mod.build_scale_set(
+                L=cfg.L,
+                d=cfg.d,
+                d_L=d_L,
+                tau_L=field.compute_tau(self.model, self.bar.bar_phi),
+                a_L=a_L,
+                R_L=R_L,
+                r_L=r_L,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid scales or windows: {exc}") from exc
         check = _EXPERIMENTS[cfg.experiment].check
         if check is not None:
             check(self)

@@ -7,9 +7,9 @@ lambda_1 >= lambda_2 >= ...
 
 Two solvers: top_k_eigs, the one entry point for the top of the spectrum,
 backed by LAPACK (tridiagonal and subset solvers) and ARPACK, with a
-certified solve on windows around the highest sites in d = 1; and
-dense_eigs, a full symmetric eigendecomposition used as the independent
-oracle on small boxes.
+certified solve on windows around the highest sites in d = 1 and a
+Chebyshev filter in front of ARPACK in d >= 2; and dense_eigs, a full
+symmetric eigendecomposition used as the independent oracle on small boxes.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import covariance as cov
 from . import field
+from .extremes import descending_sites
 from .errors import SolverConvergenceError
 
 __all__ = [
@@ -50,6 +51,14 @@ DENSE_SITE_LIMIT = 4000  # dense_eigs, the full-eigh oracle
 # ARPACK at 169 sites, about even near 400, 86 ms against 13 ms at 961.
 SUBSET_SITE_LIMIT = 400
 _ARPACK_V0_SEED = 12345
+# top_k_eigs, d >= 2 above SUBSET_SITE_LIMIT: ARPACK runs on the Chebyshev
+# filter T_m((2H - (c + a)I) / (c - a)) of degree FILTER_DEGREE, with a below
+# the spectrum and c below lambda_k; c comes from boxes of radius
+# CUT_BOX_RADIUS around high sites (_filter_interval).
+FILTER_DEGREE = 12
+CUT_BOX_RADIUS = 2
+# a and c sit this share of the width of their interval below their bounds.
+_FILTER_MARGIN = 1e-3
 # top_k_eigs, d = 1: windows of this half-width around the
 # WINDOW_PEAKS_PER_PAIR * k + WINDOW_SPARE_PEAKS highest sites.
 WINDOW_HALF_WIDTH = 24
@@ -189,11 +198,14 @@ def _assemble_dense(V: np.ndarray) -> np.ndarray:
     return H
 
 
-def _assemble_sparse(V: np.ndarray) -> csr_array:
+def _assemble_scaled(V: np.ndarray, a: float, c: float) -> csr_array:
+    """(2H - (c + a)I) / (c - a), sparse: H with [a, c] mapped onto [-1, 1]."""
     n = V.size
     i, j = _bonds(V.shape)
     sites = np.arange(n)
-    data = np.concatenate([V.ravel(order="C") - 2.0 * V.ndim, np.ones(2 * i.size)])
+    scale = 2.0 / (c - a)
+    diag = scale * (V.ravel(order="C") - 2.0 * V.ndim) - (c + a) / (c - a)
+    data = np.concatenate([diag, np.full(2 * i.size, scale)])
     rows = np.concatenate([sites, i, j])
     cols = np.concatenate([sites, j, i])
     return csr_array((data, (rows, cols)), shape=(n, n))
@@ -205,14 +217,79 @@ def _arpack_ncv(n: int, k: int) -> int:
 
 
 def solver_bytes(n: int, d: int, k: int) -> int:
-    """Bytes top_k_eigs holds for k pairs on n sites in dimension d: the
-    ARPACK basis (ncv x n), the dense subset-eigh matrix (n x n), or O(n)
-    for the tridiagonal solver."""
+    """Bytes top_k_eigs holds for k pairs on n sites in dimension d: O(n)
+    for the tridiagonal solver; the dense subset-eigh matrix (n x n); or,
+    on the ARPACK path, the Lanczos basis (ncv x n), the filter's three work
+    vectors and its CSR matrix (at most 2d + 1 entries a row, 8 bytes of
+    value and 8 of column index each, and an 8-byte pointer a row)."""
     if d == 1:
         return 8 * n * (k + 4)
     if n <= SUBSET_SITE_LIMIT:
         return 8 * n * n
-    return 8 * n * _arpack_ncv(n, k)
+    return 8 * n * (_arpack_ncv(n, k) + 3) + 16 * (2 * d + 1) * n + 8 * (n + 1)
+
+
+def _filter_interval(V: np.ndarray, k: int) -> tuple[float, float]:
+    """The interval [a, c] that top_k_eigs' Chebyshev filter damps: a below
+    every eigenvalue of H, c below lambda_k, both strictly.
+
+    a: Gershgorin, lambda_min >= min V - 4d.  c: the k highest sites whose
+    boxes of radius CUT_BOX_RADIUS are pairwise non-adjacent, taken greedily
+    in descending order of V (equal values in C order), span a principal
+    submatrix of H that is block-diagonal over the boxes.  It has k
+    eigenvalues at or above the smallest of the boxes' top eigenvalues, so
+    by Cauchy interlacing lambda_k is too.  Weyl's lambda_k >= V_(k) - 4d
+    is a floor, and the bound alone when k such boxes do not fit.  Margins:
+    a lies _FILTER_MARGIN (max V - a0) below Gershgorin's a0, and c lies
+    _FILTER_MARGIN (c0 - a) below the bound c0.  They cover the rounding of
+    the box solves and keep c - a > 0 when c0 = a0.
+    """
+    d, r = V.ndim, CUT_BOX_RADIUS
+    flat = V.ravel()
+    n = flat.size
+    m = min(n, 4 * k)
+    while True:
+        sites = descending_sites(flat, m)
+        chosen = np.empty((0, d), dtype=int)
+        for x in np.stack(np.unravel_index(sites, V.shape), axis=1):
+            # boxes x + [-r, r]^d and y + [-r, r]^d hold no pair of sites
+            # at l1 distance below 2, so share no site and no bond
+            if np.all(np.sum(np.maximum(np.abs(chosen - x) - 2 * r, 0), axis=1) >= 2):
+                chosen = np.vstack([chosen, x])
+                if len(chosen) == k:
+                    break
+        if len(chosen) == k or m == n:
+            break
+        m = min(n, 4 * m)
+    cut = float(flat[sites[k - 1]]) - 4.0 * d
+    if len(chosen) == k:
+        tops = []
+        for x in chosen:
+            B = _assemble_dense(V[tuple(slice(max(i - r, 0), i + r + 1) for i in x)])
+            top = B.shape[0] - 1
+            tops.append(eigh(B, eigvals_only=True, subset_by_index=[top, top])[0])
+        cut = max(cut, float(min(tops)))
+    lo = float(flat.min()) - 4.0 * d
+    a = lo - _FILTER_MARGIN * (float(flat.max()) - lo)
+    return a, cut - _FILTER_MARGIN * (cut - a)
+
+
+def _chebyshev_filter(V: np.ndarray, a: float, c: float) -> LinearOperator:
+    """T_m(S) for m = FILTER_DEGREE and S = (2H - (c + a)I) / (c - a), by
+    the three-term recurrence T_{j+1}(S)x = 2S T_j(S)x - T_{j-1}(S)x with
+    three work vectors."""
+    S = _assemble_scaled(V, a, c)
+
+    def apply(x):
+        prev, cur = x.ravel(), S @ x.ravel()
+        for _ in range(FILTER_DEGREE - 1):
+            nxt = S @ cur
+            nxt *= 2.0
+            nxt -= prev
+            prev, cur = cur, nxt
+        return cur
+
+    return LinearOperator(S.shape, matvec=apply, dtype=float)
 
 
 def dense_eigs(V: np.ndarray, k: int | None = None) -> SpectralResult:
@@ -295,8 +372,16 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     bisection and inverse iteration on the whole tridiagonal H
     (eigh_tridiagonal).  d >= 2 up to SUBSET_SITE_LIMIT sites: dense
     LAPACK eigh restricted to the top k indices.  Larger d >= 2 boxes:
-    ARPACK (eigsh) on a sparse H from a fixed start vector, so results are
-    deterministic.
+    ARPACK (eigsh) from a fixed start vector, so results are deterministic,
+    on p(H) = T_m((2H - (c + a)I) / (c - a)), the Chebyshev polynomial of
+    degree m = FILTER_DEGREE with [a, c] from _filter_interval.  On [a, c]
+    |p| <= 1; above c, p increases from 1.  Every eigenvalue of H lies
+    above a and the top k above c, so the top k of p(H) belong to the same
+    eigenvectors as the top k of H, in the same order, while p stretches
+    their gaps.  The eigenvalues returned are the Rayleigh quotients
+    <u, Hu> of the Ritz vectors u.  A site hundreds of units above the rest
+    of V makes p(lambda_1) / p(lambda_k) so large that rounding along the
+    top pair swamps the others; their residuals then exceed tol.
     """
     n = V.size
     if k > 32:
@@ -319,10 +404,11 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
             lams, U = eigh(_assemble_dense(V), subset_by_index=[n - k, n - 1])
         else:
             solver = "arpack"
+            p_of_H = _chebyshev_filter(V, *_filter_interval(V, k))
             v0 = np.random.default_rng(_ARPACK_V0_SEED).standard_normal(n)
-            lams, U = eigsh(
-                _assemble_sparse(V), k, which="LA", tol=0, ncv=_arpack_ncv(n, k), v0=v0
-            )
+            _, U = eigsh(p_of_H, k, which="LA", tol=0, ncv=_arpack_ncv(n, k), v0=v0)
+            P = U.T.reshape((k,) + V.shape)
+            lams = np.sum((P * apply_hamiltonian(V, P)).reshape(k, -1), axis=1)
     except (ArpackNoConvergence, LinAlgError) as exc:
         raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
     result = _finalize(lams, U.T.reshape((k,) + V.shape), V, solver)

@@ -70,6 +70,30 @@ class TestOrderStatistics:
         assert len(rec.order) == 3
         assert [v for _, v in rec.order] == [8.0, 7.0, 6.0]
 
+    @pytest.mark.parametrize("top", [1, 2, 5, 17, 41, 49, 100])
+    def test_top_matches_the_full_stable_sort(self, top):
+        # values rounded to a few levels, so that ties straddle the cut-off;
+        # top >= n gives the whole order
+        rng = np.random.default_rng(top)
+        for values in (
+            np.round(rng.standard_normal((7, 7)), 0),
+            np.round(rng.standard_normal(41), 1),
+            np.zeros(41),
+        ):
+            flat = values.ravel()
+            want = np.argsort(-flat, kind="stable")[:top]
+            got = extremes.descending_sites(flat, top)
+            assert got.tolist() == want.tolist()
+            h = values.shape[0] // 2
+            s = field.FieldSample(
+                values=values, L=2 * h, d=values.ndim, model=None, seed=0, sampler="dense"
+            )
+            rec = extremes.order_statistics(s, a_L=2.0, top=top)
+            coords = np.stack(np.unravel_index(want, values.shape), axis=1) - h
+            assert rec.order == tuple(
+                (tuple(int(c) for c in x), float(flat[i])) for x, i in zip(coords, want)
+            )
+
     def test_descending_invariant(self, iid1):
         s = field.sample_field(iid1, 257, seed=1)
         rec = extremes.order_statistics(s, a_L=3.0)

@@ -317,13 +317,15 @@ class TestMemoryCheck:
 
     def test_counts_the_arpack_basis(self, tmp_path, monkeypatch):
         # 61 x 61 sites: above the subset-eigh limit, so ARPACK holds
-        # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles
+        # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles, the
+        # filter 3 work vectors, and its CSR matrix 5 entries a row of 16
+        # bytes each and 3722 row pointers of 8
         ctx = self._ctx(tmp_path, "macro_meso")
         grids = 61**2 * 16 * 6
-        basis = 20 * 61**2 * 8
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + basis)
+        solver = (20 + 3) * 61**2 * 8 + 5 * 61**2 * 16 + (61**2 + 1) * 8
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver)
         ctx.check_memory()
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + basis - 1)
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver - 1)
         with pytest.raises(ConfigError):
             ctx.check_memory()
 
@@ -343,7 +345,8 @@ class TestMemoryCheck:
     def test_solver_bytes_per_path(self):
         assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8
         assert spectrum.solver_bytes(169, 2, 4) == 8 * 169**2
-        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 20
+        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 23 + 16 * 5 * 3721 + 8 * 3722
+        assert spectrum.solver_bytes(729, 3, 4) == 8 * 729 * 23 + 16 * 7 * 729 + 8 * 730
 
 
 class TestRowExperiments:
@@ -707,6 +710,38 @@ class TestCLI:
         )
         argv = ["--config", str(p), "--override", override, "experiment"]
         assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("overrides.R_L=0", "window ordering"),
+            ("overrides.a_L=0.5", "requires d_L < a_L"),
+            ('overrides.k="two"', "invalid literal for int"),
+            ("overrides.r_L=4", "r_L must be odd"),
+        ],
+    )
+    def test_bad_override_value_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, override, message
+    ):
+        # the values pass the key check but not the scales, windows or k
+        # that the run builds from them
+        out = tmp_path / "run"
+        p = tmp_path / "cfg.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "experiment": "rank_permutation",
+                    "L": 512,
+                    "model": {"family": "iid"},
+                    "overrides": {"k": 2},
+                    "out_dir": str(out),
+                }
+            )
+        )
+        argv = ["--config", str(p), "--override", override, "experiment"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):

@@ -277,6 +277,170 @@ class TestTopKEigsOracle:
         assert np.array_equal(a.residuals, b.residuals)
 
 
+FILTER_FAMILIES = [
+    ("iid", {}),
+    ("cube_indicator", {"m": 2}),
+    ("exponential", {"alpha": 1.0}),
+    ("gaussian_kernel", {"ell": 1.0}),
+]
+
+
+def _plateau(shape=(25, 25)):
+    V = np.zeros(shape)
+    V[5:12, 8:15] = 2.0
+    return V
+
+
+def _two_equal_peaks(shape=(25, 25)):
+    V = np.random.default_rng(12).standard_normal(shape)
+    V[4, 6] = V[17, 19] = 5.0
+    return V
+
+
+def _spikes(shape=(21, 21)):
+    # isolated sites so high that the top eigenvalue of H on a box around
+    # one equals lambda_k to rounding: only the margin keeps c below it
+    V = np.zeros(shape)
+    V[3, 3] = V[3, 15] = V[15, 3] = V[15, 15] = 1e9
+    return V
+
+
+# (name, potential, k): potentials on which the cut is tight, tied or falls
+# back to Weyl's bound
+ADVERSARIAL = [
+    ("zero", np.zeros((21, 21)), 4),
+    ("constant", np.full((23, 23), 3.5), 8),
+    ("plateau", _plateau(), 4),
+    ("two_equal_peaks", _two_equal_peaks(), 2),
+    ("two_equal_peaks", _two_equal_peaks(), 5),
+    ("spikes", _spikes(), 1),
+    ("spikes", _spikes(), 4),
+    ("weyl_fallback", np.random.default_rng(13).standard_normal((21, 21)), 32),
+    ("weyl_fallback_zero", np.zeros((21, 21)), 32),
+]
+ADVERSARIAL_SOLVES = [case for case in ADVERSARIAL if case[0] != "spikes"]
+
+
+def _assert_interval_below(V, k):
+    """a below the spectrum and c below lambda_k, strictly, by dense eigvalsh."""
+    a, c = spectrum._filter_interval(V, k)
+    w = np.linalg.eigvalsh(spectrum._assemble_dense(V))
+    assert a < w[0]
+    assert c < w[-k]
+    weyl = np.sort(V, axis=None)[-k] - 4.0 * V.ndim
+    assert c >= weyl - spectrum._FILTER_MARGIN * (weyl - a)
+
+
+class TestChebyshevFilter:
+    def test_cut_below_lambda_k_across_families(self):
+        # 200 d = 2 fields, 50 per family, and 8 d = 3 fields
+        cases = [
+            (cov.CovarianceModel(fam, 2, params), 20, i)
+            for fam, params in FILTER_FAMILIES
+            for i in range(50)
+        ] + [
+            (cov.CovarianceModel(fam, 3, params), 8, i)
+            for fam, params in FILTER_FAMILIES
+            for i in range(2)
+        ]
+        for model, L, i in cases:
+            V = np.array(field.sample_field(model, L, harness.trial_seed(99, i)).values)
+            assert V.size > spectrum.SUBSET_SITE_LIMIT
+            _assert_interval_below(V, (1, 2, 4, 8)[i % 4])
+
+    @pytest.mark.parametrize(
+        "name,V,k", ADVERSARIAL, ids=[f"{c[0]}-k{c[2]}" for c in ADVERSARIAL]
+    )
+    def test_cut_below_lambda_k_on_adversarial_potentials(self, name, V, k):
+        _assert_interval_below(V, k)
+
+    def test_weyl_alone_when_the_boxes_do_not_fit(self):
+        # 32 boxes of side 5 that share no site or bond do not fit in 21 x 21
+        V = np.random.default_rng(13).standard_normal((21, 21))
+        a, c = spectrum._filter_interval(V, 32)
+        weyl = np.sort(V, axis=None)[-32] - 8.0
+        assert c == weyl - spectrum._FILTER_MARGIN * (weyl - a)
+
+    def test_cut_from_separated_boxes(self):
+        # the two peaks' boxes are far apart: c is the smaller of their top
+        # eigenvalues, above Weyl's bound
+        V = _two_equal_peaks()
+        a, c = spectrum._filter_interval(V, 2)
+        tops = []
+        for x in ((4, 6), (17, 19)):
+            box = tuple(slice(max(i - 2, 0), i + 3) for i in x)
+            tops.append(np.linalg.eigvalsh(spectrum._assemble_dense(V[box]))[-1])
+        cut = min(tops)
+        assert cut > 5.0 - 8.0
+        assert c == pytest.approx(cut - spectrum._FILTER_MARGIN * (cut - a), abs=1e-12)
+
+    # not the spikes: residuals of eps * 1e9 exceed any tol
+    @pytest.mark.parametrize(
+        "name,V,k", ADVERSARIAL_SOLVES, ids=[f"{c[0]}-k{c[2]}" for c in ADVERSARIAL_SOLVES]
+    )
+    def test_adversarial_potentials_match_oracle(self, name, V, k):
+        top = spectrum.top_k_eigs(V, k)
+        w = np.linalg.eigvalsh(spectrum._assemble_dense(V))[::-1][:k]
+        assert top.solver == "arpack"
+        assert np.max(top.residuals) <= 1e-10
+        assert np.max(np.abs(top.eigenvalues - w)) <= 1e-9
+
+    def test_filter_is_the_chebyshev_polynomial(self):
+        # T_m(S) x by the recurrence equals U T_m(w) U^T x on the spectrum of S
+        V = np.random.default_rng(14).standard_normal((6, 6))
+        a, c = spectrum._filter_interval(V, 3)
+        S = spectrum._assemble_scaled(V, a, c)
+        w, U = np.linalg.eigh(S.toarray())
+        x = np.random.default_rng(15).standard_normal(V.size)
+        coef = np.zeros(spectrum.FILTER_DEGREE + 1)
+        coef[-1] = 1.0
+        want = U @ (np.polynomial.chebyshev.chebval(w, coef) * (U.T @ x))
+        got = spectrum._chebyshev_filter(V, a, c) @ x
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+        # [a, c] maps onto [-1, 1]
+        H = spectrum._assemble_dense(V)
+        assert np.allclose(S.toarray(), (2 * H - (c + a) * np.eye(V.size)) / (c - a))
+
+    def test_csr_bytes_within_solver_bytes(self):
+        for shape in ((21, 21), (9, 9, 9)):
+            V = np.zeros(shape)
+            S = spectrum._assemble_scaled(V, -20.0, 1.0)
+            n, d = V.size, V.ndim
+            held = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+            vectors = 8 * n * (spectrum._arpack_ncv(n, 4) + 3)
+            assert held <= spectrum.solver_bytes(n, d, 4) - vectors
+
+
+@pytest.fixture(scope="module")
+def oracle_3721():
+    V = 3.0 * np.random.default_rng(16).standard_normal((61, 61))
+    return V, spectrum.dense_eigs(V, 8)
+
+
+class TestFilteredMatchesDense:
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_441_sites(self, k):
+        for fam, params in FILTER_FAMILIES:
+            model = cov.CovarianceModel(fam, 2, params)
+            V = np.array(field.sample_field(model, 20, harness.trial_seed(17, k)).values)
+            _assert_matches(spectrum.top_k_eigs(V, k), spectrum.dense_eigs(V, k), k)
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_3721_sites(self, oracle_3721, k):
+        V, oracle = oracle_3721
+        top = spectrum.top_k_eigs(V, k)
+        _assert_matches(top, oracle, k)
+
+
+def _assert_matches(top, oracle, k):
+    assert top.solver == "arpack" and top.k == k
+    assert np.max(top.residuals) <= 1e-10
+    assert np.max(np.abs(top.eigenvalues - oracle.eigenvalues[:k])) <= 1e-9
+    overlaps = np.abs(np.sum(_flat(top, range(k)) * _flat(oracle, range(k)), axis=1))
+    assert np.min(overlaps) >= 1.0 - 1e-8
+    assert top.centers == oracle.centers[:k]
+
+
 def _global_1d(V, k):
     """Top-k pairs of the whole d = 1 chain, descending: the fallback path."""
     n = V.size
