@@ -42,6 +42,8 @@ def _apply_overrides(cfg_dict: dict, pairs: list[str]) -> dict:
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {key!r}: {p!r} is not an object")
         node[parts[-1]] = value
     return cfg_dict
 
@@ -164,7 +166,8 @@ def main(argv=None) -> int:
             if not args.config:
                 print("experiment requires --config", file=sys.stderr)
                 return EXIT_USAGE
-            raw = harness._json_object(open(args.config).read())
+            with open(args.config) as fh:
+                raw = harness._json_object(fh.read())
             raw = _apply_overrides(raw, args.override)
             if args.out:
                 raw["out_dir"] = args.out

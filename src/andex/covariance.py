@@ -35,6 +35,9 @@ __all__ = [
     "circulant_spectrum",
 ]
 
+# effective_radius cuts the covariance where it falls below this.
+RADIUS_EPS = 1e-14
+
 # family -> the name of its one parameter, None for a family without one
 _FAMILIES = {
     "iid": None,
@@ -139,17 +142,17 @@ def _offset_grid(d: int, half: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def effective_radius(model: CovarianceModel, eps: float = 1e-14) -> int:
-    """Smallest integer r with v(x) < eps whenever |x| >= r along an axis."""
+def effective_radius(model: CovarianceModel) -> int:
+    """Smallest integer r with v(x) < RADIUS_EPS whenever |x| >= r along an axis."""
     if model.family == "iid":
         return 0
     if model.family == "cube_indicator":
         return int(math.ceil(model.params["m"]))
     if model.family == "gaussian_kernel":
         ell = model.params["ell"]
-        return int(math.ceil(ell * math.sqrt(2.0 * math.log(1.0 / eps)))) + 1
+        return int(math.ceil(ell * math.sqrt(2.0 * math.log(1.0 / RADIUS_EPS)))) + 1
     alpha = model.params["alpha"]
-    return int(math.ceil(math.log(1.0 / eps) / alpha)) + 1
+    return int(math.ceil(math.log(1.0 / RADIUS_EPS) / alpha)) + 1
 
 
 @dataclass(frozen=True)

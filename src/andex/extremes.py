@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ __all__ = [
     "ppp_rank_one_probability",
     "cross_box_covariance",
 ]
+
+# Seeds per batch of ppp_rank_one_probability; its draws depend on it.
+PPP_CHUNK = 20000
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,6 @@ class ExtremeRecord:
 
     order: tuple  # ((coords...), value) descending in value
     rescaled: tuple  # ((coords/L...), a_L*(value - a_L))
-    box_maxima: Optional[tuple] = None  # ((coords...), value) per core
 
 
 def descending_sites(flat: np.ndarray, top: int | None = None) -> np.ndarray:
@@ -167,9 +169,9 @@ def order_statistics(sample, a_L: float, top: int | None = None) -> ExtremeRecor
     return ExtremeRecord(order=tuple(order), rescaled=rescaled)
 
 
-def box_maxima(sample, partition: MesoPartition) -> ExtremeRecord:
-    """Per-core argmax records of the field.  ``order`` and ``rescaled``
-    stay empty; order_statistics gives those."""
+def box_maxima(sample, partition: MesoPartition) -> tuple:
+    """Per-core argmax of the field: one ((coords...), value) per core, in
+    core order."""
     if sample.L // 2 != partition.L // 2 or sample.d != partition.d:
         raise ValueError("partition was built for another box")
     h = sample.half
@@ -178,11 +180,10 @@ def box_maxima(sample, partition: MesoPartition) -> ExtremeRecord:
     # argmax keeps the first of tied sites, the first in each core's C order
     best = sites[np.arange(len(sites)), np.argmax(flat[sites], axis=1)]
     coords = np.stack(np.unravel_index(best, sample.values.shape), axis=1) - h
-    maxima = [
+    return tuple(
         (tuple(int(c) for c in coord), float(flat[i]))
         for coord, i in zip(coords, best)
-    ]
-    return ExtremeRecord(order=(), rescaled=(), box_maxima=tuple(maxima))
+    )
 
 
 def site_ranks(values: np.ndarray, sites: Sequence[tuple]) -> tuple:
@@ -247,7 +248,7 @@ def sample_ppp_reference(b: float, K: int, seed: int) -> PPPReference:
 
 
 def ppp_rank_one_probability(
-    b: float, K: int, n_seeds: int, seed: int, chunk: int = 20000
+    b: float, K: int, n_seeds: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P(ell(1) = 1) for the K-truncated decorated
     process, with binomial standard error.
@@ -264,7 +265,7 @@ def ppp_rank_one_probability(
     done = 0
     sd = math.sqrt(b)
     while done < n_seeds:
-        m = min(chunk, n_seeds - done)
+        m = min(PPP_CHUNK, n_seeds - done)
         gamma = np.cumsum(rng.exponential(size=(m, K)), axis=1)
         s = -np.log(gamma)
         if b > 0:

@@ -62,6 +62,9 @@ __all__ = [
 
 DENSE_SITE_LIMIT = 6000
 
+# Shape factor of the peak event's part E2: |zeta| <= EVENT_SHAPE_FACTOR * S.
+EVENT_SHAPE_FACTOR = 0.1
+
 
 def box_half(L: int) -> int:
     """Half-width of Q_L: the box is [-h, h]^d with h = floor(L/2)."""
@@ -242,12 +245,7 @@ def _profile_grid(model, L, x0):
 
 
 def peak_conditioned_sample(
-    model: cov.CovarianceModel,
-    L: int,
-    x0,
-    value: float,
-    seed: int,
-    sampler_hint: Optional[str] = None,
+    model: cov.CovarianceModel, L: int, x0, value: float, seed: int
 ) -> FluctuationView:
     """Exact draw of the field conditioned on xi(x0) = value, returned as
     its fluctuation view around x0; the field itself is ``view.base``.
@@ -258,7 +256,7 @@ def peak_conditioned_sample(
     returned view shares the unconditioned draw's profile, and its zeta is
     formed from the conditioned values as fluctuation_view forms it.
     """
-    view = fluctuation_view(sample_field(model, L, seed, sampler_hint), x0)
+    view = fluctuation_view(sample_field(model, L, seed), x0)
     vals = value * view.profile + view.zeta
     vals[point_to_index(view.x0, view.base.half)] = value  # exact, no roundoff
     sample = replace(view.base, values=vals, conditioned_at=(view.x0, float(value)))
@@ -443,15 +441,11 @@ class EventReport:
         return self.in_E1 and self.in_E2 and self.in_E3
 
 
-def event_check(
-    view: FluctuationView,
-    scales,
-    shape_factor: float = 0.1,
-) -> EventReport:
+def event_check(view: FluctuationView, scales) -> EventReport:
     """Check the three-part event around the base point x0 of the view.
 
     E1: |xi(x0) - a_L| < theta (theta = 2d+1).
-    E2: |zeta(x)| <= shape_factor * S(x - x0) on the window Q_{2R_L, x0}.
+    E2: |zeta(x)| <= EVENT_SHAPE_FACTOR * S(x - x0) on the window Q_{2R_L, x0}.
     E3: |zeta(x)| / sd(zeta(x)) <= (a_L/d_L)^{kappa |x-x0|} *
         sqrt(1 v |xi(x0) - a_L| a_L) on Q_{R_L, x0} minus x0; sites with
         sd(zeta) = 0 count as ratio 0.
@@ -471,7 +465,7 @@ def event_check(
     in_e1 = dev < theta
 
     # E2 on the wide window, S = a_L (1 - v)
-    slack2 = shape_factor * (a_L * win.wide_dip) - np.abs(zeta.take(win.wide))
+    slack2 = EVENT_SHAPE_FACTOR * (a_L * win.wide_dip) - np.abs(zeta.take(win.wide))
     margin2 = float(np.min(slack2))
     in_e2 = margin2 >= 0.0
 

@@ -2,8 +2,7 @@
 
 Experiments confront the asymptotic theorems with finite-size simulation.
 Each experiment is one entry of ``_EXPERIMENTS``.  Each trial's seed is a
-fixed counter-based function of (master_seed, trial_index, stream tag), so
-samplers, decorations and oracles never share randomness.  Records are flat
+fixed counter-based function of (master_seed, trial_index).  Records are flat
 rows in a CSV written once, when the run ends (a crash loses the run's new
 rows; streaming writes are an open ROADMAP item); a re-run resumes after the
 whole rows already written and runs the trial of a partial row again.
@@ -32,22 +31,20 @@ __all__ = ["ExperimentConfig", "run_experiment", "report"]
 
 SCHEMA_VERSION = 1
 
-_STREAMS = {"field": 0, "ppp": 1, "oracle": 2}
-
 # Refuse runs whose working grids would obviously exhaust memory.
 _MEMORY_BUDGET_BYTES = 4_000_000_000
 
-# The only keys ``overrides`` may hold; any other is a ConfigError.
-_OVERRIDE_KEYS = frozenset({"a_L", "R_L", "r_L", "k", "count_level", "ratios"})
+# Override keys every _Context reads; _Experiment.overrides adds the others.
+_SCALE_OVERRIDES = frozenset({"a_L", "R_L", "r_L"})
 
 # C of the interval I_{L,C} (localisation) and of the restricted sum tail
 # (tail_lemma).
 _INTERVAL_C = 3.0
 
 
-def trial_seed(master_seed: int, trial_index: int, stream: str = "field") -> int:
+def trial_seed(master_seed: int, trial_index: int) -> int:
     """Counter-based per-trial seed; documented, fixed derivation."""
-    ss = np.random.SeedSequence((master_seed, trial_index, _STREAMS[stream]))
+    ss = np.random.SeedSequence((master_seed, trial_index, 0))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -69,11 +66,12 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.L < 2 or self.d not in (1, 2, 3):
             raise ConfigError("invalid box side or dimension")
-        unknown = set(self.overrides) - _OVERRIDE_KEYS
+        accepted = _SCALE_OVERRIDES | _EXPERIMENTS[self.experiment].overrides
+        unknown = set(self.overrides) - accepted
         if unknown:
             raise ConfigError(
                 f"unknown override keys {sorted(unknown)}; "
-                f"accepted: {sorted(_OVERRIDE_KEYS)}"
+                f"{self.experiment} accepts {sorted(accepted)}"
             )
         try:
             cov.CovarianceModel.from_config(self.model, self.d)
@@ -99,6 +97,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid config value: {exc}") from exc
 
 
 def _json_object(text: str) -> dict:
@@ -138,14 +138,14 @@ class _Context:
                 R_L = R_def if R_L is None else R_L
                 r_L = r_def if r_L is None else r_L
             self.bar = spectrum.solve_bar_problem(self.model, a_L, r_L)
-            self.scales = scales_mod.build_scale_set(
+            self.scales = scales_mod.ScaleSet(
                 L=cfg.L,
                 d=cfg.d,
-                d_L=d_L,
-                tau_L=field.compute_tau(self.model, self.bar.bar_phi),
                 a_L=a_L,
+                tau_L=field.compute_tau(self.model, self.bar.bar_phi),
                 R_L=R_L,
                 r_L=r_L,
+                d_L=d_L,
             )
         except ValueError as exc:
             raise ConfigError(f"invalid scales or windows: {exc}") from exc
@@ -197,11 +197,11 @@ def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
     s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
     part = ctx.partition
-    rec = extremes.box_maxima(s, part)
+    maxima = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
     level = float(cfg.overrides.get("count_level", 0.0))
     a_L = ctx.scales.a_L
-    n_exceed = sum(1 for (_, val) in rec.box_maxima if a_L * (val - a_L) > level)
+    n_exceed = sum(1 for (_, val) in maxima if a_L * (val - a_L) > level)
     return {
         "max_value": m,
         "rescaled_max": a_L * (m - a_L),
@@ -535,7 +535,8 @@ class _Experiment:
     ``rows`` (one deterministic table) is set.  ``solve_sites`` gives the
     sites of the largest eigensolve for the memory check (None: no solver);
     ``check``, if set, rejects a config with ConfigError before any draw;
-    ``plot``, if set, gives the plot-data file that ``report`` writes."""
+    ``plot``, if set, gives the plot-data file that ``report`` writes;
+    ``overrides`` names the keys it reads beyond _SCALE_OVERRIDES."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
     trial: Callable[[_Context, int], dict] | None = None
@@ -543,14 +544,21 @@ class _Experiment:
     solve_sites: Callable[[_Context], int] | None = None
     check: Callable[[_Context], None] | None = None
     plot: Callable[[list[dict]], tuple[str, list[str], list[list]]] | None = None
+    overrides: frozenset = frozenset()
 
 
 _EXPERIMENTS: dict[str, _Experiment] = {
     "potential_extremes": _Experiment(
-        _agg_potential_extremes, trial=_trial_potential_extremes, plot=_plot_cdf_vs_gumbel
+        _agg_potential_extremes,
+        trial=_trial_potential_extremes,
+        plot=_plot_cdf_vs_gumbel,
+        overrides=frozenset({"count_level"}),
     ),
     "eigenvalue_stats": _Experiment(
-        _agg_eigenvalue_stats, trial=_trial_eigenvalue_stats, solve_sites=_box_sites
+        _agg_eigenvalue_stats,
+        trial=_trial_eigenvalue_stats,
+        solve_sites=_box_sites,
+        overrides=frozenset({"k"}),
     ),
     "localisation": _Experiment(
         _agg_localisation,
@@ -563,13 +571,20 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         trial=_trial_rank_permutation,
         solve_sites=_box_sites,
         plot=_plot_rank_histogram,
+        overrides=frozenset({"k"}),
     ),
     "tail_lemma": _Experiment(_agg_tail_lemma, rows=_rows_tail_lemma),
     "macro_meso": _Experiment(
-        _agg_macro_meso, trial=_trial_macro_meso, solve_sites=_box_sites
+        _agg_macro_meso,
+        trial=_trial_macro_meso,
+        solve_sites=_box_sites,
+        overrides=frozenset({"k"}),
     ),
     "bar_sweep": _Experiment(
-        _agg_bar_sweep, rows=_rows_bar_sweep, plot=_plot_bar_sweep_table
+        _agg_bar_sweep,
+        rows=_rows_bar_sweep,
+        plot=_plot_bar_sweep_table,
+        overrides=frozenset({"ratios"}),
     ),
 }
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -34,6 +34,10 @@ __all__ = [
     "normal_log_sf",
     "normal_sf",
 ]
+
+# Exponent kappa of the shrink-window scale theta_L and of the decay bound
+# of the peak event's part E3.
+KAPPA = 0.25
 
 # Largest level for which exp(-a^2/2) stays inside double range with room
 # to spare; beyond this L^{-d} underflows and the solve is meaningless.
@@ -196,68 +200,44 @@ def suggest_windows(a_L: float, d_L: float, L: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ScaleSet:
-    """All deterministic scales for one (L, d, covariance model)."""
+    """All deterministic scales for one (L, d, covariance model).
+
+    The seven inputs are fields; a_Xi, theta, kappa and theta_L are derived
+    from them."""
 
     L: int
     d: int
     a_L: float
     tau_L: float
-    a_Xi: float
-    theta: int
-    kappa: float
-    theta_L: float
     R_L: int
     r_L: int
     d_L: float
 
     def __post_init__(self):
-        if self.theta != 2 * self.d + 1:
-            raise ValueError("theta must equal 2d+1")
-        if not (0.0 < self.kappa < 1.0 / 3.0):
-            raise ValueError("kappa must lie in (0, 1/3)")
+        # theta_L raises unless 1 <= d_L < a_L
+        compute_theta_L(self.a_L, self.d_L, self.tau_L, KAPPA)
         if not (self.r_L < self.R_L < self.L):
             raise ValueError("window ordering r_L < R_L < L violated")
-        expected = self.a_L * math.sqrt(1.0 + self.tau_L**2)
-        if abs(self.a_Xi - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValueError("a_Xi inconsistent with a_L and tau_L")
+
+    @property
+    def a_Xi(self) -> float:
+        """Level of the shifted field Xi, a_L * sqrt(1 + tau_L^2)."""
+        return self.a_L * math.sqrt(1.0 + self.tau_L * self.tau_L)
+
+    @property
+    def theta(self) -> int:
+        """Half-width 2d+1 of the peak event's part E1."""
+        return 2 * self.d + 1
+
+    @property
+    def kappa(self) -> float:
+        return KAPPA
+
+    @property
+    def theta_L(self) -> float:
+        return compute_theta_L(self.a_L, self.d_L, self.tau_L, KAPPA)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScaleSet":
-        return cls(**json.loads(text))
-
-
-def build_scale_set(
-    L: int,
-    d: int,
-    d_L: float,
-    tau_L: float = 0.0,
-    kappa: float = 0.25,
-    a_L: float | None = None,
-    R_L: int | None = None,
-    r_L: int | None = None,
-) -> ScaleSet:
-    """Assemble a ScaleSet, solving for a_L and deriving defaults where
-    overrides are not given."""
-    if a_L is None:
-        a_L = compute_aL(L, d)
-    if R_L is None or r_L is None:
-        R_default, r_default = suggest_windows(a_L, d_L, L)
-        R_L = R_default if R_L is None else R_L
-        r_L = r_default if r_L is None else r_L
-    theta_L = compute_theta_L(a_L, d_L, tau_L, kappa)
-    return ScaleSet(
-        L=L,
-        d=d,
-        a_L=a_L,
-        tau_L=tau_L,
-        a_Xi=a_L * math.sqrt(1.0 + tau_L * tau_L),
-        theta=2 * d + 1,
-        kappa=kappa,
-        theta_L=theta_L,
-        R_L=R_L,
-        r_L=r_L,
-        d_L=d_L,
-    )
+        """Inputs and derived scales, in the order a manifest lists them."""
+        keys = "L d a_L tau_L a_Xi theta kappa theta_L R_L r_L d_L".split()
+        return json.dumps({key: getattr(self, key) for key in keys})

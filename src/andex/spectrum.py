@@ -68,6 +68,8 @@ WINDOW_SPARE_PEAKS = 8
 # rounding of the residuals and the backward error of the Sturm count.
 _COUNT_SLACK_ULPS = 16
 TIE_TOL = 1e-12
+# c' of spectral_gap_check: the gap event asks lambda_2 <= xi(x0) - c' a_L/d_L.
+GAP_C_PRIME = 0.25
 
 
 def apply_hamiltonian(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -602,12 +604,10 @@ def approximation_error(
     return float(eig_err), float(fun_err)
 
 
-def spectral_gap_check(
-    result: SpectralResult, peak_value: float, scales, c_prime: float = 0.25
-):
-    """Whether lambda_2 <= xi(x0) - c_prime * a_L / d_L; returns (ok, margin)."""
+def spectral_gap_check(result: SpectralResult, peak_value: float, scales):
+    """Whether lambda_2 <= xi(x0) - GAP_C_PRIME * a_L / d_L; returns (ok, margin)."""
     if result.k < 2:
         raise ValueError("gap check needs at least two eigenvalues")
-    bound = peak_value - c_prime * scales.a_L / scales.d_L
+    bound = peak_value - GAP_C_PRIME * scales.a_L / scales.d_L
     margin = bound - float(result.eigenvalues[1])
     return (margin >= 0.0, float(margin))

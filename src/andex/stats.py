@@ -86,19 +86,18 @@ def gumbel_cdf(u):
 
 # Fewest counts poisson_dispersion accepts.
 DISPERSION_MIN_COUNTS = 50
+# Band the index of dispersion must lie in, and the mean count it needs.
+DISPERSION_BAND = (0.8, 1.2)
+DISPERSION_MIN_MEAN = 0.2
 
 
-def poisson_dispersion(
-    counts,
-    band: tuple[float, float] = (0.8, 1.2),
-    min_mean: float = 0.2,
-) -> TestReport:
+def poisson_dispersion(counts) -> TestReport:
     """Index-of-dispersion test: sample variance over sample mean.
 
-    Passes when the index lies in `band` and the mean exceeds `min_mean`
-    (a near-empty count vector carries no evidence).  The report statistic
-    is the distance outside the band (0 when inside), so that pass <=>
-    statistic <= 0.
+    Passes when the index lies in DISPERSION_BAND and the mean exceeds
+    DISPERSION_MIN_MEAN (a near-empty count vector carries no evidence).
+    The report statistic is the distance outside the band (0 when inside),
+    so that pass <=> statistic <= 0.
     """
     c = np.asarray(counts, dtype=float)
     if c.ndim != 1 or c.size < DISPERSION_MIN_COUNTS:
@@ -110,8 +109,9 @@ def poisson_dispersion(
         raise ValueError("all counts are zero")
     var = float(np.var(c, ddof=1))
     dispersion = var / mean
-    stat = max(band[0] - dispersion, dispersion - band[1])
-    if mean <= min_mean:
+    lo, hi = DISPERSION_BAND
+    stat = max(lo - dispersion, dispersion - hi)
+    if mean <= DISPERSION_MIN_MEAN:
         stat = math.inf
     return TestReport.make(
         statistic=stat,
@@ -119,17 +119,15 @@ def poisson_dispersion(
         threshold=0.0,
         description=(
             f"index of dispersion {dispersion:.4f} (mean {mean:.4f}), "
-            f"band [{band[0]}, {band[1]}], min mean {min_mean}"
+            f"band [{lo}, {hi}], min mean {DISPERSION_MIN_MEAN}"
         ),
     )
 
 
-def tail_frequency(
-    values, level: float, multiplier: float = 1.0
-) -> tuple[float, float]:
-    """Normalized exceedance frequency with binomial standard error.
+def tail_frequency(values, level: float) -> tuple[float, float]:
+    """Exceedance frequency with binomial standard error.
 
-    Returns (multiplier * fraction exceeding level, multiplier * SE).
+    Returns (fraction exceeding level, SE).
     """
     x = np.asarray(values, dtype=float)
     if x.size < 100:
@@ -138,4 +136,4 @@ def tail_frequency(
     k = int(np.sum(x > level))
     p = k / n
     se = math.sqrt(p * (1.0 - p) / n)
-    return (multiplier * p, multiplier * se)
+    return (p, se)

@@ -105,9 +105,9 @@ class TestCheckHypotheses:
     def _scales_for(self, m, L):
         d_L = cov.derive_dL(m)
         a_L = max(scales.compute_aL(L, m.d), d_L + 1.0)
-        return scales.build_scale_set(
-            L=L, d=m.d, d_L=d_L, a_L=a_L, tau_L=0.0,
-            R_L=max(5, L // 4 - 1 + (L // 4) % 2), r_L=3,
+        return scales.ScaleSet(
+            L=L, d=m.d, a_L=a_L, tau_L=0.0,
+            R_L=max(5, L // 4 - 1 + (L // 4) % 2), r_L=3, d_L=d_L,
         )
 
     def test_iid_tail_zero(self, iid1):

@@ -106,9 +106,9 @@ class TestBoxMaxima:
     def test_per_core_argmax(self, iid1):
         s = field.sample_field(iid1, 64, seed=3)
         p = extremes.build_partition(64, 15, 1)
-        rec = extremes.box_maxima(s, p)
-        assert len(rec.box_maxima) == 3
-        for j, (coord, val) in enumerate(rec.box_maxima):
+        maxima = extremes.box_maxima(s, p)
+        assert len(maxima) == 3
+        for j, (coord, val) in enumerate(maxima):
             block = s.values[p.core_slices(j)]
             assert val == np.max(block)
             assert s.at(coord) == val
@@ -143,8 +143,7 @@ class TestBoxMaximaBrute:
         p = extremes.build_partition(L, R, d)
         for seed in range(3):
             s = self._sample(L, d, seed)
-            rec = extremes.box_maxima(s, p)
-            assert rec.box_maxima == tuple(
+            assert extremes.box_maxima(s, p) == tuple(
                 brute_core_max(s.values, p.core_slices(j), s.half)
                 for j in range(p.n_boxes)
             )
@@ -165,8 +164,8 @@ class TestBoxMaximaBrute:
         top = float(np.max(values)) + 1.0
         values[tuple(later)] = top
         values[tuple(first)] = top
-        rec = extremes.box_maxima(self._with_values(s, values), p)
-        assert rec.box_maxima[1] == (tuple(i - s.half for i in first), top)
+        maxima = extremes.box_maxima(self._with_values(s, values), p)
+        assert maxima[1] == (tuple(i - s.half for i in first), top)
 
     @pytest.mark.parametrize("L,R,d", BOXES)
     def test_core_sites_rows_are_core_slices_in_c_order(self, L, R, d):

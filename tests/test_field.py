@@ -116,7 +116,8 @@ class TestSamplers:
         assert np.array_equal(back, s.values)
         import json
 
-        meta = json.load(open(prefix + ".json"))
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
         assert meta["seed"] == 5 and meta["L"] == 8
 
 
@@ -377,8 +378,8 @@ class TestPhiAndXiCap:
 
 class TestEventCheck:
     def _scales(self, model, L=41, a_L=6.0, R_L=9, r_L=3):
-        return scales.build_scale_set(
-            L=L, d=model.d, d_L=model.d_L, a_L=a_L, R_L=R_L, r_L=r_L
+        return scales.ScaleSet(
+            L=L, d=model.d, a_L=a_L, tau_L=0.0, R_L=R_L, r_L=r_L, d_L=model.d_L
         )
 
     def test_e1_deterministic(self, cube4):
@@ -459,7 +460,7 @@ class TestEventCheck:
         assert gap >= 0.5 * ss.a_L / ss.d_L
 
 
-def _event_check_uncached(view, ss, shape_factor=0.1):
+def _event_check_uncached(view, ss):
     """event_check from a freshly evaluated profile and windows, as every
     trial computed it before they were cached."""
     s, x0 = view.base, view.x0
@@ -470,7 +471,7 @@ def _event_check_uncached(view, ss, shape_factor=0.1):
     sup = np.max(np.abs(offs), axis=-1)
     sel2 = (sup <= (2 * ss.R_L) // 2) & (sup > 0)
     S = ss.a_L * (1.0 - prof)
-    margin2 = float(np.min(shape_factor * S[sel2] - np.abs(zeta[sel2])))
+    margin2 = float(np.min(0.1 * S[sel2] - np.abs(zeta[sel2])))
     sel3 = (sup <= ss.R_L // 2) & (sup > 0)
     sd = np.sqrt(np.clip(1.0 - prof[sel3] ** 2, 0.0, None))
     ratio = np.zeros_like(sd)
@@ -510,7 +511,7 @@ class TestRunCaches:
             model = cov.CovarianceModel(family, d, params)
             s = field.sample_field(model, L, seed=100 * sweep + L + R_L)
             view = field.fluctuation_view(s, x0)
-            ss = scales.build_scale_set(L=L, d=d, d_L=model.d_L, a_L=6.0, R_L=R_L, r_L=3)
+            ss = scales.ScaleSet(L=L, d=d, a_L=6.0, tau_L=0.0, R_L=R_L, r_L=3, d_L=model.d_L)
             want, prof = _event_check_uncached(view, ss)
             assert field.event_check(view, ss) == want
             assert view.profile.tobytes() == prof.tobytes()

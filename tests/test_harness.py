@@ -44,19 +44,9 @@ class TestSeeding:
     def test_deterministic(self):
         assert harness.trial_seed(1, 2) == harness.trial_seed(1, 2)
 
-    def test_streams_distinct(self):
-        seeds = {
-            harness.trial_seed(1, 2, s) for s in ("field", "ppp", "oracle")
-        }
-        assert len(seeds) == 3
-
     def test_trials_distinct(self):
         seeds = {harness.trial_seed(5, i) for i in range(1000)}
         assert len(seeds) == 1000
-
-    def test_unknown_stream(self):
-        with pytest.raises(KeyError):
-            harness.trial_seed(1, 2, "nope")
 
 
 class TestConfig:
@@ -103,6 +93,41 @@ class TestConfig:
         overrides = {"a_L": 6.0, "R_L": 19, "r_L": 9, key: 1}
         with pytest.raises(ConfigError, match="unknown override keys"):
             make_cfg(tmp_path, overrides=overrides)
+
+    # the override keys each experiment reads beyond a_L, R_L and r_L
+    EXTRA_KEYS = {
+        "potential_extremes": {"count_level"},
+        "eigenvalue_stats": {"k"},
+        "localisation": set(),
+        "rank_permutation": {"k"},
+        "tail_lemma": set(),
+        "macro_meso": {"k"},
+        "bar_sweep": {"ratios"},
+    }
+    OVERRIDE_VALUES = {
+        "a_L": 6.0, "R_L": 19, "r_L": 9, "k": 2, "count_level": 0.5, "ratios": [5.0, 10.0]
+    }
+
+    @pytest.mark.parametrize("key", sorted(OVERRIDE_VALUES))
+    @pytest.mark.parametrize("experiment", sorted(EXTRA_KEYS))
+    def test_experiment_takes_only_the_keys_it_reads(
+        self, tmp_path, monkeypatch, capsys, experiment, key
+    ):
+        overrides = {key: self.OVERRIDE_VALUES[key]}
+        if key in {"a_L", "R_L", "r_L"} | self.EXTRA_KEYS[experiment]:
+            assert make_cfg(tmp_path, experiment=experiment, overrides=overrides)
+            return
+        draws = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
+        p = tmp_path / "cfg.json"
+        p.write_text(
+            json.dumps({"experiment": experiment, "L": 41, "overrides": overrides})
+        )
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "--config", str(p), "experiment"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"unknown override keys ['{key}']" in capsys.readouterr().err
+        assert draws == [] and not out.exists()
 
     def test_unknown_top_level_key(self):
         text = json.dumps({"experiment": "tail_lemma", "L": 64, "trails": 5})
@@ -308,10 +333,10 @@ class TestFailureBudget:
 
 
 class TestMemoryCheck:
-    def _ctx(self, tmp_path, experiment, **kw):
+    def _ctx(self, tmp_path, experiment, **overrides):
         cfg = make_cfg(
             tmp_path, experiment=experiment, model={"family": "iid"}, L=60, d=2,
-            overrides={"k": 3, "R_L": 13, "r_L": 5}, **kw,
+            overrides={"R_L": 13, "r_L": 5, **overrides},
         )
         return harness._Context(cfg)
 
@@ -320,7 +345,7 @@ class TestMemoryCheck:
         # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles, the
         # filter 3 work vectors, and its CSR matrix 5 entries a row of 16
         # bytes each and 3722 row pointers of 8
-        ctx = self._ctx(tmp_path, "macro_meso")
+        ctx = self._ctx(tmp_path, "macro_meso", k=3)
         grids = 61**2 * 16 * 6
         solver = (20 + 3) * 61**2 * 8 + 5 * 61**2 * 16 + (61**2 + 1) * 8
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver)
@@ -692,6 +717,9 @@ class TestCLI:
             "model={}",
             'model.family="warp"',
             'model={"family": "cube_indicator"}',
+            'trials="x"',
+            "L.x=3",
+            "overrides=5",
         ],
     )
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, override):

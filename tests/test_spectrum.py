@@ -831,8 +831,8 @@ class TestApproximationPipeline:
         # must match Xi(x0) + bar_lambda to solver accuracy
         a_L = 6.0
         L, R_L, r_L = 41, 19, 9
-        ss = scales.build_scale_set(
-            L=L, d=1, d_L=cube2.d_L, a_L=a_L, R_L=R_L, r_L=r_L
+        ss = scales.ScaleSet(
+            L=L, d=1, a_L=a_L, tau_L=0.0, R_L=R_L, r_L=r_L, d_L=cube2.d_L
         )
         h = field.box_half(L)
         vals = a_L * cov.eval_cov_offsets(cube2, np.arange(-h, h + 1)[:, None])
@@ -850,8 +850,8 @@ class TestApproximationPipeline:
 
     def test_gap_check(self):
         res = spectrum.dense_eigs(np.array([5.0, 0.0, 0.0, 0.0, 0.0]), k=2)
-        ss = scales.build_scale_set(L=41, d=1, d_L=1.0, a_L=5.0, R_L=9, r_L=3)
-        ok, margin = spectrum.spectral_gap_check(res, 5.0, ss, c_prime=0.25)
+        ss = scales.ScaleSet(L=41, d=1, a_L=5.0, tau_L=0.0, R_L=9, r_L=3, d_L=1.0)
+        ok, margin = spectrum.spectral_gap_check(res, 5.0, ss)
         bound = 5.0 - 0.25 * 5.0
         assert margin == pytest.approx(bound - res.eigenvalues[1])
         assert ok == (margin >= 0)

@@ -89,6 +89,9 @@ class TestPoissonDispersion:
     def test_constant_counts_fail(self):
         rep = stats.poisson_dispersion(np.full(100, 3))
         assert not rep.passed  # dispersion 0 < 0.8
+        assert rep.description == (
+            "index of dispersion 0.0000 (mean 3.0000), band [0.8, 1.2], min mean 0.2"
+        )
 
     def test_tiny_mean_inconclusive(self):
         counts = np.zeros(200, dtype=int)
@@ -109,9 +112,9 @@ class TestPoissonDispersion:
 class TestTailFrequency:
     def test_hand_case(self):
         x = np.concatenate([np.zeros(90), np.ones(10) * 5.0])
-        val, se = stats.tail_frequency(x, level=1.0, multiplier=100.0)
-        assert val == pytest.approx(10.0)
-        assert se == pytest.approx(100.0 * math.sqrt(0.1 * 0.9 / 100))
+        val, se = stats.tail_frequency(x, level=1.0)
+        assert val == pytest.approx(0.1)
+        assert se == pytest.approx(math.sqrt(0.1 * 0.9 / 100))
 
     def test_gaussian_tail(self):
         rng = np.random.default_rng(5)
