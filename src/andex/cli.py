@@ -29,6 +29,17 @@ def _default_out() -> str:
     return os.environ.get("ANDEX_OUT", "runs")
 
 
+def _json_object(text: str) -> dict:
+    """The JSON object that ``text`` holds; ConfigError for anything else."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _apply_overrides(cfg_dict: dict, pairs: list[str]) -> dict:
     for pair in pairs:
         if "=" not in pair:
@@ -167,12 +178,12 @@ def main(argv=None) -> int:
                 print("experiment requires --config", file=sys.stderr)
                 return EXIT_USAGE
             with open(args.config) as fh:
-                raw = harness._json_object(fh.read())
+                raw = _json_object(fh.read())
             raw = _apply_overrides(raw, args.override)
             if args.out:
                 raw["out_dir"] = args.out
             raw.setdefault("master_seed", args.seed)
-            cfg = harness.ExperimentConfig.from_json(json.dumps(raw))
+            cfg = harness.ExperimentConfig.from_dict(raw)
             manifest = harness.run_experiment(cfg)
             print(str(manifest))
         elif args.command == "report":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +65,11 @@ class CovarianceModel:
             raise ValueError(f"{self.family} takes no parameter {', '.join(extra)}")
         if key is not None:
             val = self.params.get(key)
-            if val is None or val <= 0:
-                raise ValueError(f"{self.family} requires parameter {key} > 0")
-
-    @property
-    def d_L(self) -> float:
-        return derive_dL(self)
+            real = isinstance(val, numbers.Real) and not isinstance(val, bool)
+            if not (real and 0 < val < math.inf):
+                raise ValueError(
+                    f"{self.family} requires a finite parameter {key} > 0, got {val!r}"
+                )
 
     @classmethod
     def from_config(cls, cfg: dict, d: int) -> "CovarianceModel":

@@ -3,10 +3,12 @@
 Experiments confront the asymptotic theorems with finite-size simulation.
 Each experiment is one entry of ``_EXPERIMENTS``.  Each trial's seed is a
 fixed counter-based function of (master_seed, trial_index).  Records are flat
-rows in a CSV written once, when the run ends (a crash loses the run's new
-rows; streaming writes are an open ROADMAP item); a re-run resumes after the
-whole rows already written and runs the trial of a partial row again.
-Aggregates land in a manifest JSON.
+rows in a CSV written whole, when the run ends (a crash loses the run's new
+rows and leaves the old file; streaming writes are an open ROADMAP item); a
+re-run of the same config resumes after the whole rows already written and
+runs the trial of a partial row again.  Aggregates land in a manifest JSON.
+``ExperimentConfig`` checks every config value; the rest of the module reads
+them as given.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import io
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
@@ -60,12 +63,11 @@ class ExperimentConfig:
     overrides: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        """Check every value; the run reads them as given, converting none."""
+        if not isinstance(self.experiment, str) or self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.L < 2 or self.d not in (1, 2, 3):
-            raise ConfigError("invalid box side or dimension")
+        for key, rule in _FIELD_RULES.items():
+            _check(key, getattr(self, key), rule)
         accepted = _SCALE_OVERRIDES | _EXPERIMENTS[self.experiment].overrides
         unknown = set(self.overrides) - accepted
         if unknown:
@@ -73,43 +75,70 @@ class ExperimentConfig:
                 f"unknown override keys {sorted(unknown)}; "
                 f"{self.experiment} accepts {sorted(accepted)}"
             )
+        for key, value in self.overrides.items():
+            _check(f"overrides.{key}", value, _OVERRIDE_RULES[key])
         try:
             cov.CovarianceModel.from_config(self.model, self.d)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid model {self.model!r}: {exc}") from exc
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = _json_object(text)
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config of a parsed JSON object: the defaults for the keys it
+        leaves out, ConfigError for a key that is unknown or missing."""
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        try:
-            return cls(
-                experiment=raw["experiment"],
-                model=raw.get("model", {"family": "iid"}),
-                L=int(raw["L"]),
-                d=int(raw.get("d", 1)),
-                trials=int(raw.get("trials", 1)),
-                master_seed=int(raw.get("master_seed", 0)),
-                out_dir=raw.get("out_dir", "runs/latest"),
-                overrides=dict(raw.get("overrides", {})),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid config value: {exc}") from exc
+        missing = {"experiment", "L"} - set(raw)
+        if missing:
+            raise ConfigError(f"missing config keys {sorted(missing)}")
+        defaults = {
+            "model": {"family": "iid"},
+            "d": 1,
+            "trials": 1,
+            "master_seed": 0,
+            "out_dir": "runs/latest",
+        }
+        return cls(**{**defaults, **raw})
 
 
-def _json_object(text: str) -> dict:
-    """The JSON object that ``text`` holds; ConfigError for anything else."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    return raw
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+# (test, description) of what each config value must be.  What the override
+# values must satisfy together (r_L < R_L, an odd r_L, d_L < a_L, ...) is
+# checked where _Context builds the windows and scales from them.
+_FIELD_RULES = {
+    "model": (lambda v: isinstance(v, dict), "an object"),
+    "overrides": (lambda v: isinstance(v, dict), "an object"),
+    "out_dir": (lambda v: isinstance(v, str), "a string"),
+    "L": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "d": (lambda v: _is_int(v) and v in (1, 2, 3), "1, 2 or 3"),
+    "trials": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "master_seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+}
+_OVERRIDE_RULES = {
+    "a_L": (_is_number, "a finite number"),
+    "R_L": (_is_int, "an integer"),
+    "r_L": (_is_int, "an integer"),
+    "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "count_level": (_is_number, "a finite number"),
+    "ratios": (
+        lambda v: isinstance(v, list) and v and all(_is_number(r) and r > 0 for r in v),
+        "a non-empty list of positive numbers",
+    ),
+}
+
+
+def _check(key: str, value, rule: tuple):
+    ok, what = rule
+    if not ok(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 class _Context:
@@ -120,13 +149,9 @@ class _Context:
         self.cfg = cfg
         ov = cfg.overrides
         self.model = cov.CovarianceModel.from_config(cfg.model, cfg.d)
-        try:
-            a_L = float(ov["a_L"]) if "a_L" in ov else None
-            R_L = int(ov["R_L"]) if "R_L" in ov else None
-            r_L = int(ov["r_L"]) if "r_L" in ov else None
-            self.k = int(ov.get("k", 1))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid override value: {exc}") from exc
+        a_L = float(ov["a_L"]) if "a_L" in ov else None
+        R_L, r_L = ov.get("R_L"), ov.get("r_L")
+        self.k = ov.get("k", 1)
         # The windows, the bar problem and the scales reject values that do
         # not fit together (r_L even, r_L >= R_L, d_L >= a_L, ...).
         try:
@@ -199,7 +224,7 @@ def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
     part = ctx.partition
     maxima = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
-    level = float(cfg.overrides.get("count_level", 0.0))
+    level = cfg.overrides.get("count_level", 0.0)
     a_L = ctx.scales.a_L
     n_exceed = sum(1 for (_, val) in maxima if a_L * (val - a_L) > level)
     return {
@@ -599,22 +624,22 @@ def _format_cell(v):
     return str(v)
 
 
-def _write_rows(path: Path, columns: list[str], rows: list[dict], start: int):
-    """Rows as trials start, start + 1, ...; a new file when start is 0."""
-    with open(path, "w" if start == 0 else "a", newline="") as fh:
+def _write_rows(path: Path, columns: list[str], rows: list[dict]):
+    """The records of trials 0, 1, ...: written whole to a file beside
+    ``path`` and renamed over it, so a crash leaves the old file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if start == 0:
-            writer.writerow(["trial", "seed"] + columns)
-        for off, row in enumerate(rows):
+        writer.writerow(["trial", "seed"] + columns)
+        for i, row in enumerate(rows):
             writer.writerow(
-                [start + off, row.get("seed", "")]
-                + [_format_cell(row.get(c, "")) for c in columns]
+                [i, row.get("seed", "")] + [_format_cell(row.get(c, "")) for c in columns]
             )
-            fh.flush()
+    os.replace(tmp, path)
 
 
-def _read_prefix(path: Path) -> tuple[list[str], list[dict], bool]:
-    """Columns and rows of the records, and whether every line was whole.
+def _read_prefix(path: Path) -> tuple[list[str], list[dict]]:
+    """Columns and rows of the records.
 
     Rows are kept while they are whole: a line ended by its newline, with
     a cell for every column, whose ``trial`` is its index.  The first row
@@ -641,8 +666,30 @@ def _read_prefix(path: Path) -> tuple[list[str], list[dict], bool]:
     with open(path, "rb") as fh:
         fh.seek(-1, io.SEEK_END)
         if whole and fh.read(1) != b"\n":  # the last line lost its end
-            rows, whole = rows[:-1], False
-    return header[2:], rows, whole
+            rows = rows[:-1]
+    return header[2:], rows
+
+
+def _check_resume(manifest_path: Path, config: dict):
+    """ConfigError unless the manifest was written by a run of ``config``
+    (the manifest's copy of it), up to the number of trials."""
+    ours = json.loads(json.dumps(config))
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        theirs = manifest["config"] | {"trials": ours["trials"]}
+        version = manifest["schema_version"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(
+            f"will not resume the records beside {manifest_path}: unreadable ({exc!r})"
+        ) from exc
+    changed = sorted(k for k in theirs.keys() | ours.keys() if theirs.get(k) != ours.get(k))
+    if version != SCHEMA_VERSION:
+        changed.insert(0, "schema_version")
+    if changed:
+        raise ConfigError(
+            f"will not resume the records beside {manifest_path}: the run that "
+            f"wrote them had other values of {changed}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +707,7 @@ def _aggregate(cfg: ExperimentConfig, ctx: _Context, rows: list[dict]) -> dict:
 
 
 def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], start: int):
-    """Rows of trials start .. trials - 1 and the reprs of their failures."""
+    """Rows of trials start .. trials - 1; a failed trial's row says so."""
     cfg = ctx.cfg
     rows, errors = [], []
     for i in range(start, cfg.trials):
@@ -674,7 +721,7 @@ def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], start: int
         raise RuntimeError(
             f"{len(errors)}/{cfg.trials} trials failed (budget 5%): {errors[:3]}"
         )
-    return rows, errors
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
@@ -682,10 +729,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
 
     A trial experiment resumes after the whole rows of readable records
     (see _read_prefix) if there are at most ``cfg.trials`` of them; the
-    trial of a dropped partial row runs again.  When the new rows bring a
-    column that the file lacks, or a partial row was dropped, the whole file
-    is rewritten.  Trials run one after another; ``workers`` is accepted
-    only as 1."""
+    trial of a dropped partial row runs again.  Records beside a manifest
+    are resumed only under the config that wrote them, up to ``trials``
+    (ConfigError otherwise).  The records file is rewritten whole.  Trials
+    run one after another; ``workers`` is accepted only as 1."""
     if workers != 1:
         raise ValueError(f"trials run in one thread; got workers={workers}")
     ctx = _Context(cfg)
@@ -695,39 +742,39 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     records_path = out / "records.csv"
     manifest_path = out / "manifest.json"
     exp = _EXPERIMENTS[cfg.experiment]
+    config = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
 
     t0 = time.time()
-    header, existing, errors, whole = None, [], [], True
+    existing = []
     if exp.rows is not None:
         rows = exp.rows(ctx)
     else:
         if records_path.exists():
+            if manifest_path.exists():
+                _check_resume(manifest_path, config)
             try:
-                header, existing, whole = _read_prefix(records_path)
+                existing = _read_prefix(records_path)[1]
             except Exception:  # unreadable records: start over
                 pass
         if len(existing) > cfg.trials:
             existing = []
-        rows, errors = _run_trials(ctx, exp.trial, len(existing))
+        rows = _run_trials(ctx, exp.trial, len(existing))
 
-    start = len(existing)
     all_rows = existing + rows
     columns = sorted({k for r in all_rows for k in r} - {"trial", "seed"})
-    if columns != header or not whole:
-        start, rows = 0, all_rows
-    _write_rows(records_path, columns, rows, start)
+    _write_rows(records_path, columns, all_rows)
 
-    agg = _aggregate(cfg, ctx, [r for r in all_rows if not r.get("failed")])
+    done = [r for r in all_rows if not r.get("failed")]
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "config": {k: v for k, v in asdict(cfg).items() if k != "out_dir"},
+        "config": config,
         "scales": json.loads(ctx.scales.to_json()),
         "tau_L": ctx.scales.tau_L,
         "bar_lambda": ctx.bar.bar_lambda,
         "bar_expansion": ctx.bar.expansion_value,
-        "trials_failed": len(errors),
+        "trials_failed": len(all_rows) - len(done),
         "wall_time_s": time.time() - t0,
-        **agg,
+        **_aggregate(cfg, ctx, done),
     }
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path
@@ -752,7 +799,7 @@ def report(run_dir) -> bool:
     cfg = manifest["config"]
     if cfg["trials"] < 1:
         raise ValueError("empty run")
-    _, rows, _ = _read_prefix(run_dir / "records.csv")
+    _, rows = _read_prefix(run_dir / "records.csv")
     exp = cfg["experiment"]
 
     lines = [f"experiment: {exp}  trials: {len(rows)}"]

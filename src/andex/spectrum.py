@@ -427,8 +427,6 @@ class BarSolution:
 
     bar_lambda: float
     bar_phi: np.ndarray
-    r_L: int
-    shape_used: np.ndarray
     expansion_value: float
 
     def __post_init__(self):
@@ -483,8 +481,6 @@ def solve_bar_problem(
     return BarSolution(
         bar_lambda=float(res.eigenvalues[0]),
         bar_phi=phi,
-        r_L=r_L,
-        shape_used=S,
         expansion_value=expansion,
     )
 

@@ -202,4 +202,4 @@ class TestModelConstruction:
         assert m.to_config() == {"family": "cube_indicator", "m": 4}
 
     def test_dL_property(self, cube4):
-        assert cube4.d_L == 4.0
+        assert cov.derive_dL(cube4) == 4.0

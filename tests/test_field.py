@@ -379,7 +379,7 @@ class TestPhiAndXiCap:
 class TestEventCheck:
     def _scales(self, model, L=41, a_L=6.0, R_L=9, r_L=3):
         return scales.ScaleSet(
-            L=L, d=model.d, a_L=a_L, tau_L=0.0, R_L=R_L, r_L=r_L, d_L=model.d_L
+            L=L, d=model.d, a_L=a_L, tau_L=0.0, R_L=R_L, r_L=r_L, d_L=cov.derive_dL(model)
         )
 
     def test_e1_deterministic(self, cube4):
@@ -511,7 +511,7 @@ class TestRunCaches:
             model = cov.CovarianceModel(family, d, params)
             s = field.sample_field(model, L, seed=100 * sweep + L + R_L)
             view = field.fluctuation_view(s, x0)
-            ss = scales.ScaleSet(L=L, d=d, a_L=6.0, tau_L=0.0, R_L=R_L, r_L=3, d_L=model.d_L)
+            ss = scales.ScaleSet(L=L, d=d, a_L=6.0, tau_L=0.0, R_L=R_L, r_L=3, d_L=cov.derive_dL(model))
             want, prof = _event_check_uncached(view, ss)
             assert field.event_check(view, ss) == want
             assert view.profile.tobytes() == prof.tobytes()

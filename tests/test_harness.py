@@ -62,31 +62,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_cfg(tmp_path, d=5)
 
-    def test_from_json_text(self):
-        cfg = harness.ExperimentConfig.from_json(
-            json.dumps(
-                {
-                    "experiment": "bar_sweep",
-                    "L": 64,
-                    "model": {"family": "iid"},
-                    "overrides": {"r_L": 9, "a_L": 6.0, "R_L": 15},
-                }
-            )
+    def test_from_dict_applies_the_defaults(self):
+        raw = {
+            "experiment": "bar_sweep",
+            "L": 64,
+            "overrides": {"r_L": 9, "a_L": 6.0, "R_L": 15},
+        }
+        cfg = harness.ExperimentConfig.from_dict(raw)
+        assert (cfg.experiment, cfg.L, cfg.overrides) == ("bar_sweep", 64, raw["overrides"])
+        assert (cfg.model, cfg.d, cfg.trials, cfg.master_seed, cfg.out_dir) == (
+            {"family": "iid"}, 1, 1, 0, "runs/latest"
         )
-        assert cfg.experiment == "bar_sweep"
-        assert cfg.trials == 1
 
     def test_invalid_json(self):
-        with pytest.raises(ConfigError):
-            harness.ExperimentConfig.from_json("{not json")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            cli._json_object("{not json")
 
     def test_missing_field(self):
-        with pytest.raises(ConfigError):
-            harness.ExperimentConfig.from_json('{"experiment": "tail_lemma"}')
+        with pytest.raises(ConfigError, match=r"missing config keys \['L'\]"):
+            harness.ExperimentConfig.from_dict({"experiment": "tail_lemma"})
 
     def test_json_array(self):
-        with pytest.raises(ConfigError):
-            harness.ExperimentConfig.from_json("[1, 2]")
+        with pytest.raises(ConfigError, match="must be a JSON object, got list"):
+            cli._json_object("[1, 2]")
 
     @pytest.mark.parametrize("key", ["ratio", "kappa", "value", "families", "R_l"])
     def test_unknown_override_key(self, tmp_path, key):
@@ -130,9 +128,9 @@ class TestConfig:
         assert draws == [] and not out.exists()
 
     def test_unknown_top_level_key(self):
-        text = json.dumps({"experiment": "tail_lemma", "L": 64, "trails": 5})
+        raw = {"experiment": "tail_lemma", "L": 64, "trails": 5}
         with pytest.raises(ConfigError, match="trails"):
-            harness.ExperimentConfig.from_json(text)
+            harness.ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize(
         "model",
@@ -142,6 +140,8 @@ class TestConfig:
             {"family": "cube_indicator"},
             {"family": "cube_indicator", "m": -1},
             {"family": "iid", "m": 3},
+            {"family": "cube_indicator", "m": True},
+            {"family": "exponential", "alpha": float("nan")},
         ],
     )
     def test_malformed_model(self, tmp_path, model):
@@ -216,7 +216,7 @@ class TestRunDeterminism:
     def test_roundtrip_bitwise(self, tmp_path):
         cfg = make_cfg(tmp_path)
         harness.run_experiment(cfg)
-        cols, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")[:2]
+        cols, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")
         assert "rescaled_lambda_1" in cols
         # repr round-trip: parsed floats equal the original doubles exactly
         for r in rows:
@@ -253,7 +253,7 @@ class TestResume:
         harness.run_experiment(cfg)
         cfg3 = make_cfg(tmp_path, trials=3)
         harness.run_experiment(cfg3)
-        _, rows = harness._read_prefix(Path(cfg3.out_dir) / "records.csv")[:2]
+        _, rows = harness._read_prefix(Path(cfg3.out_dir) / "records.csv")
         assert len(rows) == 3
 
     def test_corrupt_records_restart(self, tmp_path):
@@ -262,7 +262,7 @@ class TestResume:
         out.mkdir(parents=True)
         (out / "records.csv").write_text("\x00garbage")
         harness.run_experiment(cfg)
-        _, rows = harness._read_prefix(out / "records.csv")[:2]
+        _, rows = harness._read_prefix(out / "records.csv")
         assert len(rows) == 3
 
     def test_failed_trial_on_resume_rewrites_the_header(self, tmp_path, monkeypatch):
@@ -271,7 +271,7 @@ class TestResume:
         cfg20 = make_cfg(tmp_path, trials=20)
         harness.run_experiment(cfg20)
         path = Path(cfg20.out_dir) / "records.csv"
-        _, before = harness._read_prefix(path)[:2]
+        _, before = harness._read_prefix(path)
         fail_trial(monkeypatch, "eigenvalue_stats", 25)
         manifest = harness.run_experiment(make_cfg(tmp_path, trials=40))
         assert json.loads(manifest.read_text())["trials_failed"] == 1
@@ -279,7 +279,7 @@ class TestResume:
             lines = list(csv.reader(fh))
         assert len(lines) == 41
         assert all(len(line) == len(lines[0]) for line in lines)
-        cols, after = harness._read_prefix(path)[:2]
+        cols, after = harness._read_prefix(path)
         assert "failed" in cols
         for old, new in zip(before, after[:20]):
             assert new == {**old, "failed": ""}
@@ -313,10 +313,82 @@ class TestResume:
         path = Path(cfg.out_dir) / "records.csv"
         path.parent.mkdir(parents=True)
         path.write_bytes(head + partial)
-        cols, rows = harness._read_prefix(path)[:2]
+        cols, rows = harness._read_prefix(path)
         assert [r["trial"] for r in rows] == [0, 1, 2]
         harness.run_experiment(cfg)
         assert path.read_bytes() == full
+
+    def _run_files(self, out):
+        names = ("records.csv", "manifest.json")
+        return {name: (out / name).read_bytes() for name in names}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model": {"family": "iid"}},
+            {"master_seed": 99},
+            {"overrides": {"a_L": 6.0, "R_L": 19, "r_L": 9, "k": 3}},
+        ],
+        ids=["model", "master_seed", "override"],
+    )
+    def test_resume_under_another_config_is_refused(self, tmp_path, monkeypatch, change):
+        cfg = make_cfg(tmp_path, trials=3)
+        harness.run_experiment(cfg)
+        before = self._run_files(Path(cfg.out_dir))
+        draws = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
+        with pytest.raises(ConfigError, match=f"will not resume.*{next(iter(change))}"):
+            harness.run_experiment(make_cfg(tmp_path, trials=6, **change))
+        assert draws == []
+        assert self._run_files(Path(cfg.out_dir)) == before
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            "{not json",
+            '{"schema_version": 1}',
+            lambda m: json.dumps({**m, "schema_version": 999}),
+        ],
+        ids=["unreadable", "no_config", "other_schema"],
+    )
+    def test_resume_beside_a_foreign_manifest_is_refused(self, tmp_path, manifest):
+        cfg = make_cfg(tmp_path, trials=3)
+        path = harness.run_experiment(cfg)
+        if callable(manifest):
+            manifest = manifest(json.loads(path.read_text()))
+        path.write_text(manifest)
+        before = self._run_files(path.parent)
+        with pytest.raises(ConfigError, match="will not resume"):
+            harness.run_experiment(make_cfg(tmp_path, trials=6))
+        assert self._run_files(path.parent) == before
+
+    def test_trials_failed_counts_every_failed_row(self, tmp_path, monkeypatch):
+        fail_trial(monkeypatch, "eigenvalue_stats", 5)
+        manifest = harness.run_experiment(make_cfg(tmp_path, trials=20))
+        assert json.loads(manifest.read_text())["trials_failed"] == 1
+        monkeypatch.undo()
+        manifest = harness.run_experiment(make_cfg(tmp_path, trials=40))
+        assert json.loads(manifest.read_text())["trials_failed"] == 1
+        _, rows = harness._read_prefix(manifest.parent / "records.csv")
+        assert [r["trial"] for r in rows if r["failed"] == 1] == [5]
+
+    def test_crash_while_writing_leaves_the_old_records(self, tmp_path, monkeypatch):
+        cfg = make_cfg(tmp_path, trials=3)
+        harness.run_experiment(cfg)
+        path = Path(cfg.out_dir) / "records.csv"
+        before = path.read_bytes()
+        cells = []
+
+        def format_cell(v):
+            cells.append(v)
+            if len(cells) == 10:
+                raise OSError("disk full")
+            return str(v)
+
+        monkeypatch.setattr(harness, "_format_cell", format_cell)
+        with pytest.raises(OSError, match="disk full"):
+            harness.run_experiment(make_cfg(tmp_path, trials=6))
+        assert path.read_bytes() == before
 
 
 class TestFailureBudget:
@@ -385,7 +457,7 @@ class TestRowExperiments:
         path = harness.run_experiment(cfg)
         manifest = json.loads(path.read_text())
         assert "max_abs_ratio_err" in manifest["summary"]
-        _, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")[:2]
+        _, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")
         assert len(rows) == 12  # 3 taus x 4 shifts
         for r in rows:
             assert r["restricted"] <= r["exact"] + 1e-12
@@ -500,7 +572,7 @@ class TestTrialExperiments:
         path = harness.run_experiment(cfg)
         manifest = json.loads(path.read_text())
         assert "p_ell1_eq_1" in manifest["summary"]
-        _, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")[:2]
+        _, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")
         for r in rows:
             assert r["ell_1"] >= 1 and r["ell_2"] >= 1
             assert r["ell_1"] != r["ell_2"]
@@ -548,7 +620,7 @@ class TestReport:
         )
         harness.run_experiment(ranks)
         harness.report(ranks.out_dir)
-        _, rows = harness._read_prefix(tmp_path / "ranks" / "records.csv")[:2]
+        _, rows = harness._read_prefix(tmp_path / "ranks" / "records.csv")
         with open(tmp_path / "ranks" / "rank_histogram.csv", newline="") as fh:
             hist = list(csv.reader(fh))
         assert hist[0] == ["rank", "count", "frequency"]
@@ -745,15 +817,14 @@ class TestCLI:
         [
             ("overrides.R_L=0", "window ordering"),
             ("overrides.a_L=0.5", "requires d_L < a_L"),
-            ('overrides.k="two"', "invalid literal for int"),
             ("overrides.r_L=4", "r_L must be odd"),
         ],
     )
     def test_bad_override_value_exits_2_and_writes_nothing(
         self, tmp_path, capsys, override, message
     ):
-        # the values pass the key check but not the scales, windows or k
-        # that the run builds from them
+        # each value passes the config's checks but not the scales or
+        # windows that the run builds from them
         out = tmp_path / "run"
         p = tmp_path / "cfg.json"
         p.write_text(
@@ -771,6 +842,51 @@ class TestCLI:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    BAD_VALUE_BASES = {
+        "rank_permutation": {"L": 512, "trials": 5, "overrides": {"k": 2}},
+        "potential_extremes": {"L": 256, "trials": 60, "overrides": {"R_L": 15, "r_L": 9}},
+        "bar_sweep": {"L": 64, "overrides": {"a_L": 6.0, "R_L": 15, "r_L": 9}},
+    }
+    RATIOS = "overrides.ratios must be a non-empty list of positive numbers, got "
+    BAD_VALUES = [
+        ("rank_permutation", "overrides.k=2.5", "overrides.k must be an integer >= 1, got 2.5"),
+        ("rank_permutation", 'overrides.k="two"', "overrides.k must be an integer >= 1"),
+        ("rank_permutation", "L=512.7", "L must be an integer >= 2, got 512.7"),
+        ("rank_permutation", "trials=true", "trials must be an integer >= 1, got True"),
+        ("rank_permutation", "master_seed=-1", "master_seed must be an integer >= 0, got -1"),
+        ("rank_permutation", 'overrides.a_L="7"', "overrides.a_L must be a finite number"),
+        ("potential_extremes", 'overrides.count_level="x"', "overrides.count_level must be"),
+        ("bar_sweep", "overrides.ratios=5", RATIOS + "5"),
+        ("bar_sweep", "overrides.ratios=[0]", RATIOS + "[0]"),
+        ("bar_sweep", "overrides.ratios=[-1]", RATIOS + "[-1]"),
+        ("bar_sweep", "overrides.ratios=[]", RATIOS + "[]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "experiment,override,message", BAD_VALUES, ids=[case[1] for case in BAD_VALUES]
+    )
+    def test_bad_value_exits_2_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, experiment, override, message
+    ):
+        draws = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
+        out = tmp_path / "run"
+        p = tmp_path / "cfg.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "experiment": experiment,
+                    "model": {"family": "iid"},
+                    "out_dir": str(out),
+                    **self.BAD_VALUE_BASES[experiment],
+                }
+            )
+        )
+        argv = ["--config", str(p), "--override", override, "experiment"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert draws == [] and not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == cli.EXIT_RUNTIME

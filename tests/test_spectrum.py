@@ -832,7 +832,7 @@ class TestApproximationPipeline:
         a_L = 6.0
         L, R_L, r_L = 41, 19, 9
         ss = scales.ScaleSet(
-            L=L, d=1, a_L=a_L, tau_L=0.0, R_L=R_L, r_L=r_L, d_L=cube2.d_L
+            L=L, d=1, a_L=a_L, tau_L=0.0, R_L=R_L, r_L=r_L, d_L=cov.derive_dL(cube2)
         )
         h = field.box_half(L)
         vals = a_L * cov.eval_cov_offsets(cube2, np.arange(-h, h + 1)[:, None])
