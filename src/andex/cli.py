@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--param", type=float, default=None)
     sf.add_argument("--L", type=int, required=True)
     sf.add_argument("--d", type=int, default=1)
-    sf.add_argument("--sampler", choices=["dense", "circulant"], default=None)
+    sf.add_argument("--sampler", choices=["circulant", "dense"], default="circulant")
 
     sp = sub.add_parser("spectrum", help="top-k eigenpairs of a sampled field")
     sp.add_argument("--family", default="iid")

@@ -71,6 +71,11 @@ class CovarianceModel:
                     f"{self.family} requires a finite parameter {key} > 0, got {val!r}"
                 )
 
+    def __hash__(self):
+        # what equality compares; params is a dict, so the generated hash
+        # would fail
+        return hash((self.family, self.d, tuple(sorted(self.params.items()))))
+
     @classmethod
     def from_config(cls, cfg: dict, d: int) -> "CovarianceModel":
         cfg = dict(cfg)
@@ -272,6 +277,6 @@ def circulant_spectrum(model: CovarianceModel, torus_side: int) -> np.ndarray:
     if mn < -1e-8 * mx:
         raise EmbeddingInvalidError(
             f"negative spectral entry {mn:.3e} (max {mx:.3e}); "
-            "increase padding or fall back to dense factorization"
+            "increase padding or draw with the dense sampler"
         )
     return spec

@@ -2,13 +2,15 @@
 
 A field lives on the centered box Q_L = [-h, h]^d with h = floor(L/2), so
 the grid side is 2h+1 and the origin sits at index (h, ..., h).  Two exact
-samplers are provided:
+samplers are provided, and sample_field draws with the one it is named:
 
-    dense     -- factorize the full covariance matrix (small boxes only);
-    circulant -- spectral synthesis on a padded torus, restricted to Q_L.
+    circulant -- spectral synthesis on a padded torus, restricted to Q_L
+                 (the default);
+    dense     -- factorize the full covariance matrix (small boxes only).
 
-Both draw from the exact law; the circulant path refuses to run (rather
-than clip eigenvalues) when the embedding is not nonnegative.
+Both draw from the exact law.  The circulant sampler raises
+EmbeddingInvalidError when the embedded spectrum is not nonnegative; it
+neither clips eigenvalues nor switches to the dense sampler.
 
 On top of a sample, fluctuation_view builds the decomposition around a
 base point x0:
@@ -19,13 +21,14 @@ with zeta independent of xi(x0).  The view carries v(. - x0) and zeta.
 The peak-conditioned sampler returns the view of its conditioned field,
 and the event check and the profile-weighted correction
 Phi(x0) = sum_x w(x) zeta(x0 + x) read from it; Phi at another point y is
-Phi of the view at y.  The shifted field Xi = xi + Phi has marginal
-variance 1 + tau^2.
+Phi of the view at y.  The shifted field Xi = xi + Phi, which xi_cap
+forms from a sample, has marginal variance 1 + tau^2.
 
 What does not depend on the seed is built once per run and shared,
-read-only: the profile v(. - x0) per (model, L, x0), the event check's
-windows with 1 - v and sd(zeta) on them per (model, L, x0, R_L), each in
-an LRU of 8, and the offsets and weights of a profile, which
+read-only: the sampler factors per (model, L or torus side), the profile
+v(. - x0) per (model, L, x0), the event check's windows with 1 - v and
+sd(zeta) on them per (model, L, x0, R_L), each in an LRU of 8 keyed on the
+model itself, and the offsets and weights of a profile, which
 ProfileWeights holds (BarSolution.weights builds them once per bar
 solution).  A trial then only draws, forms zeta and gathers it.
 """
@@ -41,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import covariance as cov
-from .errors import CovarianceInconsistencyError, EmbeddingInvalidError
+from .errors import CovarianceInconsistencyError
 
 __all__ = [
     "FieldSample",
@@ -123,32 +126,22 @@ class FieldSample:
             json.dump(meta, fh)
 
 
-def _cache_key(model) -> tuple:
-    """Hashable stand-in for a model, whose params dict is not hashable."""
-    return (model.family, model.d, tuple(sorted(model.params.items())))
-
-
 def _per_model_cache(build):
     """Cache ``build(model, *args)``, the args hashable, in an LRU of 8
-    entries keyed on (_cache_key(model), *args), so trials across many
-    seeds do not rebuild what depends only on the model and the geometry.
-    ``build`` returns an array or a tuple of arrays; cached arrays are
-    read-only, because every caller shares them."""
+    entries keyed on (model, *args), so trials across many seeds do not
+    rebuild what depends only on the model and the geometry.  ``build``
+    returns an array or a tuple of arrays; cached arrays are read-only,
+    because every caller shares them."""
 
     @functools.lru_cache(maxsize=8)
-    def cached(key, *args):
-        family, d, params = key
-        out = build(cov.CovarianceModel(family, d, dict(params)), *args)
+    @functools.wraps(build)
+    def cached(model, *args):
+        out = build(model, *args)
         for arr in out if isinstance(out, tuple) else (out,):
             arr.setflags(write=False)
         return out
 
-    @functools.wraps(build)
-    def lookup(model, *args):
-        return cached(_cache_key(model), *args)
-
-    lookup.cache_clear = cached.cache_clear
-    return lookup
+    return cached
 
 
 @_per_model_cache
@@ -208,32 +201,22 @@ def _circulant_draw(model, L, rng):
 
 
 def sample_field(
-    model: cov.CovarianceModel,
-    L: int,
-    seed: int,
-    sampler_hint: Optional[str] = None,
+    model: cov.CovarianceModel, L: int, seed: int, sampler: str = "circulant"
 ) -> FieldSample:
-    """Exact draw of the stationary field on Q_L.
+    """Exact draw of the stationary field on Q_L with the named sampler,
+    "circulant" or "dense", and no other.
 
-    Deterministic given (seed, model, L, sampler).  With no hint the
-    circulant path is preferred and the dense path is the fallback when
-    the embedding is invalid and the box is small enough.
+    Deterministic given (seed, model, L, sampler).  The circulant sampler
+    raises EmbeddingInvalidError when the embedding of the model on its
+    padded torus is not nonnegative; the dense sampler raises ValueError
+    above DENSE_SITE_LIMIT sites.
     """
+    if sampler not in ("circulant", "dense"):
+        raise ValueError(f"unknown sampler {sampler!r}")
+    draw = _circulant_draw if sampler == "circulant" else _dense_draw
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if sampler_hint not in (None, "dense", "circulant"):
-        raise ValueError(f"unknown sampler {sampler_hint!r}")
-    kind = sampler_hint or "circulant"
-    draw = _dense_draw if kind == "dense" else _circulant_draw
-    try:
-        values = draw(model, L, rng)
-    except EmbeddingInvalidError:
-        # Raised before the rng draws anything, so the fallback sees the
-        # same stream as a dense-only draw.
-        if sampler_hint is not None:
-            raise
-        values, kind = _dense_draw(model, L, rng), "dense"
     return FieldSample(
-        values=values, L=L, d=model.d, model=model, seed=seed, sampler=kind
+        values=draw(model, L, rng), L=L, d=model.d, model=model, seed=seed, sampler=sampler
     )
 
 
@@ -372,15 +355,14 @@ def phi_at(view: FluctuationView, weights: ProfileWeights) -> float:
     return float(weights.weights @ view.zeta[tuple(idx.T)])
 
 
-def xi_cap(view: FluctuationView, weights: ProfileWeights) -> tuple[np.ndarray, int]:
-    """Shifted field Xi = xi + Phi on the admissible sub-box.
+def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, int]:
+    """Shifted field Xi = xi + Phi of ``sample`` on the admissible sub-box.
 
     Returns (grid, sub_half) where the grid covers the points y with
     Q_{r,y} inside Q_L, i.e. |y_i| <= sub_half = h - r_half.
 
     Vectorized as a correlation: Xi(y) = xi(y) (1 - sum w v) + sum w xi(.+y).
     """
-    sample = view.base
     offs, w, rh = weights.offsets, weights.weights, weights.half
     if offs.shape[1] != sample.d:
         raise ValueError(f"profile must be {sample.d}-dimensional")

@@ -5,8 +5,9 @@ Each experiment is one entry of ``_EXPERIMENTS``.  Each trial's seed is a
 fixed counter-based function of (master_seed, trial_index).  Records are flat
 rows in a CSV written whole, when the run ends (a crash loses the run's new
 rows and leaves the old file; streaming writes are an open ROADMAP item); a
-re-run of the same config resumes after the whole rows already written and
-runs the trial of a partial row again.  Aggregates land in a manifest JSON.
+re-run of the same config, beside the manifest of the run that wrote the
+records, resumes after the whole rows already written and runs the trial of
+a partial row again.  Aggregates land in a manifest JSON.
 ``ExperimentConfig`` checks every config value; the rest of the module reads
 them as given.
 """
@@ -678,6 +679,10 @@ def _check_resume(manifest_path: Path, config: dict):
         manifest = json.loads(manifest_path.read_text())
         theirs = manifest["config"] | {"trials": ours["trials"]}
         version = manifest["schema_version"]
+    except FileNotFoundError as exc:
+        raise ConfigError(
+            f"will not resume records without their manifest: {manifest_path} is missing"
+        ) from exc
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise ConfigError(
             f"will not resume the records beside {manifest_path}: unreadable ({exc!r})"
@@ -728,11 +733,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     """Execute the experiment; returns the path of the manifest JSON.
 
     A trial experiment resumes after the whole rows of readable records
-    (see _read_prefix) if there are at most ``cfg.trials`` of them; the
-    trial of a dropped partial row runs again.  Records beside a manifest
-    are resumed only under the config that wrote them, up to ``trials``
-    (ConfigError otherwise).  The records file is rewritten whole.  Trials
-    run one after another; ``workers`` is accepted only as 1."""
+    (see _read_prefix); the trial of a dropped partial row runs again, and
+    a run of fewer trials keeps the first ``cfg.trials`` rows, which are
+    those a fresh run writes, the seeds being counter-based.  Records are
+    resumed only beside the manifest of the config that wrote them, up to
+    ``trials`` (ConfigError otherwise, also when the manifest is missing).
+    The records file is rewritten whole.  Trials run one after another;
+    ``workers`` is accepted only as 1."""
     if workers != 1:
         raise ValueError(f"trials run in one thread; got workers={workers}")
     ctx = _Context(cfg)
@@ -750,18 +757,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
         rows = exp.rows(ctx)
     else:
         if records_path.exists():
-            if manifest_path.exists():
-                _check_resume(manifest_path, config)
+            _check_resume(manifest_path, config)
             try:
-                existing = _read_prefix(records_path)[1]
+                existing = _read_prefix(records_path)[1][: cfg.trials]
             except Exception:  # unreadable records: start over
                 pass
-        if len(existing) > cfg.trials:
-            existing = []
         rows = _run_trials(ctx, exp.trial, len(existing))
 
     all_rows = existing + rows
-    columns = sorted({k for r in all_rows for k in r} - {"trial", "seed"})
+    # Rows read back hold "" for their empty cells, which keep no column: a
+    # column that only dropped rows filled goes, as in a fresh run.
+    columns = sorted(
+        {k for r in all_rows for k, v in r.items() if v != ""} - {"trial", "seed"}
+    )
     _write_rows(records_path, columns, all_rows)
 
     done = [r for r in all_rows if not r.get("failed")]

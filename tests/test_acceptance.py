@@ -192,10 +192,10 @@ def test_criterion_04_bar_expansion():
 # 5. sampler exactness
 
 
-def _empirical_cov_dev(model, L, n, seed_base, hint):
+def _empirical_cov_dev(model, L, n, seed_base, sampler):
     draws = np.stack(
         [
-            field.sample_field(model, L, seed_base + s, sampler_hint=hint).values
+            field.sample_field(model, L, seed_base + s, sampler=sampler).values
             for s in range(n)
         ]
     )

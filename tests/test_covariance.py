@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from andex import covariance as cov, scales
+from andex import covariance as cov, field, scales
 from andex.errors import EmbeddingInvalidError
 
 from conftest import random_lattice_points
@@ -17,6 +17,25 @@ ALL_FAMILIES = [
     ("gaussian_kernel", 2, {"ell": 1.5}),
     ("exponential", 1, {"alpha": 0.3}),
     ("exponential", 2, {"alpha": 0.05}),
+]
+
+
+# (family, params) of each model, and (family, d, params, L) at which the
+# field sampler embeds it
+FAMILY_GRID = [("iid", {})] + [
+    (family, {key: value})
+    for family, key, values in (
+        ("cube_indicator", "m", (0.5, 1, 1.5, 2, 2.5, 4, 7.3)),
+        ("gaussian_kernel", "ell", (0.5, 1.5, 5)),
+        ("exponential", "alpha", (0.1, 1, 5)),
+    )
+    for value in values
+]
+SAMPLER_GRID = [
+    (family, d, params, L)
+    for d, Ls in ((1, (2, 9, 40, 129)), (2, (2, 9, 40, 129)), (3, (2, 9)))
+    for family, params in FAMILY_GRID
+    for L in Ls
 ]
 
 
@@ -150,20 +169,16 @@ class TestCirculantSpectrum:
         with pytest.raises(EmbeddingInvalidError):
             cov.circulant_spectrum(m, 8)
 
-    @pytest.mark.parametrize(
-        "family,d,params",
-        [
-            ("cube_indicator", 1, {"m": 4}),
-            ("cube_indicator", 2, {"m": 2}),
-            ("gaussian_kernel", 1, {"ell": 2.0}),
-            ("gaussian_kernel", 2, {"ell": 1.5}),
-        ],
-    )
-    def test_bochner_positivity_when_padded(self, family, d, params):
+    @pytest.mark.parametrize("family,d,params,L", SAMPLER_GRID)
+    def test_bochner_positivity_when_padded(self, family, d, params, L):
+        # every family's lattice spectrum is nonnegative, so the sampler's
+        # circulant embedding is valid up to roundoff on its own torus
         m = cov.CovarianceModel(family, d, params)
-        M = 4 * cov.effective_radius(m) + 1
+        M = field.grid_side(L) + 2 * cov.effective_radius(m)
+        if M**d > 2e6:
+            pytest.skip(f"torus of {M}^{d} sites")
         spec = cov.circulant_spectrum(m, M)
-        assert np.min(spec) >= -1e-8 * np.max(spec)
+        assert np.min(spec) >= -1e-12 * np.max(spec)
 
     @pytest.mark.parametrize("shape", [(8193,), (4101,), (61, 61), (64, 65), (17, 17, 17)])
     def test_fftn_equals_numpy_bit_for_bit(self, shape):

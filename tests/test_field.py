@@ -55,10 +55,10 @@ class TestSamplers:
         # Monte Carlo second moments of both samplers against the kernel.
         m = cov.CovarianceModel(family, d, params)
         n = 4000
-        for hint in ("dense", "circulant"):
+        for sampler in ("dense", "circulant"):
             draws = np.stack(
                 [
-                    field.sample_field(m, L, seed=s, sampler_hint=hint).values
+                    field.sample_field(m, L, seed=s, sampler=sampler).values
                     for s in range(n)
                 ]
             )
@@ -83,25 +83,24 @@ class TestSamplers:
 
     def test_dense_site_limit(self, iid1):
         with pytest.raises(ValueError):
-            field.sample_field(iid1, 10**5, seed=0, sampler_hint="dense")
+            field.sample_field(iid1, 10**5, seed=0, sampler="dense")
 
     def test_bad_hint(self, iid1):
         with pytest.raises(ValueError):
-            field.sample_field(iid1, 32, seed=0, sampler_hint="magic")
+            field.sample_field(iid1, 32, seed=0, sampler="magic")
 
-    def test_fallback_to_dense(self, cube4, monkeypatch):
-        # when the spectral path reports an invalid embedding the sampler
-        # falls back to the dense factorization on small boxes
+    def test_invalid_embedding_raises(self, cube4, monkeypatch):
+        # the default sampler is the circulant one, and an invalid
+        # embedding is an error, not a switch to the dense sampler
         from andex.errors import EmbeddingInvalidError
 
-        def boom(model, L, rng):
+        def invalid(model, M):
             raise EmbeddingInvalidError("forced")
 
-        monkeypatch.setattr(field, "_circulant_draw", boom)
-        s = field.sample_field(cube4, 9, seed=0)
-        assert s.sampler == "dense"
-        with pytest.raises(EmbeddingInvalidError):
-            field.sample_field(cube4, 9, seed=0, sampler_hint="circulant")
+        monkeypatch.setattr(field, "_circulant_amplitude", invalid)
+        monkeypatch.setattr(field, "_dense_draw", None)
+        with pytest.raises(EmbeddingInvalidError, match="forced"):
+            field.sample_field(cube4, 9, seed=0)
 
     def test_values_read_only(self, iid1):
         s = field.sample_field(iid1, 32, seed=0)
@@ -148,7 +147,7 @@ class TestSamplerContract:
     def test_circulant_draw_equals_v1(self, family, params, d, L):
         m = cov.CovarianceModel(family, d, params)
         for seed in (0, 1, 2024):
-            s = field.sample_field(m, L, seed, sampler_hint="circulant")
+            s = field.sample_field(m, L, seed, sampler="circulant")
             assert np.array_equal(s.values, v1_circulant_values(m, L, seed))
 
     def test_cached_factors_are_shared_and_read_only(self, cube4):
@@ -354,9 +353,8 @@ class TestPhiAndXiCap:
 
     def test_xi_cap_matches_pointwise(self, cube4):
         s = field.sample_field(cube4, 33, seed=4)
-        view = field.fluctuation_view(s, [0])
         weights = field.ProfileWeights.of(normalized_profile(7, 1, seed=2), 1)
-        grid, sub_half = field.xi_cap(view, weights)
+        grid, sub_half = field.xi_cap(s, weights)
         assert sub_half == s.half - 3
         for y in (-sub_half, -2, 0, 5, sub_half):
             expect = s.at([y]) + field.phi_at(field.fluctuation_view(s, [y]), weights)
@@ -371,7 +369,7 @@ class TestPhiAndXiCap:
         vals = np.empty(n)
         for seed in range(n):
             s = field.sample_field(cube4, 17, seed=seed)
-            grid, sh = field.xi_cap(field.fluctuation_view(s, [0]), weights)
+            grid, sh = field.xi_cap(s, weights)
             vals[seed] = grid[sh]
         assert np.var(vals) == pytest.approx(1.0 + tau**2, abs=0.08)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from andex import cli, covariance as cov, field, harness, scales, spectrum
-from andex.errors import ConfigError
+from andex.errors import ConfigError, EmbeddingInvalidError
 
 
 def make_cfg(tmp_path, **kw):
@@ -248,18 +248,22 @@ class TestResume:
         harness.run_experiment(cfg_fresh)
         assert (fresh_dir / "records.csv").read_text() == full
 
-    def test_oversized_existing_restarts(self, tmp_path):
-        cfg = make_cfg(tmp_path, trials=6)
-        harness.run_experiment(cfg)
-        cfg3 = make_cfg(tmp_path, trials=3)
-        harness.run_experiment(cfg3)
-        _, rows = harness._read_prefix(Path(cfg3.out_dir) / "records.csv")
-        assert len(rows) == 3
+    def test_fewer_trials_keep_the_first_rows(self, tmp_path, monkeypatch):
+        # the dropped trial 30 failed, so its "failed" column goes with it
+        fail_trial(monkeypatch, "eigenvalue_stats", 30)
+        harness.run_experiment(make_cfg(tmp_path, trials=40))
+        monkeypatch.undo()
+        cfg20 = make_cfg(tmp_path, trials=20)
+        harness.run_experiment(cfg20)
+        fresh = make_cfg(tmp_path, trials=20, out_dir=str(tmp_path / "fresh"))
+        harness.run_experiment(fresh)
+        kept = (Path(cfg20.out_dir) / "records.csv").read_bytes()
+        assert kept == (tmp_path / "fresh" / "records.csv").read_bytes()
 
     def test_corrupt_records_restart(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=3)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True)
+        harness.run_experiment(cfg)  # the manifest of this config
         (out / "records.csv").write_text("\x00garbage")
         harness.run_experiment(cfg)
         _, rows = harness._read_prefix(out / "records.csv")
@@ -313,6 +317,9 @@ class TestResume:
         path = Path(cfg.out_dir) / "records.csv"
         path.parent.mkdir(parents=True)
         path.write_bytes(head + partial)
+        (path.parent / "manifest.json").write_bytes(
+            (tmp_path / "fresh" / "manifest.json").read_bytes()
+        )
         cols, rows = harness._read_prefix(path)
         assert [r["trial"] for r in rows] == [0, 1, 2]
         harness.run_experiment(cfg)
@@ -887,6 +894,45 @@ class TestCLI:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert draws == [] and not out.exists()
+
+    def test_records_without_a_manifest_exit_2_unchanged(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "run"
+        p = tmp_path / "cfg.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "experiment": "rank_permutation",
+                    "L": 512,
+                    "model": {"family": "iid"},
+                    "overrides": {"k": 2},
+                    "out_dir": str(out),
+                }
+            )
+        )
+        run = ["--config", str(p), "--override"]
+        assert cli.main(["--seed", "7", *run, "trials=3", "experiment"]) == cli.EXIT_OK
+        (out / "manifest.json").unlink()
+        before = (out / "records.csv").read_bytes()
+        draws = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
+        capsys.readouterr()
+        argv = ["--seed", "99", *run, "trials=6", "experiment"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "manifest.json is missing" in capsys.readouterr().err
+        assert draws == [] and not (out / "manifest.json").exists()
+        assert (out / "records.csv").read_bytes() == before
+
+    def test_invalid_embedding_exits_3(self, tmp_path, monkeypatch, capsys):
+        def invalid(model, M):
+            raise EmbeddingInvalidError("forced")
+
+        monkeypatch.setattr(field, "_circulant_amplitude", invalid)
+        argv = ["--out", str(tmp_path), "sample-field", "--family", "cube_indicator"]
+        assert cli.main(argv + ["--param", "2", "--L", "33"]) == cli.EXIT_RUNTIME
+        assert "forced" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_runtime_error_exit_code(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == cli.EXIT_RUNTIME
