@@ -111,13 +111,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _model_from_args(args) -> cov.CovarianceModel:
-    params = {}
-    key = cov._FAMILIES.get(args.family)
-    if key is not None:
-        if args.param is None:
-            raise ConfigError(f"family {args.family} needs --param")
-        params[key] = args.param
-    return cov.CovarianceModel(family=args.family, d=args.d, params=params)
+    """The model that --family, --param and --d name; ConfigError if none."""
+    fam = cov.FAMILIES.get(args.family)
+    if fam is None:
+        raise ConfigError(f"unknown covariance family: {args.family!r}")
+    if fam.param is None and args.param is not None:
+        raise ConfigError(f"family {args.family} takes no --param")
+    if fam.param is not None and args.param is None:
+        raise ConfigError(f"family {args.family} needs --param")
+    params = {} if fam.param is None else {fam.param: args.param}
+    try:
+        return cov.CovarianceModel(family=args.family, d=args.d, params=params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def main(argv=None) -> int:

@@ -1,15 +1,15 @@
 """Stationary lattice covariance families and their structural diagnostics.
 
-Four families are supported:
+Each family is one entry of ``FAMILIES``: the name of its one parameter,
+v at integer offsets, the short-range scale d_L and the radius beyond which
+v is negligible.  The four families are
 
-    iid               v(x) = 1{x = 0}
-    cube_indicator(m) v(x) = prod_i max(0, 1 - |x_i|/m)   (product of tents)
+    iid                  v(x) = 1{x = 0}
+    cube_indicator(m)    v(x) = prod_i max(0, 1 - |x_i|/m)   (product of tents)
     gaussian_kernel(ell) v(x) = exp(-|x|^2 / (2 ell^2))
     exponential(alpha)   v(x) = exp(-alpha |x|)
 
-The first three are the workhorses; the exponential family exists mainly to
-stress the circulant-embedding failure path.  All evaluation is pure and a
-model is immutable after construction.
+All evaluation is pure and a model is immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -25,6 +26,8 @@ import scipy.fft
 from .errors import EmbeddingInvalidError
 
 __all__ = [
+    "FAMILIES",
+    "Family",
     "CovarianceModel",
     "HypothesisReport",
     "eval_cov",
@@ -39,12 +42,54 @@ __all__ = [
 # effective_radius cuts the covariance where it falls below this.
 RADIUS_EPS = 1e-14
 
-# family -> the name of its one parameter, None for a family without one
-_FAMILIES = {
-    "iid": None,
-    "cube_indicator": "m",
-    "gaussian_kernel": "ell",
-    "exponential": "alpha",
+
+@dataclass(frozen=True)
+class Family:
+    """One covariance family, as functions of its parameter's value: v at
+    float offsets of shape (..., d), the scale d_L and the radius that
+    effective_radius returns.  ``param`` is None for a family without one."""
+
+    param: str | None
+    v: Callable[[np.ndarray, float | None], np.ndarray]
+    d_L: Callable[[float | None], float]
+    radius: Callable[[float | None], int]
+
+
+def _unit_scale(drop: float) -> float:
+    """d_L = 1/drop of a family whose v drops by ``drop`` at unit distance."""
+    if drop <= 0.0:
+        raise ValueError("degenerate covariance: no drop at unit distance")
+    return 1.0 / drop
+
+
+FAMILIES: dict[str, Family] = {
+    "iid": Family(
+        None,
+        v=lambda x, _: np.all(x == 0.0, axis=-1).astype(float),
+        d_L=lambda _: 1.0,
+        radius=lambda _: 0,
+    ),
+    # v(e_1) = max(0, 1 - 1/m) is 0 for m < 1, so d_L is 1 there
+    "cube_indicator": Family(
+        "m",
+        v=lambda x, m: np.prod(np.maximum(0.0, 1.0 - np.abs(x) / m), axis=-1),
+        d_L=lambda m: float(max(m, 1)),
+        radius=lambda m: int(math.ceil(m)),
+    ),
+    "gaussian_kernel": Family(
+        "ell",
+        v=lambda x, ell: np.exp(-np.sum(x * x, axis=-1) / (2.0 * ell * ell)),
+        d_L=lambda ell: _unit_scale(-math.expm1(-1.0 / (2.0 * ell * ell))),
+        radius=lambda ell: (
+            int(math.ceil(ell * math.sqrt(2.0 * math.log(1.0 / RADIUS_EPS)))) + 1
+        ),
+    ),
+    "exponential": Family(
+        "alpha",
+        v=lambda x, alpha: np.exp(-alpha * np.sqrt(np.sum(x * x, axis=-1))),
+        d_L=lambda alpha: _unit_scale(-math.expm1(-alpha)),
+        radius=lambda alpha: int(math.ceil(math.log(1.0 / RADIUS_EPS) / alpha)) + 1,
+    ),
 }
 
 
@@ -55,11 +100,11 @@ class CovarianceModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown covariance family: {self.family!r}")
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1..3, got {self.d}")
-        key = _FAMILIES[self.family]
+        key = FAMILIES[self.family].param
         extra = sorted(set(self.params) - {key})
         if extra:
             raise ValueError(f"{self.family} takes no parameter {', '.join(extra)}")
@@ -92,16 +137,8 @@ def eval_cov_offsets(model: CovarianceModel, offsets: np.ndarray) -> np.ndarray:
     x = np.asarray(offsets, dtype=float)
     if x.shape[-1] != model.d:
         raise ValueError(f"offsets must have last axis {model.d}")
-    if model.family == "iid":
-        return np.all(x == 0.0, axis=-1).astype(float)
-    if model.family == "cube_indicator":
-        m = model.params["m"]
-        return np.prod(np.maximum(0.0, 1.0 - np.abs(x) / m), axis=-1)
-    if model.family == "gaussian_kernel":
-        ell = model.params["ell"]
-        return np.exp(-np.sum(x * x, axis=-1) / (2.0 * ell * ell))
-    alpha = model.params["alpha"]
-    return np.exp(-alpha * np.sqrt(np.sum(x * x, axis=-1)))
+    fam = FAMILIES[model.family]
+    return fam.v(x, model.params.get(fam.param))
 
 
 def eval_cov(model: CovarianceModel, x) -> float:
@@ -111,21 +148,8 @@ def eval_cov(model: CovarianceModel, x) -> float:
 
 def derive_dL(model: CovarianceModel) -> float:
     """Short-range scale 1/(1 - sup_{|x|=1} v(x)); exact per family."""
-    if model.family == "iid":
-        return 1.0
-    if model.family == "cube_indicator":
-        return float(model.params["m"])
-    if model.family == "gaussian_kernel":
-        ell = model.params["ell"]
-        drop = -math.expm1(-1.0 / (2.0 * ell * ell))  # 1 - e^{-1/(2 ell^2)}
-        if drop <= 0.0:
-            raise ValueError("degenerate covariance: no drop at unit distance")
-        return 1.0 / drop
-    alpha = model.params["alpha"]
-    drop = -math.expm1(-alpha)
-    if drop <= 0.0:
-        raise ValueError("degenerate covariance: no drop at unit distance")
-    return 1.0 / drop
+    fam = FAMILIES[model.family]
+    return fam.d_L(model.params.get(fam.param))
 
 
 def shape(model: CovarianceModel, a_L: float, x) -> float:
@@ -149,15 +173,8 @@ def _offset_grid(d: int, half: int) -> np.ndarray:
 
 def effective_radius(model: CovarianceModel) -> int:
     """Smallest integer r with v(x) < RADIUS_EPS whenever |x| >= r along an axis."""
-    if model.family == "iid":
-        return 0
-    if model.family == "cube_indicator":
-        return int(math.ceil(model.params["m"]))
-    if model.family == "gaussian_kernel":
-        ell = model.params["ell"]
-        return int(math.ceil(ell * math.sqrt(2.0 * math.log(1.0 / RADIUS_EPS)))) + 1
-    alpha = model.params["alpha"]
-    return int(math.ceil(math.log(1.0 / RADIUS_EPS) / alpha)) + 1
+    fam = FAMILIES[model.family]
+    return fam.radius(model.params.get(fam.param))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "site_ranks",
     "sample_ppp_reference",
     "ppp_rank_one_probability",
-    "cross_box_covariance",
 ]
 
 # Seeds per batch of ppp_rank_one_probability; its draws depend on it.
@@ -275,19 +274,3 @@ def ppp_rank_one_probability(
     p = hits / n_seeds
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n_seeds) / n_seeds)
     return p, se
-
-
-def cross_box_covariance(samples: Sequence, partition: MesoPartition) -> float:
-    """Max over distinct core pairs of the empirical covariance of per-box
-    maxima across the batch (diagnostic for long-range decorrelation)."""
-    if len(samples) < 200:
-        raise ValueError("need at least 200 samples")
-    n_boxes = partition.n_boxes
-    M = np.empty((len(samples), n_boxes))
-    for i, s in enumerate(samples):
-        for j in range(n_boxes):
-            M[i, j] = np.max(s.values[partition.core_slices(j)])
-    C = np.cov(M, rowvar=False)
-    C = np.atleast_2d(C)
-    off = C[~np.eye(n_boxes, dtype=bool)]
-    return float(np.max(off)) if off.size else 0.0

@@ -56,7 +56,6 @@ __all__ = [
     "sample_field",
     "peak_conditioned_sample",
     "fluctuation_view",
-    "cov_zeta",
     "compute_tau",
     "phi_at",
     "xi_cap",
@@ -272,17 +271,6 @@ def fluctuation_view(sample: FieldSample, x0) -> FluctuationView:
     v(. - x0)."""
     x0 = tuple(int(c) for c in np.atleast_1d(x0))
     return _decompose(sample, x0, _profile_grid(sample.model, sample.L, x0))
-
-
-def cov_zeta(model: cov.CovarianceModel, x0, x, y) -> float:
-    """Cov(zeta_{x0}(x), zeta_{x0}(y)) = v(x-y) - v(x-x0) v(y-x0)."""
-    x0 = np.atleast_1d(np.asarray(x0))
-    x = np.atleast_1d(np.asarray(x))
-    y = np.atleast_1d(np.asarray(y))
-    return (
-        cov.eval_cov(model, x - y)
-        - cov.eval_cov(model, x - x0) * cov.eval_cov(model, y - x0)
-    )
 
 
 def _check_profile(bar_phi: np.ndarray, d: int) -> int:

@@ -40,7 +40,6 @@ __all__ = [
     "bar_lambda_expansion",
     "quadratic_form",
     "form_gradient",
-    "decay_check",
     "approximation_error",
     "spectral_gap_check",
 ]
@@ -514,40 +513,6 @@ def form_gradient(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
     grad = 2.0 * (hpsi - (hpsi[c] / psi[c]) * psi)
     grad[c] = 0.0
     return grad
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    holds: bool
-    max_ratio: float  # largest phi(x)^2 * (1 + c*rate)^{2|x-center|}
-    fitted_c: float  # largest c for which the bound holds on this data
-
-
-def decay_check(
-    phi: np.ndarray, center: tuple, rate: float, c: float = 0.5
-) -> DecayReport:
-    """Check exponential decay phi(x)^2 <= (1 + c*rate)^{-2|x - center|}.
-
-    center is a grid-index tuple; rate plays the role of a_L/d_L.
-    Diagnostic only: returns the worst ratio and the best constant that
-    would make the bound hold, never raises.
-    """
-    d = phi.ndim
-    idx = np.indices(phi.shape)
-    dist = np.zeros(phi.shape)
-    for axis in range(d):
-        dist += np.abs(idx[axis] - center[axis])
-    mask = dist > 0
-    ratios = phi[mask] ** 2 * (1.0 + c * rate) ** (2.0 * dist[mask])
-    max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    # best constant: phi^2 <= (1+c'r)^{-2 dist}  <=>  c' <= ((phi^2)^{-1/(2 dist)} - 1)/r
-    pos = mask & (phi**2 > 0)
-    if pos.any() and rate > 0:
-        cands = ((phi[pos] ** 2) ** (-0.5 / dist[pos]) - 1.0) / rate
-        fitted = float(np.min(cands))
-    else:
-        fitted = math.inf
-    return DecayReport(holds=bool(max_ratio <= 1.0), max_ratio=max_ratio, fitted_c=fitted)
 
 
 def _embed_profile(bar_phi: np.ndarray, target_shape: tuple, x0_idx: tuple) -> np.ndarray:

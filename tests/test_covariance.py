@@ -13,6 +13,7 @@ ALL_FAMILIES = [
     ("iid", 2, {}),
     ("cube_indicator", 1, {"m": 4}),
     ("cube_indicator", 2, {"m": 2}),
+    ("cube_indicator", 1, {"m": 0.5}),
     ("gaussian_kernel", 1, {"ell": 5.0}),
     ("gaussian_kernel", 2, {"ell": 1.5}),
     ("exponential", 1, {"alpha": 0.3}),
@@ -37,6 +38,12 @@ SAMPLER_GRID = [
     for family, params in FAMILY_GRID
     for L in Ls
 ]
+
+
+def test_every_family_is_covered():
+    # each table entry is in the sampler grid and in the property tests
+    assert set(cov.FAMILIES) == {family for family, _ in FAMILY_GRID}
+    assert set(cov.FAMILIES) == {family for family, _, _ in ALL_FAMILIES}
 
 
 class TestEvalCov:

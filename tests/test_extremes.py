@@ -274,19 +274,3 @@ class TestRankOneProbability:
         p, se = extremes.ppp_rank_one_probability(0.5, 100, 10000, seed=2)
         assert 0.5 < p < 1.0
         assert se == pytest.approx(math.sqrt(p * (1 - p) / 10000), rel=1e-9)
-
-
-class TestCrossBoxCovariance:
-    def test_iid_decorrelated(self, iid1):
-        samples = [field.sample_field(iid1, 64, seed=s) for s in range(300)]
-        p = extremes.build_partition(64, 15, 1)
-        c = extremes.cross_box_covariance(samples, p)
-        # independent boxes: covariance is pure noise, O(1/sqrt(n))
-        assert abs(c) < 0.12
-
-    def test_needs_enough_samples(self, iid1):
-        p = extremes.build_partition(64, 15, 1)
-        with pytest.raises(ValueError):
-            extremes.cross_box_covariance(
-                [field.sample_field(iid1, 64, seed=0)] * 10, p
-            )

@@ -207,13 +207,6 @@ class TestFluctuation:
         rebuilt = s.at([4]) * prof + view.zeta
         assert np.allclose(rebuilt, s.values, atol=1e-12)
 
-    def test_cov_zeta_formula(self, cube4):
-        got = field.cov_zeta(cube4, [0], [1], [2])
-        expect = cov.eval_cov(cube4, [-1]) - cov.eval_cov(
-            cube4, [1]
-        ) * cov.eval_cov(cube4, [2])
-        assert got == pytest.approx(expect)
-
     def test_cov_zeta_monte_carlo(self, cube4):
         n = 8000
         z1 = np.empty(n)
@@ -224,7 +217,9 @@ class TestFluctuation:
             z1[seed] = v.zeta[field.point_to_index([1], s.half)]
             z2[seed] = v.zeta[field.point_to_index([3], s.half)]
         emp = float(np.mean(z1 * z2) - np.mean(z1) * np.mean(z2))
-        assert emp == pytest.approx(field.cov_zeta(cube4, [0], [1], [3]), abs=0.06)
+        # Cov(zeta(x), zeta(y)) = v(x - y) - v(x - x0) v(y - x0), here x0 = 0
+        cv = [cov.eval_cov(cube4, [x]) for x in (1 - 3, 1, 3)]
+        assert emp == pytest.approx(cv[0] - cv[1] * cv[2], abs=0.06)
 
     def test_zeta_independent_of_peak(self, cube4):
         # zeta is unchanged when the conditioning value changes

@@ -934,6 +934,28 @@ class TestCLI:
         assert "forced" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sample-field", "--family", "bogus"], "unknown covariance family"),
+            (["sample-field", "--family", "iid", "--param", "3"], "iid takes no --param"),
+            (["sample-field", "--family", "cube_indicator"], "needs --param"),
+            (["sample-field", "--family", "cube_indicator", "--param", "nan"], "m > 0"),
+            (["sample-field", "--family", "exponential", "--param", "-1"], "alpha > 0"),
+            (["bar-problem", "--family", "iid", "--param", "0", "--a-L", "6"], "no --param"),
+        ],
+    )
+    def test_bad_family_exits_2_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        calls = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(spectrum, "solve_bar_problem", lambda *a: calls.append(a))
+        size = ["--L", "33"] if argv[0] == "sample-field" else ["--r-L", "9"]
+        assert cli.main(["--out", str(tmp_path), *argv, *size]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_runtime_error_exit_code(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == cli.EXIT_RUNTIME
 

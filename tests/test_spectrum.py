@@ -801,30 +801,6 @@ class TestFormAndGradient:
             spectrum.quadratic_form(np.zeros(5), np.ones(5))
 
 
-class TestDecayCheck:
-    def test_perfect_exponential_passes(self):
-        half = 10
-        rate = 2.0
-        c = 0.5
-        x = np.abs(np.arange(-half, half + 1))
-        phi = (1.0 + c * rate) ** (-x.astype(float))
-        rep = spectrum.decay_check(phi, (half,), rate, c=c)
-        assert rep.holds
-        assert rep.max_ratio == pytest.approx(1.0, rel=1e-12)
-        assert rep.fitted_c == pytest.approx(c, rel=1e-10)
-
-    def test_flat_profile_fails(self):
-        phi = np.full(11, 0.9)
-        rep = spectrum.decay_check(phi, (5,), 2.0, c=0.5)
-        assert not rep.holds
-        assert rep.max_ratio > 1.0
-
-    def test_bar_profile_decays(self, cube4):
-        sol = spectrum.solve_bar_problem(cube4, 12.0, 13)
-        rep = spectrum.decay_check(sol.bar_phi, (6,), 12.0 / 4.0, c=0.5)
-        assert rep.holds
-
-
 class TestApproximationPipeline:
     def test_zero_fluctuation_control(self, cube2):
         # field equal to its own conditional mean: lambda_1 on the big box
