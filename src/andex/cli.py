@@ -153,8 +153,7 @@ def main(argv=None) -> int:
             )
         elif args.command == "spectrum":
             model = _model_from_args(args)
-            s = field.sample_field(model, args.L, args.seed)
-            V = np.array(s.values)
+            V = field.sample_field(model, args.L, args.seed).values
             print(spectrum.top_k_eigs(V, args.k).to_json())
         elif args.command == "bar-problem":
             model = _model_from_args(args)

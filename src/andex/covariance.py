@@ -105,7 +105,7 @@ class CovarianceModel:
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1..3, got {self.d}")
         key = FAMILIES[self.family].param
-        extra = sorted(set(self.params) - {key})
+        extra = [repr(k) for k in self.params if key is None or k != key]
         if extra:
             raise ValueError(f"{self.family} takes no parameter {', '.join(extra)}")
         if key is not None:
@@ -154,13 +154,15 @@ def derive_dL(model: CovarianceModel) -> float:
 
 def shape(model: CovarianceModel, a_L: float, x) -> float:
     """Shape profile a_L * (1 - v(x)) >= 0."""
-    if a_L < 0.0:
+    if not a_L >= 0.0:
         raise ValueError("a_L must be nonnegative")
     return a_L * (1.0 - eval_cov(model, x))
 
 
 def shape_grid(model: CovarianceModel, a_L: float, half: int) -> np.ndarray:
     """Shape on the centered box [-half, half]^d as a grid."""
+    if not a_L >= 0.0:
+        raise ValueError("a_L must be nonnegative")
     offs = _offset_grid(model.d, half)
     return a_L * (1.0 - eval_cov_offsets(model, offs))
 

@@ -1,7 +1,9 @@
-"""Order statistics, mesoscopic partition, site ranks, and the
+"""Descending site order, mesoscopic partition, site ranks, and the
 decorated-PPP reference law.
 
-The mesoscopic partition covers the centered box Q_L with super-boxes of
+A site is a flat index into the C-ordered Q_L grid; only site_ranks
+takes the grid-index tuples that spectrum reports as centres.  The
+mesoscopic partition covers the centered box Q_L with super-boxes of
 side T = R + floor(sqrt(R)) anchored at the corner; super-boxes that do not
 fit entirely inside Q_L fall into the peeled remainder, and each retained
 super-box keeps a centered core of side R.  Per-box maxima over the cores
@@ -19,10 +21,9 @@ import numpy as np
 
 __all__ = [
     "MesoPartition",
-    "ExtremeRecord",
     "PPPReference",
     "build_partition",
-    "order_statistics",
+    "descending_sites",
     "box_maxima",
     "site_ranks",
     "sample_ppp_reference",
@@ -50,10 +51,6 @@ class MesoPartition:
     def core_half(self) -> int:
         return self.R_L // 2
 
-    @property
-    def gap(self) -> int:
-        return math.isqrt(self.R_L)
-
     def core_slices(self, j: int) -> tuple:
         """Index slices of core j inside the full Q_L grid."""
         h = self.L // 2
@@ -73,12 +70,6 @@ class MesoPartition:
         )
         sites.setflags(write=False)
         return sites
-
-    def core_mask(self, shape: tuple) -> np.ndarray:
-        mask = np.zeros(shape, dtype=bool)
-        for j in range(self.n_boxes):
-            mask[self.core_slices(j)] = True
-        return mask
 
 
 def build_partition(L: int, R_L: int, d: int) -> MesoPartition:
@@ -122,14 +113,6 @@ def build_partition(L: int, R_L: int, d: int) -> MesoPartition:
     )
 
 
-@dataclass(frozen=True)
-class ExtremeRecord:
-    """Descending order statistics of one field, with rescalings."""
-
-    order: tuple  # ((coords...), value) descending in value
-    rescaled: tuple  # ((coords/L...), a_L*(value - a_L))
-
-
 def descending_sites(flat: np.ndarray, top: int | None = None) -> np.ndarray:
     """Indices of the ``top`` highest entries of a flat array (all when
     None), by decreasing value, equal values in index order: the first
@@ -144,53 +127,23 @@ def descending_sites(flat: np.ndarray, top: int | None = None) -> np.ndarray:
     return idx[np.argsort(-flat[idx], kind="stable")[:top]]
 
 
-def _descending_order(values: np.ndarray, h: int, top: int | None = None):
-    """Positions and values sorted by decreasing value; ties broken
-    lexicographically by coordinates (C order)."""
-    flat = values.ravel(order="C")
-    idx = descending_sites(flat, top)
-    out = []
-    for i in idx:
-        pos = np.unravel_index(int(i), values.shape)
-        out.append((tuple(int(p) - h for p in pos), float(flat[i])))
-    return out
-
-
-def order_statistics(sample, a_L: float, top: int | None = None) -> ExtremeRecord:
-    """The field's ``top`` highest sites (all when None) in descending
-    order, equal values in C order, with the standard rescalings."""
-    h = sample.half
-    order = _descending_order(sample.values, h, top)
-    L = sample.L
-    rescaled = tuple(
-        (tuple(c / L for c in pos), a_L * (val - a_L)) for pos, val in order
-    )
-    return ExtremeRecord(order=tuple(order), rescaled=rescaled)
-
-
-def box_maxima(sample, partition: MesoPartition) -> tuple:
-    """Per-core argmax of the field: one ((coords...), value) per core, in
-    core order."""
+def box_maxima(sample, partition: MesoPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Per-core argmax of the field: (sites, values), one entry per core in
+    core order; of tied sites the first in the core's C order."""
     if sample.L // 2 != partition.L // 2 or sample.d != partition.d:
         raise ValueError("partition was built for another box")
-    h = sample.half
     flat = sample.values.ravel()
     sites = partition.core_sites
-    # argmax keeps the first of tied sites, the first in each core's C order
     best = sites[np.arange(len(sites)), np.argmax(flat[sites], axis=1)]
-    coords = np.stack(np.unravel_index(best, sample.values.shape), axis=1) - h
-    return tuple(
-        (tuple(int(c) for c in coord), float(flat[i]))
-        for coord, i in zip(coords, best)
-    )
+    return best, flat[best]
 
 
 def site_ranks(values: np.ndarray, sites: Sequence[tuple]) -> tuple:
     """1-based rank of each grid-index site in the descending order of values.
 
     A rank counts the larger values and the equal values earlier in C
-    order, so it is the position in the stable descending sort of
-    order_statistics, found in O(n) per site without sorting.
+    order, so it is the position in the order of descending_sites, found in
+    O(n) per site without sorting.
     """
     flat = values.ravel(order="C")
     ranks = []
@@ -225,8 +178,8 @@ class PPPReference:
 def sample_ppp_reference(b: float, K: int, seed: int) -> PPPReference:
     if K < 50:
         raise ValueError("K must be >= 50")
-    if b < 0:
-        raise ValueError("decoration variance must be >= 0")
+    if not b >= 0:
+        raise ValueError(f"decoration variance must be >= 0, got {b}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gamma = np.cumsum(rng.exponential(size=K))
     u = -np.log(gamma)
@@ -259,6 +212,8 @@ def ppp_rank_one_probability(
     """
     if K < 50 or n_seeds < 1:
         raise ValueError("K >= 50 and n_seeds >= 1 required")
+    if not b >= 0:
+        raise ValueError(f"decoration variance must be >= 0, got {b}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = 0
     done = 0

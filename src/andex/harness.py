@@ -223,11 +223,11 @@ def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
     s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
     part = ctx.partition
-    maxima = extremes.box_maxima(s, part)
+    _, values = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
     level = cfg.overrides.get("count_level", 0.0)
     a_L = ctx.scales.a_L
-    n_exceed = sum(1 for (_, val) in maxima if a_L * (val - a_L) > level)
+    n_exceed = int(np.count_nonzero(a_L * (values - a_L) > level))
     return {
         "max_value": m,
         "rescaled_max": a_L * (m - a_L),
@@ -273,8 +273,7 @@ def _plot_cdf_vs_gumbel(rows: list[dict]):
 
 def _trial_eigenvalue_stats(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
-    s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
-    V = np.array(s.values)
+    V = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i)).values
     k = max(ctx.k, 2)
     res = spectrum.top_k_eigs(V, k)
     lam1 = float(res.eigenvalues[0])
@@ -316,7 +315,7 @@ def _trial_localisation(ctx: _Context, i: int) -> dict:
     h = s.half
     Rh = ctx.scales.R_L // 2
     core = (slice(h - Rh, h + Rh + 1),) * cfg.d
-    V = np.array(s.values[core])
+    V = s.values[core]
     res = spectrum.top_k_eigs(V, 2)
     eig_err, fun_err = spectrum.approximation_error(ctx.bar, res, view, ctx.scales)
     gap_ok, gap_margin = spectrum.spectral_gap_check(res, s.at(x0), ctx.scales)
@@ -364,8 +363,7 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 
 def _trial_rank_permutation(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
-    s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
-    V = np.array(s.values)
+    V = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i)).values
     k = ctx.k
     res = spectrum.top_k_eigs(V, k)
     ranks = extremes.site_ranks(V, res.centers)
@@ -429,7 +427,7 @@ def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
     pool = []
     for j in range(part.n_boxes):
         sl = part.core_slices(j)
-        Vb = np.array(V[sl])
+        Vb = V[sl]
         kk = min(k, Vb.size)
         res = spectrum.top_k_eigs(Vb, kk)
         for t in range(res.k):
@@ -440,12 +438,10 @@ def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
 
 def _trial_macro_meso(ctx: _Context, i: int) -> dict:
     cfg = ctx.cfg
-    s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
-    V = np.array(s.values)
+    V = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i)).values
     k = ctx.k
     res = spectrum.top_k_eigs(V, k + 1)
     part = ctx.partition
-    h = s.half
     pool = _pooled_box_eigs(V, part, k + 1)
     a_L, d_L = ctx.scales.a_L, ctx.scales.d_L
     out: dict = {}
@@ -459,11 +455,8 @@ def _trial_macro_meso(ctx: _Context, i: int) -> dict:
         for j in range(k):
             gap_event &= lam_hat[j] - lam_hat[j + 1] > a_L ** (-1.5)
     # are the top k+1 field peaks inside the retained cores?
-    mask = part.core_mask(V.shape)
-    order = extremes.order_statistics(s, a_L, top=k + 1)
-    peaks_in = all(
-        mask[tuple(c + h for c in pos)] for pos, _ in order.order
-    )
+    peaks = extremes.descending_sites(V.ravel(), k + 1)
+    peaks_in = np.isin(peaks, part.core_sites).all()
     out["gap_event"] = int(gap_event)
     out["peaks_in_cores"] = int(peaks_in)
     for j in range(k):

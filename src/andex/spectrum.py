@@ -385,6 +385,8 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     top pair swamps the others; their residuals then exceed tol.
     """
     n = V.size
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > 32:
         raise ValueError("k limited to 32")
     if k > n:

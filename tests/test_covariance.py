@@ -126,6 +126,13 @@ class TestShape:
             s = cov.shape(cube4, 6.0, [x])
             assert (s == 0.0) == (cov.eval_cov(cube4, [x]) == 1.0)
 
+    @pytest.mark.parametrize("a_L", [-1.0, float("nan")])
+    def test_bad_a_L_rejected(self, cube4, a_L):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cov.shape(cube4, a_L, [0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            cov.shape_grid(cube4, a_L, 4)
+
 
 class TestCheckHypotheses:
     def _scales_for(self, m, L):
@@ -207,7 +214,12 @@ class TestModelConstruction:
 
     @pytest.mark.parametrize(
         "family,params",
-        [("iid", {"m": 3}), ("cube_indicator", {"m": 2, "ell": 1.0})],
+        [
+            ("iid", {"m": 3}),
+            ("cube_indicator", {"m": 2, "ell": 1.0}),
+            ("iid", {None: 3}),
+            ("cube_indicator", {"m": 2, 1: 3}),
+        ],
     )
     def test_parameter_the_family_does_not_take(self, family, params):
         with pytest.raises(ValueError, match="takes no parameter"):

@@ -13,7 +13,6 @@ class TestPartition:
         assert p.super_side == 18
         assert p.n_per_axis == 3
         assert p.n_boxes == 3
-        assert p.gap == 3
         assert p.core_half == 7
 
     def test_centers_and_cores(self):
@@ -26,9 +25,7 @@ class TestPartition:
     def test_cores_disjoint_and_inside(self):
         for L, R, d in [(64, 15, 1), (60, 13, 1), (31, 9, 2)]:
             p = extremes.build_partition(L, R, d)
-            side = 2 * (L // 2) + 1
-            mask = p.core_mask((side,) * d)
-            assert int(np.sum(mask)) == p.n_boxes * R**d
+            assert np.unique(p.core_sites).size == p.n_boxes * R**d
 
     def test_two_dimensional_count(self):
         p = extremes.build_partition(31, 9, 2)
@@ -43,32 +40,14 @@ class TestPartition:
             extremes.build_partition(64, 0, 1)
 
 
-class TestOrderStatistics:
-    def _sample(self, vals, L, model):
-        return field.FieldSample(
-            values=np.asarray(vals, dtype=float),
-            L=L,
-            d=1,
-            model=model,
-            seed=0,
-            sampler="dense",
-        )
+class TestDescendingSites:
+    def test_hand_case(self):
+        # ties in index order: coordinate -1 (index 1) before 1 (index 3)
+        flat = np.array([0.5, 2.0, -1.0, 2.0, 0.0])
+        assert extremes.descending_sites(flat).tolist() == [1, 3, 0, 4, 2]
 
-    def test_hand_case(self, iid1):
-        s = self._sample([0.5, 2.0, -1.0, 2.0, 0.0], 5, iid1)
-        rec = extremes.order_statistics(s, a_L=3.0)
-        # ties broken lexicographically: coordinate -1 before 1
-        assert rec.order[0] == ((-1,), 2.0)
-        assert rec.order[1] == ((1,), 2.0)
-        assert rec.order[-1] == ((0,), -1.0)
-        # rescaling: (coords/L, a_L*(value - a_L))
-        assert rec.rescaled[0] == ((-1 / 5,), pytest.approx(3.0 * (2.0 - 3.0)))
-
-    def test_top_truncation(self, iid1):
-        s = self._sample(np.arange(9.0), 9, iid1)
-        rec = extremes.order_statistics(s, a_L=2.0, top=3)
-        assert len(rec.order) == 3
-        assert [v for _, v in rec.order] == [8.0, 7.0, 6.0]
+    def test_top_truncation(self):
+        assert extremes.descending_sites(np.arange(9.0), 3).tolist() == [8, 7, 6]
 
     @pytest.mark.parametrize("top", [1, 2, 5, 17, 41, 49, 100])
     def test_top_matches_the_full_stable_sort(self, top):
@@ -84,29 +63,28 @@ class TestOrderStatistics:
             want = np.argsort(-flat, kind="stable")[:top]
             got = extremes.descending_sites(flat, top)
             assert got.tolist() == want.tolist()
-            h = values.shape[0] // 2
-            s = field.FieldSample(
-                values=values, L=2 * h, d=values.ndim, model=None, seed=0, sampler="dense"
-            )
-            rec = extremes.order_statistics(s, a_L=2.0, top=top)
-            coords = np.stack(np.unravel_index(want, values.shape), axis=1) - h
-            assert rec.order == tuple(
-                (tuple(int(c) for c in x), float(flat[i])) for x, i in zip(coords, want)
-            )
 
     def test_descending_invariant(self, iid1):
-        s = field.sample_field(iid1, 257, seed=1)
-        rec = extremes.order_statistics(s, a_L=3.0)
-        vals = [v for _, v in rec.order]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert len(vals) == 257
+        flat = field.sample_field(iid1, 257, seed=1).values
+        vals = flat[extremes.descending_sites(flat)]
+        assert np.all(vals[:-1] >= vals[1:])
+        assert vals.size == 257
+
+
+def box_maxima_coords(s, p):
+    """box_maxima as ((coords...), value) per core."""
+    sites, values = extremes.box_maxima(s, p)
+    coords = np.stack(np.unravel_index(sites, s.values.shape), axis=1) - s.half
+    return tuple(
+        (tuple(int(c) for c in x), float(v)) for x, v in zip(coords, values)
+    )
 
 
 class TestBoxMaxima:
     def test_per_core_argmax(self, iid1):
         s = field.sample_field(iid1, 64, seed=3)
         p = extremes.build_partition(64, 15, 1)
-        maxima = extremes.box_maxima(s, p)
+        maxima = box_maxima_coords(s, p)
         assert len(maxima) == 3
         for j, (coord, val) in enumerate(maxima):
             block = s.values[p.core_slices(j)]
@@ -143,7 +121,7 @@ class TestBoxMaximaBrute:
         p = extremes.build_partition(L, R, d)
         for seed in range(3):
             s = self._sample(L, d, seed)
-            assert extremes.box_maxima(s, p) == tuple(
+            assert box_maxima_coords(s, p) == tuple(
                 brute_core_max(s.values, p.core_slices(j), s.half)
                 for j in range(p.n_boxes)
             )
@@ -164,7 +142,7 @@ class TestBoxMaximaBrute:
         top = float(np.max(values)) + 1.0
         values[tuple(later)] = top
         values[tuple(first)] = top
-        maxima = extremes.box_maxima(self._with_values(s, values), p)
+        maxima = box_maxima_coords(self._with_values(s, values), p)
         assert maxima[1] == (tuple(i - s.half for i in first), top)
 
     @pytest.mark.parametrize("L,R,d", BOXES)
@@ -249,6 +227,9 @@ class TestPPPReference:
             extremes.sample_ppp_reference(0.0, 10, seed=1)
         with pytest.raises(ValueError):
             extremes.sample_ppp_reference(-1.0, 100, seed=1)
+        # b > 0 is false for NaN, which would draw the undecorated process
+        with pytest.raises(ValueError, match="decoration variance"):
+            extremes.sample_ppp_reference(float("nan"), 100, seed=1)
 
 
 class TestRankOneProbability:
@@ -264,6 +245,11 @@ class TestRankOneProbability:
         assert all(a >= b for a, b in zip(ps, ps[1:]))
         assert ps[0] == 1.0
         assert ps[-1] < 0.8
+
+    @pytest.mark.parametrize("b", [-1.0, float("nan")])
+    def test_bad_decoration_rejected(self, b):
+        with pytest.raises(ValueError, match="decoration variance"):
+            extremes.ppp_rank_one_probability(b, 100, 2000, seed=9)
 
     def test_deterministic(self):
         a = extremes.ppp_rank_one_probability(0.5, 100, 2000, seed=9)

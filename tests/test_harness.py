@@ -142,6 +142,8 @@ class TestConfig:
             {"family": "iid", "m": 3},
             {"family": "cube_indicator", "m": True},
             {"family": "exponential", "alpha": float("nan")},
+            {"family": "iid", None: 3},
+            {"family": "cube_indicator", "m": 2, 1: 3},
         ],
     )
     def test_malformed_model(self, tmp_path, model):

@@ -173,6 +173,9 @@ class TestLanczos:
     def test_validation(self):
         with pytest.raises(ValueError):
             spectrum.top_k_eigs(np.zeros(100), 33)
+        for V in (np.zeros(100), np.zeros((33, 33))):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                spectrum.top_k_eigs(V, 0)
         with pytest.raises(ValueError):
             spectrum.top_k_eigs(np.zeros(4), 5)
         with pytest.raises(ValueError):
