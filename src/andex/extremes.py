@@ -1,11 +1,10 @@
 """Descending site order, mesoscopic partition, site ranks, and the
 decorated-PPP reference law.
 
-A site is a flat index into the C-ordered Q_L grid; only site_ranks
-takes the grid-index tuples that spectrum reports as centres.  The
-mesoscopic partition covers the centered box Q_L with super-boxes of
-side T = R + floor(sqrt(R)) anchored at the corner; super-boxes that do not
-fit entirely inside Q_L fall into the peeled remainder, and each retained
+A site is a flat index into the C-ordered Q_L grid.  The mesoscopic
+partition covers the centered box Q_L with super-boxes of side
+T = R + floor(sqrt(R)) anchored at the corner; super-boxes that do not fit
+entirely inside Q_L fall into the peeled remainder, and each retained
 super-box keeps a centered core of side R.  Per-box maxima over the cores
 are the objects whose joint law becomes Poissonian in the limit.
 """
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,50 +32,27 @@ __all__ = [
 PPP_CHUNK = 20000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MesoPartition:
     L: int
     R_L: int
     d: int
-    super_side: int
-    n_per_axis: int
-    box_centers: tuple  # lattice coordinate tuples
+    # Flat indices into the C-ordered Q_L grid of each core's sites: one row
+    # per core, cores and each core's sites in C order.  Read-only.
+    core_sites: np.ndarray
 
     @property
     def n_boxes(self) -> int:
-        return len(self.box_centers)
-
-    @property
-    def core_half(self) -> int:
-        return self.R_L // 2
-
-    def core_slices(self, j: int) -> tuple:
-        """Index slices of core j inside the full Q_L grid."""
-        h = self.L // 2
-        c = self.box_centers[j]
-        return tuple(
-            slice(ci + h - self.core_half, ci + h + self.core_half + 1) for ci in c
-        )
-
-    @cached_property
-    def core_sites(self) -> np.ndarray:
-        """Flat indices into the C-ordered Q_L grid of each core's sites:
-        one row per core, in the core's own C order.  Read-only."""
-        side = 2 * (self.L // 2) + 1
-        grid = np.arange(side**self.d).reshape((side,) * self.d)
-        sites = np.stack(
-            [grid[self.core_slices(j)].ravel() for j in range(self.n_boxes)]
-        )
-        sites.setflags(write=False)
-        return sites
+        return len(self.core_sites)
 
 
 def build_partition(L: int, R_L: int, d: int) -> MesoPartition:
-    """Tile Q_L with super-boxes of side R_L + floor(sqrt(R_L)).
+    """Tile Q_L with super-boxes of side T = R_L + floor(sqrt(R_L)).
 
     Super-boxes are anchored at the corner of the grid; any partial box at
-    the far edge is dropped into the remainder.  Cores of side R_L sit
-    centered in their super-boxes.
+    the far edge is dropped into the remainder.  Cores sit centered in their
+    super-boxes: along each axis, core j spans the grid indices
+    j*T + T//2 +- R_L//2, R_L of them for odd R_L.
     """
     if R_L < 1:
         raise ValueError("R_L must be positive")
@@ -86,31 +61,17 @@ def build_partition(L: int, R_L: int, d: int) -> MesoPartition:
         raise ValueError(
             f"super-box side {T} exceeds L/2 = {L / 2}; partition infeasible"
         )
-    h = L // 2
-    side = 2 * h + 1
+    side = 2 * (L // 2) + 1
     n = side // T
-    if n < 1:
-        raise ValueError("box side too small for a single super-box")
-    core_half = R_L // 2
-    centers = []
-    # center index of box (j1,...,jd): j*T + T//2 along each axis
-    axis_centers = [j * T + T // 2 for j in range(n)]
-    for idx in np.ndindex(*([n] * d)):
-        coord = tuple(axis_centers[j] - h for j in idx)
-        centers.append(coord)
-    # sanity: cores inside Q_L
-    for c in centers:
-        for ci in c:
-            if ci - core_half < -h or ci + core_half > h:
-                raise ValueError("core leaves the box; partition bug")
-    return MesoPartition(
-        L=L,
-        R_L=R_L,
-        d=d,
-        super_side=T,
-        n_per_axis=n,
-        box_centers=tuple(centers),
-    )
+    axis = np.arange(n)[:, None] * T + T // 2 + np.arange(-(R_L // 2), R_L // 2 + 1)
+    # one axis more per pass: row (core) and column (site) orders stay C
+    sites = np.zeros((1, 1), dtype=axis.dtype)
+    for _ in range(d):
+        sites = (sites[:, None, :, None] * side + axis[None, :, None, :]).reshape(
+            len(sites) * n, -1
+        )
+    sites.setflags(write=False)
+    return MesoPartition(L=L, R_L=R_L, d=d, core_sites=sites)
 
 
 def descending_sites(flat: np.ndarray, top: int | None = None) -> np.ndarray:
@@ -138,8 +99,8 @@ def box_maxima(sample, partition: MesoPartition) -> tuple[np.ndarray, np.ndarray
     return best, flat[best]
 
 
-def site_ranks(values: np.ndarray, sites: Sequence[tuple]) -> tuple:
-    """1-based rank of each grid-index site in the descending order of values.
+def site_ranks(values: np.ndarray, sites: Sequence[int]) -> tuple:
+    """1-based rank of each site in the descending order of values.
 
     A rank counts the larger values and the equal values earlier in C
     order, so it is the position in the order of descending_sites, found in
@@ -147,8 +108,7 @@ def site_ranks(values: np.ndarray, sites: Sequence[tuple]) -> tuple:
     """
     flat = values.ravel(order="C")
     ranks = []
-    for site in sites:
-        i = int(np.ravel_multi_index(tuple(site), values.shape))
+    for i in sites:
         v = flat[i]
         ranks.append(
             int(np.count_nonzero(flat > v)) + int(np.count_nonzero(flat[:i] == v)) + 1

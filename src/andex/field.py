@@ -88,7 +88,6 @@ def point_to_index(point, h: int) -> tuple:
 class FieldSample:
     values: np.ndarray  # shape (side,)*d, read-only
     L: int
-    d: int
     model: cov.CovarianceModel
     seed: int
     sampler: str  # "dense" | "circulant"
@@ -103,6 +102,10 @@ class FieldSample:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite field values")
         self.values.setflags(write=False)
+
+    @property
+    def d(self) -> int:
+        return self.model.d
 
     @property
     def half(self) -> int:
@@ -215,7 +218,7 @@ def sample_field(
     draw = _circulant_draw if sampler == "circulant" else _dense_draw
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return FieldSample(
-        values=draw(model, L, rng), L=L, d=model.d, model=model, seed=seed, sampler=sampler
+        values=draw(model, L, rng), L=L, model=model, seed=seed, sampler=sampler
     )
 
 

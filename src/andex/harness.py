@@ -153,6 +153,12 @@ class _Context:
         a_L = float(ov["a_L"]) if "a_L" in ov else None
         R_L, r_L = ov.get("R_L"), ov.get("r_L")
         self.k = ov.get("k", 1)
+        exp = _EXPERIMENTS[cfg.experiment]
+        k_limit = spectrum.MAX_K - exp.extra_pairs
+        if self.k > k_limit:
+            raise ConfigError(
+                f"overrides.k must be <= {k_limit} for {cfg.experiment}, got {self.k}"
+            )
         # The windows, the bar problem and the scales reject values that do
         # not fit together (r_L even, r_L >= R_L, d_L >= a_L, ...).
         try:
@@ -175,9 +181,8 @@ class _Context:
             )
         except ValueError as exc:
             raise ConfigError(f"invalid scales or windows: {exc}") from exc
-        check = _EXPERIMENTS[cfg.experiment].check
-        if check is not None:
-            check(self)
+        if exp.check is not None:
+            exp.check(self)
 
     @functools.cached_property
     def partition(self) -> extremes.MesoPartition:
@@ -423,15 +428,16 @@ def _agg_tail_lemma(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
     """Top-k pooled eigenpairs of the operator restricted to the union of
     cores (block-diagonal over boxes).  Returns a list of
-    (lam, box index, eigenfunction-on-core, core slices) descending."""
+    (lam, core's flat sites, eigenfunction on the core) descending."""
+    shape = (field.grid_side(part.R_L),) * part.d
+    flat = V.ravel()
     pool = []
-    for j in range(part.n_boxes):
-        sl = part.core_slices(j)
-        Vb = V[sl]
-        kk = min(k, Vb.size)
-        res = spectrum.top_k_eigs(Vb, kk)
-        for t in range(res.k):
-            pool.append((float(res.eigenvalues[t]), j, res.eigenfunctions[t], sl))
+    for sites in part.core_sites:
+        res = spectrum.top_k_eigs(flat[sites].reshape(shape), min(k, sites.size))
+        pool.extend(
+            (float(lam), sites, phi)
+            for lam, phi in zip(res.eigenvalues, res.eigenfunctions)
+        )
     pool.sort(key=lambda item: -item[0])
     return pool[:k]
 
@@ -461,12 +467,12 @@ def _trial_macro_meso(ctx: _Context, i: int) -> dict:
     out["peaks_in_cores"] = int(peaks_in)
     for j in range(k):
         lam = float(res.eigenvalues[j])
-        lam_hat_j, _, phi_core, sl = pool[j]
+        lam_hat_j, sites, phi_core = pool[j]
         out[f"lambda_{j + 1}"] = lam
         out[f"lambda_hat_{j + 1}"] = lam_hat_j
         out[f"eig_diff_{j + 1}"] = a_L * abs(lam_hat_j - lam)
         phi_hat = np.zeros(V.shape)
-        phi_hat[sl] = phi_core
+        np.put(phi_hat, sites, phi_core)
         phi = res.eigenfunctions[j]
         if float(np.sum(phi * phi_hat)) < 0:
             phi = -phi
@@ -555,7 +561,8 @@ class _Experiment:
     sites of the largest eigensolve for the memory check (None: no solver);
     ``check``, if set, rejects a config with ConfigError before any draw;
     ``plot``, if set, gives the plot-data file that ``report`` writes;
-    ``overrides`` names the keys it reads beyond _SCALE_OVERRIDES."""
+    ``overrides`` names the keys it reads beyond _SCALE_OVERRIDES;
+    ``extra_pairs`` counts the eigenpairs a trial solves beyond k."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
     trial: Callable[[_Context, int], dict] | None = None
@@ -564,6 +571,7 @@ class _Experiment:
     check: Callable[[_Context], None] | None = None
     plot: Callable[[list[dict]], tuple[str, list[str], list[list]]] | None = None
     overrides: frozenset = frozenset()
+    extra_pairs: int = 0
 
 
 _EXPERIMENTS: dict[str, _Experiment] = {
@@ -598,6 +606,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         trial=_trial_macro_meso,
         solve_sites=_box_sites,
         overrides=frozenset({"k"}),
+        extra_pairs=1,
     ),
     "bar_sweep": _Experiment(
         _agg_bar_sweep,
@@ -641,7 +650,9 @@ def _read_prefix(path: Path) -> tuple[list[str], list[dict]]:
     it are dropped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("records file has no header")
         rows, whole = [], True
         for raw in reader:
             if len(raw) != len(header) or raw[0] != str(len(rows)):

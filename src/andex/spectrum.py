@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DENSE_SITE_LIMIT = 4000  # dense_eigs, the full-eigh oracle
+MAX_K = 32  # top_k_eigs: most pairs one call returns
 # top_k_eigs, d >= 2: dense subset eigh up to here, ARPACK above.  Top 4
 # pairs on one BLAS thread of a 2-vCPU x86 VM: 1.4 ms against 4.0 ms for
 # ARPACK at 169 sites, about even near 400, 86 ms against 13 ms at 961.
@@ -91,19 +92,14 @@ def apply_hamiltonian(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _index_to_coord(idx: tuple, half: int) -> tuple:
-    return tuple(int(i) - half for i in idx)
-
-
 @dataclass(frozen=True)
 class SpectralResult:
     """Top eigenpairs of one operator, eigenvalues non-increasing."""
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # shape (k,) + grid shape
-    centers: tuple  # grid-index tuples of argmax |phi|
+    centers: tuple  # flat C-order grid indices of argmax |phi|
     residuals: np.ndarray
-    half: int  # box half-width, for coordinate conversion
     solver: str  # "window", "tridiagonal", "subset", "arpack" or "dense"
 
     def __post_init__(self):
@@ -125,7 +121,10 @@ class SpectralResult:
         return float(self.eigenvalues[0] - self.eigenvalues[1])
 
     def center_coords(self, i: int = 0) -> tuple:
-        return _index_to_coord(self.centers[i], self.half)
+        """Lattice coordinates of centre i, the box centre at the origin."""
+        shape = self.eigenfunctions.shape[1:]
+        idx = np.unravel_index(self.centers[i], shape)
+        return tuple(int(c) - s // 2 for c, s in zip(idx, shape))
 
     def tied_blocks(self, tol: float = TIE_TOL):
         """Partition 0..k-1 into maximal blocks of eigenvalues within tol."""
@@ -166,13 +165,11 @@ def _finalize(lams, phis, V, solver: str) -> SpectralResult:
     P[flip] = -P[flip]
     R = apply_hamiltonian(V, P)
     R -= lams.reshape(stack) * P
-    centers = zip(*(c.tolist() for c in np.unravel_index(peak, V.shape)))
     return SpectralResult(
         eigenvalues=lams,
         eigenfunctions=P,
-        centers=tuple(centers),
+        centers=tuple(peak.tolist()),
         residuals=np.sqrt(np.sum(R.reshape(k, -1) ** 2, axis=1)),
-        half=V.shape[0] // 2,
         solver=solver,
     )
 
@@ -387,8 +384,8 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     n = V.size
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > 32:
-        raise ValueError("k limited to 32")
+    if k > MAX_K:
+        raise ValueError(f"k limited to {MAX_K}")
     if k > n:
         raise ValueError(f"k={k} exceeds {n} sites")
     if tol < 1e-13:
@@ -555,10 +552,10 @@ def approximation_error(
     lam1 = float(result.eigenvalues[0])
     eig_err = scales.a_L * abs(lam1 - (xi_cap_x0 + bar.bar_lambda))
 
-    # locate x0 inside the result grid (the central box of the sample)
-    x0_idx = tuple(int(c) + result.half for c in x0)
-    prof = _embed_profile(bar_phi, result.eigenfunctions[0].shape, x0_idx)
     phi1 = result.eigenfunctions[0]
+    # locate x0 inside the result grid (the central box of the sample)
+    x0_idx = tuple(int(c) + s // 2 for c, s in zip(x0, phi1.shape))
+    prof = _embed_profile(bar_phi, phi1.shape, x0_idx)
     if float(np.sum(phi1 * prof)) < 0:
         phi1 = -phi1
     fun_err = (scales.a_L / scales.d_L) * math.sqrt(

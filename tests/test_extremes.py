@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,19 +9,22 @@ from andex import covariance as cov, extremes, field, stats
 
 class TestPartition:
     def test_hand_arithmetic(self):
-        # R = 15: super side 15 + 3 = 18; grid side 65 holds 3 per axis
+        # R = 15: super side 15 + 3 = 18; grid side 65 holds 3 per axis,
+        # each with a core of 15 sites
         p = extremes.build_partition(64, 15, 1)
-        assert p.super_side == 18
-        assert p.n_per_axis == 3
         assert p.n_boxes == 3
-        assert p.core_half == 7
+        assert p.core_sites.shape == (3, 15)
 
     def test_centers_and_cores(self):
         p = extremes.build_partition(64, 15, 1)
-        # grid indices 9, 27, 45 -> coordinates -23, -5, 13
-        assert p.box_centers == ((-23,), (-5,), (13,))
-        sl = p.core_slices(0)[0]
-        assert (sl.start, sl.stop) == (2, 17)
+        # centres at grid indices 9, 27, 45 (coordinates -23, -5, 13), 7
+        # sites either side
+        assert p.core_sites.tolist() == [
+            list(range(2, 17)),
+            list(range(20, 35)),
+            list(range(38, 53)),
+        ]
+        assert p.core_sites[:, 7].tolist() == [9, 27, 45]
 
     def test_cores_disjoint_and_inside(self):
         for L, R, d in [(64, 15, 1), (60, 13, 1), (31, 9, 2)]:
@@ -29,15 +33,59 @@ class TestPartition:
 
     def test_two_dimensional_count(self):
         p = extremes.build_partition(31, 9, 2)
-        # side 31, T = 12 -> 2 per axis, 4 boxes
-        assert p.n_per_axis == 2
+        # side 31, T = 12 -> 2 per axis, 4 boxes of 81 sites
         assert p.n_boxes == 4
+        assert p.core_sites.shape == (4, 81)
 
     def test_infeasible(self):
         with pytest.raises(ValueError):
             extremes.build_partition(20, 15, 1)
         with pytest.raises(ValueError):
             extremes.build_partition(64, 0, 1)
+
+
+# (L, R_L): odd and even L and R_L, R_L = 1 and 2 among them
+PARTITION_SIZES = [
+    (8, 1), (9, 2), (12, 2), (20, 4), (21, 3), (30, 6), (31, 9), (40, 8), (64, 15)
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L,R", PARTITION_SIZES)
+def test_cores_are_centred_disjoint_boxes_inside_the_grid(L, R, d):
+    p = extremes.build_partition(L, R, d)
+    side = 2 * (L // 2) + 1
+    T = R + math.isqrt(R)
+    n = side // T
+    core_side = 2 * (R // 2) + 1  # R for odd R
+    assert p.core_sites.shape == (n**d, core_side**d)
+    assert not p.core_sites.flags.writeable
+    # each row is the box [lo, lo + core_side)^d of the grid in C order, so
+    # every core lies inside the grid
+    assert p.core_sites.min() >= 0 and p.core_sites.max() < side**d
+    grid = (side,) * d
+    lo = np.stack(np.unravel_index(p.core_sites[:, 0], grid), axis=1)
+    offsets = np.ravel_multi_index(np.indices((core_side,) * d).reshape(d, -1), grid)
+    box = np.ravel_multi_index(lo.T, grid)[:, None] + offsets
+    assert np.all(lo + core_side <= side)
+    assert p.core_sites.tolist() == box.tolist()
+    # pairwise disjoint
+    assert np.unique(p.core_sites).size == p.core_sites.size
+    # core j sits in super-box j (C order), which fits in the grid, with as
+    # many sites before it as after it along each axis, one more before
+    # when T is even
+    j = lo // T
+    assert j.tolist() == [list(t) for t in np.ndindex(*(n,) * d)]
+    assert np.all((j + 1) * T <= side)
+    before = lo - j * T
+    after = (j + 1) * T - (lo + core_side)
+    assert np.all(after >= 0)
+    assert np.all(before - after == 1 - T % 2)
+    if R % 2:
+        # consecutive cores along an axis leave floor(sqrt(R)) sites between
+        for axis in range(d):
+            starts = np.unique(lo[:, axis])
+            assert np.all(np.diff(starts) - R == math.isqrt(R))
 
 
 class TestDescendingSites:
@@ -80,6 +128,16 @@ def box_maxima_coords(s, p):
     )
 
 
+def hand_cores(L, R, d):
+    """Index slices of each core, in C order, from the per-axis core starts
+    in CORE_STARTS."""
+    starts = CORE_STARTS[(L, R, d)]
+    return [
+        tuple(slice(a, a + R) for a in corner)
+        for corner in itertools.product(starts, repeat=d)
+    ]
+
+
 class TestBoxMaxima:
     def test_per_core_argmax(self, iid1):
         s = field.sample_field(iid1, 64, seed=3)
@@ -87,7 +145,8 @@ class TestBoxMaxima:
         maxima = box_maxima_coords(s, p)
         assert len(maxima) == 3
         for j, (coord, val) in enumerate(maxima):
-            block = s.values[p.core_slices(j)]
+            # cores at grid indices 2-16, 20-34, 38-52
+            block = s.values[2 + 18 * j : 17 + 18 * j]
             assert val == np.max(block)
             assert s.at(coord) == val
 
@@ -102,8 +161,10 @@ def brute_core_max(grid, sl, h):
     return tuple(i - h for i in best), float(grid[best])
 
 
-# (L, R_L, d): 3 cores of 15 sites, 4 of 81, 27 of 125
-BOXES = [(64, 15, 1), (31, 9, 2), (24, 5, 3)]
+# (L, R_L, d): 3 cores of 15 sites, 4 of 81, 27 of 125; each core starts at
+# j*T + T//2 - R_L//2 along each axis, T = R_L + floor(sqrt(R_L))
+CORE_STARTS = {(64, 15, 1): (2, 20, 38), (31, 9, 2): (2, 14), (24, 5, 3): (1, 8, 15)}
+BOXES = list(CORE_STARTS)
 
 
 class TestBoxMaximaBrute:
@@ -113,7 +174,7 @@ class TestBoxMaximaBrute:
 
     def _with_values(self, s, values):
         return field.FieldSample(
-            values=values, L=s.L, d=s.d, model=s.model, seed=s.seed, sampler=s.sampler
+            values=values, L=s.L, model=s.model, seed=s.seed, sampler=s.sampler
         )
 
     @pytest.mark.parametrize("L,R,d", BOXES)
@@ -122,8 +183,7 @@ class TestBoxMaximaBrute:
         for seed in range(3):
             s = self._sample(L, d, seed)
             assert box_maxima_coords(s, p) == tuple(
-                brute_core_max(s.values, p.core_slices(j), s.half)
-                for j in range(p.n_boxes)
+                brute_core_max(s.values, sl, s.half) for sl in hand_cores(L, R, d)
             )
 
     @pytest.mark.parametrize("L,R,d", BOXES)
@@ -131,7 +191,7 @@ class TestBoxMaximaBrute:
         p = extremes.build_partition(L, R, d)
         s = self._sample(L, d, 0)
         values = np.array(s.values)
-        sl = p.core_slices(1)
+        sl = hand_cores(L, R, d)[1]
         # (0, last, 0, ...) precedes (1, 0, 0, ...) in C order but not in
         # Fortran order
         first = [s.start for s in sl]
@@ -146,20 +206,21 @@ class TestBoxMaximaBrute:
         assert maxima[1] == (tuple(i - s.half for i in first), top)
 
     @pytest.mark.parametrize("L,R,d", BOXES)
-    def test_core_sites_rows_are_core_slices_in_c_order(self, L, R, d):
+    def test_core_sites_rows_are_the_cores_in_c_order(self, L, R, d):
         p = extremes.build_partition(L, R, d)
         side = 2 * (L // 2) + 1
         assert p.core_sites.shape == (p.n_boxes, R**d)
         assert not p.core_sites.flags.writeable
-        for j in range(p.n_boxes):
-            sl = p.core_slices(j)
+        cores = hand_cores(L, R, d)
+        assert p.n_boxes == len(cores)
+        for row, sl in zip(p.core_sites, cores):
             expected = [
                 np.ravel_multi_index(
                     tuple(q + s.start for q, s in zip(pos, sl)), (side,) * d
                 )
                 for pos in np.ndindex(*(s.stop - s.start for s in sl))
             ]
-            assert p.core_sites[j].tolist() == expected
+            assert row.tolist() == expected
 
     def test_partition_of_another_box_rejected(self):
         s = self._sample(64, 1, 0)
@@ -171,14 +232,14 @@ class TestSiteRanks:
     def test_hand_case_with_ties(self):
         # 2.0 ties at indices 1 and 3: the earlier one ranks first
         values = np.array([0.5, 2.0, -1.0, 2.0, 0.0])
-        assert extremes.site_ranks(values, [(1,), (3,), (0,), (2,)]) == (1, 2, 3, 5)
+        assert extremes.site_ranks(values, [1, 3, 0, 2]) == (1, 2, 3, 5)
 
     @pytest.mark.parametrize("shape", [(257,), (9, 11)])
     def test_matches_stable_descending_sort(self, shape):
         # integer values force many ties
         values = np.random.default_rng(3).integers(0, 20, size=shape).astype(float)
         order = np.argsort(-values.ravel(), kind="stable")
-        sites = [np.unravel_index(int(i), shape) for i in order]
+        sites = [int(i) for i in order]
         assert extremes.site_ranks(values, sites) == tuple(range(1, values.size + 1))
 
 

@@ -107,6 +107,14 @@ class TestSamplers:
         with pytest.raises(ValueError):
             s.values[0] = 1.0
 
+    def test_dimension_is_the_models(self, iid1):
+        # a d = 2 model's sample is a 5 x 5 grid for L = 4, not a line
+        iid2 = cov.CovarianceModel("iid", 2)
+        with pytest.raises(ValueError, match="grid shape"):
+            field.FieldSample(values=np.zeros(5), L=4, model=iid2, seed=0, sampler="dense")
+        s = field.FieldSample(values=np.zeros(5), L=4, model=iid1, seed=0, sampler="dense")
+        assert s.d == 1
+
     def test_export_binary(self, iid1, tmp_path):
         s = field.sample_field(iid1, 8, seed=5)
         prefix = str(tmp_path / "f")
@@ -391,7 +399,7 @@ class TestEventCheck:
         vals = 6.0 * cov.eval_cov_offsets(cube4, offs)
         vals[h + 5] += 0.01
         s = field.FieldSample(
-            values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
+            values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
         rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         assert rep.in_event
@@ -402,7 +410,7 @@ class TestEventCheck:
         h = field.box_half(41)
         vals = 6.0 * cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
         s = field.FieldSample(
-            values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
+            values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
         rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         # zeta vanishes identically, so E2/E3 hold with full slack
@@ -416,7 +424,7 @@ class TestEventCheck:
         vals = 6.0 * cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
         vals[h + 2] += 1.0  # S(2) = 6 * 0.5 = 3; bound is 0.3
         s = field.FieldSample(
-            values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
+            values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
         rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         assert not rep.in_E2
@@ -444,7 +452,7 @@ class TestEventCheck:
         vals += 0.01 * rng.standard_normal(vals.shape)
         vals[h] = 6.0
         s = field.FieldSample(
-            values=vals, L=41, d=1, model=cube4, seed=0, sampler="dense"
+            values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
         rep = field.event_check(field.fluctuation_view(s, [0]), ss)
         assert rep.in_event

@@ -702,6 +702,15 @@ class TestReport:
         with pytest.raises(ValueError):
             harness.report(tmp_path)
 
+    def test_empty_records_exit_3(self, tmp_path, capsys):
+        cfg = make_cfg(tmp_path, trials=2)
+        harness.run_experiment(cfg)
+        (Path(cfg.out_dir) / "records.csv").write_bytes(b"")
+        with pytest.raises(ValueError, match="records file has no header"):
+            harness.report(cfg.out_dir)
+        assert cli.main(["report", cfg.out_dir]) == cli.EXIT_RUNTIME
+        assert "records file has no header" in capsys.readouterr().err
+
 
 class TestCLI:
     def test_sample_field(self, tmp_path, capsys):
@@ -854,12 +863,16 @@ class TestCLI:
 
     BAD_VALUE_BASES = {
         "rank_permutation": {"L": 512, "trials": 5, "overrides": {"k": 2}},
+        "macro_meso": {"L": 256, "trials": 3, "overrides": {"k": 2}},
         "potential_extremes": {"L": 256, "trials": 60, "overrides": {"R_L": 15, "r_L": 9}},
         "bar_sweep": {"L": 64, "overrides": {"a_L": 6.0, "R_L": 15, "r_L": 9}},
     }
     RATIOS = "overrides.ratios must be a non-empty list of positive numbers, got "
     BAD_VALUES = [
         ("rank_permutation", "overrides.k=2.5", "overrides.k must be an integer >= 1, got 2.5"),
+        # the solver returns at most 32 pairs; macro_meso solves k + 1
+        ("rank_permutation", "overrides.k=40", "overrides.k must be <= 32 for rank_permutation, got 40"),
+        ("macro_meso", "overrides.k=32", "overrides.k must be <= 31 for macro_meso, got 32"),
         ("rank_permutation", 'overrides.k="two"', "overrides.k must be an integer >= 1"),
         ("rank_permutation", "L=512.7", "L must be an integer >= 2, got 512.7"),
         ("rank_permutation", "trials=true", "trials must be an integer >= 1, got True"),

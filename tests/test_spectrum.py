@@ -96,9 +96,18 @@ class TestDenseEigs:
         V = np.zeros(21)
         V[15] = 50.0
         res = spectrum.dense_eigs(V, k=1)
-        assert res.centers[0] == (15,)
+        assert res.centers[0] == 15
         assert res.center_coords(0) == (5,)
         assert res.eigenvalues[0] == pytest.approx(50.0 - 2.0, abs=0.05)
+
+    def test_deep_site_localizes_in_two_dimensions(self):
+        # grid index (2, 7) of a 9 x 11 box: flat 2 * 11 + 7, coordinates
+        # (2 - 4, 7 - 5)
+        V = np.zeros((9, 11))
+        V[2, 7] = 50.0
+        res = spectrum.dense_eigs(V, k=1)
+        assert res.centers[0] == 29
+        assert res.center_coords(0) == (-2, 2)
 
     def test_site_limit(self):
         with pytest.raises(ValueError):
@@ -456,7 +465,7 @@ def _assert_agrees_with_global(res, V, k):
     assert res.k == k
     assert np.max(res.residuals) <= 1e-10
     assert np.max(np.abs(res.eigenvalues - lams)) <= 1e-12
-    assert res.centers == tuple((int(np.argmax(np.abs(u))),) for u in U)
+    assert res.centers == tuple(int(np.argmax(np.abs(u))) for u in U)
     overlaps = np.abs(np.sum(res.eigenfunctions * U, axis=1))
     assert np.min(overlaps) >= 1.0 - 1e-10
 
@@ -528,7 +537,7 @@ class TestWindowPath:
         res = spectrum.top_k_eigs(V, 1)
         assert res.solver == "window"
         _assert_agrees_with_global(res, V, 1)
-        assert res.centers == ((100,),)
+        assert res.centers == (100,)
 
     def test_count_widens_by_the_loss_of_orthonormality(self, monkeypatch, counted_dstebz):
         # Ritz vectors orthonormal only to about 1e-11: Kahan's bound holds
@@ -597,8 +606,8 @@ def _finalize_per_pair(lams, phis, V, solver):
         phi = np.ascontiguousarray(phis[i])
         phi = phi / math.sqrt(float(np.sum(phi**2)))
         flat = np.abs(phi).ravel(order="C")
-        c = tuple(int(j) for j in np.unravel_index(int(np.argmax(flat)), phi.shape))
-        if phi[c] < 0:
+        c = int(np.argmax(flat))
+        if phi.flat[c] < 0:
             phi = -phi
         r = spectrum.apply_hamiltonian(V, phi) - lam * phi
         centers.append(c)
@@ -609,7 +618,6 @@ def _finalize_per_pair(lams, phis, V, solver):
         eigenfunctions=np.stack(fixed),
         centers=tuple(centers),
         residuals=np.asarray(residuals),
-        half=V.shape[0] // 2,
         solver=solver,
     )
 
@@ -653,8 +661,8 @@ class TestFinalize:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert got.centers == want.centers
-            assert all(type(i) is int for c in got.centers for i in c)
-            assert (got.half, got.solver) == (want.half, want.solver)
+            assert all(type(c) is int for c in got.centers)
+            assert got.solver == want.solver
 
 
 class TestSpectralResult:
@@ -683,7 +691,6 @@ class TestSpectralResult:
                 eigenfunctions=res.eigenfunctions,
                 centers=res.centers,
                 residuals=res.residuals,
-                half=res.half,
                 solver=res.solver,
             )
 
@@ -816,7 +823,7 @@ class TestApproximationPipeline:
         h = field.box_half(L)
         vals = a_L * cov.eval_cov_offsets(cube2, np.arange(-h, h + 1)[:, None])
         s = field.FieldSample(
-            values=vals, L=L, d=1, model=cube2, seed=0, sampler="dense"
+            values=vals, L=L, model=cube2, seed=0, sampler="dense"
         )
         bar = spectrum.solve_bar_problem(cube2, a_L, r_L)
         view = field.fluctuation_view(s, [0])
