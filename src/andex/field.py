@@ -1,7 +1,9 @@
 """Exact Gaussian field sampling and the fluctuation decomposition.
 
 A field lives on the centered box Q_L = [-h, h]^d with h = floor(L/2), so
-the grid side is 2h+1 and the origin sits at index (h, ..., h).  Two exact
+the grid side is 2h+1 and the origin sits at index (h, ..., h).  Every cut of
+a cube Q_{r,x} out of that grid, a single site included, goes through
+window, which raises ValueError when the cube leaves Q_L.  Two exact
 samplers are provided, and sample_field draws with the one it is named:
 
     circulant -- spectral synthesis on a padded torus, restricted to Q_L
@@ -39,7 +41,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,7 @@ __all__ = [
     "EventReport",
     "box_half",
     "grid_side",
+    "window",
     "sample_field",
     "peak_conditioned_sample",
     "fluctuation_view",
@@ -77,11 +80,21 @@ def grid_side(L: int) -> int:
     return 2 * (L // 2) + 1
 
 
-def point_to_index(point, h: int) -> tuple:
-    idx = tuple(int(c) + h for c in np.atleast_1d(point))
-    if any(i < 0 or i > 2 * h for i in idx):
-        raise ValueError(f"point {tuple(point)} outside box of half-width {h}")
-    return idx
+def window(L: int, x0, half: int) -> tuple[slice, ...]:
+    """Slices of the Q_L grid holding the cube of half-width ``half``
+    around the point x0, given in coordinates with the box centre at the
+    origin; ValueError when the cube leaves Q_L."""
+    h = L // 2
+    if any(abs(c) + half > h for c in x0):
+        raise ValueError(
+            f"cube of half-width {half} around {tuple(x0)} leaves the box of side {L}"
+        )
+    return tuple(slice(h + c - half, h + c + half + 1) for c in x0)
+
+
+def _ring(cube: np.ndarray) -> np.ndarray:
+    """The entries of an odd cube in C order, its centre left out."""
+    return np.delete(cube.reshape(-1), cube.size // 2)
 
 
 @dataclass(frozen=True)
@@ -91,7 +104,6 @@ class FieldSample:
     model: cov.CovarianceModel
     seed: int
     sampler: str  # "dense" | "circulant"
-    conditioned_at: Optional[tuple] = None  # ((coords...), value)
 
     def __post_init__(self):
         side = grid_side(self.L)
@@ -112,7 +124,7 @@ class FieldSample:
         return box_half(self.L)
 
     def at(self, point) -> float:
-        return float(self.values[point_to_index(point, self.half)])
+        return self.values[window(self.L, point, 0)].item()
 
     def export_binary(self, path_prefix: str) -> None:
         """Row-major little-endian float64 grid plus a JSON sidecar."""
@@ -243,9 +255,8 @@ def peak_conditioned_sample(
     """
     view = fluctuation_view(sample_field(model, L, seed), x0)
     vals = value * view.profile + view.zeta
-    vals[point_to_index(view.x0, view.base.half)] = value  # exact, no roundoff
-    sample = replace(view.base, values=vals, conditioned_at=(view.x0, float(value)))
-    return _decompose(sample, view.x0, view.profile)
+    vals[window(L, view.x0, 0)] = value  # exact, no roundoff
+    return _decompose(replace(view.base, values=vals), view.x0, view.profile)
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,7 @@ def _decompose(sample: FieldSample, x0: tuple, prof: np.ndarray) -> FluctuationV
     """The view of ``sample`` around x0 given its read-only profile; the
     only code that forms zeta."""
     zeta = sample.values - sample.at(x0) * prof
-    zeta[point_to_index(x0, sample.half)] = 0.0
+    zeta[window(sample.L, x0, 0)] = 0.0
     zeta.setflags(write=False)
     return FluctuationView(base=sample, x0=x0, profile=prof, zeta=zeta)
 
@@ -335,15 +346,11 @@ def phi_at(view: FluctuationView, weights: ProfileWeights) -> float:
     view.zeta, with the offsets and weights of bar_phi in ``weights``.  Phi
     at another point y is phi_at(fluctuation_view(view.base, y), weights).
     """
-    d, h = view.base.d, view.base.half
+    d = view.base.d
     if weights.offsets.shape[1] != d:
         raise ValueError(f"profile must be {d}-dimensional")
-    if any(abs(c) + weights.half > h for c in view.x0):
-        raise ValueError(
-            f"window of half-width {weights.half} around {view.x0} leaves the box"
-        )
-    idx = weights.offsets + np.array(view.x0) + h
-    return float(weights.weights @ view.zeta[tuple(idx.T)])
+    cube = view.zeta[window(view.base.L, view.x0, weights.half)]
+    return float(weights.weights @ _ring(cube))
 
 
 def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, int]:
@@ -361,14 +368,10 @@ def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, in
     if sub_half < 0:
         raise ValueError("profile window larger than the box")
     v_offs = cov.eval_cov_offsets(sample.model, offs)
-    side = 2 * sub_half + 1
-    core = (slice(rh, rh + side),) * sample.d
-    out = (1.0 - float(w @ v_offs)) * sample.values[core].copy()
-    for off, weight in zip(offs, w):
-        sl = tuple(
-            slice(rh + int(o), rh + int(o) + side) for o in off
-        )
-        out += weight * sample.values[sl]
+    L, vals = sample.L, sample.values
+    out = (1.0 - float(w @ v_offs)) * vals[window(L, (0,) * sample.d, sub_half)]
+    for off, weight in zip(offs.tolist(), w):
+        out += weight * vals[window(L, off, sub_half)]
     return out, sub_half
 
 
@@ -386,15 +389,14 @@ class _EventWindows(NamedTuple):
 @_per_model_cache
 def _event_windows(model, L, x0, R_L):
     prof = _profile_grid(model, L, x0).reshape(-1)
-    offs = (cov._offset_grid(model.d, box_half(L)) - np.asarray(x0)).reshape(-1, model.d)
-    sup = np.max(np.abs(offs), axis=-1)
-    wide = np.flatnonzero((sup <= (2 * R_L) // 2) & (sup > 0))
-    narrow = np.flatnonzero((sup <= R_L // 2) & (sup > 0))
+    sites = np.arange(prof.size).reshape((grid_side(L),) * model.d)
+    wide = _ring(sites[window(L, x0, R_L)])  # Q_{2R_L} has half-width R_L
+    narrow = _ring(sites[window(L, x0, R_L // 2)])
     return _EventWindows(
         wide=wide,
         wide_dip=1.0 - prof[wide],
         narrow=narrow,
-        narrow_l1=np.sum(np.abs(offs[narrow]), axis=-1),
+        narrow_l1=_ring(np.sum(np.abs(cov._offset_grid(model.d, R_L // 2)), axis=-1)),
         narrow_sd=np.sqrt(np.clip(1.0 - prof[narrow] ** 2, 0.0, None)),
     )
 
@@ -428,9 +430,6 @@ def event_check(view: FluctuationView, scales) -> EventReport:
     """
     x0, zeta = view.x0, view.zeta
     a_L, d_L, kappa, theta = scales.a_L, scales.d_L, scales.kappa, scales.theta
-    wide_half = (2 * scales.R_L) // 2  # half-width of Q_{2 R_L}
-    if any(abs(c) + wide_half > view.base.half for c in x0):
-        raise ValueError("Q_{2R_L, x0} leaves the sampled box")
     win = _event_windows(view.base.model, view.base.L, x0, scales.R_L)
 
     dev = abs(view.base.at(x0) - a_L)

@@ -301,11 +301,13 @@ def _agg_eigenvalue_stats(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 
 
 def _check_localisation(ctx: _Context):
-    # event_check's window Q_{2R_L} around x0 = 0 must lie in Q_L
-    if (2 * ctx.scales.R_L) // 2 > field.box_half(ctx.cfg.L):
+    # event_check's window Q_{2R_L} (half-width R_L) around x0 = 0 must lie in Q_L
+    try:
+        field.window(ctx.cfg.L, (0,) * ctx.cfg.d, ctx.scales.R_L)
+    except ValueError as exc:
         raise ConfigError(
             f"Q_{{2R_L}} with R_L={ctx.scales.R_L} leaves the box of side L={ctx.cfg.L}"
-        )
+        ) from exc
 
 
 def _trial_localisation(ctx: _Context, i: int) -> dict:
@@ -317,10 +319,7 @@ def _trial_localisation(ctx: _Context, i: int) -> dict:
     )
     s = view.base
     ev = field.event_check(view, ctx.scales)
-    h = s.half
-    Rh = ctx.scales.R_L // 2
-    core = (slice(h - Rh, h + Rh + 1),) * cfg.d
-    V = s.values[core]
+    V = s.values[field.window(cfg.L, x0, ctx.scales.R_L // 2)]
     res = spectrum.top_k_eigs(V, 2)
     eig_err, fun_err = spectrum.approximation_error(ctx.bar, res, view, ctx.scales)
     gap_ok, gap_margin = spectrum.spectral_gap_check(res, s.at(x0), ctx.scales)

@@ -218,6 +218,9 @@ class ScaleSet:
         compute_theta_L(self.a_L, self.d_L, self.tau_L, KAPPA)
         if not (self.r_L < self.R_L < self.L):
             raise ValueError("window ordering r_L < R_L < L violated")
+        if self.R_L % 2 == 0:
+            # Q_{R_L} and the cores are cubes of R_L sites per axis
+            raise ValueError(f"R_L must be odd, got {self.R_L}")
 
     @property
     def a_Xi(self) -> float:

@@ -468,17 +468,13 @@ def solve_bar_problem(
         raise SolverConvergenceError(
             f"bar problem residual {res.residuals[0]:.3e} too large"
         )
-    phi = res.eigenfunctions[0]
-    c = tuple(s // 2 for s in phi.shape)
-    if phi[c] < 0:
-        phi = -phi
     try:
         expansion = bar_lambda_expansion(model, a_L, model.d)
     except ValueError:
         expansion = math.nan
     return BarSolution(
         bar_lambda=float(res.eigenvalues[0]),
-        bar_phi=phi,
+        bar_phi=res.eigenfunctions[0],
         expansion_value=expansion,
     )
 
@@ -514,23 +510,6 @@ def form_gradient(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _embed_profile(bar_phi: np.ndarray, target_shape: tuple, x0_idx: tuple) -> np.ndarray:
-    """Zero-extend bar_phi (centered on Q_r) into a grid of target_shape,
-    centered at grid index x0_idx."""
-    rh = bar_phi.shape[0] // 2
-    out = np.zeros(target_shape)
-    src = []
-    dst = []
-    for axis, c in enumerate(x0_idx):
-        lo, hi = c - rh, c + rh
-        if lo < 0 or hi >= target_shape[axis]:
-            raise ValueError("profile window leaves the target box")
-        dst.append(slice(lo, hi + 1))
-        src.append(slice(None))
-    out[tuple(dst)] = bar_phi[tuple(src)]
-    return out
-
-
 def approximation_error(
     bar: BarSolution,
     result: SpectralResult,
@@ -553,9 +532,9 @@ def approximation_error(
     eig_err = scales.a_L * abs(lam1 - (xi_cap_x0 + bar.bar_lambda))
 
     phi1 = result.eigenfunctions[0]
-    # locate x0 inside the result grid (the central box of the sample)
-    x0_idx = tuple(int(c) + s // 2 for c, s in zip(x0, phi1.shape))
-    prof = _embed_profile(bar_phi, phi1.shape, x0_idx)
+    # bar_phi(. - x0) on the result grid, the central box of the sample
+    prof = np.zeros(phi1.shape)
+    prof[field.window(phi1.shape[0], x0, bar.weights.half)] = bar_phi
     if float(np.sum(phi1 * prof)) < 0:
         phi1 = -phi1
     fun_err = (scales.a_L / scales.d_L) * math.sqrt(

@@ -21,11 +21,93 @@ class TestGeometry:
         assert field.grid_side(64) == 65
         assert field.grid_side(7) == 7
 
-    def test_point_to_index(self):
-        assert field.point_to_index([0], 3) == (3,)
-        assert field.point_to_index([-3, 3], 3) == (0, 6)
-        with pytest.raises(ValueError):
-            field.point_to_index([4], 3)
+    def test_window(self):
+        assert field.window(7, [0], 0) == (slice(3, 4),)
+        assert field.window(7, [-3, 3], 0) == (slice(0, 1), slice(6, 7))
+        assert field.window(6, [1], 2) == (slice(2, 7),)
+        with pytest.raises(ValueError, match="leaves the box"):
+            field.window(7, [4], 0)
+
+
+# (d, L, x0, half): odd and even L, a cube touching a face, a point cube
+WINDOW_CASES = [
+    (1, 9, (2,), 2),
+    (1, 10, (-5,), 0),
+    (2, 11, (1, -2), 3),
+    (2, 12, (0, 0), 6),
+    (3, 7, (0, 1, -1), 2),
+    (3, 8, (-3, 2, 0), 1),
+]
+
+
+def _face_points(d, L, half):
+    """For each axis and side, the point whose cube of half-width ``half``
+    touches that face of Q_L, and the point one site further out."""
+    h = L // 2
+    for axis, sign in itertools.product(range(d), (-1, 1)):
+        touch, beyond = [0] * d, [0] * d
+        touch[axis] = sign * (h - half)
+        beyond[axis] = sign * (h - half + 1)
+        yield touch, beyond
+
+
+class TestWindow:
+    @pytest.mark.parametrize("d,L,x0,half", WINDOW_CASES)
+    def test_selects_the_offset_block_in_c_order(self, d, L, x0, half):
+        side = field.grid_side(L)
+        sites = np.arange(side**d).reshape((side,) * d)
+        idx = cov._offset_grid(d, half) + np.asarray(x0) + L // 2
+        want = sites[tuple(np.moveaxis(idx, -1, 0))]
+        got = sites[field.window(L, x0, half)]
+        assert got.shape == (2 * half + 1,) * d
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d,L,half", [(1, 9, 2), (2, 12, 3), (3, 7, 1)])
+    def test_touching_each_face_is_accepted_one_site_further_raises(self, d, L, half):
+        side = field.grid_side(L)
+        for touch, beyond in _face_points(d, L, half):
+            sl = field.window(L, touch, half)
+            assert any(s.start == 0 or s.stop == side for s in sl)
+            assert all(0 <= s.start and s.stop <= side for s in sl)
+            with pytest.raises(ValueError, match="leaves the box"):
+                field.window(L, beyond, half)
+
+    def test_phi_at_follows_the_window_rule(self, cube4):
+        s = field.sample_field(cube4, 17, seed=4)
+        weights = field.ProfileWeights.of(normalized_profile(7, 1), 1)
+        for touch, beyond in _face_points(1, 17, 3):
+            view = field.fluctuation_view(s, touch)
+            idx = weights.offsets + np.array(touch) + s.half
+            want = float(weights.weights @ view.zeta[tuple(idx.T)])
+            assert field.phi_at(view, weights) == want
+            with pytest.raises(ValueError, match="leaves the box"):
+                field.phi_at(field.fluctuation_view(s, beyond), weights)
+
+    def test_event_check_follows_the_window_rule(self):
+        model = cov.CovarianceModel("cube_indicator", 2, {"m": 2})
+        ss = scales.ScaleSet(
+            L=21, d=2, a_L=6.0, tau_L=0.0, R_L=5, r_L=3, d_L=cov.derive_dL(model)
+        )
+        s = field.sample_field(model, 21, seed=6)
+        # Q_{2R_L} has half-width R_L = 5
+        for touch, beyond in _face_points(2, 21, 5):
+            view = field.fluctuation_view(s, touch)
+            want, _ = _event_check_uncached(view, ss)
+            assert field.event_check(view, ss) == want
+            with pytest.raises(ValueError, match="leaves the box"):
+                field.event_check(field.fluctuation_view(s, beyond), ss)
+
+    def test_xi_cap_follows_the_window_rule(self, cube4):
+        # a profile as wide as the box leaves one admissible point
+        s = field.sample_field(cube4, 7, seed=4)
+        touching = field.ProfileWeights.of(normalized_profile(7, 1), 1)
+        grid, sub_half = field.xi_cap(s, touching)
+        assert sub_half == 0
+        expect = s.at([0]) + field.phi_at(field.fluctuation_view(s, [0]), touching)
+        assert grid.shape == (1,) and grid[0] == pytest.approx(expect, rel=1e-12)
+        beyond = field.ProfileWeights.of(normalized_profile(9, 1), 1)
+        with pytest.raises(ValueError, match="larger than the box"):
+            field.xi_cap(s, beyond)
 
 
 class TestSamplers:
@@ -170,9 +252,9 @@ class TestSamplerContract:
 
 class TestPeakConditioning:
     def test_exact_value_at_x0(self, cube4):
-        s = field.peak_conditioned_sample(cube4, 33, [2], 6.0, seed=3).base
-        assert s.at([2]) == 6.0
-        assert s.conditioned_at == ((2,), 6.0)
+        view = field.peak_conditioned_sample(cube4, 33, [2], 6.0, seed=3)
+        assert view.base.at([2]) == 6.0
+        assert view.x0 == (2,) and view.base.at(view.x0) == 6.0
 
     def test_conditional_mean_profile(self, cube4):
         # E[xi(x) | xi(0) = v] = v * v_cov(x)
@@ -204,7 +286,7 @@ class TestFluctuation:
     def test_zeta_zero_at_base(self, cube4):
         s = field.sample_field(cube4, 33, seed=1)
         view = field.fluctuation_view(s, [4])
-        assert view.zeta[field.point_to_index([4], s.half)] == 0.0
+        assert view.zeta[field.window(33, [4], 0)] == 0.0
 
     def test_decomposition_reassembles(self, cube4):
         s = field.sample_field(cube4, 33, seed=1)
@@ -222,8 +304,8 @@ class TestFluctuation:
         for seed in range(n):
             s = field.sample_field(cube4, 17, seed=seed)
             v = field.fluctuation_view(s, [0])
-            z1[seed] = v.zeta[field.point_to_index([1], s.half)]
-            z2[seed] = v.zeta[field.point_to_index([3], s.half)]
+            z1[seed] = v.zeta[field.window(17, [1], 0)].item()
+            z2[seed] = v.zeta[field.window(17, [3], 0)].item()
         emp = float(np.mean(z1 * z2) - np.mean(z1) * np.mean(z2))
         # Cov(zeta(x), zeta(y)) = v(x - y) - v(x - x0) v(y - x0), here x0 = 0
         cv = [cov.eval_cov(cube4, [x]) for x in (1 - 3, 1, 3)]
@@ -249,11 +331,12 @@ class TestViewConsumers:
         model = cov.CovarianceModel(family, d, params)
         v = field.fluctuation_view(field.sample_field(model, L, seed=5), x0)
         expect = 5.5 * v.profile + v.zeta
-        expect[field.point_to_index(x0, v.base.half)] = 5.5
-        got = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5).base
+        expect[field.window(L, x0, 0)] = 5.5
+        got_view = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5)
+        got = got_view.base
         assert np.array_equal(got.values, expect)
         assert got.sampler == v.base.sampler
-        assert got.conditioned_at == (tuple(x0), 5.5)
+        assert got_view.x0 == tuple(x0) and got.at(got_view.x0) == 5.5
 
     @VIEW_FAMILIES
     @VIEW_BOXES
@@ -518,7 +601,7 @@ class TestRunCaches:
             assert view.profile.tobytes() == prof.tobytes()
             # Phi(x0) from a fresh zeta and fresh weights
             zeta = s.values - s.at(x0) * prof
-            zeta[field.point_to_index(x0, s.half)] = 0.0
+            zeta[field.window(L, x0, 0)] = 0.0
             fresh = field.ProfileWeights.of(normalized_profile(5, d), d)
             idx = fresh.offsets + np.array(x0) + s.half
             w = weights[d]

@@ -879,6 +879,7 @@ class TestCLI:
         ("rank_permutation", "master_seed=-1", "master_seed must be an integer >= 0, got -1"),
         ("rank_permutation", 'overrides.a_L="7"', "overrides.a_L must be a finite number"),
         ("potential_extremes", 'overrides.count_level="x"', "overrides.count_level must be"),
+        ("potential_extremes", "overrides.R_L=14", "R_L must be odd, got 14"),
         ("bar_sweep", "overrides.ratios=5", RATIOS + "5"),
         ("bar_sweep", "overrides.ratios=[0]", RATIOS + "[0]"),
         ("bar_sweep", "overrides.ratios=[-1]", RATIOS + "[-1]"),

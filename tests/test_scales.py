@@ -198,6 +198,11 @@ class TestScaleSet:
         with pytest.raises(ValueError, match="window ordering"):
             scales.ScaleSet(L=83, d=1, a_L=6.0, tau_L=0.0, R_L=9, r_L=41, d_L=2.0)
 
+    def test_rejects_even_R_L(self):
+        # Q_{R_L} and the partition's cores have R_L sites per axis
+        with pytest.raises(ValueError, match="R_L must be odd, got 40"):
+            scales.ScaleSet(L=83, d=1, a_L=6.0, tau_L=0.0, R_L=40, r_L=9, d_L=2.0)
+
     def test_rejects_dL_ge_aL(self):
         with pytest.raises(ValueError, match="requires d_L < a_L"):
             scales.ScaleSet(L=83, d=1, a_L=2.0, tau_L=0.0, R_L=41, r_L=9, d_L=2.0)

@@ -834,6 +834,28 @@ class TestApproximationPipeline:
         assert eig_err < 1e-3
         assert fun_err < 0.6
 
+    def test_profile_window_follows_the_window_rule(self, cube2):
+        # the result lives on the central box of side 9 (half-width 4) of
+        # an L = 41 sample; bar_phi on Q_3 has half-width 1
+        ss = scales.ScaleSet(
+            L=41, d=1, a_L=6.0, tau_L=0.0, R_L=9, r_L=3, d_L=cov.derive_dL(cube2)
+        )
+        bar = spectrum.solve_bar_problem(cube2, 6.0, 3)
+        s = field.sample_field(cube2, 41, seed=2)
+        res = spectrum.dense_eigs(s.values[field.window(41, [0], 4)].copy(), 2)
+        for x0 in (-3, 3):
+            view = field.fluctuation_view(s, [x0])
+            _, fun_err = spectrum.approximation_error(bar, res, view, ss)
+            prof = np.zeros(9)
+            prof[x0 + 3 : x0 + 6] = bar.bar_phi
+            phi1 = res.eigenfunctions[0] * np.sign(res.eigenfunctions[0] @ prof)
+            assert fun_err == (6.0 / ss.d_L) * math.sqrt(float(np.sum((phi1 - prof) ** 2)))
+        for x0 in (-4, 4):
+            with pytest.raises(ValueError, match="leaves the box"):
+                spectrum.approximation_error(
+                    bar, res, field.fluctuation_view(s, [x0]), ss
+                )
+
     def test_gap_check(self):
         res = spectrum.dense_eigs(np.array([5.0, 0.0, 0.0, 0.0, 0.0]), k=2)
         ss = scales.ScaleSet(L=41, d=1, a_L=5.0, tau_L=0.0, R_L=9, r_L=3, d_L=1.0)
