@@ -7,9 +7,9 @@ scales      deterministic scale parameters and analytic Gaussian tails
 covariance  stationary covariance families and structural diagnostics
 field       exact Gaussian samplers and the fluctuation decomposition
 spectrum    Schrödinger operators, eigensolvers, approximation formulas
-extremes    order statistics, mesoscopic partition, decorated-PPP reference
+extremes    descending site order, mesoscopic partition, decorated-PPP reference
 stats       KS / Gumbel / Poisson-dispersion / tail-frequency machinery
-harness     Monte Carlo experiment orchestration and CLI backend
+harness     Monte Carlo experiments: configs, seeding, records, manifests
 """
 
 __version__ = "0.1.0"

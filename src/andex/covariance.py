@@ -30,10 +30,8 @@ __all__ = [
     "Family",
     "CovarianceModel",
     "HypothesisReport",
-    "eval_cov",
     "eval_cov_offsets",
     "derive_dL",
-    "shape",
     "effective_radius",
     "check_hypotheses",
     "circulant_spectrum",
@@ -141,26 +139,14 @@ def eval_cov_offsets(model: CovarianceModel, offsets: np.ndarray) -> np.ndarray:
     return fam.v(x, model.params.get(fam.param))
 
 
-def eval_cov(model: CovarianceModel, x) -> float:
-    """Covariance v(x) at a single lattice point (sequence of d ints)."""
-    return float(eval_cov_offsets(model, np.atleast_1d(np.asarray(x))[None, :])[0])
-
-
 def derive_dL(model: CovarianceModel) -> float:
     """Short-range scale 1/(1 - sup_{|x|=1} v(x)); exact per family."""
     fam = FAMILIES[model.family]
     return fam.d_L(model.params.get(fam.param))
 
 
-def shape(model: CovarianceModel, a_L: float, x) -> float:
-    """Shape profile a_L * (1 - v(x)) >= 0."""
-    if not a_L >= 0.0:
-        raise ValueError("a_L must be nonnegative")
-    return a_L * (1.0 - eval_cov(model, x))
-
-
 def shape_grid(model: CovarianceModel, a_L: float, half: int) -> np.ndarray:
-    """Shape on the centered box [-half, half]^d as a grid."""
+    """Shape profile a_L * (1 - v) >= 0 on the centered box [-half, half]^d."""
     if not a_L >= 0.0:
         raise ValueError("a_L must be nonnegative")
     offs = _offset_grid(model.d, half)

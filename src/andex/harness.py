@@ -159,8 +159,10 @@ class _Context:
             raise ConfigError(
                 f"overrides.k must be <= {k_limit} for {cfg.experiment}, got {self.k}"
             )
-        # The windows, the bar problem and the scales reject values that do
-        # not fit together (r_L even, r_L >= R_L, d_L >= a_L, ...).
+        # The windows, the bar problem, the scales and the experiment's check
+        # reject values that do not fit together (r_L even, r_L >= R_L,
+        # d_L >= a_L, super-boxes that do not fit twice in L, ...).  Memory
+        # is checked first: the experiment's check may build the partition.
         try:
             d_L = cov.derive_dL(self.model)
             if a_L is None:
@@ -179,10 +181,11 @@ class _Context:
                 r_L=r_L,
                 d_L=d_L,
             )
+            self.check_memory()
+            if exp.check is not None:
+                exp.check(self)
         except ValueError as exc:
             raise ConfigError(f"invalid scales or windows: {exc}") from exc
-        if exp.check is not None:
-            exp.check(self)
 
     @functools.cached_property
     def partition(self) -> extremes.MesoPartition:
@@ -203,7 +206,7 @@ class _Context:
 
 
 # ---------------------------------------------------------------------------
-# per-experiment code: trial body (ctx, trial_index) -> dict or row table
+# per-experiment code: trial body (ctx, trial seed) -> dict or row table
 # (ctx) -> list[dict]; aggregate (ctx, rows) -> (tests, summary); plot data
 # rows -> (file name, header, cells).  The table _EXPERIMENTS joins them.
 
@@ -224,9 +227,15 @@ def _median_p95(vals: np.ndarray) -> dict:
     return {"median": float(np.median(vals)), "p95": float(np.percentile(vals, 95))}
 
 
-def _trial_potential_extremes(ctx: _Context, i: int) -> dict:
+def _check_partition(ctx: _Context):
+    # build_partition raises ValueError for super-boxes that do not fit
+    # twice in L; the partition is cached for the trials
+    ctx.partition
+
+
+def _trial_potential_extremes(ctx: _Context, seed: int) -> dict:
     cfg = ctx.cfg
-    s = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i))
+    s = field.sample_field(ctx.model, cfg.L, seed)
     part = ctx.partition
     _, values = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
@@ -276,9 +285,8 @@ def _plot_cdf_vs_gumbel(rows: list[dict]):
     return "cdf_vs_gumbel.csv", ["rescaled_max", "ecdf", "gumbel_cdf"], cells
 
 
-def _trial_eigenvalue_stats(ctx: _Context, i: int) -> dict:
-    cfg = ctx.cfg
-    V = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i)).values
+def _trial_eigenvalue_stats(ctx: _Context, seed: int) -> dict:
+    V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
     k = max(ctx.k, 2)
     res = spectrum.top_k_eigs(V, k)
     lam1 = float(res.eigenvalues[0])
@@ -310,13 +318,11 @@ def _check_localisation(ctx: _Context):
         ) from exc
 
 
-def _trial_localisation(ctx: _Context, i: int) -> dict:
+def _trial_localisation(ctx: _Context, seed: int) -> dict:
     cfg = ctx.cfg
     x0 = (0,) * cfg.d
     a_L = ctx.scales.a_L
-    view = field.peak_conditioned_sample(
-        ctx.model, cfg.L, x0, a_L, trial_seed(cfg.master_seed, i)
-    )
+    view = field.peak_conditioned_sample(ctx.model, cfg.L, x0, a_L, seed)
     s = view.base
     ev = field.event_check(view, ctx.scales)
     V = s.values[field.window(cfg.L, x0, ctx.scales.R_L // 2)]
@@ -365,9 +371,8 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
     return {}, summary
 
 
-def _trial_rank_permutation(ctx: _Context, i: int) -> dict:
-    cfg = ctx.cfg
-    V = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i)).values
+def _trial_rank_permutation(ctx: _Context, seed: int) -> dict:
+    V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
     k = ctx.k
     res = spectrum.top_k_eigs(V, k)
     ranks = extremes.site_ranks(V, res.centers)
@@ -441,9 +446,8 @@ def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
     return pool[:k]
 
 
-def _trial_macro_meso(ctx: _Context, i: int) -> dict:
-    cfg = ctx.cfg
-    V = field.sample_field(ctx.model, cfg.L, trial_seed(cfg.master_seed, i)).values
+def _trial_macro_meso(ctx: _Context, seed: int) -> dict:
+    V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
     k = ctx.k
     res = spectrum.top_k_eigs(V, k + 1)
     part = ctx.partition
@@ -577,6 +581,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "potential_extremes": _Experiment(
         _agg_potential_extremes,
         trial=_trial_potential_extremes,
+        check=_check_partition,
         plot=_plot_cdf_vs_gumbel,
         overrides=frozenset({"count_level"}),
     ),
@@ -604,6 +609,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         _agg_macro_meso,
         trial=_trial_macro_meso,
         solve_sites=_box_sites,
+        check=_check_partition,
         overrides=frozenset({"k"}),
         extra_pairs=1,
     ),
@@ -721,7 +727,7 @@ def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], start: int
     for i in range(start, cfg.trials):
         seed = trial_seed(cfg.master_seed, i)
         try:
-            rows.append({"seed": seed, **body(ctx, i)})
+            rows.append({"seed": seed, **body(ctx, seed)})
         except Exception as exc:  # per-trial failure budget
             rows.append({"seed": seed, "failed": 1})
             errors.append(repr(exc))
@@ -746,7 +752,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     if workers != 1:
         raise ValueError(f"trials run in one thread; got workers={workers}")
     ctx = _Context(cfg)
-    ctx.check_memory()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.csv"

@@ -37,7 +37,6 @@ __all__ = [
     "dense_eigs",
     "top_k_eigs",
     "solve_bar_problem",
-    "bar_lambda_expansion",
     "quadratic_form",
     "form_gradient",
     "approximation_error",
@@ -438,40 +437,30 @@ class BarSolution:
         return field.ProfileWeights.of(self.bar_phi, self.bar_phi.ndim)
 
 
-def bar_lambda_expansion(model: cov.CovarianceModel, a_L: float, d: int) -> float:
-    """First-order expansion -2d + sum over unit vectors of 1/S(x)."""
-    total = -2.0 * d
-    for axis in range(d):
-        e = np.zeros(d, dtype=int)
-        e[axis] = 1
-        for sign in (1, -1):
-            s = cov.shape(model, a_L, sign * e)
-            if s <= 0.0:
-                raise ValueError(
-                    "shape vanishes at a unit vector; expansion undefined"
-                )
-            total += 1.0 / s
-    return total
-
-
 def solve_bar_problem(
     model: cov.CovarianceModel, a_L: float, r_L: int
 ) -> BarSolution:
-    """Solve the deterministic problem Delta - S on Q_{r_L}, Dirichlet."""
+    """Solve the deterministic problem Delta - S on Q_{r_L}, Dirichlet, and
+    read its first-order expansion -2d + sum over unit vectors e of 1/S(e)
+    off the same grid; the expansion is NaN when S vanishes at some e."""
     if r_L < 3 or r_L % 2 == 0:
         raise ValueError(f"r_L must be odd and >= 3, got {r_L}")
     half = r_L // 2
     S = cov.shape_grid(model, a_L, half)
-    V = -S
-    res = top_k_eigs(V, 1)
+    res = top_k_eigs(-S, 1)
     if res.residuals[0] > 1e-12 * max(1.0, abs(res.eigenvalues[0])):
         raise SolverConvergenceError(
             f"bar problem residual {res.residuals[0]:.3e} too large"
         )
-    try:
-        expansion = bar_lambda_expansion(model, a_L, model.d)
-    except ValueError:
-        expansion = math.nan
+    # term by term in a fixed order: sum() compensates its rounding on
+    # Python >= 3.12, and the value would differ between versions
+    expansion = -2.0 * model.d
+    for axis in range(model.d):
+        for sign in (1, -1):
+            idx = [half] * model.d
+            idx[axis] += sign
+            s = float(S[tuple(idx)])
+            expansion += 1.0 / s if s > 0.0 else math.nan
     return BarSolution(
         bar_lambda=float(res.eigenvalues[0]),
         bar_phi=res.eigenfunctions[0],

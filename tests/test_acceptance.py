@@ -299,7 +299,10 @@ def _localisation_rows(model_cfg, n=200, master_seed=2024):
         overrides={"a_L": 6.0, "R_L": 41, "r_L": 9},
     )
     ctx = harness._Context(cfg)
-    return [harness._trial_localisation(ctx, i) for i in range(n)]
+    return [
+        harness._trial_localisation(ctx, harness.trial_seed(ctx.cfg.master_seed, i))
+        for i in range(n)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -409,7 +412,10 @@ def test_criterion_12_macro_meso():
         overrides={"k": 3, "R_L": 13, "r_L": 5},
     )
     ctx = harness._Context(cfg)
-    rows = [harness._trial_macro_meso(ctx, i) for i in range(50)]
+    rows = [
+        harness._trial_macro_meso(ctx, harness.trial_seed(ctx.cfg.master_seed, i))
+        for i in range(50)
+    ]
     # the event the manifest conditions on: gap_event and peaks_in_cores
     summary = harness._aggregate(cfg, ctx, rows)["summary"]
     cond = summary["conditioning"]

@@ -48,20 +48,21 @@ def test_every_family_is_covered():
 
 class TestEvalCov:
     def test_iid_unit_vector(self, iid1):
-        assert cov.eval_cov(iid1, [1]) == 0.0
-        assert cov.eval_cov(iid1, [0]) == 1.0
+        assert cov.eval_cov_offsets(iid1, [[1], [0]]).tolist() == [0.0, 1.0]
 
     def test_cube_tent(self, cube4):
-        assert cov.eval_cov(cube4, [2]) == pytest.approx(0.5)
-        assert cov.eval_cov(cube4, [4]) == 0.0
+        half, zero = cov.eval_cov_offsets(cube4, [[2], [4]])
+        assert half == pytest.approx(0.5)
+        assert zero == 0.0
 
     def test_gaussian(self, gauss5):
-        assert cov.eval_cov(gauss5, [1]) == pytest.approx(math.exp(-0.02))
-        assert cov.eval_cov(gauss5, [1]) == pytest.approx(0.980199, abs=1e-6)
+        (v,) = cov.eval_cov_offsets(gauss5, [[1]])
+        assert v == pytest.approx(math.exp(-0.02))
+        assert v == pytest.approx(0.980199, abs=1e-6)
 
     def test_cube_product_structure(self):
         m = cov.CovarianceModel("cube_indicator", 2, {"m": 4})
-        assert cov.eval_cov(m, [2, 1]) == pytest.approx(0.5 * 0.75)
+        assert cov.eval_cov_offsets(m, [[2, 1]])[0] == pytest.approx(0.5 * 0.75)
 
     @pytest.mark.parametrize("family,d,params", ALL_FAMILIES)
     def test_basic_properties(self, family, d, params):
@@ -71,7 +72,7 @@ class TestEvalCov:
         v_neg = cov.eval_cov_offsets(m, -pts)
         assert np.allclose(v, v_neg, atol=0)
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
-        assert cov.eval_cov(m, [0] * d) == 1.0
+        assert cov.eval_cov_offsets(m, [[0] * d])[0] == 1.0
 
     @pytest.mark.parametrize("family,d,params", ALL_FAMILIES)
     def test_off_origin_upper_bound(self, family, d, params):
@@ -99,37 +100,31 @@ class TestDeriveDL:
     @pytest.mark.parametrize("family,d,params", ALL_FAMILIES)
     def test_consistency_with_eval(self, family, d, params):
         m = cov.CovarianceModel(family, d, params)
-        units = []
-        for axis in range(d):
-            e = [0] * d
-            e[axis] = 1
-            units.append(cov.eval_cov(m, e))
-            e[axis] = -1
-            units.append(cov.eval_cov(m, e))
+        e = np.eye(d, dtype=int)
+        units = cov.eval_cov_offsets(m, np.concatenate([e, -e]))
         assert 1.0 - 1.0 / cov.derive_dL(m) == pytest.approx(
-            max(units), abs=1e-12
+            np.max(units), abs=1e-12
         )
 
 
 class TestShape:
+    # shape_grid(model, a_L, half)[half + x] is the shape at x in d = 1
     def test_origin(self, cube4):
-        assert cov.shape(cube4, 6.0, [0]) == 0.0
+        assert cov.shape_grid(cube4, 6.0, 0).tolist() == [0.0]
 
     def test_iid(self, iid1):
-        assert cov.shape(iid1, 6.0, [3]) == 6.0
+        assert cov.shape_grid(iid1, 6.0, 3)[3 + 3] == 6.0
 
     def test_cube(self, cube4):
-        assert cov.shape(cube4, 6.0, [1]) == pytest.approx(1.5)
+        assert cov.shape_grid(cube4, 6.0, 1)[1 + 1] == pytest.approx(1.5)
 
     def test_zero_iff_cov_one(self, cube4):
-        for x in range(-6, 7):
-            s = cov.shape(cube4, 6.0, [x])
-            assert (s == 0.0) == (cov.eval_cov(cube4, [x]) == 1.0)
+        s = cov.shape_grid(cube4, 6.0, 6)
+        v = cov.eval_cov_offsets(cube4, np.arange(-6, 7)[:, None])
+        assert np.array_equal(s == 0.0, v == 1.0)
 
     @pytest.mark.parametrize("a_L", [-1.0, float("nan")])
     def test_bad_a_L_rejected(self, cube4, a_L):
-        with pytest.raises(ValueError, match="nonnegative"):
-            cov.shape(cube4, a_L, [0])
         with pytest.raises(ValueError, match="nonnegative"):
             cov.shape_grid(cube4, a_L, 4)
 

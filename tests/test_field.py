@@ -308,7 +308,7 @@ class TestFluctuation:
             z2[seed] = v.zeta[field.window(17, [3], 0)].item()
         emp = float(np.mean(z1 * z2) - np.mean(z1) * np.mean(z2))
         # Cov(zeta(x), zeta(y)) = v(x - y) - v(x - x0) v(y - x0), here x0 = 0
-        cv = [cov.eval_cov(cube4, [x]) for x in (1 - 3, 1, 3)]
+        cv = cov.eval_cov_offsets(cube4, [[1 - 3], [1], [3]])
         assert emp == pytest.approx(cv[0] - cv[1] * cv[2], abs=0.06)
 
     def test_zeta_independent_of_peak(self, cube4):
@@ -372,6 +372,8 @@ class TestTau:
         prof = normalized_profile(7, 1, seed=2)
         rh = 3
         w = prof**2
+        # v at offsets -2rh .. 2rh: v(x) is v[x + 2 * rh]
+        v = cov.eval_cov_offsets(cube4, np.arange(-2 * rh, 2 * rh + 1)[:, None])
         acc = 0.0
         for i in range(-rh, rh + 1):
             if i == 0:
@@ -382,10 +384,7 @@ class TestTau:
                 acc += (
                     w[i + rh]
                     * w[j + rh]
-                    * (
-                        cov.eval_cov(cube4, [i - j])
-                        - cov.eval_cov(cube4, [i]) * cov.eval_cov(cube4, [j])
-                    )
+                    * (v[i - j + 2 * rh] - v[i + 2 * rh] * v[j + 2 * rh])
                 )
         assert field.compute_tau(cube4, prof) == pytest.approx(
             math.sqrt(acc), rel=1e-12
@@ -420,11 +419,12 @@ class TestPhiAndXiCap:
         prof = normalized_profile(7, 1, seed=2)
         w = prof**2
         y = 3
+        v = cov.eval_cov_offsets(cube4, np.arange(-3, 4)[:, None])
         acc = 0.0
         for i in range(-3, 4):
             if i == 0:
                 continue
-            zeta_y = s.at([i + y]) - s.at([y]) * cov.eval_cov(cube4, [i])
+            zeta_y = s.at([i + y]) - s.at([y]) * v[i + 3]
             acc += w[i + 3] * zeta_y
         view = field.fluctuation_view(s, [y])
         weights = field.ProfileWeights.of(prof, 1)

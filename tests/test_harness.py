@@ -30,10 +30,10 @@ def fail_trial(monkeypatch, experiment, index):
     """Make trial ``index`` of ``experiment`` raise."""
     entry = harness._EXPERIMENTS[experiment]
 
-    def body(ctx, i):
-        if i == index:
+    def body(ctx, seed):
+        if seed == harness.trial_seed(ctx.cfg.master_seed, index):
             raise RuntimeError(f"trial {index}")
-        return entry.trial(ctx, i)
+        return entry.trial(ctx, seed)
 
     monkeypatch.setitem(
         harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
@@ -192,6 +192,34 @@ class TestExperimentTable:
     def test_each_entry_has_trial_or_rows(self):
         for name, entry in harness._EXPERIMENTS.items():
             assert (entry.trial is None) != (entry.rows is None), name
+
+    @pytest.mark.parametrize(
+        "experiment", [n for n, e in harness._EXPERIMENTS.items() if e.trial is not None]
+    )
+    def test_geometry_fails_before_any_draw_or_not_at_all(
+        self, tmp_path, monkeypatch, experiment
+    ):
+        # super-boxes of side 61 + 7 do not fit twice in L = 64, and
+        # Q_{2R_L} leaves the box: an experiment that needs either must
+        # refuse the config before its first draw
+        draws = []
+        sample = field.sample_field
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(field, "sample_field", counted)
+        cfg = make_cfg(
+            tmp_path, experiment=experiment, model={"family": "iid"}, L=64,
+            trials=2, overrides={"R_L": 61, "r_L": 9},
+        )
+        try:
+            manifest = json.loads(harness.run_experiment(cfg).read_text())
+        except ConfigError:
+            assert draws == []
+        else:
+            assert manifest["trials_failed"] == 0
 
 
 class TestRunDeterminism:
@@ -404,7 +432,7 @@ class TestFailureBudget:
     def test_budget_exceeded_raises(self, tmp_path, monkeypatch):
         cfg = make_cfg(tmp_path, trials=5)
 
-        def bomb(ctx, i):
+        def bomb(ctx, seed):
             raise RuntimeError("boom")
 
         entry = dataclasses.replace(harness._EXPERIMENTS["eigenvalue_stats"], trial=bomb)
@@ -880,6 +908,9 @@ class TestCLI:
         ("rank_permutation", 'overrides.a_L="7"', "overrides.a_L must be a finite number"),
         ("potential_extremes", 'overrides.count_level="x"', "overrides.count_level must be"),
         ("potential_extremes", "overrides.R_L=14", "R_L must be odd, got 14"),
+        # super-boxes of side 127 + 11 do not fit twice in L = 256
+        ("potential_extremes", "overrides.R_L=127", "partition infeasible"),
+        ("macro_meso", "overrides.R_L=127", "partition infeasible"),
         ("bar_sweep", "overrides.ratios=5", RATIOS + "5"),
         ("bar_sweep", "overrides.ratios=[0]", RATIOS + "[0]"),
         ("bar_sweep", "overrides.ratios=[-1]", RATIOS + "[-1]"),

@@ -731,12 +731,27 @@ class TestBarProblem:
         assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_expansion_nan_when_shape_vanishes(self):
-        # kernel flat to distance 1: S vanishes at unit vectors
-        m = cov.CovarianceModel("cube_indicator", 1, {"m": 8})
-        # v(1) = 7/8 != 1, so use a kernel with v(1) = 1: impossible in this
-        # family; instead check expansion_value is finite here
-        sol = spectrum.solve_bar_problem(m, 9.0, 9)
-        assert math.isfinite(sol.expansion_value)
+        # a_L = 0 makes S vanish everywhere, the unit vectors included
+        for d in (1, 2):
+            m = cov.CovarianceModel("cube_indicator", d, {"m": 8})
+            sol = spectrum.solve_bar_problem(m, 0.0, 5)
+            assert math.isnan(sol.expansion_value)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        # S(e) = a_L (1 - v(e)) = a_L / m at each of the 2d unit vectors,
+        # with v(e) = 0 for iid (m = 1) and 1 - 1/m for cube_indicator(m)
+        "family,params,m",
+        [("iid", {}, 1), ("cube_indicator", {"m": 2}, 2), ("cube_indicator", {"m": 4}, 4)],
+    )
+    def test_expansion_closed_form(self, family, params, m, d):
+        a_L = 12.5
+        model = cov.CovarianceModel(family, d, params)
+        sol = spectrum.solve_bar_problem(model, a_L, 5)
+        # a Python float: a numpy scalar's repr would reach the records
+        assert type(sol.expansion_value) is float
+        expected = -2.0 * d + 2.0 * d * m / a_L
+        assert sol.expansion_value == pytest.approx(expected, rel=1e-12)
 
     def test_window_validation(self, cube4):
         with pytest.raises(ValueError):
