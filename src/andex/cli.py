@@ -182,8 +182,12 @@ def main(argv=None) -> int:
             if not args.config:
                 print("experiment requires --config", file=sys.stderr)
                 return EXIT_USAGE
-            with open(args.config) as fh:
-                raw = _json_object(fh.read())
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+            raw = _json_object(text)
             raw = _apply_overrides(raw, args.override)
             if args.out:
                 raw["out_dir"] = args.out

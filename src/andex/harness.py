@@ -432,16 +432,32 @@ def _agg_tail_lemma(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
     """Top-k pooled eigenpairs of the operator restricted to the union of
     cores (block-diagonal over boxes).  Returns a list of
-    (lam, core's flat sites, eigenfunction on the core) descending."""
+    (lam, core's flat sites, eigenfunction on the core) descending, equal
+    values in core order.
+
+    Cores are visited in descending order of their maximum of V, equal
+    maxima in core order.  Once k eigenvalues are pooled, theta is the k-th
+    largest of them, and a core is skipped when spectrum.certify_below
+    proves all its eigenvalues below theta.  theta only grows as cores are
+    added, so a skipped core holds none of the top k.  Every other core is
+    solved by the same call as when all are; their pairs, pooled in core
+    order and sorted stably, give the all-cores top k bit for bit.
+    """
     shape = (field.grid_side(part.R_L),) * part.d
-    flat = V.ravel()
-    pool = []
-    for sites in part.core_sites:
-        res = spectrum.top_k_eigs(flat[sites].reshape(shape), min(k, sites.size))
-        pool.extend(
-            (float(lam), sites, phi)
-            for lam, phi in zip(res.eigenvalues, res.eigenfunctions)
-        )
+    cores = V.ravel()[part.core_sites]
+    solved = {}
+    top = []  # the k largest pooled eigenvalues, ascending
+    for i in np.argsort(-cores.max(axis=1), kind="stable"):
+        core = cores[i].reshape(shape)
+        if len(top) == k and spectrum.certify_below(core, top[0]):
+            continue
+        solved[i] = spectrum.top_k_eigs(core, min(k, core.size))
+        top = sorted(top + solved[i].eigenvalues.tolist())[-k:]
+    pool = [
+        (float(lam), part.core_sites[i], phi)
+        for i in sorted(solved)
+        for lam, phi in zip(solved[i].eigenvalues, solved[i].eigenfunctions)
+    ]
     pool.sort(key=lambda item: -item[0])
     return pool[:k]
 

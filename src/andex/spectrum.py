@@ -8,8 +8,11 @@ lambda_1 >= lambda_2 >= ...
 Two solvers: top_k_eigs, the one entry point for the top of the spectrum,
 backed by LAPACK (tridiagonal and subset solvers) and ARPACK, with a
 certified solve on windows around the highest sites in d = 1 and a
-Chebyshev filter in front of ARPACK in d >= 2; and dense_eigs, a full
-symmetric eigendecomposition used as the independent oracle on small boxes.
+Chebyshev filter, applied with a DIA matrix, in front of ARPACK in d >= 2;
+and dense_eigs, a full symmetric eigendecomposition used as the independent
+oracle on small boxes.  certify_below proves, by a banded Cholesky
+factorisation, that no eigenvalue reaches a given level, so a caller can
+skip a solve whose pairs it would not keep.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cholesky_banded, eigh, eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
-from scipy.sparse import csr_array
+from scipy.sparse import dia_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import covariance as cov
@@ -195,17 +198,22 @@ def _assemble_dense(V: np.ndarray) -> np.ndarray:
     return H
 
 
-def _assemble_scaled(V: np.ndarray, a: float, c: float) -> csr_array:
-    """(2H - (c + a)I) / (c - a), sparse: H with [a, c] mapped onto [-1, 1]."""
-    n = V.size
+def _assemble_scaled(V: np.ndarray, a: float, c: float) -> dia_array:
+    """(2H - (c + a)I) / (c - a), H with [a, c] mapped onto [-1, 1], as a
+    DIA matrix: its 2d + 1 diagonals in ascending offset order, zero where a
+    bond would leave the box.  Its matvec adds each row's terms in ascending
+    column order, as canonical CSR does, so the products are the same."""
+    n, d = V.size, V.ndim
     i, j = _bonds(V.shape)
-    sites = np.arange(n)
+    steps = [math.prod(V.shape[axis + 1 :]) for axis in range(d)]  # j - i
+    offsets = np.array([-s for s in steps] + [0] + steps[::-1])
     scale = 2.0 / (c - a)
-    diag = scale * (V.ravel(order="C") - 2.0 * V.ndim) - (c + a) / (c - a)
-    data = np.concatenate([diag, np.full(2 * i.size, scale)])
-    rows = np.concatenate([sites, i, j])
-    cols = np.concatenate([sites, j, i])
-    return csr_array((data, (rows, cols)), shape=(n, n))
+    data = np.zeros((2 * d + 1, n))
+    data[d] = scale * (V.ravel(order="C") - 2.0 * d) - (c + a) / (c - a)
+    # entry (row, col) sits in column col of the diagonal of offset col - row
+    data[np.searchsorted(offsets, i - j), i] = scale
+    data[np.searchsorted(offsets, j - i), j] = scale
+    return dia_array((data, offsets), shape=(n, n))
 
 
 def _arpack_ncv(n: int, k: int) -> int:
@@ -217,13 +225,13 @@ def solver_bytes(n: int, d: int, k: int) -> int:
     """Bytes top_k_eigs holds for k pairs on n sites in dimension d: O(n)
     for the tridiagonal solver; the dense subset-eigh matrix (n x n); or,
     on the ARPACK path, the Lanczos basis (ncv x n), the filter's three work
-    vectors and its CSR matrix (at most 2d + 1 entries a row, 8 bytes of
-    value and 8 of column index each, and an 8-byte pointer a row)."""
+    vectors and its DIA matrix (2d + 1 diagonals of n values and one offset
+    each, at most 8 bytes apiece)."""
     if d == 1:
         return 8 * n * (k + 4)
     if n <= SUBSET_SITE_LIMIT:
         return 8 * n * n
-    return 8 * n * (_arpack_ncv(n, k) + 3) + 16 * (2 * d + 1) * n + 8 * (n + 1)
+    return 8 * n * (_arpack_ncv(n, k) + 3) + 8 * (2 * d + 1) * (n + 1)
 
 
 def _filter_interval(V: np.ndarray, k: int) -> tuple[float, float]:
@@ -416,6 +424,47 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
             f"eigenpair residuals {result.residuals} exceed tol={tol}"
         )
     return result
+
+
+def certify_below(V: np.ndarray, theta: float) -> bool:
+    """True when a certificate proves that every eigenvalue of Delta + V
+    lies below theta; False proves nothing.
+
+    The certificate is a floating-point Cholesky factorisation of
+    A = (theta - c)I - H in band storage of width side^(d - 1) (LAPACK
+    pbtrf).  Rump ("Verification of positive definiteness", BIT 46, 2006):
+    when it runs to completion on a symmetric A with positive diagonal, the
+    factor is exact for A + E with ||E||_2 <= alpha tr(A), where
+    alpha = (n + 1)u / (1 - 2(n + 1)u) and u is the unit roundoff.  So
+    A >= -alpha tr(A) I, and with c above alpha tr(A), theta I - H >= A + cI
+    is positive definite: lambda_1 < theta.  c is twice alpha times the
+    trace of theta I - H.  The factor 2 covers the rounding of alpha and of
+    the trace, and Rump's term for underflow, a multiple of 2^-1074 far
+    below alpha tr(A): a positive definite A with a bond has a diagonal
+    entry above 1.  The diagonal of A is rounded down an ulp per operation,
+    so it never exceeds its exact value.  A diagonal entry <= 0 fails at
+    once.
+    """
+    n, d = V.size, V.ndim
+    h = V.ravel(order="C") - 2.0 * d
+    if float(np.max(h)) >= theta:
+        return False  # lambda_1 >= max diagonal of H
+    u = np.finfo(float).eps / 2
+    alpha = (n + 1) * u / (1.0 - 2.0 * (n + 1) * u)
+    c = 2.0 * alpha * float(np.sum(theta - h))
+    shifted = np.nextafter(theta - c, -np.inf)
+    diag = np.nextafter(shifted - np.nextafter(h, np.inf), -np.inf)
+    if float(np.min(diag)) <= 0.0:
+        return False
+    i, j = _bonds(V.shape)
+    band = np.zeros((math.prod(V.shape[1:]) + 1, n))
+    band[0] = diag
+    band[j - i, i] = -1.0  # lower band storage: entry (j, i) in row j - i
+    try:
+        cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
+    except LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

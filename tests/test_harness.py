@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from andex import cli, covariance as cov, field, harness, scales, spectrum
+from andex import cli, covariance as cov, extremes, field, harness, scales, spectrum
 from andex.errors import ConfigError, EmbeddingInvalidError
 
 
@@ -452,11 +452,11 @@ class TestMemoryCheck:
     def test_counts_the_arpack_basis(self, tmp_path, monkeypatch):
         # 61 x 61 sites: above the subset-eigh limit, so ARPACK holds
         # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles, the
-        # filter 3 work vectors, and its CSR matrix 5 entries a row of 16
-        # bytes each and 3722 row pointers of 8
+        # filter 3 work vectors, and its DIA matrix 5 diagonals of 3721
+        # values and an offset each, 8 bytes apiece
         ctx = self._ctx(tmp_path, "macro_meso", k=3)
         grids = 61**2 * 16 * 6
-        solver = (20 + 3) * 61**2 * 8 + 5 * 61**2 * 16 + (61**2 + 1) * 8
+        solver = (20 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver)
         ctx.check_memory()
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver - 1)
@@ -479,8 +479,8 @@ class TestMemoryCheck:
     def test_solver_bytes_per_path(self):
         assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8
         assert spectrum.solver_bytes(169, 2, 4) == 8 * 169**2
-        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 23 + 16 * 5 * 3721 + 8 * 3722
-        assert spectrum.solver_bytes(729, 3, 4) == 8 * 729 * 23 + 16 * 7 * 729 + 8 * 730
+        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 23 + 8 * 5 * 3722
+        assert spectrum.solver_bytes(729, 3, 4) == 8 * 729 * 23 + 8 * 7 * 730
 
 
 class TestRowExperiments:
@@ -627,6 +627,94 @@ class TestTrialExperiments:
         manifest = json.loads(path.read_text())
         assert "conditioning" in manifest["summary"]
         assert "rank_1" in manifest["summary"]
+
+
+def _all_cores_pool(V, part, k):
+    """Every core solved, pooled in core order and sorted stably."""
+    shape = (field.grid_side(part.R_L),) * part.d
+    pool = []
+    for sites in part.core_sites:
+        res = spectrum.top_k_eigs(V.ravel()[sites].reshape(shape), min(k, sites.size))
+        pool.extend(
+            (float(lam), sites, phi)
+            for lam, phi in zip(res.eigenvalues, res.eigenfunctions)
+        )
+    pool.sort(key=lambda item: -item[0])
+    return pool[:k]
+
+
+@pytest.fixture
+def solved_cores(monkeypatch):
+    """The core potentials top_k_eigs is called on, in call order."""
+    calls = []
+    solve = spectrum.top_k_eigs
+
+    def spy(V, k, *args, **kwargs):
+        calls.append(np.array(V))
+        return solve(V, k, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "top_k_eigs", spy)
+    return calls
+
+
+POOL_FAMILIES = [
+    {"family": "iid"},
+    {"family": "cube_indicator", "m": 2},
+    {"family": "exponential", "alpha": 1.0},
+]
+
+
+class TestPooledBoxEigs:
+    # (d, L, R_L, fields): cores of 31 sites in d = 1; 169 (9 and 49 cores)
+    # and 441 (ARPACK) in d = 2; 343 and 729 (ARPACK) in d = 3
+    @pytest.mark.parametrize(
+        "d,L,R_L,fields",
+        [
+            (1, 512, 31, 6),
+            (2, 60, 13, 6),
+            (2, 121, 13, 3),
+            (2, 100, 21, 2),
+            (3, 30, 7, 2),
+            (3, 24, 9, 1),
+        ],
+    )
+    @pytest.mark.parametrize("model", POOL_FAMILIES, ids=lambda m: m["family"])
+    def test_equals_all_cores_bit_for_bit(self, solved_cores, d, L, R_L, fields, model):
+        part = extremes.build_partition(L, R_L, d)
+        m = cov.CovarianceModel.from_config(model, d)
+        for i in range(fields):
+            V = field.sample_field(m, L, harness.trial_seed(31, i)).values
+            want = _all_cores_pool(V, part, 3)
+            solved_cores.clear()
+            got = harness._pooled_box_eigs(V, part, 3)
+            assert len(solved_cores) < part.n_boxes  # some core was skipped
+            assert len(got) == len(want) == 3
+            for (lam, sites, phi), (lam0, sites0, phi0) in zip(got, want):
+                assert lam == lam0
+                assert np.array_equal(sites, sites0)
+                assert np.array_equal(phi, phi0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_identical_cores_are_both_solved_and_keep_core_order(self, solved_cores, k):
+        # cores 2 and 6 of 9 hold the same potential, far above the rest:
+        # with k = 1 the second one's top eigenvalue is exactly theta
+        part = extremes.build_partition(60, 13, 2)
+        V = np.random.default_rng(3).standard_normal((61, 61)) - 3.0
+        patch = np.random.default_rng(4).standard_normal(169) + 3.0
+        flat = V.reshape(-1)
+        flat[part.core_sites[2]] = patch
+        flat[part.core_sites[6]] = patch
+        got = harness._pooled_box_eigs(V, part, k)
+        assert len(solved_cores) == 2
+        for core in solved_cores:
+            assert np.array_equal(core.ravel(), patch)
+        want = _all_cores_pool(V, part, k)
+        assert [p[0] for p in got] == [p[0] for p in want]
+        assert [p[1][0] for p in got] == [p[1][0] for p in want]
+        assert got[0][1][0] == part.core_sites[2][0]
+        if k == 2:
+            assert got[0][0] == got[1][0]
+            assert got[1][1][0] == part.core_sites[6][0]
 
 
 class TestReport:
@@ -825,6 +913,16 @@ class TestCLI:
         p = tmp_path / "bad.json"
         p.write_text("[1, 2]")
         assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys, kind):
+        p = tmp_path / "cfg.json"
+        if kind == "directory":
+            p.mkdir()
+        elif kind == "not_utf8":
+            p.write_bytes(b'{"experiment": "bar_sweep", "L": 64, "model": "\xff"}')
+        assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
+        assert "config error: cannot read config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from andex import covariance as cov, field, harness, scales, spectrum
@@ -413,14 +414,80 @@ class TestChebyshevFilter:
         H = spectrum._assemble_dense(V)
         assert np.allclose(S.toarray(), (2 * H - (c + a) * np.eye(V.size)) / (c - a))
 
-    def test_csr_bytes_within_solver_bytes(self):
+    @pytest.mark.parametrize("shape", [(21, 21), (7, 7, 7)])
+    def test_dia_matrix_is_the_scaled_operator(self, shape):
+        # ascending offsets, zeros where a bond leaves the box; its matvec
+        # is bit for bit that of the canonical CSR matrix of the same entries
+        V = np.random.default_rng(16).standard_normal(shape)
+        a, c = spectrum._filter_interval(V, 3)
+        S = spectrum._assemble_scaled(V, a, c)
+        n, d = V.size, V.ndim
+        H = spectrum._assemble_dense(V)
+        assert S.format == "dia"
+        assert list(S.offsets) == sorted(S.offsets) and len(S.offsets) == 2 * d + 1
+        assert np.allclose(S.toarray(), (2 * H - (c + a) * np.eye(n)) / (c - a), rtol=0, atol=1e-14)
+        assert np.array_equal(S.toarray() != 0, H != 0)
+        i, j = spectrum._bonds(shape)
+        sites = np.arange(n)
+        scale = 2.0 / (c - a)
+        diag = scale * (V.ravel() - 2.0 * d) - (c + a) / (c - a)
+        C = csr_array(
+            (
+                np.concatenate([diag, np.full(2 * i.size, scale)]),
+                (np.concatenate([sites, i, j]), np.concatenate([sites, j, i])),
+            ),
+            shape=(n, n),
+        )
+        assert np.array_equal(S.toarray(), C.toarray())
+        for seed in range(5):
+            x = np.random.default_rng(seed).standard_normal(n)
+            assert np.array_equal(S @ x, C @ x)
+
+    def test_dia_bytes_within_solver_bytes(self):
         for shape in ((21, 21), (9, 9, 9)):
             V = np.zeros(shape)
             S = spectrum._assemble_scaled(V, -20.0, 1.0)
             n, d = V.size, V.ndim
-            held = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+            held = S.data.nbytes + S.offsets.nbytes
             vectors = 8 * n * (spectrum._arpack_ncv(n, 4) + 3)
             assert held <= spectrum.solver_bytes(n, d, 4) - vectors
+
+
+class TestCertifyBelow:
+    # cores of the shapes macro_meso solves, and a d = 1 chain
+    SHAPES = [(31,), (13, 13), (27, 27), (7, 7, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_certifies_above_lambda_1_only(self, shape):
+        for seed in range(4):
+            V = 2.0 * np.random.default_rng(seed).standard_normal(shape)
+            lam1 = float(np.linalg.eigvalsh(spectrum._assemble_dense(V))[-1])
+            assert spectrum.certify_below(V, lam1 + 1e-6)
+            assert spectrum.certify_below(V, lam1 + 1.0)
+            for theta in (lam1 - 1.0, lam1 - 1e-9, float(np.max(V)) - 2.0 * V.ndim):
+                assert not spectrum.certify_below(V, theta)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_needs_a_margin_above_lambda_1(self, shape):
+        # theta within a few ulps of the computed lambda_1, which itself is
+        # off by rounding: a certificate there would prove nothing
+        for seed in range(4):
+            V = 2.0 * np.random.default_rng(seed).standard_normal(shape)
+            lam1 = float(np.linalg.eigvalsh(spectrum._assemble_dense(V))[-1])
+            for steps in range(-4, 9):
+                theta = lam1 + steps * math.ulp(lam1)
+                assert not spectrum.certify_below(V, theta)
+
+    def test_single_site(self):
+        V = np.array([[1.5]])
+        assert not spectrum.certify_below(V, 1.5 - 4.0)
+        assert spectrum.certify_below(V, 1.5 - 4.0 + 1e-9)
+
+    def test_leaves_V_alone(self):
+        V = np.random.default_rng(5).standard_normal((13, 13))
+        before = V.copy()
+        spectrum.certify_below(V, 10.0)
+        assert np.array_equal(V, before)
 
 
 @pytest.fixture(scope="module")
