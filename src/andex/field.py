@@ -85,16 +85,21 @@ def window(L: int, x0, half: int) -> tuple[slice, ...]:
     around the point x0, given in coordinates with the box centre at the
     origin; ValueError when the cube leaves Q_L."""
     h = L // 2
-    if any(abs(c) + half > h for c in x0):
-        raise ValueError(
-            f"cube of half-width {half} around {tuple(x0)} leaves the box of side {L}"
-        )
-    return tuple(slice(h + c - half, h + c + half + 1) for c in x0)
+    out = []
+    for c in x0:
+        if abs(c) + half > h:
+            raise ValueError(
+                f"cube of half-width {half} around {tuple(x0)} leaves the box of side {L}"
+            )
+        out.append(slice(h + c - half, h + c + half + 1))
+    return tuple(out)
 
 
 def _ring(cube: np.ndarray) -> np.ndarray:
     """The entries of an odd cube in C order, its centre left out."""
-    return np.delete(cube.reshape(-1), cube.size // 2)
+    flat = cube.reshape(-1)
+    mid = flat.size // 2
+    return np.concatenate((flat[:mid], flat[mid + 1 :]))
 
 
 @dataclass(frozen=True)

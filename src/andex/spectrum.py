@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, eigh, eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg import LinAlgError, cholesky_banded, eigh
+from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse import dia_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -54,11 +54,13 @@ MAX_K = 32  # top_k_eigs: most pairs one call returns
 SUBSET_SITE_LIMIT = 400
 _ARPACK_V0_SEED = 12345
 # top_k_eigs, d >= 2 above SUBSET_SITE_LIMIT: ARPACK runs on the Chebyshev
-# filter T_m((2H - (c + a)I) / (c - a)) of degree FILTER_DEGREE, with a below
-# the spectrum and c below lambda_k; c comes from boxes of radius
-# CUT_BOX_RADIUS around high sites (_filter_interval).
+# filter T_m((2H - (c + a)I) / (c - a)) of degree m <= FILTER_DEGREE, with a
+# below the spectrum and c below lambda_k; c comes from boxes of radius
+# CUT_BOX_RADIUS around high sites (_filter_interval).  m is the largest
+# degree with T_m at most _FILTER_GROWTH_LIMIT at max V (_filter_degree).
 FILTER_DEGREE = 12
 CUT_BOX_RADIUS = 2
+_FILTER_GROWTH_LIMIT = 1e8
 # a and c sit this share of the width of their interval below their bounds.
 _FILTER_MARGIN = 1e-3
 # top_k_eigs, d = 1: windows of this half-width around the
@@ -85,12 +87,10 @@ def apply_hamiltonian(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: {V.shape} vs {psi.shape}")
     out = (V - 2.0 * V.ndim) * psi
     for axis in range(batch, psi.ndim):
-        lo = [slice(None)] * psi.ndim
-        hi = [slice(None)] * psi.ndim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        out[tuple(lo)] += psi[tuple(hi)]
-        out[tuple(hi)] += psi[tuple(lo)]
+        lead = (slice(None),) * axis
+        lo, hi = lead + (slice(0, -1),), lead + (slice(1, None),)
+        out[lo] += psi[hi]
+        out[hi] += psi[lo]
     return out
 
 
@@ -106,10 +106,10 @@ class SpectralResult:
 
     def __post_init__(self):
         lam = self.eigenvalues
-        if np.any(np.diff(lam) > TIE_TOL):
+        if (lam[1:] - lam[:-1] > TIE_TOL).any():
             raise ValueError("eigenvalues not in non-increasing order")
-        norms = np.sqrt(np.sum(self.eigenfunctions**2, axis=tuple(range(1, self.eigenfunctions.ndim))))
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        flat = self.eigenfunctions.reshape(len(self.eigenfunctions), -1)
+        if (abs(np.sqrt((flat**2).sum(axis=1)) - 1.0) > 1e-12).any():
             raise ValueError("eigenfunctions not l2-normalized")
 
     @property
@@ -154,24 +154,22 @@ def _finalize(lams, phis, V, solver: str) -> SpectralResult:
     phis holds the eigenfunctions as rows, shape (k,) + V.shape; all k are
     normalized, centred, sign-fixed and residual-checked in one pass.
     """
-    order = np.argsort(-lams, kind="stable")
+    order = (-lams).argsort(kind="stable")
     lams = np.asarray(lams, dtype=float)[order]
     k = lams.size
-    stack = (k,) + (1,) * V.ndim  # broadcasts one number per row
-    P = np.asarray(phis)[order]
-    P = P / np.sqrt(np.sum(P.reshape(k, -1) ** 2, axis=1)).reshape(stack)
-    flat = P.reshape(k, -1)
+    flat = np.asarray(phis)[order].reshape(k, -1)  # a copy, one row per pair
+    flat /= np.sqrt((flat**2).sum(axis=1))[:, None]
     # argmax of |phi|, first in C order on ties; positive there
-    peak = np.argmax(np.abs(flat), axis=1)
-    flip = flat[np.arange(k), peak] < 0
-    P[flip] = -P[flip]
-    R = apply_hamiltonian(V, P)
-    R -= lams.reshape(stack) * P
+    peak = abs(flat).argmax(axis=1)
+    np.negative(flat, out=flat, where=(flat[np.arange(k), peak] < 0)[:, None])
+    P = flat.reshape((k,) + V.shape)
+    R = apply_hamiltonian(V, P).reshape(k, -1)
+    R -= lams[:, None] * flat
     return SpectralResult(
         eigenvalues=lams,
         eigenfunctions=P,
         centers=tuple(peak.tolist()),
-        residuals=np.sqrt(np.sum(R.reshape(k, -1) ** 2, axis=1)),
+        residuals=np.sqrt((R**2).sum(axis=1)),
         solver=solver,
     )
 
@@ -279,15 +277,34 @@ def _filter_interval(V: np.ndarray, k: int) -> tuple[float, float]:
     return a, cut - _FILTER_MARGIN * (cut - a)
 
 
+def _filter_degree(top: float, a: float, c: float) -> int:
+    """The largest m <= FILTER_DEGREE, and at least 1, with T_m(x_top) <=
+    _FILTER_GROWTH_LIMIT, where x_top = 1 + 2(top - c) / (c - a) is where
+    [a, c] -> [-1, 1] maps top.  With top = max V >= lambda_1 (Delta <= 0),
+    p(lambda_1) / p(lambda_k) stays below the limit: a much larger ratio
+    lets rounding along the top pair swamp the others.  Gaussian fields
+    stay far below it at FILTER_DEGREE (T_12(x_top) <= 3.5e5 on the
+    gluing_2d fields); a site 1e4 above the rest gets degree 2."""
+    x = 1.0 + 2.0 * (top - c) / (c - a)
+    prev, cur, m = 1.0, x, 1
+    while m < FILTER_DEGREE:
+        prev, cur = cur, 2.0 * x * cur - prev
+        if cur > _FILTER_GROWTH_LIMIT:
+            break
+        m += 1
+    return m
+
+
 def _chebyshev_filter(V: np.ndarray, a: float, c: float) -> LinearOperator:
-    """T_m(S) for m = FILTER_DEGREE and S = (2H - (c + a)I) / (c - a), by
-    the three-term recurrence T_{j+1}(S)x = 2S T_j(S)x - T_{j-1}(S)x with
-    three work vectors."""
+    """T_m(S) for S = (2H - (c + a)I) / (c - a) and m from _filter_degree,
+    by the three-term recurrence T_{j+1}(S)x = 2S T_j(S)x - T_{j-1}(S)x
+    with three work vectors."""
     S = _assemble_scaled(V, a, c)
+    m = _filter_degree(float(V.max()), a, c)
 
     def apply(x):
         prev, cur = x.ravel(), S @ x.ravel()
-        for _ in range(FILTER_DEGREE - 1):
+        for _ in range(m - 1):
             nxt = S @ cur
             nxt *= 2.0
             nxt -= prev
@@ -309,19 +326,55 @@ def dense_eigs(V: np.ndarray, k: int | None = None) -> SpectralResult:
     return _finalize(w[sel], U[:, sel].T.reshape((k,) + V.shape), V, "dense")
 
 
+def _tridiagonal_top(
+    diag: np.ndarray, off: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues, ascending, and their eigenvectors as
+    columns, of the symmetric tridiagonal matrix with diagonal diag and
+    off-diagonal off.
+
+    LAPACK dstebz by index (block order, default abstol), then dstein: the
+    calls scipy's eigh_tridiagonal(select="i") makes, without its wrapper,
+    so the same bits.  One site is its own eigenpair, as in scipy's quick
+    exit (f2py's dstebz refuses an empty off-diagonal).  A LAPACK failure
+    raises SolverConvergenceError.
+    """
+    n = diag.size
+    if n == 1:
+        return np.array([diag[0]]), np.ones((1, 1))
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, n - k + 1, n, 0.0, b"B")
+    if info == 0:
+        w = w[:m]
+        U, info = dstein(diag, off, w, iblock, isplit)
+    if info != 0:
+        raise SolverConvergenceError(f"LAPACK tridiagonal eigensolver failed (info={info})")
+    order = np.argsort(w)
+    return w[order], U[:, order]
+
+
+def _count_above(diag: np.ndarray, off: np.ndarray, theta: float, top: float) -> int | None:
+    """How many eigenvalues of the symmetric tridiagonal matrix lie in
+    (theta, top], by LAPACK dstebz, or None when LAPACK fails.  An abstol
+    as wide as the interval stops its bisection at once, leaving only the
+    count."""
+    count, _, _, _, info = dstebz(diag, off, 1, theta, top, 0, 0, top - theta, b"E")
+    return count if info == 0 else None
+
+
 def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
     """Certified top-k pairs of the d = 1 operator from windows around its
     highest sites, or None when the windows cannot be certified.
 
-    One LAPACK call solves the principal submatrix of H on the union of the
-    windows; windows that do not touch are not coupled.  Zero-extended, the
-    k top Ritz vectors have residual block R on the full H.  Were they
-    orthonormal, k eigenvalues of H would lie within r = ||R||_F of the
-    Ritz values mu_1 >= ... >= mu_k (Kahan).  A loss delta of
+    One _tridiagonal_top call solves the principal submatrix of H on the
+    union of the windows; windows that do not touch are not coupled.
+    Zero-extended, the k top Ritz vectors have residual block R on the full
+    H.  Were they orthonormal, k eigenvalues of H would lie within
+    r = ||R||_F of the Ritz values mu_1 >= ... >= mu_k (Kahan).  A loss delta of
     orthonormality widens r to bound = (r + 2 max|mu| delta)(1 + delta) /
     (1 - delta), so all k lie above theta = mu_k - bound - slack.  A Sturm
-    count (LAPACK dstebz) of the eigenvalues of H above theta decides: if
-    it finds exactly k, they are the top k and the pairs are returned.
+    count of the eigenvalues of H above theta (_count_above, the only use
+    of dstebz by value) decides: if it finds exactly k, they are the top k
+    and the pairs are returned.
     """
     n = V.size
     if 2 * (2 * WINDOW_HALF_WIDTH + 1) >= n:
@@ -332,21 +385,15 @@ def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
     inside = np.zeros(n, dtype=bool)
     inside[np.clip(peaks[:, None] + offsets, 0, n - 1)] = True
     sites = np.flatnonzero(inside)
-    t = sites.size
-    if 2 * t >= n:
+    if 2 * sites.size >= n:
         return None
-    mu, U = eigh_tridiagonal(
-        V[sites] - 2.0,
-        (np.diff(sites) == 1).astype(float),
-        select="i",
-        select_range=(t - k, t - 1),
-    )
+    mu, U = _tridiagonal_top(V[sites] - 2.0, (np.diff(sites) == 1).astype(float), k)
     phis = np.zeros((k, n))
     phis[:, sites] = U.T
     result = _finalize(mu, phis, V, "window")
     gram = result.eigenfunctions @ result.eigenfunctions.T
     delta = float(np.linalg.norm(gram - np.eye(k)))
-    if np.any(result.residuals > tol) or delta > tol:
+    if (result.residuals > tol).any() or delta > tol:
         return None
     r = math.sqrt(float(np.sum(result.residuals**2)))
     mu = result.eigenvalues
@@ -356,12 +403,7 @@ def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
     slack = _COUNT_SLACK_ULPS * np.finfo(float).eps * h_norm
     theta = float(mu[-1]) - bound - slack
     top = float(np.max(V)) + 1.0  # above every eigenvalue (Gershgorin)
-    # range 1: count by value in (theta, top]; an abstol as wide as that
-    # interval stops the bisection at once, leaving only the count
-    count, _, _, _, info = dstebz(
-        V - 2.0, np.ones(n - 1), 1, theta, top, 0, 0, top - theta, b"E"
-    )
-    if info != 0 or count != k:
+    if _count_above(V - 2.0, np.ones(n - 1), theta, top) != k:
         return None
     return result
 
@@ -374,19 +416,23 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     d = 1: a solve on windows around the highest sites, kept only when a
     Sturm count certifies that no eigenvalue was missed (_window_eigs);
     otherwise, and when the windows would cover half the sites, LAPACK
-    bisection and inverse iteration on the whole tridiagonal H
-    (eigh_tridiagonal).  d >= 2 up to SUBSET_SITE_LIMIT sites: dense
-    LAPACK eigh restricted to the top k indices.  Larger d >= 2 boxes:
-    ARPACK (eigsh) from a fixed start vector, so results are deterministic,
-    on p(H) = T_m((2H - (c + a)I) / (c - a)), the Chebyshev polynomial of
-    degree m = FILTER_DEGREE with [a, c] from _filter_interval.  On [a, c]
-    |p| <= 1; above c, p increases from 1.  Every eigenvalue of H lies
-    above a and the top k above c, so the top k of p(H) belong to the same
-    eigenvectors as the top k of H, in the same order, while p stretches
-    their gaps.  The eigenvalues returned are the Rayleigh quotients
-    <u, Hu> of the Ritz vectors u.  A site hundreds of units above the rest
-    of V makes p(lambda_1) / p(lambda_k) so large that rounding along the
-    top pair swamps the others; their residuals then exceed tol.
+    bisection and inverse iteration (dstebz, dstein) on the whole
+    tridiagonal H (_tridiagonal_top).  Both d = 1 solves call LAPACK
+    directly, not through scipy's eigh_tridiagonal, with the same bits.
+    d >= 2 up to SUBSET_SITE_LIMIT sites: dense LAPACK eigh restricted to
+    the top k indices.  Larger d >= 2 boxes: ARPACK (eigsh) from a fixed
+    start vector, so results are deterministic, on
+    p(H) = T_m((2H - (c + a)I) / (c - a)), the Chebyshev polynomial of
+    degree m <= FILTER_DEGREE, with [a, c] from _filter_interval and m from
+    _filter_degree.  On [a, c] |p| <= 1; above c, p increases from 1.
+    Every eigenvalue of H lies above a and the top k above c, so the top k
+    of p(H) belong to the same eigenvectors as the top k of H, in the same
+    order, while p stretches their gaps.  The eigenvalues returned are the
+    Rayleigh quotients <u, Hu> of the Ritz vectors u.  A site far above the
+    rest of V would make p(lambda_1) / p(lambda_k) so large that rounding
+    along the top pair swamps the others, so the degree drops as max V - c
+    grows.  At a site near 1e6 above the rest, eps ||H|| alone exceeds tol
+    and the residuals raise.
     """
     n = V.size
     if k < 1:
@@ -397,15 +443,15 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
         raise ValueError(f"k={k} exceeds {n} sites")
     if tol < 1e-13:
         raise ValueError("tol below achievable double precision")
+    if not np.isfinite(V).all():
+        raise ValueError("V must not contain infs or NaNs")
     try:
         if V.ndim == 1:
             result = _window_eigs(V, k, tol)
             if result is not None:
                 return result
             solver = "tridiagonal"
-            lams, U = eigh_tridiagonal(
-                V - 2.0, np.ones(n - 1), select="i", select_range=(n - k, n - 1)
-            )
+            lams, U = _tridiagonal_top(V - 2.0, np.ones(n - 1), k)
         elif n <= SUBSET_SITE_LIMIT:
             solver = "subset"
             lams, U = eigh(_assemble_dense(V), subset_by_index=[n - k, n - 1])
@@ -419,7 +465,7 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     except (ArpackNoConvergence, LinAlgError) as exc:
         raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
     result = _finalize(lams, U.T.reshape((k,) + V.shape), V, solver)
-    if np.any(result.residuals > tol):
+    if (result.residuals > tol).any():
         raise SolverConvergenceError(
             f"eigenpair residuals {result.residuals} exceed tol={tol}"
         )

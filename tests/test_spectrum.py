@@ -217,13 +217,13 @@ class TestLanczos:
 
     def test_residual_above_tol_raises(self, monkeypatch):
         # a pair whose true residual exceeds tol is refused on every path
-        real = spectrum.eigh_tridiagonal
+        real = spectrum._tridiagonal_top
 
-        def off_by_1e6(*args, **kwargs):
-            w, U = real(*args, **kwargs)
+        def off_by_1e6(*args):
+            w, U = real(*args)
             return w + 1e-6, U
 
-        monkeypatch.setattr(spectrum, "eigh_tridiagonal", off_by_1e6)
+        monkeypatch.setattr(spectrum, "_tridiagonal_top", off_by_1e6)
         V = np.random.default_rng(10).standard_normal(201)
         with pytest.raises(SolverConvergenceError):
             spectrum.top_k_eigs(V, 3, tol=1e-10)
@@ -399,20 +399,65 @@ class TestChebyshevFilter:
         assert np.max(np.abs(top.eigenvalues - w)) <= 1e-9
 
     def test_filter_is_the_chebyshev_polynomial(self):
-        # T_m(S) x by the recurrence equals U T_m(w) U^T x on the spectrum of S
-        V = np.random.default_rng(14).standard_normal((6, 6))
-        a, c = spectrum._filter_interval(V, 3)
-        S = spectrum._assemble_scaled(V, a, c)
-        w, U = np.linalg.eigh(S.toarray())
-        x = np.random.default_rng(15).standard_normal(V.size)
-        coef = np.zeros(spectrum.FILTER_DEGREE + 1)
-        coef[-1] = 1.0
-        want = U @ (np.polynomial.chebyshev.chebval(w, coef) * (U.T @ x))
-        got = spectrum._chebyshev_filter(V, a, c) @ x
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
-        # [a, c] maps onto [-1, 1]
-        H = spectrum._assemble_dense(V)
-        assert np.allclose(S.toarray(), (2 * H - (c + a) * np.eye(V.size)) / (c - a))
+        # T_m(S) x by the recurrence equals U T_m(w) U^T x on the spectrum
+        # of S, m the filter's degree: lower on the small box, whose top
+        # site maps far above 1
+        for shape, m in (((6, 6), 8), ((21, 21), spectrum.FILTER_DEGREE)):
+            V = np.random.default_rng(14).standard_normal(shape)
+            a, c = spectrum._filter_interval(V, 3)
+            assert spectrum._filter_degree(float(V.max()), a, c) == m
+            S = spectrum._assemble_scaled(V, a, c)
+            w, U = np.linalg.eigh(S.toarray())
+            x = np.random.default_rng(15).standard_normal(V.size)
+            coef = np.zeros(m + 1)
+            coef[-1] = 1.0
+            want = U @ (np.polynomial.chebyshev.chebval(w, coef) * (U.T @ x))
+            got = spectrum._chebyshev_filter(V, a, c) @ x
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+            # [a, c] maps onto [-1, 1]
+            H = spectrum._assemble_dense(V)
+            assert np.allclose(S.toarray(), (2 * H - (c + a) * np.eye(V.size)) / (c - a))
+
+    def test_high_site_lowers_the_degree(self):
+        # a site 1e4 above a standard-normal field: at degree 12 the top pair
+        # swamps the others; the degree drops to 2 and the solve passes
+        V = np.random.default_rng(3).standard_normal((31, 31))
+        V[15, 15] = 1e4
+        a, c = spectrum._filter_interval(V, 4)
+        assert spectrum._filter_degree(float(V.max()), a, c) == 2
+        top = spectrum.top_k_eigs(V, 4)
+        w = np.linalg.eigvalsh(spectrum._assemble_dense(V))[::-1][:4]
+        assert top.solver == "arpack"
+        assert np.max(top.residuals) <= 1e-10
+        assert np.max(np.abs(top.eigenvalues - w)) <= 1e-10
+
+    def test_site_far_above_tol_still_raises(self):
+        # at 1e6, eps ||H|| (about 2e-10) alone exceeds tol
+        V = np.random.default_rng(3).standard_normal((31, 31))
+        V[15, 15] = 1e6
+        with pytest.raises(SolverConvergenceError):
+            spectrum.top_k_eigs(V, 4)
+
+    def test_degree_is_the_largest_within_the_growth_limit(self):
+        for top in (3.0, 50.0, 1e3, 1e4, 1e6, 1e12):
+            a, c = -10.0, 1.0
+            m = spectrum._filter_degree(top, a, c)
+            x = 1.0 + 2.0 * (top - c) / (c - a)
+            t = np.polynomial.chebyshev.chebval(x, [0.0] * m + [1.0])
+            assert 1 <= m <= spectrum.FILTER_DEGREE
+            assert m == 1 or t <= spectrum._FILTER_GROWTH_LIMIT
+            if m < spectrum.FILTER_DEGREE:
+                grown = np.polynomial.chebyshev.chebval(x, [0.0] * (m + 1) + [1.0])
+                assert grown > spectrum._FILTER_GROWTH_LIMIT
+
+    def test_gluing_fields_keep_the_full_degree(self):
+        # the fields the d = 2 macro-meso experiment solves (iid, L = 60,
+        # top 4) stay at FILTER_DEGREE, so their records do not change
+        model = cov.CovarianceModel("iid", 2, {})
+        for i in range(200):
+            V = np.array(field.sample_field(model, 60, harness.trial_seed(2024, i)).values)
+            a, c = spectrum._filter_interval(V, 4)
+            assert spectrum._filter_degree(float(V.max()), a, c) == spectrum.FILTER_DEGREE
 
     @pytest.mark.parametrize("shape", [(21, 21), (7, 7, 7)])
     def test_dia_matrix_is_the_scaled_operator(self, shape):
@@ -538,17 +583,17 @@ def _assert_agrees_with_global(res, V, k):
 
 
 @pytest.fixture
-def counted_dstebz(monkeypatch):
-    """Wraps spectrum.dstebz; records (vl, count) of every call."""
+def sturm_counts(monkeypatch):
+    """Wraps spectrum._count_above; records (theta, count) of every call."""
     calls = []
-    real = spectrum.dstebz
+    real = spectrum._count_above
 
-    def recording(*args):
-        out = real(*args)
-        calls.append((args[3], out[0]))
-        return out
+    def recording(diag, off, theta, top):
+        count = real(diag, off, theta, top)
+        calls.append((theta, count))
+        return count
 
-    monkeypatch.setattr(spectrum, "dstebz", recording)
+    monkeypatch.setattr(spectrum, "_count_above", recording)
     return calls
 
 
@@ -562,7 +607,7 @@ WINDOW_MODELS = [
 class TestWindowPath:
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("model", WINDOW_MODELS, ids=lambda m: m.family)
-    def test_agrees_with_global_solver(self, model, k, counted_dstebz):
+    def test_agrees_with_global_solver(self, model, k, sturm_counts):
         # at seed 1 the windows certify in every case; a draw where they do
         # not takes the whole-chain path, as in the fallback tests below
         V = np.array(field.sample_field(model, 4096, 1).values)
@@ -572,7 +617,7 @@ class TestWindowPath:
         _assert_agrees_with_global(res, V, k)
         # one count, taken at or below mu_k - r (Kahan's bound), where
         # it found exactly k eigenvalues
-        (vl, count), = counted_dstebz
+        (vl, count), = sturm_counts
         r = math.sqrt(float(np.sum(res.residuals**2)))
         assert count == k
         assert vl <= res.eigenvalues[-1] - r
@@ -606,18 +651,18 @@ class TestWindowPath:
         _assert_agrees_with_global(res, V, 1)
         assert res.centers == (100,)
 
-    def test_count_widens_by_the_loss_of_orthonormality(self, monkeypatch, counted_dstebz):
+    def test_count_widens_by_the_loss_of_orthonormality(self, monkeypatch, sturm_counts):
         # Ritz vectors orthonormal only to about 1e-11: Kahan's bound holds
         # for their orthonormal polar factor, so the count starts lower
-        real = spectrum.eigh_tridiagonal
+        real = spectrum._tridiagonal_top
 
-        def skewed(*args, **kwargs):
-            w, U = real(*args, **kwargs)
+        def skewed(*args):
+            w, U = real(*args)
             U = U.copy()
             U[:, 0] += 1e-11 * U[:, 1]
             return w, U
 
-        monkeypatch.setattr(spectrum, "eigh_tridiagonal", skewed)
+        monkeypatch.setattr(spectrum, "_tridiagonal_top", skewed)
         V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, 1).values)
         res = spectrum.top_k_eigs(V, 2)
         assert res.solver == "window"
@@ -625,29 +670,28 @@ class TestWindowPath:
         delta = np.linalg.norm(phi @ phi.T - np.eye(2))
         assert delta > 1e-12
         r = math.sqrt(float(np.sum(res.residuals**2)))
-        (vl, count), = counted_dstebz
+        (vl, count), = sturm_counts
         assert vl <= res.eigenvalues[-1] - r - 2.0 * np.max(np.abs(res.eigenvalues)) * delta
 
     def test_count_other_than_k_falls_back(self, monkeypatch):
-        real = spectrum.dstebz
+        real = spectrum._count_above
 
         def one_too_many(*args):
-            m, *rest = real(*args)
-            return (m + 1, *rest)
+            return real(*args) + 1
 
-        monkeypatch.setattr(spectrum, "dstebz", one_too_many)
+        monkeypatch.setattr(spectrum, "_count_above", one_too_many)
         V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, 1).values)
         res = spectrum.top_k_eigs(V, 2)
         assert res.solver == "tridiagonal"
         _assert_agrees_with_global(res, V, 2)
 
-    def test_small_box_stays_global(self, counted_dstebz):
+    def test_small_box_stays_global(self, sturm_counts):
         # the 41-site cores of the localisation experiment: windows would
         # cover at least half the sites
         V = 3.0 * np.random.default_rng(41).standard_normal(41)
         res = spectrum.top_k_eigs(V, 2)
         assert res.solver == "tridiagonal"
-        assert counted_dstebz == []
+        assert sturm_counts == []
         _assert_agrees_with_global(res, V, 2)
 
     def test_long_chain_is_certified(self):
@@ -661,6 +705,116 @@ class TestWindowPath:
         assert spectrum.top_k_eigs(rng.standard_normal((19, 19)), 2).solver == "subset"
         assert spectrum.top_k_eigs(rng.standard_normal((21, 21)), 2).solver == "arpack"
         assert spectrum.dense_eigs(rng.standard_normal(9), 2).solver == "dense"
+
+
+def _tridiagonal_cases():
+    rng = np.random.default_rng(21)
+    cases = [(f"n{n}", 3.0 * rng.standard_normal(n) - 2.0, np.ones(n - 1)) for n in (1, 2, 3, 41)]
+    # zeros on the off-diagonal split the matrix into blocks
+    cases += [
+        ("n2-split", 3.0 * rng.standard_normal(2) - 2.0, np.zeros(1)),
+        ("n3-split", 3.0 * rng.standard_normal(3) - 2.0, np.array([1.0, 0.0])),
+        ("n5-split", 3.0 * rng.standard_normal(5) - 2.0, np.array([0.0, 1.0, 1.0, 0.0])),
+    ]
+    V = np.array(field.sample_field(WINDOW_MODELS[0], 4096, 3).values)
+    cases.append(("n4097", V - 2.0, np.ones(V.size - 1)))
+    return cases
+
+
+TRIDIAGONAL_CASES = _tridiagonal_cases()
+
+
+def _assert_matches_eigh_tridiagonal(diag, off):
+    n = diag.size
+    for k in range(1, min(5, n) + 1):
+        w, U = spectrum._tridiagonal_top(diag, off, k)
+        want_w, want_U = eigh_tridiagonal(diag, off, select="i", select_range=(n - k, n - 1))
+        assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+        assert U.shape == want_U.shape and U.tobytes() == want_U.tobytes()
+
+
+class TestTridiagonalTop:
+    @pytest.mark.parametrize(
+        "name,diag,off", TRIDIAGONAL_CASES, ids=[c[0] for c in TRIDIAGONAL_CASES]
+    )
+    def test_bit_identical_to_eigh_tridiagonal(self, name, diag, off):
+        _assert_matches_eigh_tridiagonal(diag, off)
+
+    def test_window_union_bit_identical_to_eigh_tridiagonal(self, monkeypatch):
+        # the matrix a window solve hands the kernel: about 16 windows of 49
+        # sites, split into blocks where windows do not touch
+        unions = []
+        real = spectrum._tridiagonal_top
+
+        def recording(diag, off, k):
+            unions.append((diag, off))
+            return real(diag, off, k)
+
+        monkeypatch.setattr(spectrum, "_tridiagonal_top", recording)
+        V = np.array(field.sample_field(WINDOW_MODELS[0], 4096, 3).values)
+        assert spectrum.top_k_eigs(V, 2).solver == "window"
+        monkeypatch.undo()
+        (diag, off), = unions
+        assert 700 <= diag.size <= 800 and np.count_nonzero(off == 0) >= 5
+        _assert_matches_eigh_tridiagonal(diag, off)
+
+    def test_one_site_box(self):
+        res = spectrum.top_k_eigs(np.array([0.7]), 1)
+        assert res.solver == "tridiagonal"
+        assert res.eigenvalues.tolist() == [0.7 - 2.0]
+        assert res.eigenfunctions.tolist() == [[1.0]]
+        assert res.centers == (0,) and res.residuals.tolist() == [0.0]
+
+    def test_two_site_box(self):
+        # H = [[a - 2, 1], [1, b - 2]]: eigenvalues (a + b)/2 - 2 +- sqrt(((a - b)/2)^2 + 1)
+        a, b = 0.3, -1.1
+        res = spectrum.top_k_eigs(np.array([a, b]), 2)
+        root = math.sqrt(((a - b) / 2) ** 2 + 1.0)
+        want = [(a + b) / 2 - 2.0 + root, (a + b) / 2 - 2.0 - root]
+        assert res.solver == "tridiagonal"
+        assert np.allclose(res.eigenvalues, want, rtol=0, atol=1e-14)
+        assert np.max(res.residuals) <= 1e-14
+        assert res.centers == (0, 1)
+
+    @pytest.mark.parametrize("n", [41, 4097])
+    def test_dstein_failure_raises(self, monkeypatch, n):
+        real = spectrum.dstein
+
+        def unconverged(*args):
+            z, _ = real(*args)
+            return z, 1
+
+        monkeypatch.setattr(spectrum, "dstein", unconverged)
+        V = np.random.default_rng(22).standard_normal(n)
+        with pytest.raises(SolverConvergenceError):
+            spectrum.top_k_eigs(V, 2)
+
+    def test_d1_never_reaches_eigh_tridiagonal(self, monkeypatch):
+        import scipy.linalg
+        import scipy.linalg._decomp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy's eigh_tridiagonal called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
+        monkeypatch.setattr(scipy.linalg._decomp, "eigh_tridiagonal", forbidden)
+        assert not hasattr(spectrum, "eigh_tridiagonal")
+        rng = np.random.default_rng(23)
+        solvers = set()
+        for n, k in ((1, 1), (2, 2), (41, 2), (4097, 2)):
+            solvers.add(spectrum.top_k_eigs(rng.standard_normal(n), k).solver)
+        V = np.full(4097, -10.0)
+        V[1000:1300] = 0.0
+        V[2000:4000:50] = 1.5
+        solvers.add(spectrum.top_k_eigs(V, 2).solver)  # window, then fallback
+        assert solvers == {"tridiagonal", "window"}
+
+    def test_non_finite_potential_refused(self):
+        for bad in (math.nan, math.inf):
+            V = np.zeros(41)
+            V[3] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                spectrum.top_k_eigs(V, 2)
 
 
 def _finalize_per_pair(lams, phis, V, solver):
