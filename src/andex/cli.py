@@ -126,6 +126,16 @@ def _model_from_args(args) -> cov.CovarianceModel:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_sizes(args):
+    """ConfigError unless --L, and --k where the command has it, take values
+    an experiment config accepts: L >= 2 and 1 <= k <= spectrum.MAX_K."""
+    if args.L < 2:
+        raise ConfigError(f"--L must be an integer >= 2, got {args.L}")
+    k = getattr(args, "k", 1)
+    if not 1 <= k <= spectrum.MAX_K:
+        raise ConfigError(f"--k must be an integer in 1..{spectrum.MAX_K}, got {k}")
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -135,6 +145,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "sample-field":
+            _check_sizes(args)
             model = _model_from_args(args)
             s = field.sample_field(model, args.L, args.seed, args.sampler)
             out = args.out or _default_out()
@@ -152,6 +163,7 @@ def main(argv=None) -> int:
                 )
             )
         elif args.command == "spectrum":
+            _check_sizes(args)
             model = _model_from_args(args)
             V = field.sample_field(model, args.L, args.seed).values
             print(spectrum.top_k_eigs(V, args.k).to_json())

@@ -1,7 +1,9 @@
 """Monte Carlo experiment orchestration: configs, seeding, persistence.
 
 Experiments confront the asymptotic theorems with finite-size simulation.
-Each experiment is one entry of ``_EXPERIMENTS``.  Each trial's seed is a
+Each experiment is one entry of ``_EXPERIMENTS``; ``rank_permutation`` is the
+one that records the top of the unconditioned spectrum (eigenvalues, centre,
+ranks of the centres among the sites).  Each trial's seed is a
 fixed counter-based function of (master_seed, trial_index).  Records are flat
 rows in a CSV written whole, when the run ends (a crash loses the run's new
 rows and leaves the old file; streaming writes are an open ROADMAP item); a
@@ -33,7 +35,7 @@ from .errors import ConfigError
 
 __all__ = ["ExperimentConfig", "run_experiment", "report"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Refuse runs whose working grids would obviously exhaust memory.
 _MEMORY_BUDGET_BYTES = 4_000_000_000
@@ -285,29 +287,6 @@ def _plot_cdf_vs_gumbel(rows: list[dict]):
     return "cdf_vs_gumbel.csv", ["rescaled_max", "ecdf", "gumbel_cdf"], cells
 
 
-def _trial_eigenvalue_stats(ctx: _Context, seed: int) -> dict:
-    V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
-    k = max(ctx.k, 2)
-    res = spectrum.top_k_eigs(V, k)
-    lam1 = float(res.eigenvalues[0])
-    out = {
-        "lambda_1": lam1,
-        "rescaled_lambda_1": ctx.scales.a_L
-        * (lam1 - ctx.scales.a_Xi - ctx.bar.bar_lambda),
-        "gap": res.gap,
-    }
-    for axis, c in enumerate(res.center_coords(0)):
-        out[f"center_{axis}"] = c
-    return out
-
-
-def _agg_eigenvalue_stats(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
-    return {}, {
-        "rescaled_lambda_1": _median_p95(_col(rows, "rescaled_lambda_1")),
-        "gap_median": float(np.median(_col(rows, "gap"))),
-    }
-
-
 def _check_localisation(ctx: _Context):
     # event_check's window Q_{2R_L} (half-width R_L) around x0 = 0 must lie in Q_L
     try:
@@ -373,20 +352,26 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 
 def _trial_rank_permutation(ctx: _Context, seed: int) -> dict:
     V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
-    k = ctx.k
-    res = spectrum.top_k_eigs(V, k)
-    ranks = extremes.site_ranks(V, res.centers)
-    out = {"lambda_1": float(res.eigenvalues[0])}
-    if res.k >= 2:
-        out["gap"] = res.gap
-    for j, r in enumerate(ranks):
-        out[f"ell_{j + 1}"] = int(r)
+    res = spectrum.top_k_eigs(V, max(ctx.k, 2))  # two pairs at least, for the gap
+    lam1 = float(res.eigenvalues[0])
+    out = {
+        "lambda_1": lam1,
+        "rescaled_lambda_1": ctx.scales.a_L
+        * (lam1 - ctx.scales.a_Xi - ctx.bar.bar_lambda),
+        "gap": res.gap,
+    }
+    for axis, c in enumerate(res.center_coords(0)):
+        out[f"center_{axis}"] = c
+    for j, r in enumerate(extremes.site_ranks(V, res.centers[: ctx.k])):
+        out[f"ell_{j + 1}"] = r
     return out
 
 
 def _agg_rank_permutation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
     ell1 = _col(rows, "ell_1").astype(int)
     return {}, {
+        "rescaled_lambda_1": _median_p95(_col(rows, "rescaled_lambda_1")),
+        "gap_median": float(np.median(_col(rows, "gap"))),
         "p_ell1_eq_1": float(np.mean(ell1 == 1)),
         "ell_1_histogram": {str(v): int(np.sum(ell1 == v)) for v in np.unique(ell1)},
     }
@@ -581,7 +566,7 @@ class _Experiment:
     ``check``, if set, rejects a config with ConfigError before any draw;
     ``plot``, if set, gives the plot-data file that ``report`` writes;
     ``overrides`` names the keys it reads beyond _SCALE_OVERRIDES;
-    ``extra_pairs`` counts the eigenpairs a trial solves beyond k."""
+    ``extra_pairs`` counts the eigenpairs a trial solves beyond k >= 2."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
     trial: Callable[[_Context, int], dict] | None = None
@@ -600,12 +585,6 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         check=_check_partition,
         plot=_plot_cdf_vs_gumbel,
         overrides=frozenset({"count_level"}),
-    ),
-    "eigenvalue_stats": _Experiment(
-        _agg_eigenvalue_stats,
-        trial=_trial_eigenvalue_stats,
-        solve_sites=_box_sites,
-        overrides=frozenset({"k"}),
     ),
     "localisation": _Experiment(
         _agg_localisation,
@@ -736,20 +715,24 @@ def _aggregate(cfg: ExperimentConfig, ctx: _Context, rows: list[dict]) -> dict:
     }
 
 
-def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], start: int):
-    """Rows of trials start .. trials - 1; a failed trial's row says so."""
+def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], kept: list[dict]):
+    """The kept rows of trials 0 .. len(kept) - 1, then the rows of the
+    trials after them up to trials - 1; a failed trial's row says so.
+    RuntimeError when more than 5% of these rows, kept or new, failed."""
     cfg = ctx.cfg
-    rows, errors = [], []
-    for i in range(start, cfg.trials):
+    rows, errors = list(kept), []
+    for i in range(len(kept), cfg.trials):
         seed = trial_seed(cfg.master_seed, i)
         try:
             rows.append({"seed": seed, **body(ctx, seed)})
         except Exception as exc:  # per-trial failure budget
             rows.append({"seed": seed, "failed": 1})
             errors.append(repr(exc))
-    if len(errors) > 0.05 * cfg.trials:
+    failed = sum(1 for r in rows if r.get("failed"))
+    if failed > 0.05 * cfg.trials:
         raise RuntimeError(
-            f"{len(errors)}/{cfg.trials} trials failed (budget 5%): {errors[:3]}"
+            f"{failed}/{cfg.trials} trials failed (budget 5%; "
+            f"{failed - len(errors)} in kept rows): {errors[:3]}"
         )
     return rows
 
@@ -763,8 +746,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     those a fresh run writes, the seeds being counter-based.  Records are
     resumed only beside the manifest of the config that wrote them, up to
     ``trials`` (ConfigError otherwise, also when the manifest is missing).
-    The records file is rewritten whole.  Trials run one after another;
-    ``workers`` is accepted only as 1."""
+    The records file is rewritten whole, and not at all when more than 5%
+    of the rows it would hold, kept or new, failed.  Trials run one after
+    another; ``workers`` is accepted only as 1."""
     if workers != 1:
         raise ValueError(f"trials run in one thread; got workers={workers}")
     ctx = _Context(cfg)
@@ -776,19 +760,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     config = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
 
     t0 = time.time()
-    existing = []
     if exp.rows is not None:
-        rows = exp.rows(ctx)
+        all_rows = exp.rows(ctx)
     else:
+        kept = []
         if records_path.exists():
             _check_resume(manifest_path, config)
             try:
-                existing = _read_prefix(records_path)[1][: cfg.trials]
+                kept = _read_prefix(records_path)[1][: cfg.trials]
             except Exception:  # unreadable records: start over
                 pass
-        rows = _run_trials(ctx, exp.trial, len(existing))
+        all_rows = _run_trials(ctx, exp.trial, kept)
 
-    all_rows = existing + rows
     # Rows read back hold "" for their empty cells, which keep no column: a
     # column that only dropped rows filled goes, as in a fresh run.
     columns = sorted(

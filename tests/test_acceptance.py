@@ -482,7 +482,7 @@ def test_criterion_14_determinism(tmp_path):
     texts = []
     for tag in ("a", "b"):
         cfg = harness.ExperimentConfig(
-            experiment="eigenvalue_stats",
+            experiment="rank_permutation",
             model={"family": "cube_indicator", "m": 2},
             L=41,
             d=1,

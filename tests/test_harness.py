@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from andex.errors import ConfigError, EmbeddingInvalidError
 
 def make_cfg(tmp_path, **kw):
     base = dict(
-        experiment="eigenvalue_stats",
+        experiment="rank_permutation",
         model={"family": "cube_indicator", "m": 2},
         L=41,
         d=1,
@@ -95,7 +96,6 @@ class TestConfig:
     # the override keys each experiment reads beyond a_L, R_L and r_L
     EXTRA_KEYS = {
         "potential_extremes": {"count_level"},
-        "eigenvalue_stats": {"k"},
         "localisation": set(),
         "rank_permutation": {"k"},
         "tail_lemma": set(),
@@ -176,7 +176,6 @@ class TestExperimentTable:
     def test_config_accepts_exactly_the_table(self, tmp_path):
         assert set(harness._EXPERIMENTS) == {
             "potential_extremes",
-            "eigenvalue_stats",
             "localisation",
             "rank_permutation",
             "tail_lemma",
@@ -185,9 +184,14 @@ class TestExperimentTable:
         }
         for name in harness._EXPERIMENTS:
             assert make_cfg(tmp_path, experiment=name).experiment == name
-        for name in ("", "Bar_sweep", "rank_permutations"):
+        for name in ("", "Bar_sweep", "rank_permutations", "eigenvalue_stats"):
             with pytest.raises(ConfigError):
                 make_cfg(tmp_path, experiment=name)
+
+    def test_readme_lists_exactly_the_table(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        sentence = text[text.index("Experiments:") :].split(".", 1)[0]
+        assert re.findall(r"`(\w+)`", sentence) == list(harness._EXPERIMENTS)
 
     def test_each_entry_has_trial_or_rows(self):
         for name, entry in harness._EXPERIMENTS.items():
@@ -248,18 +252,22 @@ class TestRunDeterminism:
         harness.run_experiment(cfg)
         cols, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")
         assert "rescaled_lambda_1" in cols
-        # repr round-trip: parsed floats equal the original doubles exactly
+        # repr round-trip: parsed floats equal the trial body's doubles exactly
+        ctx = harness._Context(cfg)
         for r in rows:
             assert isinstance(r["lambda_1"], float)
+            fresh = harness._EXPERIMENTS[cfg.experiment].trial(ctx, r["seed"])
+            assert {c: r[c] for c in fresh} == fresh
 
     def test_manifest_contents(self, tmp_path):
         cfg = make_cfg(tmp_path)
         path = harness.run_experiment(cfg)
         manifest = json.loads(path.read_text())
         assert manifest["schema_version"] == harness.SCHEMA_VERSION
-        assert manifest["config"]["experiment"] == "eigenvalue_stats"
+        assert manifest["config"]["experiment"] == "rank_permutation"
         assert manifest["trials_failed"] == 0
         assert "rescaled_lambda_1" in manifest["summary"]
+        assert "p_ell1_eq_1" in manifest["summary"]
         assert manifest["scales"]["a_L"] == 6.0
 
 
@@ -280,7 +288,7 @@ class TestResume:
 
     def test_fewer_trials_keep_the_first_rows(self, tmp_path, monkeypatch):
         # the dropped trial 30 failed, so its "failed" column goes with it
-        fail_trial(monkeypatch, "eigenvalue_stats", 30)
+        fail_trial(monkeypatch, "rank_permutation", 30)
         harness.run_experiment(make_cfg(tmp_path, trials=40))
         monkeypatch.undo()
         cfg20 = make_cfg(tmp_path, trials=20)
@@ -306,7 +314,7 @@ class TestResume:
         harness.run_experiment(cfg20)
         path = Path(cfg20.out_dir) / "records.csv"
         _, before = harness._read_prefix(path)
-        fail_trial(monkeypatch, "eigenvalue_stats", 25)
+        fail_trial(monkeypatch, "rank_permutation", 25)
         manifest = harness.run_experiment(make_cfg(tmp_path, trials=40))
         assert json.loads(manifest.read_text())["trials_failed"] == 1
         with open(path, newline="") as fh:
@@ -400,7 +408,7 @@ class TestResume:
         assert self._run_files(path.parent) == before
 
     def test_trials_failed_counts_every_failed_row(self, tmp_path, monkeypatch):
-        fail_trial(monkeypatch, "eigenvalue_stats", 5)
+        fail_trial(monkeypatch, "rank_permutation", 5)
         manifest = harness.run_experiment(make_cfg(tmp_path, trials=20))
         assert json.loads(manifest.read_text())["trials_failed"] == 1
         monkeypatch.undo()
@@ -435,10 +443,29 @@ class TestFailureBudget:
         def bomb(ctx, seed):
             raise RuntimeError("boom")
 
-        entry = dataclasses.replace(harness._EXPERIMENTS["eigenvalue_stats"], trial=bomb)
-        monkeypatch.setitem(harness._EXPERIMENTS, "eigenvalue_stats", entry)
+        entry = dataclasses.replace(harness._EXPERIMENTS["rank_permutation"], trial=bomb)
+        monkeypatch.setitem(harness._EXPERIMENTS, "rank_permutation", entry)
         with pytest.raises(RuntimeError):
             harness.run_experiment(cfg)
+
+    @pytest.mark.parametrize("first,kept_failed", [(40, 2), (100, 4)])
+    def test_budget_counts_the_kept_rows(self, tmp_path, monkeypatch, first, kept_failed):
+        # trials 3, 10, 41 and 50 fail: 4 of 60 is over the budget, so a
+        # fresh 60-trial run raises.  A run resumed from 40 trials to 60, or
+        # cut back from 100 to 60, keeps the same 4 failed rows and must
+        # raise the same way, leaving the files of the first run as they were
+        for index in (3, 10, 41, 50):
+            fail_trial(monkeypatch, "rank_permutation", index)
+        fresh = make_cfg(tmp_path, trials=60, out_dir=str(tmp_path / "fresh"))
+        with pytest.raises(RuntimeError, match=r"^4/60 trials failed"):
+            harness.run_experiment(fresh)
+        assert not (tmp_path / "fresh" / "records.csv").exists()
+        manifest = harness.run_experiment(make_cfg(tmp_path, trials=first))
+        assert json.loads(manifest.read_text())["trials_failed"] == kept_failed
+        before = {p.name: p.read_bytes() for p in manifest.parent.iterdir()}
+        with pytest.raises(RuntimeError, match=r"^4/60 trials failed"):
+            harness.run_experiment(make_cfg(tmp_path, trials=60))
+        assert {p.name: p.read_bytes() for p in manifest.parent.iterdir()} == before
 
 
 class TestMemoryCheck:
@@ -597,22 +624,44 @@ class TestTrialExperiments:
         assert calls["profile"] == 1
         assert calls["cov"] < 10 and calls["cov_in_phi"] == 0
 
-    def test_rank_permutation(self, tmp_path):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rank_permutation_rows_are_the_direct_calls(self, tmp_path, k):
         cfg = make_cfg(
             tmp_path,
-            experiment="rank_permutation",
             model={"family": "iid"},
             L=512,
             trials=5,
-            overrides={"k": 2, "R_L": 63, "r_L": 9},
+            overrides={"k": k, "a_L": 6.0, "R_L": 63, "r_L": 9},
         )
-        path = harness.run_experiment(cfg)
-        manifest = json.loads(path.read_text())
-        assert "p_ell1_eq_1" in manifest["summary"]
-        _, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")
-        for r in rows:
-            assert r["ell_1"] >= 1 and r["ell_2"] >= 1
-            assert r["ell_1"] != r["ell_2"]
+        manifest = json.loads(harness.run_experiment(cfg).read_text())
+        cols, rows = harness._read_prefix(Path(cfg.out_dir) / "records.csv")
+        ells = [f"ell_{j}" for j in range(1, k + 1)]
+        assert cols == sorted(["lambda_1", "rescaled_lambda_1", "gap", "center_0", *ells])
+        ctx = harness._Context(cfg)
+        s = ctx.scales
+        for i, row in enumerate(rows):
+            seed = harness.trial_seed(cfg.master_seed, i)
+            V = field.sample_field(ctx.model, cfg.L, seed).values
+            res = spectrum.top_k_eigs(V, max(k, 2))
+            lam1 = float(res.eigenvalues[0])
+            # read back from the CSV bit for bit
+            assert row["seed"] == seed
+            assert row["lambda_1"] == lam1
+            assert row["rescaled_lambda_1"] == s.a_L * (lam1 - s.a_Xi - ctx.bar.bar_lambda)
+            assert row["gap"] == res.gap
+            assert (row["center_0"],) == res.center_coords(0)
+            assert tuple(row[c] for c in ells) == extremes.site_ranks(V, res.centers[:k])
+        assert manifest["schema_version"] == harness.SCHEMA_VERSION == 2
+        assert manifest["config"]["experiment"] == "rank_permutation"
+        assert manifest["trials_failed"] == 0
+        assert manifest["scales"]["a_L"] == 6.0
+        summary = manifest["summary"]
+        assert list(summary) == [
+            "rescaled_lambda_1", "gap_median", "p_ell1_eq_1", "ell_1_histogram"
+        ]
+        ell1 = [r["ell_1"] for r in rows]
+        assert summary["p_ell1_eq_1"] == ell1.count(1) / len(rows)
+        assert sum(summary["ell_1_histogram"].values()) == len(rows)
 
     def test_macro_meso(self, tmp_path):
         cfg = make_cfg(
@@ -901,8 +950,9 @@ class TestCLI:
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"experiment": "warp", "L": 64}))
-        assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
+        for name in ("warp", "eigenvalue_stats"):
+            p.write_text(json.dumps({"experiment": name, "L": 64}))
+            assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_CONFIG
 
     def test_malformed_config_file_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -1100,6 +1150,24 @@ class TestCLI:
         assert cli.main(["--out", str(tmp_path), *argv, *size]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert calls == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sample-field", "--L", "0"], "--L must be an integer >= 2, got 0"),
+            (["spectrum", "--L", "1"], "--L must be an integer >= 2, got 1"),
+            (["spectrum", "--L", "41", "--k", "0"], "--k must be an integer in 1..32, got 0"),
+            (["spectrum", "--L", "41", "--k", "40"], "--k must be an integer in 1..32, got 40"),
+        ],
+    )
+    def test_out_of_range_size_exits_2_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        draws = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
+        assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert draws == [] and list(tmp_path.iterdir()) == []
 
     def test_runtime_error_exit_code(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == cli.EXIT_RUNTIME
