@@ -1,7 +1,9 @@
-"""Command-line entry point.
-
-Subcommands: sample-field, spectrum, bar-problem, ppp-reference,
-experiment, report.  Exit codes: 0 success, 1 usage error, 2 config
+"""Command-line entry point: one subparser per subcommand (sample-field,
+spectrum, bar-problem, ppp-reference, experiment, report) declares its
+arguments and its handler together (``set_defaults(run=handler)``), and
+one parent parser declares the model flags --family, --param and --d.  A
+handler returns what main prints: a dict as JSON, a string as is, or an
+int, the exit code.  Exit codes: 0 success, 1 usage error, 2 config
 error, 3 runtime failure, 4 acceptance failure (report --check).
 """
 
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from . import covariance as cov
-from . import extremes, field, harness, scales as scales_mod, spectrum
+from . import extremes, field, harness, spectrum
 from .errors import AndexError, ConfigError
 
 EXIT_OK = 0
@@ -23,10 +25,6 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_CHECK = 4
-
-
-def _default_out() -> str:
-    return os.environ.get("ANDEX_OUT", "runs")
 
 
 def _json_object(text: str) -> dict:
@@ -59,57 +57,6 @@ def _apply_overrides(cfg_dict: dict, pairs: list[str]) -> dict:
     return cfg_dict
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="andex",
-        description="Correlated Gaussian potentials, Anderson spectra, "
-        "and extreme-value experiments.",
-    )
-    ap.add_argument("--seed", type=int, default=0, help="master seed")
-    ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--config", default=None, help="JSON config path")
-    ap.add_argument(
-        "--override",
-        action="append",
-        default=[],
-        help="dot-path config override key=value (repeatable)",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sf = sub.add_parser("sample-field", help="draw one field sample")
-    sf.add_argument("--family", default="iid")
-    sf.add_argument("--param", type=float, default=None)
-    sf.add_argument("--L", type=int, required=True)
-    sf.add_argument("--d", type=int, default=1)
-    sf.add_argument("--sampler", choices=["circulant", "dense"], default="circulant")
-
-    sp = sub.add_parser("spectrum", help="top-k eigenpairs of a sampled field")
-    sp.add_argument("--family", default="iid")
-    sp.add_argument("--param", type=float, default=None)
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--k", type=int, default=2)
-
-    bp = sub.add_parser("bar-problem", help="deterministic dip eigenproblem")
-    bp.add_argument("--family", default="iid")
-    bp.add_argument("--param", type=float, default=None)
-    bp.add_argument("--a-L", type=float, required=True)
-    bp.add_argument("--r-L", type=int, required=True)
-    bp.add_argument("--d", type=int, default=1)
-
-    pp = sub.add_parser("ppp-reference", help="decorated PPP reference sample")
-    pp.add_argument("--b", type=float, required=True)
-    pp.add_argument("--K", type=int, default=500)
-
-    ex = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-
-    rp = sub.add_parser("report", help="summarize a finished run")
-    rp.add_argument("run_dir")
-    rp.add_argument("--check", action="store_true")
-    del ex
-    return ap
-
-
 def _model_from_args(args) -> cov.CovarianceModel:
     """The model that --family, --param and --d name; ConfigError if none."""
     fam = cov.FAMILIES.get(args.family)
@@ -126,93 +73,126 @@ def _model_from_args(args) -> cov.CovarianceModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_sizes(args):
-    """ConfigError unless --L, and --k where the command has it, take values
-    an experiment config accepts: L >= 2 and 1 <= k <= spectrum.MAX_K."""
+def _draw(args, k: int = 1, sampler: str = "circulant") -> field.FieldSample:
+    """The field of the model flags on Q_L at --seed.  ConfigError before
+    any draw unless --L and k take values an experiment config accepts:
+    L >= 2 and 1 <= k <= spectrum.MAX_K."""
     if args.L < 2:
         raise ConfigError(f"--L must be an integer >= 2, got {args.L}")
-    k = getattr(args, "k", 1)
     if not 1 <= k <= spectrum.MAX_K:
         raise ConfigError(f"--k must be an integer in 1..{spectrum.MAX_K}, got {k}")
+    return field.sample_field(_model_from_args(args), args.L, args.seed, sampler)
+
+
+def _sample_field(args) -> dict:
+    s = _draw(args, sampler=args.sampler)
+    out = args.out or os.environ.get("ANDEX_OUT", "runs")
+    os.makedirs(out, exist_ok=True)
+    prefix = os.path.join(out, f"field_{args.family}_L{args.L}_s{args.seed}")
+    s.export_binary(prefix)
+    lo, hi = float(np.min(s.values)), float(np.max(s.values))
+    return {"sampler": s.sampler, "max": hi, "min": lo, "file": prefix + ".bin"}
+
+
+def _spectrum(args) -> str:
+    return spectrum.top_k_eigs(_draw(args, k=args.k).values, args.k).to_json()
+
+
+def _bar_problem(args) -> dict:
+    model = _model_from_args(args)
+    bar = spectrum.solve_bar_problem(model, args.a_L, args.r_L)
+    tau = field.compute_tau(model, bar.bar_phi)
+    return {"bar_lambda": bar.bar_lambda, "expansion": bar.expansion_value, "tau_L": tau}
+
+
+def _ppp_reference(args) -> dict:
+    ref = extremes.sample_ppp_reference(args.b, args.K, args.seed)
+    p_head = [float(v) for v in ref.p[:5]]
+    return {"k_max_safe": ref.k_max_safe, "ell": list(ref.ell[:20]), "p_head": p_head}
+
+
+def _experiment(args) -> str | int:
+    if not args.config:
+        print("experiment requires --config", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    raw = _apply_overrides(_json_object(text), args.override)
+    if args.out:
+        raw["out_dir"] = args.out
+    raw.setdefault("master_seed", args.seed)
+    return str(harness.run_experiment(harness.ExperimentConfig.from_dict(raw)))
+
+
+def _report(args) -> int:
+    ok = harness.report(args.run_dir)
+    return EXIT_CHECK if args.check and not ok else EXIT_OK
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="andex",
+        description="Correlated Gaussian potentials, Anderson spectra, "
+        "and extreme-value experiments.",
+    )
+    ap.add_argument("--seed", type=int, default=0, help="master seed")
+    ap.add_argument("--out", default=None, help="output directory")
+    ap.add_argument("--config", default=None, help="JSON config path")
+    ap.add_argument(
+        "--override",
+        action="append",
+        default=[],
+        help="dot-path config override key=value (repeatable)",
+    )
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--family", default="iid")
+    model.add_argument("--param", type=float, default=None)
+    model.add_argument("--d", type=int, default=1)
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    sf = sub.add_parser("sample-field", help="draw one field sample", parents=[model])
+    sf.add_argument("--L", type=int, required=True)
+    sf.add_argument("--sampler", choices=list(field.SAMPLERS), default="circulant")
+    sf.set_defaults(run=_sample_field)
+
+    sp = sub.add_parser("spectrum", help="top-k eigenpairs of a sampled field", parents=[model])
+    sp.add_argument("--L", type=int, required=True)
+    sp.add_argument("--k", type=int, default=2)
+    sp.set_defaults(run=_spectrum)
+
+    bp = sub.add_parser("bar-problem", help="deterministic dip eigenproblem", parents=[model])
+    bp.add_argument("--a-L", type=float, required=True)
+    bp.add_argument("--r-L", type=int, required=True)
+    bp.set_defaults(run=_bar_problem)
+
+    pp = sub.add_parser("ppp-reference", help="decorated PPP reference sample")
+    pp.add_argument("--b", type=float, required=True)
+    pp.add_argument("--K", type=int, default=500)
+    pp.set_defaults(run=_ppp_reference)
+
+    sub.add_parser("experiment", help="run a Monte Carlo experiment").set_defaults(run=_experiment)
+
+    rp = sub.add_parser("report", help="summarize a finished run")
+    rp.add_argument("run_dir")
+    rp.add_argument("--check", action="store_true")
+    rp.set_defaults(run=_report)
+    return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command == "sample-field":
-            _check_sizes(args)
-            model = _model_from_args(args)
-            s = field.sample_field(model, args.L, args.seed, args.sampler)
-            out = args.out or _default_out()
-            os.makedirs(out, exist_ok=True)
-            prefix = os.path.join(out, f"field_{args.family}_L{args.L}_s{args.seed}")
-            s.export_binary(prefix)
-            print(
-                json.dumps(
-                    {
-                        "sampler": s.sampler,
-                        "max": float(np.max(s.values)),
-                        "min": float(np.min(s.values)),
-                        "file": prefix + ".bin",
-                    }
-                )
-            )
-        elif args.command == "spectrum":
-            _check_sizes(args)
-            model = _model_from_args(args)
-            V = field.sample_field(model, args.L, args.seed).values
-            print(spectrum.top_k_eigs(V, args.k).to_json())
-        elif args.command == "bar-problem":
-            model = _model_from_args(args)
-            bar = spectrum.solve_bar_problem(model, args.a_L, args.r_L)
-            print(
-                json.dumps(
-                    {
-                        "bar_lambda": bar.bar_lambda,
-                        "expansion": bar.expansion_value,
-                        "tau_L": field.compute_tau(model, bar.bar_phi),
-                    }
-                )
-            )
-        elif args.command == "ppp-reference":
-            ref = extremes.sample_ppp_reference(args.b, args.K, args.seed)
-            print(
-                json.dumps(
-                    {
-                        "k_max_safe": ref.k_max_safe,
-                        "ell": list(ref.ell[:20]),
-                        "p_head": [float(v) for v in ref.p[:5]],
-                    }
-                )
-            )
-        elif args.command == "experiment":
-            if not args.config:
-                print("experiment requires --config", file=sys.stderr)
-                return EXIT_USAGE
-            try:
-                with open(args.config, encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-            raw = _json_object(text)
-            raw = _apply_overrides(raw, args.override)
-            if args.out:
-                raw["out_dir"] = args.out
-            raw.setdefault("master_seed", args.seed)
-            cfg = harness.ExperimentConfig.from_dict(raw)
-            manifest = harness.run_experiment(cfg)
-            print(str(manifest))
-        elif args.command == "report":
-            ok = harness.report(args.run_dir)
-            if args.check and not ok:
-                return EXIT_CHECK
-        else:  # pragma: no cover
-            return EXIT_USAGE
+        out = args.run(args)
+        if isinstance(out, int):
+            return out
+        print(json.dumps(out) if isinstance(out, dict) else out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,8 @@ A field lives on the centered box Q_L = [-h, h]^d with h = floor(L/2), so
 the grid side is 2h+1 and the origin sits at index (h, ..., h).  Every cut of
 a cube Q_{r,x} out of that grid, a single site included, goes through
 window, which raises ValueError when the cube leaves Q_L.  Two exact
-samplers are provided, and sample_field draws with the one it is named:
+samplers are provided, in the table SAMPLERS, and sample_field draws with
+the one it is named:
 
     circulant -- spectral synthesis on a padded torus, restricted to Q_L
                  (the default);
@@ -55,7 +56,9 @@ __all__ = [
     "EventReport",
     "box_half",
     "grid_side",
+    "torus_side",
     "window",
+    "SAMPLERS",
     "sample_field",
     "peak_conditioned_sample",
     "fluctuation_view",
@@ -78,6 +81,12 @@ def box_half(L: int) -> int:
 
 def grid_side(L: int) -> int:
     return 2 * (L // 2) + 1
+
+
+def torus_side(model: cov.CovarianceModel, L: int) -> int:
+    """Side of the circulant sampler's torus: Q_L padded by twice the
+    model's effective radius."""
+    return grid_side(L) + 2 * cov.effective_radius(model)
 
 
 def window(L: int, x0, half: int) -> tuple[slice, ...]:
@@ -202,10 +211,8 @@ def _circulant_amplitude(model, M):
 
 
 def _circulant_draw(model, L, rng):
-    h = box_half(L)
-    side = 2 * h + 1
-    pad = 2 * cov.effective_radius(model)
-    M = side + pad
+    side = grid_side(L)
+    M = torus_side(model, L)
     amp = _circulant_amplitude(model, M)
     shape = (M,) * model.d
     a = rng.standard_normal(shape)
@@ -219,20 +226,24 @@ def _circulant_draw(model, L, rng):
     return X.real[sl] * (1.0 / M ** (model.d / 2.0))
 
 
+# The exact samplers, by the name sample_field and the CLI's --sampler take.
+SAMPLERS = {"circulant": _circulant_draw, "dense": _dense_draw}
+
+
 def sample_field(
     model: cov.CovarianceModel, L: int, seed: int, sampler: str = "circulant"
 ) -> FieldSample:
-    """Exact draw of the stationary field on Q_L with the named sampler,
-    "circulant" or "dense", and no other.
+    """Exact draw of the stationary field on Q_L with the sampler that
+    SAMPLERS names, and no other.
 
     Deterministic given (seed, model, L, sampler).  The circulant sampler
     raises EmbeddingInvalidError when the embedding of the model on its
     padded torus is not nonnegative; the dense sampler raises ValueError
     above DENSE_SITE_LIMIT sites.
     """
-    if sampler not in ("circulant", "dense"):
+    draw = SAMPLERS.get(sampler)
+    if draw is None:
         raise ValueError(f"unknown sampler {sampler!r}")
-    draw = _circulant_draw if sampler == "circulant" else _dense_draw
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return FieldSample(
         values=draw(model, L, rng), L=L, model=model, seed=seed, sampler=sampler

@@ -195,8 +195,9 @@ class _Context:
 
     def check_memory(self):
         """Refuse runs whose field grids and eigensolver working set would
-        exceed the memory budget."""
-        need = _box_sites(self) * 16 * 6
+        exceed the memory budget.  The grids are those of the circulant
+        sampler, on its torus: Q_L padded by twice the effective radius."""
+        need = field.torus_side(self.model, self.cfg.L) ** self.cfg.d * 16 * 6
         solve_sites = _EXPERIMENTS[self.cfg.experiment].solve_sites
         if solve_sites:
             # k + 2 pairs bounds what every trial body asks for

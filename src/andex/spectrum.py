@@ -71,6 +71,9 @@ WINDOW_SPARE_PEAKS = 8
 # Slack of the completeness count, in units of eps * ||H||: covers the
 # rounding of the residuals and the backward error of the Sturm count.
 _COUNT_SLACK_ULPS = 16
+# top_k_eigs accepts residuals up to max(tol, this many eps * ||H||), with
+# ||H|| <= max|V| + 4d, so that rounding alone never fails a large field.
+RESIDUAL_ULPS = 16
 TIE_TOL = 1e-12
 # c' of spectral_gap_check: the gap event asks lambda_2 <= xi(x0) - c' a_L/d_L.
 GAP_C_PRIME = 0.25
@@ -410,7 +413,8 @@ def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
 
 def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     """Top-k eigenpairs of Delta + V; each pair satisfies
-    ||H phi - lambda phi||_2 <= tol or SolverConvergenceError is raised.
+    ||H phi - lambda phi||_2 <= max(tol, RESIDUAL_ULPS eps (max|V| + 4d)),
+    a bound on the rounding of H phi, or SolverConvergenceError is raised.
     The result's solver field names the path that produced it.
 
     d = 1: a solve on windows around the highest sites, kept only when a
@@ -431,8 +435,9 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
     Rayleigh quotients <u, Hu> of the Ritz vectors u.  A site far above the
     rest of V would make p(lambda_1) / p(lambda_k) so large that rounding
     along the top pair swamps the others, so the degree drops as max V - c
-    grows.  At a site near 1e6 above the rest, eps ||H|| alone exceeds tol
-    and the residuals raise.
+    grows.  A site near 1e5 or 1e6 above the rest leaves residuals above
+    1e-10 from rounding alone, which the eps ||H|| term of the tolerance
+    accepts.
     """
     n = V.size
     if k < 1:
@@ -445,6 +450,8 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
         raise ValueError("tol below achievable double precision")
     if not np.isfinite(V).all():
         raise ValueError("V must not contain infs or NaNs")
+    h_norm = float(np.max(np.abs(V))) + 4.0 * V.ndim
+    tol = max(tol, RESIDUAL_ULPS * np.finfo(float).eps * h_norm)
     try:
         if V.ndim == 1:
             result = _window_eigs(V, k, tol)

@@ -171,6 +171,34 @@ class TestSamplers:
         with pytest.raises(ValueError):
             field.sample_field(iid1, 32, seed=0, sampler="magic")
 
+    def test_dense_factor_falls_back_to_eigh(self):
+        # gaussian_kernel ell = 4 on 41 sites is positive semi-definite only
+        # to rounding: Cholesky fails, and F = V sqrt(max(w, 0)) from eigh
+        # reproduces C
+        model = cov.CovarianceModel("gaussian_kernel", 1, {"ell": 4.0})
+        offs = np.arange(-20, 21)[:, None]
+        C = cov.eval_cov_offsets(model, offs[:, None, :] - offs[None, :, :])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(C)
+        F = field._dense_factor(model, 41)
+        assert np.max(np.abs(F @ F.T - C)) < 1e-12
+        s = field.sample_field(model, 41, seed=0, sampler="dense")
+        assert np.isfinite(s.values).all()
+
+    def test_dense_factor_refuses_an_indefinite_covariance(self, monkeypatch):
+        from andex.errors import CovarianceInconsistencyError
+
+        # 1 on the diagonal and 0.9 between neighbours: eigenvalues down to -0.8
+        def indefinite(model, offs):
+            dist = np.abs(offs).sum(axis=-1)
+            return np.where(dist == 0, 1.0, np.where(dist == 1, 0.9, 0.0))
+
+        monkeypatch.setattr(cov, "eval_cov_offsets", indefinite)
+        model = cov.CovarianceModel("exponential", 1, {"alpha": 0.37})
+        field._dense_factor.cache_clear()
+        with pytest.raises(CovarianceInconsistencyError, match="eigenvalue"):
+            field.sample_field(model, 9, seed=0, sampler="dense")
+
     def test_invalid_embedding_raises(self, cube4, monkeypatch):
         # the default sampler is the circulant one, and an invalid
         # embedding is an error, not a switch to the dense sampler
@@ -180,7 +208,7 @@ class TestSamplers:
             raise EmbeddingInvalidError("forced")
 
         monkeypatch.setattr(field, "_circulant_amplitude", invalid)
-        monkeypatch.setattr(field, "_dense_draw", None)
+        monkeypatch.setitem(field.SAMPLERS, "dense", None)
         with pytest.raises(EmbeddingInvalidError, match="forced"):
             field.sample_field(cube4, 9, seed=0)
 

@@ -2,8 +2,12 @@ import ast
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -503,6 +507,19 @@ class TestMemoryCheck:
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", 61**2 * 16 * 6)
         ctx.check_memory()
 
+    def test_counts_the_circulant_torus(self, tmp_path):
+        # exponential alpha = 0.1 pads the 65-site box to a torus of side
+        # 713 in d = 3: 3.6e8 sites, 5.8 GB per complex grid.  Built only,
+        # never drawn.
+        cfg = make_cfg(
+            tmp_path, experiment="rank_permutation", L=64, d=3,
+            model={"family": "exponential", "alpha": 0.1},
+            overrides={"a_L": 40.0, "R_L": 15, "r_L": 9},
+        )
+        assert field.torus_side(cov.CovarianceModel.from_config(cfg.model, 3), 64) == 713
+        with pytest.raises(ConfigError, match="exceeds budget"):
+            harness._Context(cfg)
+
     def test_solver_bytes_per_path(self):
         assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8
         assert spectrum.solver_bytes(169, 2, 4) == 8 * 169**2
@@ -711,6 +728,36 @@ POOL_FAMILIES = [
     {"family": "cube_indicator", "m": 2},
     {"family": "exponential", "alpha": 1.0},
 ]
+
+
+class TestAggregates:
+    # aggregates of synthetic rows, for branches the small runs never reach
+    def test_macro_meso_medians_on_the_event(self):
+        rows = [
+            {"gap_event": g, "peaks_in_cores": p, "eig_diff_1": e, "fun_diff_1": 10 * e}
+            for g, p, e in [(1, 1, 1.0), (1, 0, 2.0), (0, 1, 3.0), (1, 1, 5.0), (1, 1, 6.0)]
+        ]
+        _, summary = harness._agg_macro_meso(SimpleNamespace(k=1), rows)
+        assert summary["conditioning"] == {"gap_event": 4, "peaks_in_cores": 4, "both": 3, "n": 5}
+        assert summary["rank_1"] == {
+            "eig_median": 3.0,
+            "fun_median": 30.0,
+            "eig_median_on_event": 5.0,
+            "fun_median_on_event": 50.0,
+        }
+
+    @pytest.mark.parametrize("n", [99, 100])
+    def test_potential_extremes_tail_frequency_from_100_maxima(self, n):
+        rescaled = np.linspace(-3.0, 5.0, n)
+        rows = [{"rescaled_max": float(x), "n_exceed": 0} for x in rescaled]
+        _, summary = harness._agg_potential_extremes(None, rows)
+        if n < 100:
+            assert "tail_frequency_u0" not in summary
+        else:
+            p = np.count_nonzero(rescaled > 0) / n
+            assert summary["tail_frequency_u0"] == {
+                "estimate": p, "stderr": pytest.approx(np.sqrt(p * (1 - p) / n), rel=1e-15)
+            }
 
 
 class TestPooledBoxEigs:
@@ -1196,3 +1243,72 @@ class TestCLI:
         assert rc == 0
         manifest = json.loads((tmp_path / "r2" / "manifest.json").read_text())
         assert manifest["config"]["overrides"]["ratios"] == [10.0, 20.0]
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [([], cli.EXIT_USAGE), (["spectrum"], cli.EXIT_USAGE), (["--help"], cli.EXIT_OK)],
+    )
+    def test_argparse_exits(self, capsys, argv, code):
+        # argparse's own exits: no subcommand, a missing required flag, --help
+        assert cli.main(argv) == code
+
+    def test_report_check_fails_on_a_failing_test(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "bar_sweep",
+            "L": 64,
+            "model": {"family": "iid"},
+            "overrides": {"a_L": 6.0, "R_L": 15, "r_L": 9},
+            "out_dir": str(tmp_path / "run"),
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(p), "experiment"]) == cli.EXIT_OK
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["tests"]["forced"] = {
+            "pass": False, "statistic": 1.0, "threshold": 0.5, "description": "forced"
+        }
+        path.write_text(json.dumps(manifest))
+        run = str(tmp_path / "run")
+        assert cli.main(["report", run]) == cli.EXIT_OK
+        assert cli.main(["report", run, "--check"]) == cli.EXIT_CHECK
+        assert "FAIL forced" in capsys.readouterr().out
+
+    def test_sample_field_writes_into_andex_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ANDEX_OUT", str(tmp_path / "env"))
+        assert cli.main(["sample-field", "--L", "9"]) == cli.EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert Path(out["file"]) == tmp_path / "env" / "field_iid_L9_s0.bin"
+        assert Path(out["file"]).exists()
+
+    def test_override_without_equals_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "bar_sweep", "L": 64}))
+        argv = ["--config", str(p), "--override", "foo", "experiment"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "override must be key=value" in capsys.readouterr().err
+
+    def test_override_value_that_is_not_json_stays_a_string(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg: seen.append(cfg) or "m")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "bar_sweep", "L": 64}))
+        target = str(tmp_path / "elsewhere")
+        argv = ["--config", str(p), "--override", f"out_dir={target}", "experiment"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert seen[0].out_dir == target
+        assert capsys.readouterr().out == "m\n"
+
+    def test_module_entry_point(self, capsys):
+        # `python -m andex.cli` runs main and exits with its code, as the
+        # `andex` script does
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = ["spectrum", "--L", "41", "--k", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "andex.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main(argv) == cli.EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
