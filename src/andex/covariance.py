@@ -223,8 +223,8 @@ def check_hypotheses(model: CovarianceModel, L: int, scales) -> HypothesisReport
     # non-vacuous (1 - v <= 1).
     sup_norm = np.max(np.abs(pts), axis=-1)
     ok = one_minus > 0
-    ratios = np.log(d_L * one_minus[ok]) / sup_norm[ok]
-    c_prime = float(max(np.max(ratios), 0.0)) if ratios.size else 0.0
+    rates = np.log(d_L * one_minus[ok]) / sup_norm[ok]
+    c_prime = float(max(np.max(rates), 0.0)) if rates.size else 0.0
     shortrange_ok = c_lower > 0.0 and np.isfinite(c_prime)
 
     a_L = scales.a_L

@@ -130,11 +130,6 @@ _OVERRIDE_RULES = {
     "R_L": (_is_int, "an integer"),
     "r_L": (_is_int, "an integer"),
     "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "count_level": (_is_number, "a finite number"),
-    "ratios": (
-        lambda v: isinstance(v, list) and v and all(_is_number(r) and r > 0 for r in v),
-        "a non-empty list of positive numbers",
-    ),
 }
 
 
@@ -156,11 +151,6 @@ class _Context:
         R_L, r_L = ov.get("R_L"), ov.get("r_L")
         self.k = ov.get("k", 1)
         exp = _EXPERIMENTS[cfg.experiment]
-        k_limit = spectrum.MAX_K - exp.extra_pairs
-        if self.k > k_limit:
-            raise ConfigError(
-                f"overrides.k must be <= {k_limit} for {cfg.experiment}, got {self.k}"
-            )
         # The windows, the bar problem, the scales and the experiment's check
         # reject values that do not fit together (r_L even, r_L >= R_L,
         # d_L >= a_L, super-boxes that do not fit twice in L, ...).  Memory
@@ -183,6 +173,13 @@ class _Context:
                 r_L=r_L,
                 d_L=d_L,
             )
+            self.pairs = exp.solve(self)[1] if exp.solve else 0
+            if self.pairs > spectrum.MAX_K:
+                # k is the one override that moves the pair count
+                raise ConfigError(
+                    f"overrides.k must be <= {spectrum.MAX_K - self.pairs + self.k} "
+                    f"for {cfg.experiment}, got {self.k}"
+                )
             self.check_memory()
             if exp.check is not None:
                 exp.check(self)
@@ -195,13 +192,17 @@ class _Context:
 
     def check_memory(self):
         """Refuse runs whose field grids and eigensolver working set would
-        exceed the memory budget.  The grids are those of the circulant
-        sampler, on its torus: Q_L padded by twice the effective radius."""
-        need = field.torus_side(self.model, self.cfg.L) ** self.cfg.d * 16 * 6
-        solve_sites = _EXPERIMENTS[self.cfg.experiment].solve_sites
-        if solve_sites:
-            # k + 2 pairs bounds what every trial body asks for
-            need += spectrum.solver_bytes(solve_sites(self), self.cfg.d, self.k + 2)
+        exceed the memory budget.  Every trial body draws a full field, on
+        the circulant sampler's torus (Q_L padded by twice the effective
+        radius); row tables draw none.  The solver is sized for the largest
+        eigensolve a trial makes (_Experiment.solve)."""
+        exp = _EXPERIMENTS[self.cfg.experiment]
+        need = 0
+        if exp.trial is not None:
+            need += field.torus_side(self.model, self.cfg.L) ** self.cfg.d * 16 * 6
+        if exp.solve is not None:
+            sites, pairs = exp.solve(self)
+            need += spectrum.solver_bytes(sites, self.cfg.d, pairs)
         if need > _MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"estimated working set {need} bytes exceeds budget"
@@ -242,9 +243,8 @@ def _trial_potential_extremes(ctx: _Context, seed: int) -> dict:
     part = ctx.partition
     _, values = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
-    level = cfg.overrides.get("count_level", 0.0)
     a_L = ctx.scales.a_L
-    n_exceed = int(np.count_nonzero(a_L * (values - a_L) > level))
+    n_exceed = int(np.count_nonzero(a_L * (values - a_L) > 0.0))
     return {
         "max_value": m,
         "rescaled_max": a_L * (m - a_L),
@@ -257,7 +257,7 @@ def _agg_potential_extremes(ctx: _Context, rows: list[dict]) -> tuple[dict, dict
     rescaled = np.sort(_col(rows, "rescaled_max"))
     ks = stats.ks_statistic(rescaled, stats.gumbel_cdf)
     tests = {
-        "gumbel_ks": stats.TestReport.make(
+        "gumbel_ks": stats.TestReport(
             ks, rescaled.size, 0.1, "KS distance of rescaled maxima to Gumbel"
         ),
     }
@@ -306,7 +306,7 @@ def _trial_localisation(ctx: _Context, seed: int) -> dict:
     s = view.base
     ev = field.event_check(view, ctx.scales)
     V = s.values[field.window(cfg.L, x0, ctx.scales.R_L // 2)]
-    res = spectrum.top_k_eigs(V, 2)
+    res = spectrum.top_k_eigs(V, ctx.pairs)
     eig_err, fun_err = spectrum.approximation_error(ctx.bar, res, view, ctx.scales)
     gap_ok, gap_margin = spectrum.spectral_gap_check(res, s.at(x0), ctx.scales)
     w_val = float(np.max(V))
@@ -353,7 +353,7 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 
 def _trial_rank_permutation(ctx: _Context, seed: int) -> dict:
     V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
-    res = spectrum.top_k_eigs(V, max(ctx.k, 2))  # two pairs at least, for the gap
+    res = spectrum.top_k_eigs(V, ctx.pairs)
     lam1 = float(res.eigenvalues[0])
     out = {
         "lambda_1": lam1,
@@ -411,8 +411,7 @@ def _rows_tail_lemma(ctx: _Context) -> list[dict]:
 
 
 def _agg_tail_lemma(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
-    ratios = _col(rows, "ratio")
-    return {}, {"max_abs_ratio_err": float(np.max(np.abs(ratios - 1.0)))}
+    return {}, {"max_abs_ratio_err": float(np.max(np.abs(_col(rows, "ratio") - 1.0)))}
 
 
 def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
@@ -451,12 +450,12 @@ def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
 def _trial_macro_meso(ctx: _Context, seed: int) -> dict:
     V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
     k = ctx.k
-    res = spectrum.top_k_eigs(V, k + 1)
+    res = spectrum.top_k_eigs(V, ctx.pairs)
     part = ctx.partition
-    pool = _pooled_box_eigs(V, part, k + 1)
+    pool = _pooled_box_eigs(V, part, ctx.pairs)
     a_L, d_L = ctx.scales.a_L, ctx.scales.d_L
     out: dict = {}
-    gap_event = len(pool) == k + 1
+    gap_event = len(pool) == ctx.pairs
     if gap_event:
         lam_hat = [p[0] for p in pool]
         out["lambda_hat_kp1"] = lam_hat[k]
@@ -466,7 +465,7 @@ def _trial_macro_meso(ctx: _Context, seed: int) -> dict:
         for j in range(k):
             gap_event &= lam_hat[j] - lam_hat[j + 1] > a_L ** (-1.5)
     # are the top k+1 field peaks inside the retained cores?
-    peaks = extremes.descending_sites(V.ravel(), k + 1)
+    peaks = extremes.descending_sites(V.ravel(), ctx.pairs)
     peaks_in = np.isin(peaks, part.core_sites).all()
     out["gap_event"] = int(gap_event)
     out["peaks_in_cores"] = int(peaks_in)
@@ -514,13 +513,12 @@ def _agg_macro_meso(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
 
 
 def _rows_bar_sweep(ctx: _Context) -> list[dict]:
-    ratios = ctx.cfg.overrides.get("ratios", [5.0, 10.0, 20.0, 40.0])
     r_L = ctx.scales.r_L
     rows = []
     for fam in ({"family": "iid"}, {"family": "cube_indicator", "m": 2}):
         model = cov.CovarianceModel.from_config(fam, ctx.cfg.d)
         d_L = cov.derive_dL(model)
-        for ratio in ratios:
+        for ratio in (5, 10, 20, 40):
             a_L = ratio * d_L
             bar = spectrum.solve_bar_problem(model, a_L, r_L)
             err = abs(bar.bar_lambda - bar.expansion_value) / (d_L / a_L)
@@ -562,21 +560,21 @@ def _plot_bar_sweep_table(rows: list[dict]):
 @dataclass(frozen=True)
 class _Experiment:
     """One experiment.  Exactly one of ``trial`` (run once per trial) and
-    ``rows`` (one deterministic table) is set.  ``solve_sites`` gives the
-    sites of the largest eigensolve for the memory check (None: no solver);
-    ``check``, if set, rejects a config with ConfigError before any draw;
-    ``plot``, if set, gives the plot-data file that ``report`` writes;
-    ``overrides`` names the keys it reads beyond _SCALE_OVERRIDES;
-    ``extra_pairs`` counts the eigenpairs a trial solves beyond k >= 2."""
+    ``rows`` (one deterministic table) is set.  ``solve`` gives the sites
+    and pairs of the largest eigensolve a trial makes (None: no solver);
+    the trial reads the pairs as ``ctx.pairs``, and the k limit and the
+    memory check are drawn from both.  ``check``, if set, rejects a config
+    with ConfigError before any draw; ``plot``, if set, gives the plot-data
+    file that ``report`` writes; ``overrides`` names the keys it reads
+    beyond _SCALE_OVERRIDES."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
     trial: Callable[[_Context, int], dict] | None = None
     rows: Callable[[_Context], list[dict]] | None = None
-    solve_sites: Callable[[_Context], int] | None = None
+    solve: Callable[[_Context], tuple[int, int]] | None = None
     check: Callable[[_Context], None] | None = None
     plot: Callable[[list[dict]], tuple[str, list[str], list[list]]] | None = None
     overrides: frozenset = frozenset()
-    extra_pairs: int = 0
 
 
 _EXPERIMENTS: dict[str, _Experiment] = {
@@ -585,18 +583,17 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         trial=_trial_potential_extremes,
         check=_check_partition,
         plot=_plot_cdf_vs_gumbel,
-        overrides=frozenset({"count_level"}),
     ),
     "localisation": _Experiment(
         _agg_localisation,
         trial=_trial_localisation,
-        solve_sites=_core_sites,
+        solve=lambda ctx: (_core_sites(ctx), 2),
         check=_check_localisation,
     ),
     "rank_permutation": _Experiment(
         _agg_rank_permutation,
         trial=_trial_rank_permutation,
-        solve_sites=_box_sites,
+        solve=lambda ctx: (_box_sites(ctx), max(ctx.k, 2)),  # two for the gap
         plot=_plot_rank_histogram,
         overrides=frozenset({"k"}),
     ),
@@ -604,16 +601,14 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "macro_meso": _Experiment(
         _agg_macro_meso,
         trial=_trial_macro_meso,
-        solve_sites=_box_sites,
+        solve=lambda ctx: (_box_sites(ctx), ctx.k + 1),
         check=_check_partition,
         overrides=frozenset({"k"}),
-        extra_pairs=1,
     ),
     "bar_sweep": _Experiment(
         _agg_bar_sweep,
         rows=_rows_bar_sweep,
         plot=_plot_bar_sweep_table,
-        overrides=frozenset({"ratios"}),
     ),
 }
 

@@ -77,11 +77,8 @@ def compute_aL(L: int, d: int) -> float:
         )
 
     f = lambda a: float(normal_log_sf(a)) - log_target
-    lo, hi = 0.0, _A_MAX
-    if f(lo) < 0.0:
-        # tail at 0 is 1/2; L^{-d} >= 1/2 only for tiny L^d, handled by bracket
-        lo = -5.0
-    a = optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    # f(0) = d ln L - ln 2 >= 0, since L >= 2: the root lies in [0, _A_MAX]
+    a = optimize.brentq(f, 0.0, _A_MAX, xtol=1e-14, rtol=8.9e-16)
     # Newton polish: d/da log sf = -phi(a)/sf(a)
     for _ in range(2):
         g = f(a)

@@ -28,12 +28,11 @@ class TestReport:
     statistic: float
     n: int
     threshold: float
-    passed: bool
     description: str
 
-    def __post_init__(self):
-        if self.passed != (self.statistic <= self.threshold):
-            raise ValueError("pass flag inconsistent with statistic/threshold")
+    @property
+    def passed(self) -> bool:
+        return self.statistic <= self.threshold
 
     def to_json(self) -> str:
         return json.dumps(
@@ -44,16 +43,6 @@ class TestReport:
                 "pass": self.passed,
                 "description": self.description,
             }
-        )
-
-    @classmethod
-    def make(cls, statistic: float, n: int, threshold: float, description: str):
-        return cls(
-            statistic=float(statistic),
-            n=int(n),
-            threshold=float(threshold),
-            passed=bool(statistic <= threshold),
-            description=description,
         )
 
 
@@ -113,7 +102,7 @@ def poisson_dispersion(counts) -> TestReport:
     stat = max(lo - dispersion, dispersion - hi)
     if mean <= DISPERSION_MIN_MEAN:
         stat = math.inf
-    return TestReport.make(
+    return TestReport(
         statistic=stat,
         n=c.size,
         threshold=0.0,

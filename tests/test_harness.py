@@ -91,7 +91,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be a JSON object, got list"):
             cli._json_object("[1, 2]")
 
-    @pytest.mark.parametrize("key", ["ratio", "kappa", "value", "families", "R_l"])
+    @pytest.mark.parametrize(
+        "key", ["ratio", "kappa", "value", "families", "R_l", "count_level", "ratios"]
+    )
     def test_unknown_override_key(self, tmp_path, key):
         overrides = {"a_L": 6.0, "R_L": 19, "r_L": 9, key: 1}
         with pytest.raises(ConfigError, match="unknown override keys"):
@@ -99,13 +101,15 @@ class TestConfig:
 
     # the override keys each experiment reads beyond a_L, R_L and r_L
     EXTRA_KEYS = {
-        "potential_extremes": {"count_level"},
+        "potential_extremes": set(),
         "localisation": set(),
         "rank_permutation": {"k"},
         "tail_lemma": set(),
         "macro_meso": {"k"},
-        "bar_sweep": {"ratios"},
+        "bar_sweep": set(),
     }
+    # count_level and ratios are no longer override keys: every experiment
+    # refuses them
     OVERRIDE_VALUES = {
         "a_L": 6.0, "R_L": 19, "r_L": 9, "k": 2, "count_level": 0.5, "ratios": [5.0, 10.0]
     }
@@ -196,6 +200,19 @@ class TestExperimentTable:
         text = (Path(__file__).parents[1] / "README.md").read_text()
         sentence = text[text.index("Experiments:") :].split(".", 1)[0]
         assert re.findall(r"`(\w+)`", sentence) == list(harness._EXPERIMENTS)
+
+    def test_readme_override_table_lists_exactly_the_accepted_keys(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = text[text.index("| key | experiments |") :].split("\n\n", 1)[0]
+        keys = {
+            key
+            for line in table.splitlines()[2:]
+            for key in re.findall(r"`(\w+)`", line.split("|")[1])
+        }
+        accepted = harness._SCALE_OVERRIDES.union(
+            *(e.overrides for e in harness._EXPERIMENTS.values())
+        )
+        assert keys == accepted == set(harness._OVERRIDE_RULES)
 
     def test_each_entry_has_trial_or_rows(self):
         for name, entry in harness._EXPERIMENTS.items():
@@ -494,6 +511,18 @@ class TestMemoryCheck:
         with pytest.raises(ConfigError):
             ctx.check_memory()
 
+    def test_sizes_the_pairs_the_trial_solves(self, tmp_path, monkeypatch):
+        # rank_permutation solves max(k, 2) = 10 pairs: ARPACK holds
+        # ncv = 2 * 10 + 1 = 21 basis vectors, not the 25 of 12 pairs
+        ctx = self._ctx(tmp_path, "rank_permutation", k=10)
+        budget = 61**2 * 16 * 6 + (21 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", budget)
+        ctx.check_memory()
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", budget - 1)
+        with pytest.raises(ConfigError):
+            ctx.check_memory()
+        assert ctx.pairs == 10
+
     def test_counts_the_subset_eigh_matrix(self, tmp_path, monkeypatch):
         # localisation solves on the 13 x 13 core with a dense n x n matrix
         ctx = self._ctx(tmp_path, "localisation")
@@ -519,6 +548,17 @@ class TestMemoryCheck:
         assert field.torus_side(cov.CovarianceModel.from_config(cfg.model, 3), 64) == 713
         with pytest.raises(ConfigError, match="exceeds budget"):
             harness._Context(cfg)
+
+    @pytest.mark.parametrize(
+        "experiment,L,d", [("tail_lemma", 10**9, 1), ("bar_sweep", 10**5, 2)]
+    )
+    def test_row_tables_draw_no_grids(self, tmp_path, experiment, L, d):
+        # a field grid on the box would take 96 GB and 960 GB
+        cfg = harness.ExperimentConfig.from_dict(
+            {"experiment": experiment, "L": L, "d": d, "out_dir": str(tmp_path / "run")}
+        )
+        manifest = json.loads(harness.run_experiment(cfg).read_text())
+        assert manifest["config"]["L"] == L and manifest["summary"]
 
     def test_solver_bytes_per_path(self):
         assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8
@@ -879,20 +919,22 @@ class TestReport:
             assert len(list(csv.reader(fh))) == 1 + 59
 
     @pytest.mark.parametrize(
-        "trials,level,counts",
-        [(20, 0.0, "20 counts"), (60, 100.0, "60 counts with 0 exceedances")],
+        "trials,a_L,counts",
+        [(20, None, "20 counts"), (60, 10.0, "60 counts with 0 exceedances")],
     )
     def test_dispersion_left_out_when_it_cannot_run(
-        self, tmp_path, capsys, trials, level, counts
+        self, tmp_path, capsys, trials, a_L, counts
     ):
-        # fewer than 50 counts, or counts that are all zero
+        # fewer than 50 counts, or counts that are all zero: no box maximum
+        # of an iid field on 257 sites comes near a_L = 10
+        overrides = {"R_L": 15, "r_L": 9} | ({} if a_L is None else {"a_L": a_L})
         cfg = make_cfg(
             tmp_path,
             experiment="potential_extremes",
             model={"family": "iid"},
             L=256,
             trials=trials,
-            overrides={"R_L": 15, "r_L": 9, "count_level": level},
+            overrides=overrides,
         )
         manifest = json.loads(harness.run_experiment(cfg).read_text())
         assert list(manifest["tests"]) == ["gumbel_ks"]
@@ -1090,7 +1132,7 @@ class TestCLI:
         "potential_extremes": {"L": 256, "trials": 60, "overrides": {"R_L": 15, "r_L": 9}},
         "bar_sweep": {"L": 64, "overrides": {"a_L": 6.0, "R_L": 15, "r_L": 9}},
     }
-    RATIOS = "overrides.ratios must be a non-empty list of positive numbers, got "
+    UNKNOWN = "unknown override keys "
     BAD_VALUES = [
         ("rank_permutation", "overrides.k=2.5", "overrides.k must be an integer >= 1, got 2.5"),
         # the solver returns at most 32 pairs; macro_meso solves k + 1
@@ -1101,15 +1143,16 @@ class TestCLI:
         ("rank_permutation", "trials=true", "trials must be an integer >= 1, got True"),
         ("rank_permutation", "master_seed=-1", "master_seed must be an integer >= 0, got -1"),
         ("rank_permutation", 'overrides.a_L="7"', "overrides.a_L must be a finite number"),
-        ("potential_extremes", 'overrides.count_level="x"', "overrides.count_level must be"),
         ("potential_extremes", "overrides.R_L=14", "R_L must be odd, got 14"),
         # super-boxes of side 127 + 11 do not fit twice in L = 256
         ("potential_extremes", "overrides.R_L=127", "partition infeasible"),
         ("macro_meso", "overrides.R_L=127", "partition infeasible"),
-        ("bar_sweep", "overrides.ratios=5", RATIOS + "5"),
-        ("bar_sweep", "overrides.ratios=[0]", RATIOS + "[0]"),
-        ("bar_sweep", "overrides.ratios=[-1]", RATIOS + "[-1]"),
-        ("bar_sweep", "overrides.ratios=[]", RATIOS + "[]"),
+        # removed keys are refused whatever their value
+        ("potential_extremes", 'overrides.count_level="x"', UNKNOWN + "['count_level']"),
+        ("bar_sweep", "overrides.ratios=5", UNKNOWN + "['ratios']"),
+        ("bar_sweep", "overrides.ratios=[0]", UNKNOWN + "['ratios']"),
+        ("bar_sweep", "overrides.ratios=[-1]", UNKNOWN + "['ratios']"),
+        ("bar_sweep", "overrides.ratios=[]", UNKNOWN + "['ratios']"),
     ]
 
     @pytest.mark.parametrize(
@@ -1234,7 +1277,7 @@ class TestCLI:
                 "--config",
                 str(p),
                 "--override",
-                "overrides.ratios=[10.0, 20.0]",
+                "overrides.r_L=11",
                 "--out",
                 str(tmp_path / "r2"),
                 "experiment",
@@ -1242,7 +1285,8 @@ class TestCLI:
         )
         assert rc == 0
         manifest = json.loads((tmp_path / "r2" / "manifest.json").read_text())
-        assert manifest["config"]["overrides"]["ratios"] == [10.0, 20.0]
+        assert manifest["config"]["overrides"] == {"a_L": 6.0, "R_L": 15, "r_L": 11}
+        assert manifest["scales"]["r_L"] == 11
 
     @pytest.mark.parametrize(
         "argv,code",

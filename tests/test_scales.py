@@ -40,6 +40,10 @@ class TestComputeAL:
         vals = [scales.compute_aL(L, 1) for L in sizes]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_smallest_box_is_the_median(self):
+        # L^d = 2: the tail 1/2 is reached at a = 0, the lower end of the bracket
+        assert scales.compute_aL(2, 1) == 0.0
+
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
             scales.compute_aL(10**110, 3)

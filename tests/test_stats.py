@@ -131,16 +131,23 @@ class TestTailFrequency:
 
 class TestTestReport:
     def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        # the verdict follows the statistic: it can be neither passed in nor set
+        with pytest.raises(TypeError):
             stats.TestReport(
                 statistic=2.0, n=10, threshold=1.0, passed=True, description="x"
             )
+        rep = stats.TestReport(statistic=2.0, n=10, threshold=1.0, description="x")
+        with pytest.raises(AttributeError):
+            rep.passed = True
+        assert not rep.passed
 
-    def test_make_and_json(self):
+    def test_pass_is_statistic_at_most_threshold_and_json(self):
         import json
 
-        rep = stats.TestReport.make(0.5, 100, 1.0, "demo")
+        rep = stats.TestReport(0.5, 100, 1.0, "demo")
         assert rep.passed
         data = json.loads(rep.to_json())
         assert data["pass"] is True
         assert data["n"] == 100
+        assert stats.TestReport(1.0, 10, 1.0, "x").passed
+        assert json.loads(stats.TestReport(2.0, 10, 1.0, "x").to_json())["pass"] is False
