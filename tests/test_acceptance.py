@@ -4,8 +4,16 @@ and calibrated statistical checks with fixed seeds.
 Each test prints exactly one PASS/FAIL line.  The statistical checks use
 frozen master seeds; thresholds are part of the contract and are never
 loosened to fit a particular run.
+
+Criteria 2 (b), 4, 6, 7, 8-10, 11iii and 12 run the experiment that
+``andex experiment`` runs, through ``harness.run_experiment`` (see ``run``),
+and read their numbers from its manifest or records.  Each of them requires
+``trials_failed == 0``: the run itself would drop up to 5% of its trials.
+Their thresholds, sizes and seeds stay here, in the tests.  The other
+criteria test library functions directly, and 14 compares two runs' records.
 """
 
+import json
 import math
 import time
 
@@ -14,12 +22,22 @@ import pytest
 from scipy import special
 
 from andex import covariance as cov
-from andex import extremes, field, harness, scales, spectrum, stats
+from andex import extremes, field, harness, scales, spectrum
 
 
 def crit(number, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def run(out_dir, **cfg):
+    """Run the experiment of config keys ``cfg`` (defaults as in a JSON
+    config) into ``out_dir``; its manifest and the rows of its records."""
+    config = harness.ExperimentConfig.from_dict({**cfg, "out_dir": str(out_dir)})
+    path = harness.run_experiment(config)
+    manifest = json.loads(path.read_text())
+    assert manifest["trials_failed"] == 0, f"{manifest['trials_failed']} trials failed"
+    return manifest, harness._read_prefix(path.parent / "records.csv")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -58,49 +76,42 @@ SUM_TAIL_SS = (-1.0, 0.0, 1.0, 2.0)
 SUM_TAIL_LEAD = max(abs(s * s / 2.0 + s) for s in SUM_TAIL_SS)
 
 
-def _sum_tail_ratios(a_L, Ld):
-    """{(tau, s): exact entry / e^{-s}} over the frozen grid."""
-    out = {}
-    for tau in SUM_TAIL_TAUS:
-        for s in SUM_TAIL_SS:
-            exact, ref = scales.gaussian_sum_tail(a_L, tau, s, Ld)
-            assert ref == math.exp(-s)
-            out[(tau, s)] = exact / math.exp(-s)
-    return out
-
-
-def test_criterion_02_sum_tail_ratios():
+def test_criterion_02_sum_tail_ratios(tmp_path):
     # (a) the frozen level, against scipy.special.log_ndtr
     a_L = 4.7534
     Ld = 1.0 / float(scales.normal_sf(a_L))
     dev = 0.0
+    frozen = {}  # (tau, s): exact entry / e^{-s}
     for tau in SUM_TAIL_TAUS:
         sigma = math.sqrt(1.0 + tau * tau)
         for s in SUM_TAIL_SS:
             exact, _ = scales.gaussian_sum_tail(a_L, tau, s, Ld)
             indep = Ld * math.exp(special.log_ndtr(-(a_L + s / (a_L * sigma))))
             dev = max(dev, abs(exact / indep - 1.0))
-    frozen = _sum_tail_ratios(a_L, Ld)
+            frozen[(tau, s)] = exact / math.exp(-s)
     at = max(frozen, key=lambda key: abs(frozen[key] - 1.0))
 
-    # (b) along a_L = compute_aL(10^k, 1): the worst |ratio - 1| never
-    # grows, is <= 0.05 wherever SUM_TAIL_LEAD / a_L^2 is, and at the top
-    # level and tau = 0, a_L^2 (1 - ratio) is within 0.05 of s^2/2 + s
-    # (the next order, (s^4/8 + s^3/2 + s^2 + 2s)/a_L^2, is 0.024 there)
+    # (b) the tail_lemma experiment at L = 10^k, d = 1, whose a_L is
+    # compute_aL(10^k, 1): the worst |ratio - 1| never grows, is <= 0.05
+    # wherever SUM_TAIL_LEAD / a_L^2 is, and at the top level and tau = 0,
+    # a_L^2 (1 - ratio) is within 0.05 of s^2/2 + s (the next order,
+    # (s^4/8 + s^3/2 + s^2 + 2s)/a_L^2, is 0.024 there)
     ok = dev <= 1e-12
     worsts, levels = [], []
     for k in (4, 8, 16, 32, 64, 128):
-        level = scales.compute_aL(10**k, 1)
-        ratios = _sum_tail_ratios(level, 10.0**k)
-        worst = max(abs(r - 1.0) for r in ratios.values())
+        manifest, rows = run(tmp_path / str(k), experiment="tail_lemma", L=10**k)
+        assert all(r["reference"] == math.exp(-r["s"]) for r in rows)
+        level = manifest["scales"]["a_L"]
+        worst = manifest["summary"]["max_abs_ratio_err"]
         if SUM_TAIL_LEAD / level**2 <= 0.05:
             ok &= worst <= 0.05
         worsts.append(worst)
         levels.append(level)
     ok &= all(b <= a for a, b in zip(worsts, worsts[1:]))
     coef_err = max(
-        abs(level**2 * (1.0 - ratios[(0.0, s)]) - (s * s / 2.0 + s))
-        for s in SUM_TAIL_SS
+        abs(level**2 * (1.0 - r["ratio"]) - (r["s"] * r["s"] / 2.0 + r["s"]))
+        for r in rows
+        if r["tau"] == 0.0
     )
     ok &= coef_err <= 0.05
     crit(
@@ -171,20 +182,18 @@ def test_criterion_03_solver_oracle():
 # 4. expansion convergence of the dip eigenvalue
 
 
-def test_criterion_04_bar_expansion():
+def test_criterion_04_bar_expansion(tmp_path):
+    manifest, _ = run(
+        tmp_path, experiment="bar_sweep", L=64,
+        overrides={"a_L": 6.0, "R_L": 19, "r_L": 9},
+    )
     ok = True
     details = []
-    for fam in ({"family": "iid"}, {"family": "cube_indicator", "m": 2}):
-        model = cov.CovarianceModel.from_config(dict(fam), 1)
-        d_L = cov.derive_dL(model)
-        errs = []
-        for ratio in (5.0, 10.0, 20.0, 40.0):
-            a_L = ratio * d_L
-            bar = spectrum.solve_bar_problem(model, a_L, 9)
-            errs.append(abs(bar.bar_lambda - bar.expansion_value) / (d_L / a_L))
-        mono = all(a > b for a, b in zip(errs, errs[1:]))
-        ok &= mono and errs[-1] <= 0.5
-        details.append(f"{model.family}: final={errs[-1]:.4f} monotone={mono}")
+    for family in ("iid", "cube_indicator"):
+        final = manifest["summary"][family]["final_err"]
+        mono = manifest["summary"][family]["monotone_decreasing"]
+        ok &= mono and final <= 0.5
+        details.append(f"{family}: final={final:.4f} monotone={mono}")
     crit(4, ok, "; ".join(details))
 
 
@@ -235,33 +244,23 @@ def test_criterion_05_sampler_exactness():
 # 6. Gumbel limit of the rescaled maximum
 
 
-def _rescaled_maxima(model, L, n, master_seed):
-    a_L = scales.compute_aL(L, model.d)
-    out = np.empty(n)
-    for i in range(n):
-        s = field.sample_field(model, L, harness.trial_seed(master_seed, i))
-        out[i] = a_L * (float(np.max(s.values)) - a_L)
-    return out
+# the two families that criteria 6 and 8-10 run, by the name each prints
+FAMILIES = {"iid": {"family": "iid"}, "cube": {"family": "cube_indicator", "m": 2}}
 
 
-@pytest.fixture(scope="module")
-def gumbel_batches():
-    L, n, seed = 2**13, 400, 2024
-    return {
-        "iid": _rescaled_maxima(cov.CovarianceModel("iid", 1, {}), L, n, seed),
-        "cube": _rescaled_maxima(
-            cov.CovarianceModel("cube_indicator", 1, {"m": 2}), L, n, seed
-        ),
-    }
-
-
-def test_criterion_06_gumbel_limit(gumbel_batches):
-    ks_iid = stats.ks_statistic(np.sort(gumbel_batches["iid"]), stats.gumbel_cdf)
-    ks_cube = stats.ks_statistic(np.sort(gumbel_batches["cube"]), stats.gumbel_cdf)
+def test_criterion_06_gumbel_limit(tmp_path):
+    ks = {}
+    for name, model in FAMILIES.items():
+        manifest, _ = run(
+            tmp_path / name, experiment="potential_extremes", model=model,
+            L=2**13, trials=400, master_seed=2024,
+        )
+        ks[name] = manifest["tests"]["gumbel_ks"]["statistic"]
     crit(
         6,
-        ks_iid <= 0.08 and ks_cube <= 0.10,
-        f"KS(iid) = {ks_iid:.4f} (<= 0.08), KS(cube m=2) = {ks_cube:.4f} (<= 0.10)",
+        ks["iid"] <= 0.08 and ks["cube"] <= 0.10,
+        f"KS(iid) = {ks['iid']:.4f} (<= 0.08), "
+        f"KS(cube m=2) = {ks['cube']:.4f} (<= 0.10)",
     )
 
 
@@ -269,47 +268,30 @@ def test_criterion_06_gumbel_limit(gumbel_batches):
 # 7. Poisson dispersion of per-box exceedance counts
 
 
-def test_criterion_07_poisson_dispersion():
-    model = cov.CovarianceModel("iid", 1, {})
-    L, R_L, n, seed = 2**13, 511, 200, 2024
-    a_L = scales.compute_aL(L, 1)
-    part = extremes.build_partition(L, R_L, 1)
-    counts = np.empty(n, dtype=int)
-    for i in range(n):
-        s = field.sample_field(model, L, harness.trial_seed(seed, i))
-        _, values = extremes.box_maxima(s, part)
-        counts[i] = np.count_nonzero(a_L * (values - a_L) > 0.0)
-    rep = stats.poisson_dispersion(counts)
-    crit(7, rep.passed, rep.description)
+def test_criterion_07_poisson_dispersion(tmp_path):
+    manifest, _ = run(
+        tmp_path, experiment="potential_extremes", L=2**13, trials=200,
+        master_seed=2024, overrides={"R_L": 511},
+    )
+    rep = manifest["tests"].get("poisson_dispersion")
+    if rep is None:
+        crit(7, False, manifest["summary"]["poisson_dispersion"])
+    crit(7, rep["pass"], rep["description"])
 
 
 # ---------------------------------------------------------------------------
 # 8-10. peak-conditioned localisation batch (shared)
 
 
-def _localisation_rows(model_cfg, n=200, master_seed=2024):
-    cfg = harness.ExperimentConfig(
-        experiment="localisation",
-        model=model_cfg,
-        L=83,
-        d=1,
-        trials=n,
-        master_seed=master_seed,
-        out_dir="unused",
-        overrides={"a_L": 6.0, "R_L": 41, "r_L": 9},
-    )
-    ctx = harness._Context(cfg)
-    return [
-        harness._trial_localisation(ctx, harness.trial_seed(ctx.cfg.master_seed, i))
-        for i in range(n)
-    ]
-
-
 @pytest.fixture(scope="module")
-def localisation_batches():
+def localisation_batches(tmp_path_factory):
+    out = tmp_path_factory.mktemp("localisation")
     return {
-        "iid": _localisation_rows({"family": "iid"}),
-        "cube": _localisation_rows({"family": "cube_indicator", "m": 2}),
+        name: run(
+            out / name, experiment="localisation", model=model, L=83, trials=200,
+            master_seed=2024, overrides={"a_L": 6.0, "R_L": 41, "r_L": 9},
+        )[1]
+        for name, model in FAMILIES.items()
     }
 
 
@@ -379,15 +361,12 @@ def test_criterion_11ii_monotone_in_decoration():
     )
 
 
-def test_criterion_11iii_end_to_end_rank_one():
-    model = cov.CovarianceModel("iid", 1, {})
-    L, n, master_seed = 2**12, 300, 1
-    hits = 0
-    for i in range(n):
-        V = field.sample_field(model, L, harness.trial_seed(master_seed, i)).values
-        res = spectrum.top_k_eigs(V, 1)
-        hits += int(extremes.site_ranks(V, res.centers)[0] == 1)
-    freq = hits / n
+def test_criterion_11iii_end_to_end_rank_one(tmp_path):
+    n = 300
+    manifest, _ = run(
+        tmp_path, experiment="rank_permutation", L=2**12, trials=n, master_seed=1
+    )
+    freq = manifest["summary"]["p_ell1_eq_1"]
     crit(
         "11iii",
         freq >= 0.8,
@@ -400,30 +379,19 @@ def test_criterion_11iii_end_to_end_rank_one():
 # 12. macro-meso gluing
 
 
-def test_criterion_12_macro_meso():
-    cfg = harness.ExperimentConfig(
-        experiment="macro_meso",
-        model={"family": "iid"},
-        L=60,
-        d=2,
-        trials=50,
-        master_seed=2024,
-        out_dir="unused",
+def test_criterion_12_macro_meso(tmp_path):
+    manifest, _ = run(
+        tmp_path, experiment="macro_meso", L=60, d=2, trials=50, master_seed=2024,
         overrides={"k": 3, "R_L": 13, "r_L": 5},
     )
-    ctx = harness._Context(cfg)
-    rows = [
-        harness._trial_macro_meso(ctx, harness.trial_seed(ctx.cfg.master_seed, i))
-        for i in range(50)
-    ]
     # the event the manifest conditions on: gap_event and peaks_in_cores
-    summary = harness._aggregate(cfg, ctx, rows)["summary"]
+    summary = manifest["summary"]
     cond = summary["conditioning"]
     counts = (
         f"gap_event {cond['gap_event']}, peaks_in_cores "
         f"{cond['peaks_in_cores']}, both {cond['both']}"
     )
-    top = summary[f"rank_{ctx.k}"]
+    top = summary["rank_3"]
     if "eig_median_on_event" not in top:
         crit(
             12,

@@ -1,16 +1,21 @@
 import ast
 import csv
 import dataclasses
+import functools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from andex import cli, covariance as cov, extremes, field, harness, scales, spectrum
 from andex.errors import ConfigError, EmbeddingInvalidError
@@ -487,6 +492,146 @@ class TestFailureBudget:
         with pytest.raises(RuntimeError, match=r"^4/60 trials failed"):
             harness.run_experiment(make_cfg(tmp_path, trials=60))
         assert {p.name: p.read_bytes() for p in manifest.parent.iterdir()} == before
+
+
+# ---------------------------------------------------------------------------
+# the run contract as a state machine: one directory, runs of a small config
+# with any number of trials and seed, and damage between them
+
+_RANK_PERMUTATION = harness._EXPERIMENTS["rank_permutation"]
+
+
+def _contract_cfg(out_dir, trials, master_seed):
+    return harness.ExperimentConfig(
+        experiment="rank_permutation", model={"family": "iid"}, L=64, d=1,
+        trials=trials, master_seed=master_seed, out_dir=str(out_dir),
+        overrides={"k": 2},
+    )
+
+
+def _without_wall_time(manifest: bytes) -> tuple[bytes, ...]:
+    return tuple(line for line in manifest.splitlines() if b'"wall_time_s"' not in line)
+
+
+@functools.cache
+def _fresh_run(trials, master_seed, failed):
+    """records.csv, and manifest.json without wall_time_s, of a run into an
+    empty directory in which the trials of ``failed`` raise."""
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setitem(harness._EXPERIMENTS, "rank_permutation", _RANK_PERMUTATION)
+        for index in failed:
+            fail_trial(mp, "rank_permutation", index)
+        path = harness.run_experiment(_contract_cfg(out, trials, master_seed))
+        return (path.parent / "records.csv").read_bytes(), _without_wall_time(
+            path.read_bytes()
+        )
+
+
+class RunContract(RuleBasedStateMachine):
+    """Runs, cut and junk records, deleted files and failing trials on one
+    directory.  The model holds the whole rows of records.csv, the
+    failed ones among them and the master seed of manifest.json.  A run
+    that returns leaves the files of a fresh run in which the same trials
+    failed (with no failure: the fresh run); a ConfigError or a run over the
+    5% budget leaves the files as they were."""
+
+    def __init__(self):
+        super().__init__()
+        self.out = Path(tempfile.mkdtemp())
+        self.mp = pytest.MonkeyPatch()
+        self.failing = set()  # trials whose body raises now
+        self.rows = 0  # whole rows of records.csv (0 when it is gone)
+        self.failed = set()  # failed trials, among the whole rows or beyond
+        self.seed = None  # master seed of manifest.json, None when it is gone
+
+    def teardown(self):
+        self.mp.undo()
+        shutil.rmtree(self.out)
+
+    def files(self):
+        names = ("records.csv", "manifest.json")
+        return {n: (self.out / n).read_bytes() for n in names if (self.out / n).exists()}
+
+    def has_records(self):
+        return (self.out / "records.csv").exists()
+
+    @rule(trials=st.integers(1, 40), master_seed=st.sampled_from((0, 1)))
+    def run(self, trials, master_seed):
+        before = self.files()
+        records = "records.csv" in before
+        kept = min(self.rows, trials)
+        failed = frozenset(
+            {i for i in self.failed if i < kept}
+            | {i for i in self.failing if kept <= i < trials}
+        )
+        try:
+            harness.run_experiment(_contract_cfg(self.out, trials, master_seed))
+        except ConfigError:
+            assert records, "ConfigError from a directory without records"
+            assert self.seed != master_seed
+            assert self.files() == before
+            return
+        except RuntimeError:
+            assert len(failed) > 0.05 * trials
+            assert self.files() == before
+            return
+        assert not records or self.seed == master_seed
+        assert len(failed) <= 0.05 * trials
+        after = self.files()
+        assert (
+            after["records.csv"], _without_wall_time(after["manifest.json"])
+        ) == _fresh_run(trials, master_seed, failed)
+        self.rows, self.failed, self.seed = trials, set(failed), master_seed
+
+    @precondition(has_records)
+    @rule(data=st.data())
+    def cut(self, data):
+        path = self.out / "records.csv"
+        content = path.read_bytes()
+        content = content[: data.draw(st.integers(0, len(content)), label="at")]
+        path.write_bytes(content)
+        # a row is whole up to its newline; the first line is the header
+        self.rows = min(self.rows, max(content.count(b"\n") - 1, 0))
+
+    # A junk line starts a line of its own.  Appended to a row cut in its
+    # last cell, it would end that row with a cell no reader can tell from
+    # a whole one.
+    @precondition(
+        lambda self: self.has_records()
+        and (self.out / "records.csv").read_bytes()[-1:] in (b"", b"\n")
+    )
+    @rule()
+    def junk(self):
+        with open(self.out / "records.csv", "ab") as fh:
+            fh.write(b"junk\n")
+
+    @rule(name=st.sampled_from(("records.csv", "manifest.json")))
+    def delete(self, name):
+        (self.out / name).unlink(missing_ok=True)
+        if name == "records.csv":
+            self.rows = 0
+        else:
+            self.seed = None
+
+    # one failure fits the 5% budget from 20 trials on
+    @rule(index=st.integers(0, 19))
+    def fail(self, index):
+        fail_trial(self.mp, "rank_permutation", index)
+        self.failing.add(index)
+
+    @rule()
+    def heal(self):
+        self.mp.undo()
+        self.failing.clear()
+
+
+# derandomised, and without an example database, so that the suite stays
+# deterministic
+TestRunContract = RunContract.TestCase
+TestRunContract.settings = settings(
+    derandomize=True, database=None, deadline=None, max_examples=300,
+    stateful_step_count=16,
+)
 
 
 class TestMemoryCheck:
