@@ -33,7 +33,10 @@ v(. - x0) per (model, L, x0), the event check's windows with 1 - v and
 sd(zeta) on them per (model, L, x0, R_L), each in an LRU of 8 keyed on the
 model itself, and the offsets and weights of a profile, which
 ProfileWeights holds (BarSolution.weights builds them once per bar
-solution).  A trial then only draws, forms zeta and gathers it.
+solution).  A trial then only draws, forms zeta and gathers it.  The one
+state a draw keeps is the fields of the last batch of seeds, drawn
+together by the first sample_field call that names the batch and served to
+the others; each equals the single draw of its seed bit for bit.
 """
 
 from __future__ import annotations
@@ -191,7 +194,7 @@ def _dense_factor(model, L):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _dense_draw(model, L, rng):
+def _dense_draw(model, L, rngs):
     h = box_half(L)
     side = 2 * h + 1
     n = side**model.d
@@ -200,8 +203,10 @@ def _dense_draw(model, L, rng):
             f"dense sampler limited to {DENSE_SITE_LIMIT} sites, got {n}"
         )
     F = _dense_factor(model, L)
-    z = rng.standard_normal(n)
-    return (F @ z).reshape((side,) * model.d)
+    # one product per seed: a matrix product would round differently
+    return np.stack([F @ rng.standard_normal(n) for rng in rngs]).reshape(
+        (len(rngs),) + (side,) * model.d
+    )
 
 
 @_per_model_cache
@@ -210,44 +215,81 @@ def _circulant_amplitude(model, M):
     return np.sqrt(np.clip(spec, 0.0, None))
 
 
-def _circulant_draw(model, L, rng):
+def _circulant_draw(model, L, rngs):
     side = grid_side(L)
     M = torus_side(model, L)
     amp = _circulant_amplitude(model, M)
     shape = (M,) * model.d
-    a = rng.standard_normal(shape)
-    b = rng.standard_normal(shape)
-    X = cov._fftn(amp * (a + 1j * b))
+    X = np.empty((len(rngs),) + shape, dtype=complex)
+    for x, rng in zip(X, rngs):
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape)
+        x[...] = amp * (a + 1j * b)
+    X = cov._fftn(X, model.d)
     # Real and imaginary parts are independent exact draws; keep the real
     # one.  Scaling the real part alone equals (X / M^(d/2)).real bit for
     # bit: numpy divides a complex by a real scalar as a product with its
     # reciprocal.
-    sl = (slice(0, side),) * model.d
+    sl = (slice(None),) + (slice(0, side),) * model.d
     return X.real[sl] * (1.0 / M ** (model.d / 2.0))
 
 
 # The exact samplers, by the name sample_field and the CLI's --sampler take.
+# Each maps a list of generators to the stacked fields, one per generator.
 SAMPLERS = {"circulant": _circulant_draw, "dense": _dense_draw}
+
+# The version of the seed -> field mapping of SAMPLERS, which a run's
+# manifest records.
+SAMPLER_VERSION = 1
+
+# A batch of seeds stacks its complex torus grids in at most
+# DRAW_BATCH_BYTES, and holds at most DRAW_BATCH_MAX seeds (batch_size).
+DRAW_BATCH_BYTES = 2 * 1024 * 1024
+DRAW_BATCH_MAX = 32
+
+
+def batch_size(model: cov.CovarianceModel, L: int) -> int:
+    """Seeds per batch of circulant draws on Q_L: as many torus grids as
+    fit DRAW_BATCH_BYTES, clamped to 1..DRAW_BATCH_MAX."""
+    grid_bytes = 16 * torus_side(model, L) ** model.d
+    return min(max(DRAW_BATCH_BYTES // grid_bytes, 1), DRAW_BATCH_MAX)
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_batch(model, L, batch, sampler):
+    """The read-only stacked fields of the seeds in ``batch``."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in batch]
+    out = SAMPLERS[sampler](model, L, rngs)
+    out.setflags(write=False)
+    return out
 
 
 def sample_field(
-    model: cov.CovarianceModel, L: int, seed: int, sampler: str = "circulant"
+    model: cov.CovarianceModel,
+    L: int,
+    seed: int,
+    sampler: str = "circulant",
+    batch: tuple | None = None,
 ) -> FieldSample:
     """Exact draw of the stationary field on Q_L with the sampler that
     SAMPLERS names, and no other.
 
-    Deterministic given (seed, model, L, sampler).  The circulant sampler
-    raises EmbeddingInvalidError when the embedding of the model on its
-    padded torus is not nonnegative; the dense sampler raises ValueError
-    above DENSE_SITE_LIMIT sites.
+    Deterministic given (seed, model, L, sampler).  ``batch``, a tuple of
+    seeds that holds ``seed`` (default: ``seed`` alone), is drawn whole by
+    the first call that names it and kept until another batch is drawn, so
+    the calls for its other seeds draw nothing; every field equals its
+    single draw bit for bit.  ValueError when ``seed`` is not in
+    ``batch``.  The circulant sampler raises EmbeddingInvalidError when the
+    embedding of the model on its padded torus is not nonnegative; the
+    dense sampler raises ValueError above DENSE_SITE_LIMIT sites.
     """
-    draw = SAMPLERS.get(sampler)
-    if draw is None:
+    if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return FieldSample(
-        values=draw(model, L, rng), L=L, model=model, seed=seed, sampler=sampler
-    )
+    batch = (seed,) if batch is None else tuple(batch)
+    if seed not in batch:
+        raise ValueError(f"seed {seed} is not in its batch {batch}")
+    values = _draw_batch(model, L, batch, sampler)[batch.index(seed)]
+    return FieldSample(values=values, L=L, model=model, seed=seed, sampler=sampler)
 
 
 @_per_model_cache
@@ -257,22 +299,21 @@ def _profile_grid(model, L, x0):
     return cov.eval_cov_offsets(model, offs)
 
 
-def peak_conditioned_sample(
-    model: cov.CovarianceModel, L: int, x0, value: float, seed: int
-) -> FluctuationView:
-    """Exact draw of the field conditioned on xi(x0) = value, returned as
-    its fluctuation view around x0; the field itself is ``view.base``.
+def peak_conditioned_sample(sample: FieldSample, x0, value: float) -> FluctuationView:
+    """The draw ``sample`` conditioned on xi(x0) = value, returned as its
+    fluctuation view around x0; the conditioned field is ``view.base``.
 
-    Built from the fluctuation decomposition: draw xi, strip its projection
-    onto xi(x0), and put the prescribed value back.  The residual zeta is
-    independent of xi(x0), so the law is the exact conditional one.  The
-    returned view shares the unconditioned draw's profile, and its zeta is
-    formed from the conditioned values as fluctuation_view forms it.
+    Built from the fluctuation decomposition: strip the draw's projection
+    onto xi(x0) and put the prescribed value back.  The residual zeta is
+    independent of xi(x0), so for an exact draw the law is the exact
+    conditional one.  The returned view shares the unconditioned draw's
+    profile, and its zeta is formed from the conditioned values as
+    fluctuation_view forms it.
     """
-    view = fluctuation_view(sample_field(model, L, seed), x0)
+    view = fluctuation_view(sample, x0)
     vals = value * view.profile + view.zeta
-    vals[window(L, view.x0, 0)] = value  # exact, no roundoff
-    return _decompose(replace(view.base, values=vals), view.x0, view.profile)
+    vals[window(sample.L, view.x0, 0)] = value  # exact, no roundoff
+    return _decompose(replace(sample, values=vals), view.x0, view.profile)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,9 @@ _SCALE_OVERRIDES = frozenset({"a_L", "R_L", "r_L"})
 # (tail_lemma).
 _INTERVAL_C = 3.0
 
+# The sampler every trial draws its field with; the manifest records it.
+_SAMPLER = "circulant"
+
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Counter-based per-trial seed; documented, fixed derivation."""
@@ -192,14 +195,19 @@ class _Context:
 
     def check_memory(self):
         """Refuse runs whose field grids and eigensolver working set would
-        exceed the memory budget.  Every trial body draws a full field, on
-        the circulant sampler's torus (Q_L padded by twice the effective
-        radius); row tables draw none.  The solver is sized for the largest
-        eigensolve a trial makes (_Experiment.solve)."""
+        exceed the memory budget.  Trials draw their fields in batches of
+        field.batch_size seeds on the circulant sampler's torus (Q_L padded
+        by twice the effective radius): six complex torus grids for one
+        seed's draw, and two for each seed of the batch, its slot in the
+        stacked transform and its real part in this batch and the last one,
+        which the draw memo holds.  Row tables draw none.  The solver is
+        sized for the largest eigensolve a trial makes (_Experiment.solve)."""
         exp = _EXPERIMENTS[self.cfg.experiment]
         need = 0
         if exp.trial is not None:
-            need += field.torus_side(self.model, self.cfg.L) ** self.cfg.d * 16 * 6
+            batch = field.batch_size(self.model, self.cfg.L)
+            grid = field.torus_side(self.model, self.cfg.L) ** self.cfg.d * 16
+            need += grid * (6 + 2 * batch)
         if exp.solve is not None:
             sites, pairs = exp.solve(self)
             need += spectrum.solver_bytes(sites, self.cfg.d, pairs)
@@ -210,9 +218,10 @@ class _Context:
 
 
 # ---------------------------------------------------------------------------
-# per-experiment code: trial body (ctx, trial seed) -> dict or row table
-# (ctx) -> list[dict]; aggregate (ctx, rows) -> (tests, summary); plot data
-# rows -> (file name, header, cells).  The table _EXPERIMENTS joins them.
+# per-experiment code: trial body (ctx, the trial's field sample) -> dict or
+# row table (ctx) -> list[dict]; aggregate (ctx, rows) -> (tests, summary);
+# plot data rows -> (file name, header, cells).  The table _EXPERIMENTS joins
+# them.
 
 
 def _box_sites(ctx: _Context) -> int:
@@ -237,9 +246,7 @@ def _check_partition(ctx: _Context):
     ctx.partition
 
 
-def _trial_potential_extremes(ctx: _Context, seed: int) -> dict:
-    cfg = ctx.cfg
-    s = field.sample_field(ctx.model, cfg.L, seed)
+def _trial_potential_extremes(ctx: _Context, s: field.FieldSample) -> dict:
     part = ctx.partition
     _, values = extremes.box_maxima(s, part)
     m = float(np.max(s.values))
@@ -298,11 +305,11 @@ def _check_localisation(ctx: _Context):
         ) from exc
 
 
-def _trial_localisation(ctx: _Context, seed: int) -> dict:
+def _trial_localisation(ctx: _Context, sample: field.FieldSample) -> dict:
     cfg = ctx.cfg
     x0 = (0,) * cfg.d
     a_L = ctx.scales.a_L
-    view = field.peak_conditioned_sample(ctx.model, cfg.L, x0, a_L, seed)
+    view = field.peak_conditioned_sample(sample, x0, a_L)
     s = view.base
     ev = field.event_check(view, ctx.scales)
     V = s.values[field.window(cfg.L, x0, ctx.scales.R_L // 2)]
@@ -351,8 +358,8 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
     return {}, summary
 
 
-def _trial_rank_permutation(ctx: _Context, seed: int) -> dict:
-    V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
+def _trial_rank_permutation(ctx: _Context, sample: field.FieldSample) -> dict:
+    V = sample.values
     res = spectrum.top_k_eigs(V, ctx.pairs)
     lam1 = float(res.eigenvalues[0])
     out = {
@@ -447,8 +454,8 @@ def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
     return pool[:k]
 
 
-def _trial_macro_meso(ctx: _Context, seed: int) -> dict:
-    V = field.sample_field(ctx.model, ctx.cfg.L, seed).values
+def _trial_macro_meso(ctx: _Context, sample: field.FieldSample) -> dict:
+    V = sample.values
     k = ctx.k
     res = spectrum.top_k_eigs(V, ctx.pairs)
     part = ctx.partition
@@ -559,8 +566,9 @@ def _plot_bar_sweep_table(rows: list[dict]):
 
 @dataclass(frozen=True)
 class _Experiment:
-    """One experiment.  Exactly one of ``trial`` (run once per trial) and
-    ``rows`` (one deterministic table) is set.  ``solve`` gives the sites
+    """One experiment.  Exactly one of ``trial`` (run once per trial on
+    the trial's field sample, which _run_trials draws) and ``rows`` (one
+    deterministic table) is set.  ``solve`` gives the sites
     and pairs of the largest eigensolve a trial makes (None: no solver);
     the trial reads the pairs as ``ctx.pairs``, and the k limit and the
     memory check are drawn from both.  ``check``, if set, rejects a config
@@ -569,7 +577,7 @@ class _Experiment:
     beyond _SCALE_OVERRIDES."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
-    trial: Callable[[_Context, int], dict] | None = None
+    trial: Callable[[_Context, field.FieldSample], dict] | None = None
     rows: Callable[[_Context], list[dict]] | None = None
     solve: Callable[[_Context], tuple[int, int]] | None = None
     check: Callable[[_Context], None] | None = None
@@ -711,19 +719,30 @@ def _aggregate(cfg: ExperimentConfig, ctx: _Context, rows: list[dict]) -> dict:
     }
 
 
-def _run_trials(ctx: _Context, body: Callable[[_Context, int], dict], kept: list[dict]):
+def _run_trials(
+    ctx: _Context, body: Callable[[_Context, field.FieldSample], dict], kept: list[dict]
+):
     """The kept rows of trials 0 .. len(kept) - 1, then the rows of the
     trials after them up to trials - 1; a failed trial's row says so.
-    RuntimeError when more than 5% of these rows, kept or new, failed."""
+    RuntimeError when more than 5% of these rows, kept or new, failed.
+
+    The new trials are drawn in batches of field.batch_size seeds, from
+    the first new one on: each trial calls field.sample_field once, naming
+    its batch, before its body runs, and the batch's first call draws the
+    fields of all of them."""
     cfg = ctx.cfg
     rows, errors = list(kept), []
-    for i in range(len(kept), cfg.trials):
-        seed = trial_seed(cfg.master_seed, i)
-        try:
-            rows.append({"seed": seed, **body(ctx, seed)})
-        except Exception as exc:  # per-trial failure budget
-            rows.append({"seed": seed, "failed": 1})
-            errors.append(repr(exc))
+    size = field.batch_size(ctx.model, cfg.L)
+    for start in range(len(kept), cfg.trials, size):
+        stop = min(start + size, cfg.trials)
+        seeds = tuple(trial_seed(cfg.master_seed, i) for i in range(start, stop))
+        for seed in seeds:
+            try:
+                s = field.sample_field(ctx.model, cfg.L, seed, _SAMPLER, batch=seeds)
+                rows.append({"seed": seed, **body(ctx, s)})
+            except Exception as exc:  # per-trial failure budget
+                rows.append({"seed": seed, "failed": 1})
+                errors.append(repr(exc))
     failed = sum(1 for r in rows if r.get("failed"))
     if failed > 0.05 * cfg.trials:
         raise RuntimeError(
@@ -787,6 +806,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
         "wall_time_s": time.time() - t0,
         **_aggregate(cfg, ctx, done),
     }
+    if exp.trial is not None:
+        manifest["sampler"] = {"name": _SAMPLER, "version": field.SAMPLER_VERSION}
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path
 
@@ -814,6 +835,9 @@ def report(run_dir) -> bool:
     exp = cfg["experiment"]
 
     lines = [f"experiment: {exp}  trials: {len(rows)}"]
+    sampler = manifest.get("sampler")
+    if sampler:
+        lines.append(f"sampler: {sampler['name']} v{sampler['version']}")
     ok = True
     for name, rep in manifest.get("tests", {}).items():
         status = "PASS" if rep["pass"] else "FAIL"

@@ -278,9 +278,82 @@ class TestSamplerContract:
                 F[0] = 1.0
 
 
+BATCH_SEEDS = (3, 11, 2024, 0, 7, 123456789, 42)
+BATCH_FAMILIES = [
+    ("iid", {}),
+    ("cube_indicator", {"m": 2}),
+    ("gaussian_kernel", {"ell": 1.5}),
+    ("exponential", {"alpha": 2.0}),
+]
+
+
+def assert_batches_equal_single_draws(model, L, sampler):
+    """Batches of 1, 2 and 7 seeds give, at every position, the single
+    draw of the seed byte for byte."""
+    singles = {s: field.sample_field(model, L, s, sampler).values for s in BATCH_SEEDS}
+    for n in (1, 2, 7):
+        batch = BATCH_SEEDS[:n]
+        for seed in batch:
+            got = field.sample_field(model, L, seed, sampler, batch=batch)
+            assert (got.seed, got.sampler) == (seed, sampler)
+            assert got.values.tobytes() == singles[seed].tobytes()
+
+
+class TestBatchDraw:
+    @pytest.mark.parametrize("sampler", ["circulant", "dense"])
+    @pytest.mark.parametrize("d,L", [(1, 40), (2, 12), (3, 4)])
+    @pytest.mark.parametrize("family,params", BATCH_FAMILIES)
+    def test_batch_equals_single_draws(self, family, params, d, L, sampler):
+        assert field.grid_side(L) ** d <= field.DENSE_SITE_LIMIT
+        assert_batches_equal_single_draws(cov.CovarianceModel(family, d, params), L, sampler)
+
+    @pytest.mark.parametrize(
+        "family,params,L,M",
+        [
+            ("iid", {}, 8192, 8193),
+            ("iid", {}, 4100, 4101),
+            ("cube_indicator", {"m": 2}, 4096, 4101),
+        ],
+    )
+    def test_batch_equals_single_draws_at_large_prime_torus(self, family, params, L, M):
+        # 8193 = 3 * 2731 and 4101 = 3 * 1367: the FFT runs Bluestein's
+        # algorithm on these sides
+        model = cov.CovarianceModel(family, 1, params)
+        assert field.torus_side(model, L) == M
+        assert_batches_equal_single_draws(model, L, "circulant")
+
+    def test_one_draw_per_batch(self, iid1, monkeypatch):
+        drawn = []
+        circulant = field.SAMPLERS["circulant"]
+
+        def counted(model, L, rngs):
+            drawn.append(len(rngs))
+            return circulant(model, L, rngs)
+
+        monkeypatch.setitem(field.SAMPLERS, "circulant", counted)
+        batch = (5, 6, 7, 8)
+        for seed in batch:
+            field.sample_field(iid1, 64, seed, batch=batch)
+        assert drawn == [4]
+        field.sample_field(iid1, 64, 9)  # the memo holds one batch
+        field.sample_field(iid1, 64, 5, batch=batch)
+        assert drawn == [4, 1, 4]
+
+    def test_seed_outside_its_batch(self, iid1):
+        with pytest.raises(ValueError, match="not in its batch"):
+            field.sample_field(iid1, 32, 5, batch=(1, 2))
+
+    def test_batch_size(self, iid1):
+        # a complex grid of 8193 sites takes 131088 bytes: 15 fit in 2 MiB
+        # (2097152 bytes), 16 take 2097408
+        assert field.batch_size(iid1, 8192) == 15
+        assert field.batch_size(iid1, 2**20) == 1
+        assert field.batch_size(iid1, 64) == field.DRAW_BATCH_MAX
+
+
 class TestPeakConditioning:
     def test_exact_value_at_x0(self, cube4):
-        view = field.peak_conditioned_sample(cube4, 33, [2], 6.0, seed=3)
+        view = field.peak_conditioned_sample(field.sample_field(cube4, 33, 3), [2], 6.0)
         assert view.base.at([2]) == 6.0
         assert view.x0 == (2,) and view.base.at(view.x0) == 6.0
 
@@ -289,7 +362,8 @@ class TestPeakConditioning:
         n = 5000
         acc = np.zeros(field.grid_side(25))
         for seed in range(n):
-            acc += field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed).base.values
+            s = field.sample_field(cube4, 25, seed)
+            acc += field.peak_conditioned_sample(s, [0], 5.0).base.values
         mean = acc / n
         h = 12
         prof = cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
@@ -300,8 +374,8 @@ class TestPeakConditioning:
         n = 5000
         vals = np.stack(
             [
-                field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed).base.values
-                for seed in range(n)
+                field.peak_conditioned_sample(s, [0], 5.0).base.values
+                for s in (field.sample_field(cube4, 25, seed) for seed in range(n))
             ]
         )
         var = np.var(vals, axis=0)
@@ -341,8 +415,8 @@ class TestFluctuation:
 
     def test_zeta_independent_of_peak(self, cube4):
         # zeta is unchanged when the conditioning value changes
-        v5 = field.peak_conditioned_sample(cube4, 25, [0], 5.0, seed=9)
-        v7 = field.peak_conditioned_sample(cube4, 25, [0], 7.0, seed=9)
+        v5 = field.peak_conditioned_sample(field.sample_field(cube4, 25, 9), [0], 5.0)
+        v7 = field.peak_conditioned_sample(field.sample_field(cube4, 25, 9), [0], 7.0)
         assert np.allclose(v5.zeta, v7.zeta, atol=1e-12)
 
 
@@ -360,7 +434,7 @@ class TestViewConsumers:
         v = field.fluctuation_view(field.sample_field(model, L, seed=5), x0)
         expect = 5.5 * v.profile + v.zeta
         expect[field.window(L, x0, 0)] = 5.5
-        got_view = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5)
+        got_view = field.peak_conditioned_sample(field.sample_field(model, L, 5), x0, 5.5)
         got = got_view.base
         assert np.array_equal(got.values, expect)
         assert got.sampler == v.base.sampler
@@ -370,7 +444,7 @@ class TestViewConsumers:
     @VIEW_BOXES
     def test_conditioned_view_is_the_view_of_its_field(self, family, params, d, L, x0):
         model = cov.CovarianceModel(family, d, params)
-        got = field.peak_conditioned_sample(model, L, x0, 5.5, seed=5)
+        got = field.peak_conditioned_sample(field.sample_field(model, L, 5), x0, 5.5)
         expect = field.fluctuation_view(got.base, x0)
         assert got.x0 == expect.x0
         assert np.array_equal(got.profile, expect.profile)
@@ -496,10 +570,10 @@ class TestEventCheck:
 
     def test_e1_deterministic(self, cube4):
         ss = self._scales(cube4)
-        good = field.peak_conditioned_sample(cube4, 41, [0], 6.5, seed=0)
+        good = field.peak_conditioned_sample(field.sample_field(cube4, 41, 0), [0], 6.5)
         rep = field.event_check(good, ss)
         assert rep.in_E1 and rep.margins[0] == pytest.approx(2.5)
-        bad = field.peak_conditioned_sample(cube4, 41, [0], 12.0, seed=0)
+        bad = field.peak_conditioned_sample(field.sample_field(cube4, 41, 0), [0], 12.0)
         assert not field.event_check(bad, ss).in_E1
 
     def test_constructed_member(self, cube4):
@@ -543,7 +617,7 @@ class TestEventCheck:
 
     def test_event_at_offset_base_point(self, cube4):
         ss = self._scales(cube4)
-        view = field.peak_conditioned_sample(cube4, 61, [7], 6.0, seed=2)
+        view = field.peak_conditioned_sample(field.sample_field(cube4, 61, 2), [7], 6.0)
         rep = field.event_check(view, ss)
         assert rep.x0 == (7,)
         assert rep.in_E1

@@ -40,10 +40,10 @@ def fail_trial(monkeypatch, experiment, index):
     """Make trial ``index`` of ``experiment`` raise."""
     entry = harness._EXPERIMENTS[experiment]
 
-    def body(ctx, seed):
-        if seed == harness.trial_seed(ctx.cfg.master_seed, index):
+    def body(ctx, sample):
+        if sample.seed == harness.trial_seed(ctx.cfg.master_seed, index):
             raise RuntimeError(f"trial {index}")
-        return entry.trial(ctx, seed)
+        return entry.trial(ctx, sample)
 
     monkeypatch.setitem(
         harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
@@ -282,7 +282,8 @@ class TestRunDeterminism:
         ctx = harness._Context(cfg)
         for r in rows:
             assert isinstance(r["lambda_1"], float)
-            fresh = harness._EXPERIMENTS[cfg.experiment].trial(ctx, r["seed"])
+            sample = field.sample_field(ctx.model, cfg.L, r["seed"])
+            fresh = harness._EXPERIMENTS[cfg.experiment].trial(ctx, sample)
             assert {c: r[c] for c in fresh} == fresh
 
     def test_manifest_contents(self, tmp_path):
@@ -295,6 +296,83 @@ class TestRunDeterminism:
         assert "rescaled_lambda_1" in manifest["summary"]
         assert "p_ell1_eq_1" in manifest["summary"]
         assert manifest["scales"]["a_L"] == 6.0
+
+
+TRIAL_EXPERIMENTS = [n for n, e in harness._EXPERIMENTS.items() if e.trial is not None]
+
+
+class TestDrawHook:
+    """What a wrapper on field.sample_field sees of a run: one call per new
+    trial, the first before any trial body, and a FieldSample from each.
+    The benchmark marks the start of the trials at the first call and
+    reads the sampler of every returned sample."""
+
+    def _watch(self, monkeypatch, experiment=None):
+        """Log ("draw", sample) per sample_field call and ("body", seed) per
+        trial body; trials draw in batches of three seeds."""
+        events, sample_field = [], field.sample_field
+
+        def counted(*args, **kwargs):
+            out = sample_field(*args, **kwargs)
+            events.append(("draw", out))
+            return out
+
+        monkeypatch.setattr(field, "sample_field", counted)
+        monkeypatch.setattr(field, "DRAW_BATCH_MAX", 3)
+        if experiment is not None:
+            entry = harness._EXPERIMENTS[experiment]
+
+            def body(ctx, sample):
+                events.append(("body", sample.seed))
+                return entry.trial(ctx, sample)
+
+            monkeypatch.setitem(
+                harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
+            )
+        return events
+
+    def _cfg(self, tmp_path, experiment, trials, name="run"):
+        return make_cfg(
+            tmp_path, experiment=experiment, trials=trials,
+            out_dir=str(tmp_path / name), overrides={"a_L": 6.0, "R_L": 9, "r_L": 5},
+        )
+
+    @pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
+    def test_one_draw_per_trial_before_its_body(self, tmp_path, monkeypatch, experiment):
+        events = self._watch(monkeypatch, experiment)
+        cfg = self._cfg(tmp_path, experiment, trials=7)
+        manifest = json.loads(harness.run_experiment(cfg).read_text())
+        assert manifest["trials_failed"] == 0
+        assert [kind for kind, _ in events] == ["draw", "body"] * 7
+        draws = [out for kind, out in events if kind == "draw"]
+        assert all(isinstance(out, field.FieldSample) for out in draws)
+        assert [s.seed for s in draws] == [harness.trial_seed(7, i) for i in range(7)]
+        assert manifest["sampler"] == {"name": "circulant", "version": field.SAMPLER_VERSION}
+
+    @pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
+    def test_resume_mid_batch_draws_only_the_new_trials(
+        self, tmp_path, monkeypatch, experiment
+    ):
+        # a fresh 8-trial run draws in batches 0-2, 3-5, 6-7; the resume
+        # keeps trials 0-3 and draws 4-6 and 7
+        harness.run_experiment(self._cfg(tmp_path, experiment, trials=4))
+        drawn = []
+        circulant = field.SAMPLERS["circulant"]
+
+        def counted(model, L, rngs):
+            drawn.append(len(rngs))
+            return circulant(model, L, rngs)
+
+        monkeypatch.setitem(field.SAMPLERS, "circulant", counted)
+        events = self._watch(monkeypatch)
+        resumed = self._cfg(tmp_path, experiment, trials=8)
+        harness.run_experiment(resumed)
+        assert [s.seed for _, s in events] == [harness.trial_seed(7, i) for i in range(4, 8)]
+        assert drawn == [3, 1]
+        fresh = self._cfg(tmp_path, experiment, trials=8, name="fresh")
+        harness.run_experiment(fresh)
+        records = [Path(c.out_dir, "records.csv").read_bytes() for c in (resumed, fresh)]
+        assert records[0] == records[1]
 
 
 class TestResume:
@@ -466,7 +544,7 @@ class TestFailureBudget:
     def test_budget_exceeded_raises(self, tmp_path, monkeypatch):
         cfg = make_cfg(tmp_path, trials=5)
 
-        def bomb(ctx, seed):
+        def bomb(ctx, sample):
             raise RuntimeError("boom")
 
         entry = dataclasses.replace(harness._EXPERIMENTS["rank_permutation"], trial=bomb)
@@ -635,6 +713,11 @@ TestRunContract.settings = settings(
 
 
 class TestMemoryCheck:
+    # the iid torus of side 61 in d = 2: 2 MiB holds 35 complex grids of it,
+    # so trials draw in batches of DRAW_BATCH_MAX = 32 seeds; one seed's
+    # draw takes six grids and each seed of a batch two more
+    GRIDS = 61**2 * 16 * (6 + 2 * 32)
+
     def _ctx(self, tmp_path, experiment, **overrides):
         cfg = make_cfg(
             tmp_path, experiment=experiment, model={"family": "iid"}, L=60, d=2,
@@ -648,7 +731,7 @@ class TestMemoryCheck:
         # filter 3 work vectors, and its DIA matrix 5 diagonals of 3721
         # values and an offset each, 8 bytes apiece
         ctx = self._ctx(tmp_path, "macro_meso", k=3)
-        grids = 61**2 * 16 * 6
+        grids = self.GRIDS
         solver = (20 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver)
         ctx.check_memory()
@@ -660,7 +743,7 @@ class TestMemoryCheck:
         # rank_permutation solves max(k, 2) = 10 pairs: ARPACK holds
         # ncv = 2 * 10 + 1 = 21 basis vectors, not the 25 of 12 pairs
         ctx = self._ctx(tmp_path, "rank_permutation", k=10)
-        budget = 61**2 * 16 * 6 + (21 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
+        budget = self.GRIDS + (21 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", budget)
         ctx.check_memory()
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", budget - 1)
@@ -671,15 +754,19 @@ class TestMemoryCheck:
     def test_counts_the_subset_eigh_matrix(self, tmp_path, monkeypatch):
         # localisation solves on the 13 x 13 core with a dense n x n matrix
         ctx = self._ctx(tmp_path, "localisation")
-        grids = 61**2 * 16 * 6
+        grids = self.GRIDS
         monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + 169**2 * 8 - 1)
         with pytest.raises(ConfigError):
             ctx.check_memory()
 
     def test_no_solver_no_solver_bytes(self, tmp_path, monkeypatch):
         ctx = self._ctx(tmp_path, "potential_extremes")
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", 61**2 * 16 * 6)
+        assert field.batch_size(ctx.model, 60) == 32
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", self.GRIDS)
         ctx.check_memory()
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", self.GRIDS - 1)
+        with pytest.raises(ConfigError):
+            ctx.check_memory()
 
     def test_counts_the_circulant_torus(self, tmp_path):
         # exponential alpha = 0.1 pads the 65-site box to a torus of side
