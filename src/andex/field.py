@@ -255,6 +255,15 @@ def batch_size(model: cov.CovarianceModel, L: int) -> int:
     return min(max(DRAW_BATCH_BYTES // grid_bytes, 1), DRAW_BATCH_MAX)
 
 
+def draw_bytes(model: cov.CovarianceModel, L: int) -> int:
+    """Bytes a batch of batch_size circulant draws on Q_L holds: six complex
+    torus grids for one seed's draw, and two for each seed of the batch,
+    its slot in the stacked transform and its real part in this batch and
+    the last one, which the draw memo holds."""
+    grid_bytes = 16 * torus_side(model, L) ** model.d
+    return grid_bytes * (6 + 2 * batch_size(model, L))
+
+
 @functools.lru_cache(maxsize=1)
 def _draw_batch(model, L, batch, sampler):
     """The read-only stacked fields of the seeds in ``batch``."""

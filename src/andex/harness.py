@@ -194,20 +194,14 @@ class _Context:
         return extremes.build_partition(self.cfg.L, self.scales.R_L, self.cfg.d)
 
     def check_memory(self):
-        """Refuse runs whose field grids and eigensolver working set would
-        exceed the memory budget.  Trials draw their fields in batches of
-        field.batch_size seeds on the circulant sampler's torus (Q_L padded
-        by twice the effective radius): six complex torus grids for one
-        seed's draw, and two for each seed of the batch, its slot in the
-        stacked transform and its real part in this batch and the last one,
-        which the draw memo holds.  Row tables draw none.  The solver is
-        sized for the largest eigensolve a trial makes (_Experiment.solve)."""
+        """Refuse runs whose field draws and eigensolver working set would
+        exceed the memory budget.  Trials draw their fields in batches
+        (field.draw_bytes); row tables draw none.  The solver is sized for
+        the largest eigensolve a trial makes (_Experiment.solve)."""
         exp = _EXPERIMENTS[self.cfg.experiment]
         need = 0
         if exp.trial is not None:
-            batch = field.batch_size(self.model, self.cfg.L)
-            grid = field.torus_side(self.model, self.cfg.L) ** self.cfg.d * 16
-            need += grid * (6 + 2 * batch)
+            need += field.draw_bytes(self.model, self.cfg.L)
         if exp.solve is not None:
             sites, pairs = exp.solve(self)
             need += spectrum.solver_bytes(sites, self.cfg.d, pairs)
@@ -339,9 +333,10 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
     e1, e2, e3, gap_ok = (
         _col(rows, name).astype(bool) for name in ("in_E1", "in_E2", "in_E3", "gap_ok")
     )
+    eig, fun = _col(rows, "eig_err"), _col(rows, "fun_err")
     summary = {
-        "eig_err": _median_p95(_col(rows, "eig_err")),
-        "fun_err": _median_p95(_col(rows, "fun_err")),
+        "eig_err": _median_p95(eig),
+        "fun_err": _median_p95(fun),
         "event_counts": {
             "E1": int(e1.sum()),
             "E2": int(e2.sum()),
@@ -352,7 +347,12 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
     }
     sel = e1 & e3
     if sel.any():
-        summary["gap_pass_frequency_on_event"] = float(gap_ok[sel].mean())
+        summary["on_event"] = {
+            "n": int(sel.sum()),
+            "eig_err": _median_p95(eig[sel]),
+            "fun_err": _median_p95(fun[sel]),
+            "gap_pass_frequency": float(gap_ok[sel].mean()),
+        }
     summary["gap_pass_frequency"] = float(gap_ok.mean())
     summary["interval_frequency"] = float(_col(rows, "max_in_interval").mean())
     return {}, summary

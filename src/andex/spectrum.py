@@ -71,8 +71,9 @@ WINDOW_SPARE_PEAKS = 8
 # Slack of the completeness count, in units of eps * ||H||: covers the
 # rounding of the residuals and the backward error of the Sturm count.
 _COUNT_SLACK_ULPS = 16
-# top_k_eigs accepts residuals up to max(tol, this many eps * ||H||), with
-# ||H|| <= max|V| + 4d, so that rounding alone never fails a large field.
+# top_k_eigs accepts residuals up to max(RESIDUAL_TOL, RESIDUAL_ULPS eps ||H||),
+# with ||H|| <= max|V| + 4d, so that rounding alone never fails a large field.
+RESIDUAL_TOL = 1e-10
 RESIDUAL_ULPS = 16
 TIE_TOL = 1e-12
 # c' of spectral_gap_check: the gap event asks lambda_2 <= xi(x0) - c' a_L/d_L.
@@ -411,9 +412,9 @@ def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
     return result
 
 
-def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
+def top_k_eigs(V: np.ndarray, k: int) -> SpectralResult:
     """Top-k eigenpairs of Delta + V; each pair satisfies
-    ||H phi - lambda phi||_2 <= max(tol, RESIDUAL_ULPS eps (max|V| + 4d)),
+    ||H phi - lambda phi||_2 <= max(RESIDUAL_TOL, RESIDUAL_ULPS eps (max|V| + 4d)),
     a bound on the rounding of H phi, or SolverConvergenceError is raised.
     The result's solver field names the path that produced it.
 
@@ -446,12 +447,10 @@ def top_k_eigs(V: np.ndarray, k: int, tol: float = 1e-10) -> SpectralResult:
         raise ValueError(f"k limited to {MAX_K}")
     if k > n:
         raise ValueError(f"k={k} exceeds {n} sites")
-    if tol < 1e-13:
-        raise ValueError("tol below achievable double precision")
     if not np.isfinite(V).all():
         raise ValueError("V must not contain infs or NaNs")
     h_norm = float(np.max(np.abs(V))) + 4.0 * V.ndim
-    tol = max(tol, RESIDUAL_ULPS * np.finfo(float).eps * h_norm)
+    tol = max(RESIDUAL_TOL, RESIDUAL_ULPS * np.finfo(float).eps * h_norm)
     try:
         if V.ndim == 1:
             result = _window_eigs(V, k, tol)

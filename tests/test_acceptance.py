@@ -1,28 +1,35 @@
 """End-to-end acceptance checks: analytic identities, oracle equivalences,
 and calibrated statistical checks with fixed seeds.
 
-Each test prints exactly one PASS/FAIL line.  The statistical checks use
-frozen master seeds; thresholds are part of the contract and are never
+Each criterion prints exactly one PASS/FAIL line.  The statistical checks
+use frozen master seeds; thresholds are part of the contract and are never
 loosened to fit a particular run.
 
-Criteria 2 (b), 4, 6, 7, 8-10, 11iii and 12 run the experiment that
-``andex experiment`` runs, through ``harness.run_experiment`` (see ``run``),
-and read their numbers from its manifest or records.  Each of them requires
-``trials_failed == 0``: the run itself would drop up to 5% of its trials.
-Their thresholds, sizes and seeds stay here, in the tests.  The other
-criteria test library functions directly, and 14 compares two runs' records.
+Criteria 2 (b), 4, 6, 7, 8-10, 11iii, 12 and 14 run the experiment of a
+config file in ``tests/criteria`` (see ``run``), the run that
+``andex --config tests/criteria/<name>.json experiment`` makes, and read
+their numbers from its manifest (2 (b) also reads rows, 14 the records).
+Only 2 (b) changes its file's config, setting L = 10^k.  Each of them
+requires ``trials_failed == 0``: the run itself would drop up to 5% of its
+trials.  Their thresholds stay here, in the tests.  The other criteria test
+library functions directly.  The last two tests pin the config files and
+print nothing.
 """
 
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
 from andex import covariance as cov
-from andex import extremes, field, harness, scales, spectrum
+from andex import cli, extremes, field, harness, scales, spectrum
+
+# The experiment configs of the criteria that run one, by file name.
+CRITERIA = Path(__file__).parent / "criteria"
 
 
 def crit(number, ok, detail):
@@ -30,10 +37,13 @@ def crit(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def run(out_dir, **cfg):
-    """Run the experiment of config keys ``cfg`` (defaults as in a JSON
-    config) into ``out_dir``; its manifest and the rows of its records."""
-    config = harness.ExperimentConfig.from_dict({**cfg, "out_dir": str(out_dir)})
+def run(out_dir, name, **changes):
+    """Run the experiment of ``CRITERIA/<name>.json``, with ``changes`` to
+    its keys, into ``out_dir``; its manifest and the rows of its records."""
+    raw = json.loads((CRITERIA / f"{name}.json").read_text())
+    config = harness.ExperimentConfig.from_dict(
+        {**raw, **changes, "out_dir": str(out_dir)}
+    )
     path = harness.run_experiment(config)
     manifest = json.loads(path.read_text())
     assert manifest["trials_failed"] == 0, f"{manifest['trials_failed']} trials failed"
@@ -99,7 +109,7 @@ def test_criterion_02_sum_tail_ratios(tmp_path):
     ok = dev <= 1e-12
     worsts, levels = [], []
     for k in (4, 8, 16, 32, 64, 128):
-        manifest, rows = run(tmp_path / str(k), experiment="tail_lemma", L=10**k)
+        manifest, rows = run(tmp_path / str(k), "02b", L=10**k)
         assert all(r["reference"] == math.exp(-r["s"]) for r in rows)
         level = manifest["scales"]["a_L"]
         worst = manifest["summary"]["max_abs_ratio_err"]
@@ -163,7 +173,7 @@ def test_criterion_03_solver_oracle():
         seed = int(rng.integers(2**32))
         V = 3.0 * np.array(field.sample_field(model, L, seed).values)
         assert V.size <= 2000
-        top = spectrum.top_k_eigs(V, 5, tol=1e-10)
+        top = spectrum.top_k_eigs(V, 5)
         oracle = spectrum.dense_eigs(V, 5)
         worst_dl = max(
             worst_dl, float(np.max(np.abs(top.eigenvalues - oracle.eigenvalues)))
@@ -183,10 +193,7 @@ def test_criterion_03_solver_oracle():
 
 
 def test_criterion_04_bar_expansion(tmp_path):
-    manifest, _ = run(
-        tmp_path, experiment="bar_sweep", L=64,
-        overrides={"a_L": 6.0, "R_L": 19, "r_L": 9},
-    )
+    manifest, _ = run(tmp_path, "04")
     ok = True
     details = []
     for family in ("iid", "cube_indicator"):
@@ -244,18 +251,11 @@ def test_criterion_05_sampler_exactness():
 # 6. Gumbel limit of the rescaled maximum
 
 
-# the two families that criteria 6 and 8-10 run, by the name each prints
-FAMILIES = {"iid": {"family": "iid"}, "cube": {"family": "cube_indicator", "m": 2}}
-
-
 def test_criterion_06_gumbel_limit(tmp_path):
-    ks = {}
-    for name, model in FAMILIES.items():
-        manifest, _ = run(
-            tmp_path / name, experiment="potential_extremes", model=model,
-            L=2**13, trials=400, master_seed=2024,
-        )
-        ks[name] = manifest["tests"]["gumbel_ks"]["statistic"]
+    ks = {
+        name: run(tmp_path / name, file)[0]["tests"]["gumbel_ks"]["statistic"]
+        for name, file in (("iid", "06_iid"), ("cube", "06_cube"))
+    }
     crit(
         6,
         ks["iid"] <= 0.08 and ks["cube"] <= 0.10,
@@ -269,10 +269,7 @@ def test_criterion_06_gumbel_limit(tmp_path):
 
 
 def test_criterion_07_poisson_dispersion(tmp_path):
-    manifest, _ = run(
-        tmp_path, experiment="potential_extremes", L=2**13, trials=200,
-        master_seed=2024, overrides={"R_L": 511},
-    )
+    manifest, _ = run(tmp_path, "07")
     rep = manifest["tests"].get("poisson_dispersion")
     if rep is None:
         crit(7, False, manifest["summary"]["poisson_dispersion"])
@@ -284,53 +281,56 @@ def test_criterion_07_poisson_dispersion(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def localisation_batches(tmp_path_factory):
+def localisation_summaries(tmp_path_factory):
     out = tmp_path_factory.mktemp("localisation")
     return {
-        name: run(
-            out / name, experiment="localisation", model=model, L=83, trials=200,
-            master_seed=2024, overrides={"a_L": 6.0, "R_L": 41, "r_L": 9},
-        )[1]
-        for name, model in FAMILIES.items()
+        name: run(out / name, file)[0]["summary"]
+        for name, file in (("iid", "08_iid"), ("cube", "08_cube"))
     }
 
 
-def _on_event(rows):
-    return [r for r in rows if r["in_E1"] and r["in_E3"]]
+def _event_blocks(number, summaries):
+    """Each family's ``summary.on_event``, the trials in E1 and E3; FAIL
+    with the event counts when a family has none."""
+    for name, summary in summaries.items():
+        if "on_event" not in summary:
+            c = summary["event_counts"]
+            crit(
+                number,
+                False,
+                f"{name}: no trial in E1 and E3 (E1 {c['E1']}, E3 {c['E3']}, "
+                f"n {c['n']}); the statistics on the event are undefined",
+            )
+    return {name: summary["on_event"] for name, summary in summaries.items()}
 
 
-def test_criterion_08_eigenvalue_approximation(localisation_batches):
+def test_criterion_08_eigenvalue_approximation(localisation_summaries):
     ok = True
     details = []
-    for name, rows in localisation_batches.items():
-        sel = _on_event(rows)
-        eig = np.array([r["eig_err"] for r in sel])
-        med = float(np.median(eig))
-        p95 = float(np.percentile(eig, 95))
+    for name, block in _event_blocks(8, localisation_summaries).items():
+        med, p95 = block["eig_err"]["median"], block["eig_err"]["p95"]
         ok &= med <= 0.1 and p95 <= 0.5
-        details.append(f"{name}: median={med:.4f} p95={p95:.4f} (n={len(sel)})")
+        details.append(f"{name}: median={med:.4f} p95={p95:.4f} (n={block['n']})")
     crit(8, ok, "; ".join(details) + " [median <= 0.1, p95 <= 0.5]")
 
 
-def test_criterion_09_spectral_gap(localisation_batches):
+def test_criterion_09_spectral_gap(localisation_summaries):
     ok = True
     details = []
-    for name, rows in localisation_batches.items():
-        sel = _on_event(rows)
-        freq = float(np.mean([r["gap_ok"] for r in sel]))
+    for name, block in _event_blocks(9, localisation_summaries).items():
+        freq = block["gap_pass_frequency"]
         ok &= freq >= 0.95
-        details.append(f"{name}: gap pass frequency = {freq:.3f} (n={len(sel)})")
+        details.append(f"{name}: gap pass frequency = {freq:.3f} (n={block['n']})")
     crit(9, ok, "; ".join(details) + " [>= 0.95 on event]")
 
 
-def test_criterion_10_localisation(localisation_batches):
+def test_criterion_10_localisation(localisation_summaries):
     ok = True
     details = []
-    for name, rows in localisation_batches.items():
-        sel = _on_event(rows)
-        med = float(np.median([r["fun_err"] for r in sel]))
+    for name, block in _event_blocks(10, localisation_summaries).items():
+        med = block["fun_err"]["median"]
         ok &= med <= 0.2
-        details.append(f"{name}: median fun err = {med:.4f} (n={len(sel)})")
+        details.append(f"{name}: median fun err = {med:.4f} (n={block['n']})")
     crit(10, ok, "; ".join(details) + " [median <= 0.2]")
 
 
@@ -362,10 +362,8 @@ def test_criterion_11ii_monotone_in_decoration():
 
 
 def test_criterion_11iii_end_to_end_rank_one(tmp_path):
-    n = 300
-    manifest, _ = run(
-        tmp_path, experiment="rank_permutation", L=2**12, trials=n, master_seed=1
-    )
+    manifest, _ = run(tmp_path, "11iii")
+    n = manifest["config"]["trials"]
     freq = manifest["summary"]["p_ell1_eq_1"]
     crit(
         "11iii",
@@ -380,10 +378,7 @@ def test_criterion_11iii_end_to_end_rank_one(tmp_path):
 
 
 def test_criterion_12_macro_meso(tmp_path):
-    manifest, _ = run(
-        tmp_path, experiment="macro_meso", L=60, d=2, trials=50, master_seed=2024,
-        overrides={"k": 3, "R_L": 13, "r_L": 5},
-    )
+    manifest, _ = run(tmp_path, "12")
     # the event the manifest conditions on: gap_event and peaks_in_cores
     summary = manifest["summary"]
     cond = summary["conditioning"]
@@ -449,20 +444,33 @@ def test_criterion_13_gradient_check():
 def test_criterion_14_determinism(tmp_path):
     texts = []
     for tag in ("a", "b"):
-        cfg = harness.ExperimentConfig(
-            experiment="rank_permutation",
-            model={"family": "cube_indicator", "m": 2},
-            L=41,
-            d=1,
-            trials=8,
-            master_seed=77,
-            out_dir=str(tmp_path / tag),
-            overrides={"a_L": 6.0, "R_L": 19, "r_L": 9},
-        )
-        harness.run_experiment(cfg)
+        run(tmp_path / tag, "14")
         texts.append((tmp_path / tag / "records.csv").read_text())
     crit(
         14,
         texts[0] == texts[1],
         "identical config+seed reproduces records byte-for-byte",
     )
+
+
+# ---------------------------------------------------------------------------
+# the config files
+
+
+def test_every_criterion_file_is_a_config_a_criterion_runs():
+    source = Path(__file__).read_text()
+    paths = sorted(CRITERIA.glob("*.json"))
+    assert paths
+    for path in paths:
+        raw = json.loads(path.read_text())
+        assert "out_dir" not in raw, path.name
+        harness.ExperimentConfig.from_dict(raw)
+        assert f'"{path.stem}"' in source, f"no criterion runs {path.name}"
+
+
+def test_cli_run_of_a_criterion_file_writes_its_records(tmp_path):
+    run(tmp_path / "test", "14")
+    argv = ["--config", str(CRITERIA / "14.json"), "--out", str(tmp_path / "cli")]
+    assert cli.main([*argv, "experiment"]) == cli.EXIT_OK
+    records = [(tmp_path / d / "records.csv").read_bytes() for d in ("test", "cli")]
+    assert records[0] == records[1]

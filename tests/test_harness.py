@@ -1018,6 +1018,26 @@ class TestAggregates:
             "fun_median_on_event": 50.0,
         }
 
+    def test_localisation_statistics_on_the_event(self):
+        cells = [(1, 1, 1, 1.0), (1, 0, 0, 2.0), (0, 1, 0, 3.0), (1, 1, 0, 5.0), (1, 1, 1, 6.0)]
+        rows = [
+            {"in_E1": e1, "in_E2": 0, "in_E3": e3, "gap_ok": g, "eig_err": x,
+             "fun_err": 10 * x, "max_in_interval": 1}
+            for e1, e3, g, x in cells
+        ]
+        _, summary = harness._agg_localisation(None, rows)
+        assert summary["on_event"] == {
+            "n": 3,
+            "eig_err": {"median": 5.0, "p95": 5.9},
+            "fun_err": {"median": 50.0, "p95": 59.0},
+            "gap_pass_frequency": 2 / 3,
+        }
+        for row in rows:
+            row["in_E3"] = 0
+        _, summary = harness._agg_localisation(None, rows)
+        assert "on_event" not in summary
+        assert summary["event_counts"]["E3"] == 0
+
     @pytest.mark.parametrize("n", [99, 100])
     def test_potential_extremes_tail_frequency_from_100_maxima(self, n):
         rescaled = np.linspace(-3.0, 5.0, n)
