@@ -73,15 +73,22 @@ def _model_from_args(args) -> cov.CovarianceModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _draw(args, k: int = 1, sampler: str = "circulant") -> field.FieldSample:
-    """The field of the model flags on Q_L at --seed.  ConfigError before
-    any draw unless --L and k take values an experiment config accepts:
-    L >= 2 and 1 <= k <= spectrum.MAX_K."""
+def _draw(args, k: int | None = None, sampler: str = "circulant") -> field.FieldSample:
+    """The field of the model flags on Q_L at --seed, for a solve of k
+    pairs unless k is None.  ConfigError before any draw unless --L and k
+    take values an experiment config accepts, L >= 2 and
+    1 <= k <= spectrum.MAX_K, and the circulant draw and the solve fit the
+    memory budget of experiments (harness.check_budget)."""
     if args.L < 2:
         raise ConfigError(f"--L must be an integer >= 2, got {args.L}")
-    if not 1 <= k <= spectrum.MAX_K:
+    if k is not None and not 1 <= k <= spectrum.MAX_K:
         raise ConfigError(f"--k must be an integer in 1..{spectrum.MAX_K}, got {k}")
-    return field.sample_field(_model_from_args(args), args.L, args.seed, sampler)
+    model = _model_from_args(args)
+    need = field.draw_bytes(model, args.L) if sampler == "circulant" else 0
+    if k is not None:
+        need += spectrum.solver_bytes(field.grid_side(args.L) ** args.d, args.d, k)
+    harness.check_budget(need)
+    return field.sample_field(model, args.L, args.seed, sampler)
 
 
 def _sample_field(args) -> dict:
@@ -100,7 +107,10 @@ def _spectrum(args) -> str:
 
 def _bar_problem(args) -> dict:
     model = _model_from_args(args)
-    bar = spectrum.solve_bar_problem(model, args.a_L, args.r_L)
+    try:
+        bar = spectrum.solve_bar_problem(model, args.a_L, args.r_L)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     tau = field.compute_tau(model, bar.bar_phi)
     return {"bar_lambda": bar.bar_lambda, "expansion": bar.expansion_value, "tau_L": tau}
 

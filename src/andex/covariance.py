@@ -281,7 +281,8 @@ def circulant_spectrum(model: CovarianceModel, torus_side: int) -> np.ndarray:
     mn = float(np.min(spec))
     if mn < -1e-8 * mx:
         raise EmbeddingInvalidError(
-            f"negative spectral entry {mn:.3e} (max {mx:.3e}); "
-            "increase padding or draw with the dense sampler"
+            f"negative spectral entry {mn:.3e} (max {mx:.3e}); the torus "
+            "padding is fixed, so draw with the dense sampler instead "
+            "(--sampler dense, up to field.DENSE_SITE_LIMIT sites)"
         )
     return spec

@@ -477,10 +477,6 @@ class EventReport:
     in_E3: bool
     margins: tuple  # positive slack <=> membership, one per sub-event
 
-    @property
-    def in_event(self) -> bool:
-        return self.in_E1 and self.in_E2 and self.in_E3
-
 
 def event_check(view: FluctuationView, scales) -> EventReport:
     """Check the three-part event around the base point x0 of the view.

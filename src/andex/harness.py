@@ -205,10 +205,14 @@ class _Context:
         if exp.solve is not None:
             sites, pairs = exp.solve(self)
             need += spectrum.solver_bytes(sites, self.cfg.d, pairs)
-        if need > _MEMORY_BUDGET_BYTES:
-            raise ConfigError(
-                f"estimated working set {need} bytes exceeds budget"
-            )
+        check_budget(need)
+
+
+def check_budget(need: int) -> None:
+    """ConfigError when an estimated working set of ``need`` bytes exceeds
+    the memory budget; experiments and the CLI's draws are held to it."""
+    if need > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"estimated working set {need} bytes exceeds budget")
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +488,8 @@ def _trial_macro_meso(ctx: _Context, sample: field.FieldSample) -> dict:
         out[f"eig_diff_{j + 1}"] = a_L * abs(lam_hat_j - lam)
         phi_hat = np.zeros(V.shape)
         np.put(phi_hat, sites, phi_core)
-        phi = res.eigenfunctions[j]
-        if float(np.sum(phi * phi_hat)) < 0:
-            phi = -phi
-        out[f"fun_diff_{j + 1}"] = (a_L / d_L) * math.sqrt(
-            float(np.sum((phi_hat - phi) ** 2))
+        out[f"fun_diff_{j + 1}"] = (a_L / d_L) * spectrum._distance_up_to_sign(
+            res.eigenfunctions[j], phi_hat
         )
     return out
 

@@ -98,7 +98,7 @@ def compute_theta_L(a_L: float, d_L: float, tau_L: float, kappa: float) -> float
     if a_L <= d_L:
         raise ValueError(
             f"requires d_L < a_L (got a_L={a_L}, d_L={d_L}); "
-            "caller must opt into the unsafe regime explicitly"
+            "a larger L or a_L override raises a_L"
         )
     return (a_L / d_L) ** kappa * max(1.0 / a_L, a_L * tau_L * tau_L)
 

@@ -5,14 +5,13 @@ conditions (functions are extended by zero outside the box before the
 stencil is applied).  Eigenvalues are kept in non-increasing order
 lambda_1 >= lambda_2 >= ...
 
-Two solvers: top_k_eigs, the one entry point for the top of the spectrum,
+One solver: top_k_eigs, the one entry point for the top of the spectrum,
 backed by LAPACK (tridiagonal and subset solvers) and ARPACK, with a
 certified solve on windows around the highest sites in d = 1 and a
-Chebyshev filter, applied with a DIA matrix, in front of ARPACK in d >= 2;
-and dense_eigs, a full symmetric eigendecomposition used as the independent
-oracle on small boxes.  certify_below proves, by a banded Cholesky
-factorisation, that no eigenvalue reaches a given level, so a caller can
-skip a solve whose pairs it would not keep.
+Chebyshev filter, applied with a DIA matrix, in front of ARPACK in d >= 2.
+certify_below proves, by a banded Cholesky factorisation, that no
+eigenvalue reaches a given level, so a caller can skip a solve whose pairs
+it would not keep.
 """
 
 from __future__ import annotations
@@ -37,16 +36,12 @@ __all__ = [
     "SpectralResult",
     "BarSolution",
     "apply_hamiltonian",
-    "dense_eigs",
     "top_k_eigs",
     "solve_bar_problem",
-    "quadratic_form",
-    "form_gradient",
     "approximation_error",
     "spectral_gap_check",
 ]
 
-DENSE_SITE_LIMIT = 4000  # dense_eigs, the full-eigh oracle
 MAX_K = 32  # top_k_eigs: most pairs one call returns
 # top_k_eigs, d >= 2: dense subset eigh up to here, ARPACK above.  Top 4
 # pairs on one BLAS thread of a 2-vCPU x86 VM: 1.4 ms against 4.0 ms for
@@ -106,7 +101,7 @@ class SpectralResult:
     eigenfunctions: np.ndarray  # shape (k,) + grid shape
     centers: tuple  # flat C-order grid indices of argmax |phi|
     residuals: np.ndarray
-    solver: str  # "window", "tridiagonal", "subset", "arpack" or "dense"
+    solver: str  # top_k_eigs' path: "window", "tridiagonal", "subset" or "arpack"
 
     def __post_init__(self):
         lam = self.eigenvalues
@@ -131,15 +126,6 @@ class SpectralResult:
         shape = self.eigenfunctions.shape[1:]
         idx = np.unravel_index(self.centers[i], shape)
         return tuple(int(c) - s // 2 for c, s in zip(idx, shape))
-
-    def tied_blocks(self, tol: float = TIE_TOL):
-        """Partition 0..k-1 into maximal blocks of eigenvalues within tol."""
-        blocks, start = [], 0
-        for i in range(1, self.k + 1):
-            if i == self.k or self.eigenvalues[i - 1] - self.eigenvalues[i] > tol:
-                blocks.append(list(range(start, i)))
-                start = i
-        return blocks
 
     def to_json(self) -> str:
         return json.dumps(
@@ -316,18 +302,6 @@ def _chebyshev_filter(V: np.ndarray, a: float, c: float) -> LinearOperator:
         return cur
 
     return LinearOperator(S.shape, matvec=apply, dtype=float)
-
-
-def dense_eigs(V: np.ndarray, k: int | None = None) -> SpectralResult:
-    """Full symmetric eigendecomposition (oracle path, small boxes only)."""
-    n = V.size
-    if n > DENSE_SITE_LIMIT:
-        raise ValueError(f"dense solver limited to {DENSE_SITE_LIMIT} sites")
-    H = _assemble_dense(V)
-    w, U = np.linalg.eigh(H)
-    k = n if k is None else min(k, n)
-    sel = np.argsort(-w)[:k]
-    return _finalize(w[sel], U[:, sel].T.reshape((k,) + V.shape), V, "dense")
 
 
 def _tridiagonal_top(
@@ -569,37 +543,6 @@ def solve_bar_problem(
     )
 
 
-def quadratic_form(V: np.ndarray, psi: np.ndarray) -> float:
-    """<psi, (Delta + V) psi> for l2-normalized psi."""
-    if abs(float(np.sum(psi**2)) - 1.0) > 1e-8:
-        raise ValueError("psi must be l2-normalized")
-    return float(np.sum(psi * apply_hamiltonian(V, psi)))
-
-
-def form_gradient(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Gradient of the quadratic form in the sphere chart around the origin.
-
-    The form is viewed as a function of the off-origin values of psi, with
-    the origin value eliminated through the normalization constraint
-    psi(0) = sqrt(1 - sum_{x != 0} psi(x)^2) > 0.  Then
-
-        d form / d psi(x) = 2 [ (H psi)(x) - (H psi)(0) psi(x) / psi(0) ],
-
-    which vanishes exactly at eigenfunctions.  The origin component of the
-    returned grid is set to zero (it is not a free coordinate).
-    """
-    c = tuple(s // 2 for s in psi.shape)
-    off_mass = float(np.sum(psi**2)) - float(psi[c] ** 2)
-    if 1.0 - off_mass <= 0.0:
-        raise ValueError("normalization leaves no positive mass at the origin")
-    if psi[c] <= 0.0:
-        raise ValueError("psi must be positive at the origin in this chart")
-    hpsi = apply_hamiltonian(V, psi)
-    grad = 2.0 * (hpsi - (hpsi[c] / psi[c]) * psi)
-    grad[c] = 0.0
-    return grad
-
-
 def approximation_error(
     bar: BarSolution,
     result: SpectralResult,
@@ -625,12 +568,15 @@ def approximation_error(
     # bar_phi(. - x0) on the result grid, the central box of the sample
     prof = np.zeros(phi1.shape)
     prof[field.window(phi1.shape[0], x0, bar.weights.half)] = bar_phi
-    if float(np.sum(phi1 * prof)) < 0:
-        phi1 = -phi1
-    fun_err = (scales.a_L / scales.d_L) * math.sqrt(
-        float(np.sum((phi1 - prof) ** 2))
-    )
+    fun_err = (scales.a_L / scales.d_L) * _distance_up_to_sign(phi1, prof)
     return float(eig_err), float(fun_err)
+
+
+def _distance_up_to_sign(phi: np.ndarray, ref: np.ndarray) -> float:
+    """||phi - ref||_2 with phi's sign flipped when <phi, ref> < 0."""
+    if float(np.sum(phi * ref)) < 0:
+        phi = -phi
+    return math.sqrt(float(np.sum((phi - ref) ** 2)))
 
 
 def spectral_gap_check(result: SpectralResult, peak_value: float, scales):

@@ -1500,6 +1500,9 @@ class TestCLI:
             (["spectrum", "--L", "1"], "--L must be an integer >= 2, got 1"),
             (["spectrum", "--L", "41", "--k", "0"], "--k must be an integer in 1..32, got 0"),
             (["spectrum", "--L", "41", "--k", "40"], "--k must be an integer in 1..32, got 40"),
+            (["bar-problem", "--a-L", "6", "--r-L", "4"], "r_L must be odd and >= 3, got 4"),
+            (["bar-problem", "--a-L", "6", "--r-L", "1"], "r_L must be odd and >= 3, got 1"),
+            (["bar-problem", "--a-L", "-1", "--r-L", "9"], "a_L must be nonnegative"),
         ],
     )
     def test_out_of_range_size_exits_2_before_any_draw(
@@ -1507,9 +1510,30 @@ class TestCLI:
     ):
         draws = []
         monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
+        monkeypatch.setattr(spectrum, "top_k_eigs", lambda *a: draws.append(a))
         assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert draws == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # an 811^3 torus: field.draw_bytes is 6.8e10 bytes
+            ["sample-field", "--family", "gaussian_kernel", "--param", "50", "--d", "3", "--L", "5"],
+            ["spectrum", "--family", "gaussian_kernel", "--param", "50", "--d", "3", "--L", "5"],
+            # the draw (1.3e9 bytes) fits, the 32-pair ARPACK solve (5.8e9) does not
+            ["spectrum", "--d", "2", "--L", "3163", "--k", "32"],
+        ],
+    )
+    def test_over_budget_draw_exits_2_before_the_torus(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        calls = []
+        monkeypatch.setitem(field.SAMPLERS, "circulant", lambda *a: calls.append(a))
+        monkeypatch.setattr(cov, "circulant_spectrum", lambda *a: calls.append(a))
+        assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+        assert "exceeds budget" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_runtime_error_exit_code(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == cli.EXIT_RUNTIME

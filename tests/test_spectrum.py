@@ -9,6 +9,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from andex import covariance as cov, field, harness, scales, spectrum
 from andex.errors import SolverConvergenceError
 
+from oracles import dense_eigs, form_gradient, quadratic_form, tied_blocks
+
 
 def laplacian_matrix_1d(n):
     A = -2.0 * np.eye(n)
@@ -67,7 +69,7 @@ class TestDenseEigs:
     def test_free_chain_closed_form(self):
         # Dirichlet Laplacian on n sites: lambda_j = -2 + 2 cos(pi j/(n+1))
         n = 11
-        res = spectrum.dense_eigs(np.zeros(n))
+        res = dense_eigs(np.zeros(n))
         j = np.arange(1, n + 1)
         expect = np.sort(-2.0 + 2.0 * np.cos(np.pi * j / (n + 1)))[::-1]
         assert np.allclose(res.eigenvalues, expect, atol=1e-12)
@@ -75,7 +77,7 @@ class TestDenseEigs:
     def test_two_site_closed_form(self):
         # H = [[-2, 1], [1, -2]] + diag(v): analytic 2x2 eigenvalues
         V = np.array([0.5, -0.3])
-        res = spectrum.dense_eigs(V)
+        res = dense_eigs(V)
         mean = -2.0 + 0.1
         disc = math.sqrt(0.4**2 + 1.0)
         assert res.eigenvalues[0] == pytest.approx(mean + disc, rel=1e-12)
@@ -84,19 +86,19 @@ class TestDenseEigs:
     def test_potential_shift_identity(self):
         rng = np.random.default_rng(3)
         V = rng.standard_normal(15)
-        a = spectrum.dense_eigs(V).eigenvalues
-        b = spectrum.dense_eigs(V + 2.5).eigenvalues
+        a = dense_eigs(V).eigenvalues
+        b = dense_eigs(V + 2.5).eigenvalues
         assert np.allclose(b, a + 2.5, atol=1e-10)
 
     def test_residuals_tiny(self):
         rng = np.random.default_rng(4)
-        res = spectrum.dense_eigs(rng.standard_normal((6, 6)), k=4)
+        res = dense_eigs(rng.standard_normal((6, 6)), k=4)
         assert np.max(res.residuals) < 1e-11
 
     def test_deep_site_localizes(self):
         V = np.zeros(21)
         V[15] = 50.0
-        res = spectrum.dense_eigs(V, k=1)
+        res = dense_eigs(V, k=1)
         assert res.centers[0] == 15
         assert res.center_coords(0) == (5,)
         assert res.eigenvalues[0] == pytest.approx(50.0 - 2.0, abs=0.05)
@@ -106,17 +108,17 @@ class TestDenseEigs:
         # (2 - 4, 7 - 5)
         V = np.zeros((9, 11))
         V[2, 7] = 50.0
-        res = spectrum.dense_eigs(V, k=1)
+        res = dense_eigs(V, k=1)
         assert res.centers[0] == 29
         assert res.center_coords(0) == (-2, 2)
 
     def test_site_limit(self):
         with pytest.raises(ValueError):
-            spectrum.dense_eigs(np.zeros((70, 70)))
+            dense_eigs(np.zeros((70, 70)))
 
     def test_sign_convention(self):
         rng = np.random.default_rng(5)
-        res = spectrum.dense_eigs(rng.standard_normal(15), k=3)
+        res = dense_eigs(rng.standard_normal(15), k=3)
         for i in range(3):
             phi = res.eigenfunctions[i]
             assert phi[res.centers[i]] > 0
@@ -127,7 +129,7 @@ class TestLanczos:
         rng = np.random.default_rng(6)
         V = 3.0 * rng.standard_normal(401)
         top = spectrum.top_k_eigs(V, 5)
-        oracle = spectrum.dense_eigs(V, 5)
+        oracle = dense_eigs(V, 5)
         assert np.allclose(top.eigenvalues, oracle.eigenvalues, atol=1e-9)
         for i in range(5):
             overlap = abs(float(np.sum(top.eigenfunctions[i] * oracle.eigenfunctions[i])))
@@ -137,7 +139,7 @@ class TestLanczos:
         rng = np.random.default_rng(7)
         V = 3.0 * rng.standard_normal((21, 21))
         top = spectrum.top_k_eigs(V, 3)
-        oracle = spectrum.dense_eigs(V, 3)
+        oracle = dense_eigs(V, 3)
         assert np.allclose(top.eigenvalues, oracle.eigenvalues, atol=1e-9)
 
     def test_residual_guarantee(self):
@@ -161,7 +163,7 @@ class TestLanczos:
         V = np.full((9, 9), 0.0)
         res = spectrum.top_k_eigs(V, 4)
         assert np.max(res.residuals) <= 1e-9
-        distinct = np.unique(np.round(spectrum.dense_eigs(V).eigenvalues, 10))
+        distinct = np.unique(np.round(dense_eigs(V).eigenvalues, 10))
         for lam in res.eigenvalues:
             assert np.min(np.abs(distinct - lam)) < 1e-8
 
@@ -169,15 +171,15 @@ class TestLanczos:
         # exact double eigenvalue from two decoupled identical deep sites
         V = np.zeros(21)
         V[3] = V[17] = 40.0
-        res = spectrum.dense_eigs(V, k=3)
+        res = dense_eigs(V, k=3)
         assert res.eigenvalues[0] == pytest.approx(res.eigenvalues[1], abs=1e-9)
-        blocks = res.tied_blocks(tol=1e-8)
+        blocks = tied_blocks(res, tol=1e-8)
         assert blocks[0] == [0, 1]
 
     def test_small_problem_delegates(self):
         V = np.zeros(10)
         res = spectrum.top_k_eigs(V, 2)
-        oracle = spectrum.dense_eigs(V, 2)
+        oracle = dense_eigs(V, 2)
         assert np.allclose(res.eigenvalues, oracle.eigenvalues, atol=1e-12)
 
     def test_validation(self):
@@ -197,7 +199,7 @@ class TestLanczos:
         s = field.sample_field(model, 60, harness.trial_seed(710005, 0))
         V = np.array(s.values)
         top = spectrum.top_k_eigs(V, 4)
-        oracle = spectrum.dense_eigs(V, 4)
+        oracle = dense_eigs(V, 4)
         assert top.k == 4
         assert np.max(top.residuals) <= 1e-10
         assert np.max(np.abs(top.eigenvalues - oracle.eigenvalues)) <= 1e-9
@@ -247,7 +249,7 @@ class TestTopKEigsOracle:
     def test_random_potential_matches_oracle(self, shape, k):
         V = 3.0 * np.random.default_rng(math.prod(shape)).standard_normal(shape)
         top = spectrum.top_k_eigs(V, k)
-        oracle = spectrum.dense_eigs(V, k)
+        oracle = dense_eigs(V, k)
         assert top.k == k
         assert np.max(top.residuals) <= 1e-10
         assert np.max(np.abs(top.eigenvalues - oracle.eigenvalues)) <= 1e-9
@@ -263,10 +265,10 @@ class TestTopKEigsOracle:
         # vectors of each eigenvalue with the oracle's eigenspace projector
         V = np.zeros(shape)
         top = spectrum.top_k_eigs(V, k)
-        oracle = spectrum.dense_eigs(V)
+        oracle = dense_eigs(V)
         assert np.max(top.residuals) <= 1e-10
         assert np.max(np.abs(top.eigenvalues - oracle.eigenvalues[:k])) <= 1e-9
-        for block in top.tied_blocks(tol=1e-8):
+        for block in tied_blocks(top, tol=1e-8):
             Q = _flat(top, block)
             space = np.flatnonzero(np.abs(oracle.eigenvalues - top.eigenvalues[block[0]]) <= 1e-8)
             U = _flat(oracle, space)
@@ -437,7 +439,7 @@ class TestChebyshevFilter:
         V = np.random.default_rng(7).standard_normal((31, 31))
         V[15, 15] = spike
         top = spectrum.top_k_eigs(V, 4)
-        oracle = spectrum.dense_eigs(V, 4)
+        oracle = dense_eigs(V, 4)
         floor = spectrum.RESIDUAL_ULPS * np.finfo(float).eps * (spike + 8.0)
         assert top.solver == "arpack"
         assert 1e-10 < np.max(top.residuals) <= floor
@@ -544,7 +546,7 @@ class TestCertifyBelow:
 @pytest.fixture(scope="module")
 def oracle_3721():
     V = 3.0 * np.random.default_rng(16).standard_normal((61, 61))
-    return V, spectrum.dense_eigs(V, 8)
+    return V, dense_eigs(V, 8)
 
 
 class TestFilteredMatchesDense:
@@ -553,7 +555,7 @@ class TestFilteredMatchesDense:
         for fam, params in FILTER_FAMILIES:
             model = cov.CovarianceModel(fam, 2, params)
             V = np.array(field.sample_field(model, 20, harness.trial_seed(17, k)).values)
-            _assert_matches(spectrum.top_k_eigs(V, k), spectrum.dense_eigs(V, k), k)
+            _assert_matches(spectrum.top_k_eigs(V, k), dense_eigs(V, k), k)
 
     @pytest.mark.parametrize("k", [1, 4, 8])
     def test_3721_sites(self, oracle_3721, k):
@@ -710,7 +712,7 @@ class TestWindowPath:
         rng = np.random.default_rng(12)
         assert spectrum.top_k_eigs(rng.standard_normal((19, 19)), 2).solver == "subset"
         assert spectrum.top_k_eigs(rng.standard_normal((21, 21)), 2).solver == "arpack"
-        assert spectrum.dense_eigs(rng.standard_normal(9), 2).solver == "dense"
+        assert dense_eigs(rng.standard_normal(9), 2).solver == "dense"
 
 
 def _tridiagonal_cases():
@@ -879,7 +881,7 @@ class TestFinalize:
         monkeypatch.setattr(spectrum, "_finalize", recording)
         V = 3.0 * np.random.default_rng(math.prod(shape) + k).standard_normal(shape)
         if solver == "dense":
-            res = spectrum.dense_eigs(V, k)
+            res = dense_eigs(V, k)
         else:
             res = spectrum.top_k_eigs(V, k)
         assert res.solver == solver and pairs
@@ -894,24 +896,24 @@ class TestFinalize:
 
 class TestSpectralResult:
     def test_gap(self):
-        res = spectrum.dense_eigs(np.zeros(9), k=3)
+        res = dense_eigs(np.zeros(9), k=3)
         assert res.gap == pytest.approx(res.eigenvalues[0] - res.eigenvalues[1])
 
     def test_gap_needs_two(self):
-        res = spectrum.dense_eigs(np.zeros(9), k=1)
+        res = dense_eigs(np.zeros(9), k=1)
         with pytest.raises(ValueError):
             res.gap
 
     def test_json(self):
         import json
 
-        res = spectrum.dense_eigs(np.zeros(9), k=2)
+        res = dense_eigs(np.zeros(9), k=2)
         data = json.loads(res.to_json())
         assert len(data["eigenvalues"]) == 2
         assert "gap" in data
 
     def test_ordering_enforced(self):
-        res = spectrum.dense_eigs(np.zeros(9), k=3)
+        res = dense_eigs(np.zeros(9), k=3)
         with pytest.raises(ValueError):
             spectrum.SpectralResult(
                 eigenvalues=res.eigenvalues[::-1].copy(),
@@ -935,7 +937,7 @@ class TestBarProblem:
         a_L = 6.0
         sol = spectrum.solve_bar_problem(cube4, a_L, 9)
         S = cov.shape_grid(cube4, a_L, 4)
-        oracle = spectrum.dense_eigs(-S, 1)
+        oracle = dense_eigs(-S, 1)
         assert sol.bar_lambda == pytest.approx(oracle.eigenvalues[0], abs=1e-12)
 
     def test_positive_at_origin_and_symmetric(self, cube4):
@@ -999,29 +1001,29 @@ class TestFormAndGradient:
     def test_rayleigh_quotient_at_eigenfunction(self):
         rng = np.random.default_rng(11)
         V = rng.standard_normal(15)
-        res = spectrum.dense_eigs(V, 1)
-        got = spectrum.quadratic_form(V, res.eigenfunctions[0])
+        res = dense_eigs(V, 1)
+        got = quadratic_form(V, res.eigenfunctions[0])
         assert got == pytest.approx(res.eigenvalues[0], rel=1e-12)
 
     def test_variational_upper_bound(self):
         rng = np.random.default_rng(12)
         V = rng.standard_normal(15)
-        lam1 = spectrum.dense_eigs(V, 1).eigenvalues[0]
+        lam1 = dense_eigs(V, 1).eigenvalues[0]
         for seed in range(5):
             psi = np.random.default_rng(seed).standard_normal(15)
             psi /= np.linalg.norm(psi)
-            assert spectrum.quadratic_form(V, psi) <= lam1 + 1e-12
+            assert quadratic_form(V, psi) <= lam1 + 1e-12
 
     def test_gradient_zero_at_eigenfunction(self):
         V = -cov.shape_grid(
             cov.CovarianceModel("cube_indicator", 1, {"m": 4}), 6.0, 4
         )
-        res = spectrum.dense_eigs(V, 1)
+        res = dense_eigs(V, 1)
         phi = res.eigenfunctions[0]
         c = (4,)
         if phi[c] < 0:
             phi = -phi
-        g = spectrum.form_gradient(V, phi)
+        g = form_gradient(V, phi)
         assert np.max(np.abs(g)) < 1e-10
 
     def test_gradient_finite_difference(self):
@@ -1030,7 +1032,7 @@ class TestFormAndGradient:
         psi = np.abs(rng.standard_normal(9)) + 0.2
         psi /= np.linalg.norm(psi)
         c = 4
-        g = spectrum.form_gradient(V, psi)
+        g = form_gradient(V, psi)
         eps = 1e-6
         for x in (0, 2, 7):
             bumped = psi.copy()
@@ -1038,19 +1040,19 @@ class TestFormAndGradient:
             # restore normalization through the origin coordinate
             off = np.sum(bumped**2) - bumped[c] ** 2
             bumped[c] = math.sqrt(1.0 - off)
-            f1 = spectrum.quadratic_form(V, bumped)
-            f0 = spectrum.quadratic_form(V, psi)
+            f1 = quadratic_form(V, bumped)
+            f0 = quadratic_form(V, psi)
             assert (f1 - f0) / eps == pytest.approx(g[x], abs=1e-4)
 
     def test_gradient_chart_validation(self):
         psi = np.zeros(9)
         psi[0] = 1.0
         with pytest.raises(ValueError):
-            spectrum.form_gradient(np.zeros(9), psi)
+            form_gradient(np.zeros(9), psi)
 
     def test_quadratic_form_requires_normalized(self):
         with pytest.raises(ValueError):
-            spectrum.quadratic_form(np.zeros(5), np.ones(5))
+            quadratic_form(np.zeros(5), np.ones(5))
 
 
 class TestApproximationPipeline:
@@ -1069,7 +1071,7 @@ class TestApproximationPipeline:
         )
         bar = spectrum.solve_bar_problem(cube2, a_L, r_L)
         view = field.fluctuation_view(s, [0])
-        res = spectrum.dense_eigs(s.values.copy(), 2)
+        res = dense_eigs(s.values.copy(), 2)
         eig_err, fun_err = spectrum.approximation_error(bar, res, view, ss)
         # zeta = 0 so Phi = 0 and Xi(0) = a_L; the only error left is the
         # Dirichlet-window truncation of the profile
@@ -1084,7 +1086,7 @@ class TestApproximationPipeline:
         )
         bar = spectrum.solve_bar_problem(cube2, 6.0, 3)
         s = field.sample_field(cube2, 41, seed=2)
-        res = spectrum.dense_eigs(s.values[field.window(41, [0], 4)].copy(), 2)
+        res = dense_eigs(s.values[field.window(41, [0], 4)].copy(), 2)
         for x0 in (-3, 3):
             view = field.fluctuation_view(s, [x0])
             _, fun_err = spectrum.approximation_error(bar, res, view, ss)
@@ -1099,7 +1101,7 @@ class TestApproximationPipeline:
                 )
 
     def test_gap_check(self):
-        res = spectrum.dense_eigs(np.array([5.0, 0.0, 0.0, 0.0, 0.0]), k=2)
+        res = dense_eigs(np.array([5.0, 0.0, 0.0, 0.0, 0.0]), k=2)
         ss = scales.ScaleSet(L=41, d=1, a_L=5.0, tau_L=0.0, R_L=9, r_L=3, d_L=1.0)
         ok, margin = spectrum.spectral_gap_check(res, 5.0, ss)
         bound = 5.0 - 0.25 * 5.0
