@@ -77,17 +77,15 @@ def _draw(args, k: int | None = None, sampler: str = "circulant") -> field.Field
     """The field of the model flags on Q_L at --seed, for a solve of k
     pairs unless k is None.  ConfigError before any draw unless --L and k
     take values an experiment config accepts, L >= 2 and
-    1 <= k <= spectrum.MAX_K, and the circulant draw and the solve fit the
-    memory budget of experiments (harness.check_budget)."""
+    1 <= k <= spectrum.MAX_K, and harness.admit admits the draw and the
+    solve."""
     if args.L < 2:
         raise ConfigError(f"--L must be an integer >= 2, got {args.L}")
     if k is not None and not 1 <= k <= spectrum.MAX_K:
         raise ConfigError(f"--k must be an integer in 1..{spectrum.MAX_K}, got {k}")
     model = _model_from_args(args)
-    need = field.draw_bytes(model, args.L) if sampler == "circulant" else 0
-    if k is not None:
-        need += spectrum.solver_bytes(field.grid_side(args.L) ** args.d, args.d, k)
-    harness.check_budget(need)
+    sites = 0 if k is None else field.grid_side(args.L) ** args.d
+    harness.admit(model, args.L, sampler, sites, k or 0)
     return field.sample_field(model, args.L, args.seed, sampler)
 
 

@@ -222,9 +222,9 @@ def _circulant_draw(model, L, rngs):
     shape = (M,) * model.d
     X = np.empty((len(rngs),) + shape, dtype=complex)
     for x, rng in zip(X, rngs):
-        a = rng.standard_normal(shape)
-        b = rng.standard_normal(shape)
-        x[...] = amp * (a + 1j * b)
+        a, b = rng.standard_normal((2,) + shape)
+        np.multiply(amp, a, out=x.real)
+        np.multiply(amp, b, out=x.imag)
     X = cov._fftn(X, model.d)
     # Real and imaginary parts are independent exact draws; keep the real
     # one.  Scaling the real part alone equals (X / M^(d/2)).real bit for

@@ -156,8 +156,8 @@ class _Context:
         exp = _EXPERIMENTS[cfg.experiment]
         # The windows, the bar problem, the scales and the experiment's check
         # reject values that do not fit together (r_L even, r_L >= R_L,
-        # d_L >= a_L, super-boxes that do not fit twice in L, ...).  Memory
-        # is checked first: the experiment's check may build the partition.
+        # d_L >= a_L, super-boxes that do not fit twice in L, ...).  admit
+        # runs first: the experiment's check may build the partition.
         try:
             d_L = cov.derive_dL(self.model)
             if a_L is None:
@@ -176,14 +176,15 @@ class _Context:
                 r_L=r_L,
                 d_L=d_L,
             )
-            self.pairs = exp.solve(self)[1] if exp.solve else 0
+            sites, self.pairs = exp.solve(self) if exp.solve else (0, 0)
             if self.pairs > spectrum.MAX_K:
                 # k is the one override that moves the pair count
                 raise ConfigError(
                     f"overrides.k must be <= {spectrum.MAX_K - self.pairs + self.k} "
                     f"for {cfg.experiment}, got {self.k}"
                 )
-            self.check_memory()
+            # trials draw their fields; row tables draw none
+            admit(self.model, cfg.L, _SAMPLER if exp.trial else None, sites, self.pairs)
             if exp.check is not None:
                 exp.check(self)
         except ValueError as exc:
@@ -193,24 +194,20 @@ class _Context:
     def partition(self) -> extremes.MesoPartition:
         return extremes.build_partition(self.cfg.L, self.scales.R_L, self.cfg.d)
 
-    def check_memory(self):
-        """Refuse runs whose field draws and eigensolver working set would
-        exceed the memory budget.  Trials draw their fields in batches
-        (field.draw_bytes); row tables draw none.  The solver is sized for
-        the largest eigensolve a trial makes (_Experiment.solve)."""
-        exp = _EXPERIMENTS[self.cfg.experiment]
-        need = 0
-        if exp.trial is not None:
-            need += field.draw_bytes(self.model, self.cfg.L)
-        if exp.solve is not None:
-            sites, pairs = exp.solve(self)
-            need += spectrum.solver_bytes(sites, self.cfg.d, pairs)
-        check_budget(need)
 
-
-def check_budget(need: int) -> None:
-    """ConfigError when an estimated working set of ``need`` bytes exceeds
-    the memory budget; experiments and the CLI's draws are held to it."""
+def admit(model: cov.CovarianceModel, L: int, sampler: str | None, sites=0, pairs=0) -> None:
+    """ConfigError, before any draw, unless a draw on Q_L with ``sampler``
+    (None: no draw) and a solve of ``pairs`` pairs on ``sites`` sites (0: no
+    solve) would run: no more pairs than sites, a dense draw on at most
+    field.DENSE_SITE_LIMIT sites, and a working set, field.draw_bytes of
+    circulant draws plus spectrum.solver_bytes, within the memory budget."""
+    n = field.grid_side(L) ** model.d
+    if pairs > sites:
+        raise ConfigError(f"{pairs} pairs exceed the {sites} sites of the solve")
+    if sampler == "dense" and n > field.DENSE_SITE_LIMIT:
+        raise ConfigError(f"dense sampler limited to {field.DENSE_SITE_LIMIT} sites, got {n}")
+    need = field.draw_bytes(model, L) if sampler == "circulant" else 0
+    need += spectrum.solver_bytes(sites, model.d, pairs)
     if need > _MEMORY_BUDGET_BYTES:
         raise ConfigError(f"estimated working set {need} bytes exceeds budget")
 
@@ -571,8 +568,8 @@ class _Experiment:
     the trial's field sample, which _run_trials draws) and ``rows`` (one
     deterministic table) is set.  ``solve`` gives the sites
     and pairs of the largest eigensolve a trial makes (None: no solver);
-    the trial reads the pairs as ``ctx.pairs``, and the k limit and the
-    memory check are drawn from both.  ``check``, if set, rejects a config
+    the trial reads the pairs as ``ctx.pairs``, and the k limit and admit
+    are drawn from both.  ``check``, if set, rejects a config
     with ConfigError before any draw; ``plot``, if set, gives the plot-data
     file that ``report`` writes; ``overrides`` names the keys it reads
     beyond _SCALE_OVERRIDES."""

@@ -251,6 +251,28 @@ class TestExperimentTable:
         else:
             assert manifest["trials_failed"] == 0
 
+    @pytest.mark.parametrize(
+        "experiment,L,k,message",
+        [
+            # rank_permutation solves max(k, 2) = 12 pairs on the 9 sites of Q_8
+            ("rank_permutation", 8, 12, "12 pairs exceed the 9 sites"),
+            # macro_meso solves k + 1 = 18 pairs on the 17 sites of Q_16
+            ("macro_meso", 16, 17, "18 pairs exceed the 17 sites"),
+        ],
+    )
+    def test_more_pairs_than_sites_fails_before_any_draw(
+        self, tmp_path, monkeypatch, experiment, L, k, message
+    ):
+        draws = []
+        monkeypatch.setattr(field, "sample_field", lambda *a, **kw: draws.append(a))
+        cfg = make_cfg(
+            tmp_path, experiment=experiment, model={"family": "iid"}, L=L, trials=2,
+            overrides={"k": k, "R_L": 5, "r_L": 3, "a_L": 3.0},
+        )
+        with pytest.raises(ConfigError, match=message):
+            harness.run_experiment(cfg)
+        assert draws == [] and list(tmp_path.iterdir()) == []
+
 
 class TestRunDeterminism:
     def test_same_seed_same_records(self, tmp_path):
@@ -718,55 +740,67 @@ class TestMemoryCheck:
     # draw takes six grids and each seed of a batch two more
     GRIDS = 61**2 * 16 * (6 + 2 * 32)
 
-    def _ctx(self, tmp_path, experiment, **overrides):
+    def _ctx(self, tmp_path, monkeypatch, budget, experiment, **overrides):
+        """The _Context of an iid d = 2 config under a budget of ``budget`` bytes."""
+        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", budget)
         cfg = make_cfg(
             tmp_path, experiment=experiment, model={"family": "iid"}, L=60, d=2,
             overrides={"R_L": 13, "r_L": 5, **overrides},
         )
         return harness._Context(cfg)
 
+    def _needs(self, tmp_path, monkeypatch, need, experiment, **overrides):
+        """The _Context of a config admitted under a budget of ``need``
+        bytes, after checking that one byte less refuses it."""
+        with pytest.raises(ConfigError, match="exceeds budget"):
+            self._ctx(tmp_path, monkeypatch, need - 1, experiment, **overrides)
+        return self._ctx(tmp_path, monkeypatch, need, experiment, **overrides)
+
     def test_counts_the_arpack_basis(self, tmp_path, monkeypatch):
         # 61 x 61 sites: above the subset-eigh limit, so ARPACK holds
         # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles, the
         # filter 3 work vectors, and its DIA matrix 5 diagonals of 3721
         # values and an offset each, 8 bytes apiece
-        ctx = self._ctx(tmp_path, "macro_meso", k=3)
-        grids = self.GRIDS
         solver = (20 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver)
-        ctx.check_memory()
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + solver - 1)
-        with pytest.raises(ConfigError):
-            ctx.check_memory()
+        self._needs(tmp_path, monkeypatch, self.GRIDS + solver, "macro_meso", k=3)
 
     def test_sizes_the_pairs_the_trial_solves(self, tmp_path, monkeypatch):
         # rank_permutation solves max(k, 2) = 10 pairs: ARPACK holds
         # ncv = 2 * 10 + 1 = 21 basis vectors, not the 25 of 12 pairs
-        ctx = self._ctx(tmp_path, "rank_permutation", k=10)
         budget = self.GRIDS + (21 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", budget)
-        ctx.check_memory()
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", budget - 1)
-        with pytest.raises(ConfigError):
-            ctx.check_memory()
+        ctx = self._needs(tmp_path, monkeypatch, budget, "rank_permutation", k=10)
         assert ctx.pairs == 10
 
     def test_counts_the_subset_eigh_matrix(self, tmp_path, monkeypatch):
         # localisation solves on the 13 x 13 core with a dense n x n matrix
-        ctx = self._ctx(tmp_path, "localisation")
-        grids = self.GRIDS
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", grids + 169**2 * 8 - 1)
-        with pytest.raises(ConfigError):
-            ctx.check_memory()
+        self._needs(tmp_path, monkeypatch, self.GRIDS + 169**2 * 8, "localisation")
 
     def test_no_solver_no_solver_bytes(self, tmp_path, monkeypatch):
-        ctx = self._ctx(tmp_path, "potential_extremes")
+        ctx = self._needs(tmp_path, monkeypatch, self.GRIDS, "potential_extremes")
         assert field.batch_size(ctx.model, 60) == 32
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", self.GRIDS)
-        ctx.check_memory()
-        monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", self.GRIDS - 1)
-        with pytest.raises(ConfigError):
-            ctx.check_memory()
+
+    def test_admit_sums_the_draw_and_the_solve(self, monkeypatch):
+        # a batch of circulant draws holds GRIDS, a subset eigh on 169 sites
+        # its 169 x 169 matrix; a dense draw, or none, holds no torus grid
+        iid2 = cov.CovarianceModel("iid", 2, {})
+        for sampler, need in (
+            ("circulant", self.GRIDS + 169**2 * 8),
+            ("dense", 169**2 * 8),
+            (None, 169**2 * 8),
+        ):
+            monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", need)
+            harness.admit(iid2, 60, sampler, 169, 2)
+            monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", need - 1)
+            with pytest.raises(ConfigError, match=f"working set {need} bytes exceeds budget"):
+                harness.admit(iid2, 60, sampler, 169, 2)
+
+    def test_admit_holds_dense_draws_to_the_box_sites(self):
+        # Q_76 holds 77^2 = 5929 sites in d = 2, Q_78 79^2 = 6241
+        iid2 = cov.CovarianceModel("iid", 2, {})
+        harness.admit(iid2, 76, "dense")
+        with pytest.raises(ConfigError, match="limited to 6000 sites, got 6241"):
+            harness.admit(iid2, 78, "dense")
+        harness.admit(iid2, 78, "circulant")
 
     def test_counts_the_circulant_torus(self, tmp_path):
         # exponential alpha = 0.1 pads the 65-site box to a torus of side
@@ -1500,6 +1534,11 @@ class TestCLI:
             (["spectrum", "--L", "1"], "--L must be an integer >= 2, got 1"),
             (["spectrum", "--L", "41", "--k", "0"], "--k must be an integer in 1..32, got 0"),
             (["spectrum", "--L", "41", "--k", "40"], "--k must be an integer in 1..32, got 40"),
+            (["spectrum", "--L", "2", "--k", "4"], "4 pairs exceed the 3 sites of the solve"),
+            (
+                ["sample-field", "--sampler", "dense", "--L", "7000"],
+                "dense sampler limited to 6000 sites, got 7001",
+            ),
             (["bar-problem", "--a-L", "6", "--r-L", "4"], "r_L must be odd and >= 3, got 4"),
             (["bar-problem", "--a-L", "6", "--r-L", "1"], "r_L must be odd and >= 3, got 1"),
             (["bar-problem", "--a-L", "-1", "--r-L", "9"], "a_L must be nonnegative"),
