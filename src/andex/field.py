@@ -107,11 +107,17 @@ def window(L: int, x0, half: int) -> tuple[slice, ...]:
     return tuple(out)
 
 
-def _ring(cube: np.ndarray) -> np.ndarray:
-    """The entries of an odd cube in C order, its centre left out."""
-    flat = cube.reshape(-1)
-    mid = flat.size // 2
-    return np.concatenate((flat[:mid], flat[mid + 1 :]))
+def _ring(cube: np.ndarray, batch: int = 0) -> np.ndarray:
+    """The entries of an odd cube in C order, its centre left out; with
+    batch = 1, of each cube stacked on a leading axis, one row per cube."""
+    flat = cube.reshape(cube.shape[:batch] + (-1,))
+    mid = flat.shape[-1] // 2
+    return np.concatenate((flat[..., :mid], flat[..., mid + 1 :]), axis=-1)
+
+
+def _at(L: int, x0) -> tuple[slice, ...]:
+    """Index of the site x0 in each grid of Q_L stacked on a leading axis."""
+    return (slice(None),) + window(L, x0, 0)
 
 
 @dataclass(frozen=True)
@@ -308,6 +314,34 @@ def _profile_grid(model, L, x0):
     return cov.eval_cov_offsets(model, offs)
 
 
+def _point(x0) -> tuple:
+    return tuple(int(c) for c in np.atleast_1d(x0))
+
+
+def _zeta(values: np.ndarray, L: int, x0: tuple, prof: np.ndarray) -> np.ndarray:
+    """zeta = xi - xi(x0) v(. - x0) of each field of Q_L in ``values``,
+    stacked on a leading axis, given the profile v(. - x0); zero at x0.
+    The only code that forms zeta."""
+    at = _at(L, x0)
+    zeta = values - values[at] * prof
+    zeta[at] = 0.0
+    return zeta
+
+
+def _condition(values: np.ndarray, model, L: int, x0: tuple, value: float):
+    """The fields of Q_L in ``values``, stacked on a leading axis,
+    conditioned on xi(x0) = value: (conditioned fields, their zeta), both
+    of the shape of ``values``.  Each field's draw loses its projection onto
+    xi(x0) and gets the prescribed value back.  ValueError when a
+    conditioned field is not finite."""
+    prof = _profile_grid(model, L, x0)
+    vals = value * prof + _zeta(values, L, x0, prof)
+    vals[_at(L, x0)] = value  # exact, no roundoff
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite field values")
+    return vals, _zeta(vals, L, x0, prof)
+
+
 def peak_conditioned_sample(sample: FieldSample, x0, value: float) -> FluctuationView:
     """The draw ``sample`` conditioned on xi(x0) = value, returned as its
     fluctuation view around x0; the conditioned field is ``view.base``.
@@ -317,12 +351,12 @@ def peak_conditioned_sample(sample: FieldSample, x0, value: float) -> Fluctuatio
     independent of xi(x0), so for an exact draw the law is the exact
     conditional one.  The returned view shares the unconditioned draw's
     profile, and its zeta is formed from the conditioned values as
-    fluctuation_view forms it.
+    fluctuation_view forms it.  The one-field case of _condition, which
+    conditions a block of fields at once.
     """
-    view = fluctuation_view(sample, x0)
-    vals = value * view.profile + view.zeta
-    vals[window(sample.L, view.x0, 0)] = value  # exact, no roundoff
-    return _decompose(replace(sample, values=vals), view.x0, view.profile)
+    x0 = _point(x0)
+    vals, zeta = _condition(sample.values[None], sample.model, sample.L, x0, value)
+    return _view(replace(sample, values=vals[0]), x0, zeta[0])
 
 
 @dataclass(frozen=True)
@@ -337,20 +371,19 @@ class FluctuationView:
     zeta: np.ndarray
 
 
-def _decompose(sample: FieldSample, x0: tuple, prof: np.ndarray) -> FluctuationView:
-    """The view of ``sample`` around x0 given its read-only profile; the
-    only code that forms zeta."""
-    zeta = sample.values - sample.at(x0) * prof
-    zeta[window(sample.L, x0, 0)] = 0.0
+def _view(sample: FieldSample, x0: tuple, zeta: np.ndarray) -> FluctuationView:
+    """The view of ``sample`` around x0 with its zeta, made read-only."""
     zeta.setflags(write=False)
+    prof = _profile_grid(sample.model, sample.L, x0)
     return FluctuationView(base=sample, x0=x0, profile=prof, zeta=zeta)
 
 
 def fluctuation_view(sample: FieldSample, x0) -> FluctuationView:
     """The decomposition of ``sample`` around x0; the only code that builds
     v(. - x0)."""
-    x0 = tuple(int(c) for c in np.atleast_1d(x0))
-    return _decompose(sample, x0, _profile_grid(sample.model, sample.L, x0))
+    x0 = _point(x0)
+    prof = _profile_grid(sample.model, sample.L, x0)
+    return _view(sample, x0, _zeta(sample.values[None], sample.L, x0, prof)[0])
 
 
 def _check_profile(bar_phi: np.ndarray, d: int) -> int:
@@ -411,12 +444,18 @@ def phi_at(view: FluctuationView, weights: ProfileWeights) -> float:
     Phi(x0) = sum_{x in Q_r, x != 0} bar_phi(x)^2 * zeta(x0 + x), read from
     view.zeta, with the offsets and weights of bar_phi in ``weights``.  Phi
     at another point y is phi_at(fluctuation_view(view.base, y), weights).
+    The one-field case of _phi.
     """
-    d = view.base.d
-    if weights.offsets.shape[1] != d:
-        raise ValueError(f"profile must be {d}-dimensional")
-    cube = view.zeta[window(view.base.L, view.x0, weights.half)]
-    return float(weights.weights @ _ring(cube))
+    return float(_phi(view.zeta[None], view.base.L, view.x0, weights)[0])
+
+
+def _phi(zeta: np.ndarray, L: int, x0: tuple, weights: ProfileWeights) -> np.ndarray:
+    """Phi(x0) (see phi_at) of each zeta of Q_L stacked on a leading axis.
+    One dot product per field: a matrix product would round differently."""
+    if weights.offsets.shape[1] != zeta.ndim - 1:
+        raise ValueError(f"profile must be {zeta.ndim - 1}-dimensional")
+    rings = _ring(zeta[(slice(None),) + window(L, x0, weights.half)], batch=1)
+    return np.array([weights.weights @ ring for ring in rings])
 
 
 def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, int]:
@@ -488,35 +527,34 @@ def event_check(view: FluctuationView, scales) -> EventReport:
         sd(zeta) = 0 count as ratio 0.
 
     Margins are the minimal slacks (bound minus attained value); their sign
-    matches membership.
+    matches membership: E1 holds when its margin is positive, E2 and E3
+    when theirs are not negative.  The one-field case of _event_margins.
     """
-    x0, zeta = view.x0, view.zeta
-    a_L, d_L, kappa, theta = scales.a_L, scales.d_L, scales.kappa, scales.theta
-    win = _event_windows(view.base.model, view.base.L, x0, scales.R_L)
+    base = view.base
+    peak = np.array([base.at(view.x0)])
+    margins = _event_margins(peak, view.zeta[None], base.model, base.L, view.x0, scales)
+    m1, m2, m3 = margins[0].tolist()
+    return EventReport(
+        x0=view.x0, in_E1=m1 > 0.0, in_E2=m2 >= 0.0, in_E3=m3 >= 0.0, margins=(m1, m2, m3)
+    )
 
-    dev = abs(view.base.at(x0) - a_L)
-    margin1 = theta - dev
-    in_e1 = dev < theta
+
+def _event_margins(peak, zeta, model, L: int, x0: tuple, scales) -> np.ndarray:
+    """The margins of E1, E2 and E3 (see event_check), shape (B, 3), of B
+    fields of Q_L with the values ``peak`` at x0 and the zeta around x0
+    stacked on a leading axis."""
+    a_L, d_L, kappa, theta = scales.a_L, scales.d_L, scales.kappa, scales.theta
+    win = _event_windows(model, L, x0, scales.R_L)
+    flat = zeta.reshape(len(zeta), -1)
+    dev = np.abs(peak - a_L)
 
     # E2 on the wide window, S = a_L (1 - v)
-    slack2 = EVENT_SHAPE_FACTOR * (a_L * win.wide_dip) - np.abs(zeta.take(win.wide))
-    margin2 = float(np.min(slack2))
-    in_e2 = margin2 >= 0.0
+    slack2 = EVENT_SHAPE_FACTOR * (a_L * win.wide_dip) - np.abs(flat[:, win.wide])
 
     # E3 on the narrow window; ratio 0 where sd(zeta) = 0
     sd = win.narrow_sd
     ratio = np.divide(
-        np.abs(zeta.take(win.narrow)), sd, out=np.zeros(sd.size), where=sd > 0
+        np.abs(flat[:, win.narrow]), sd, out=np.zeros((len(flat), sd.size)), where=sd > 0
     )
-    bound = (a_L / d_L) ** (kappa * win.narrow_l1) * math.sqrt(max(1.0, dev * a_L))
-    slack3 = bound - ratio
-    margin3 = float(np.min(slack3))
-    in_e3 = margin3 >= 0.0
-
-    return EventReport(
-        x0=x0,
-        in_E1=bool(in_e1),
-        in_E2=bool(in_e2),
-        in_E3=bool(in_e3),
-        margins=(float(margin1), margin2, margin3),
-    )
+    bound = (a_L / d_L) ** (kappa * win.narrow_l1) * np.sqrt(np.maximum(1.0, dev * a_L))[:, None]
+    return np.stack((theta - dev, slack2.min(axis=1), (bound - ratio).min(axis=1)), axis=1)

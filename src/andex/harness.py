@@ -194,6 +194,13 @@ class _Context:
     def partition(self) -> extremes.MesoPartition:
         return extremes.build_partition(self.cfg.L, self.scales.R_L, self.cfg.d)
 
+    @functools.cached_property
+    def core_bar_phi(self) -> np.ndarray:
+        """bar_phi(. - x0) at x0 = 0 on the core Q_{R_L}, the box of
+        localisation's solves."""
+        shape = (field.grid_side(self.scales.R_L),) * self.cfg.d
+        return spectrum._bar_on_grid(self.bar, shape, (0,) * self.cfg.d)
+
 
 def admit(model: cov.CovarianceModel, L: int, sampler: str | None, sites=0, pairs=0) -> None:
     """ConfigError, before any draw, unless a draw on Q_L with ``sampler``
@@ -213,10 +220,19 @@ def admit(model: cov.CovarianceModel, L: int, sampler: str | None, sites=0, pair
 
 
 # ---------------------------------------------------------------------------
-# per-experiment code: trial body (ctx, the trial's field sample) -> dict or
-# row table (ctx) -> list[dict]; aggregate (ctx, rows) -> (tests, summary);
-# plot data rows -> (file name, header, cells).  The table _EXPERIMENTS joins
-# them.
+# per-experiment code: trial body (ctx, a block of field samples) -> one dict
+# per sample, or row table (ctx) -> list[dict]; aggregate (ctx, rows) ->
+# (tests, summary); plot data rows -> (file name, header, cells).  The table
+# _EXPERIMENTS joins them.
+
+
+def _each(trial: Callable[[_Context, field.FieldSample], dict]):
+    """The trial body that runs ``trial`` on each sample of its block."""
+
+    def body(ctx: _Context, samples: list[field.FieldSample]) -> list[dict]:
+        return [trial(ctx, s) for s in samples]
+
+    return body
 
 
 def _box_sites(ctx: _Context) -> int:
@@ -300,34 +316,48 @@ def _check_localisation(ctx: _Context):
         ) from exc
 
 
-def _trial_localisation(ctx: _Context, sample: field.FieldSample) -> dict:
-    cfg = ctx.cfg
+def _trial_localisation(ctx: _Context, samples: list[field.FieldSample]) -> list[dict]:
+    """The rows of a block of fields, worked on stacked, one row per field:
+    each conditioned on xi(0) = a_L, with its event margins, the top pairs
+    on the core Q_{R_L} and their errors.  Only the eigensolve and Phi(0)
+    run once per field."""
+    cfg, sc = ctx.cfg, ctx.scales
     x0 = (0,) * cfg.d
-    a_L = ctx.scales.a_L
-    view = field.peak_conditioned_sample(sample, x0, a_L)
-    s = view.base
-    ev = field.event_check(view, ctx.scales)
-    V = s.values[field.window(cfg.L, x0, ctx.scales.R_L // 2)]
-    res = spectrum.top_k_eigs(V, ctx.pairs)
-    eig_err, fun_err = spectrum.approximation_error(ctx.bar, res, view, ctx.scales)
-    gap_ok, gap_margin = spectrum.spectral_gap_check(res, s.at(x0), ctx.scales)
-    w_val = float(np.max(V))
-    lo, hi = scales_mod.interval_ILC(a_L, ctx.scales.tau_L, _INTERVAL_C)
-    return {
-        "value": a_L,
-        "in_E1": int(ev.in_E1),
-        "in_E2": int(ev.in_E2),
-        "in_E3": int(ev.in_E3),
-        "margin_E1": ev.margins[0],
-        "margin_E2": ev.margins[1],
-        "margin_E3": ev.margins[2],
+    a_L = sc.a_L
+    vals, zeta = field._condition(np.stack([s.values for s in samples]), ctx.model, cfg.L, x0, a_L)
+    peak = vals[field._at(cfg.L, x0)].reshape(-1)
+    margins = field._event_margins(peak, zeta, ctx.model, cfg.L, x0, sc)
+    cores = vals[(slice(None),) + field.window(cfg.L, x0, sc.R_L // 2)]
+    results = [spectrum.top_k_eigs(V, ctx.pairs) for V in cores]
+    lam = np.stack([res.eigenvalues for res in results])
+    eig_err, fun_err = spectrum._approximation_errors(
+        ctx.bar,
+        lam[:, 0],
+        np.stack([res.eigenfunctions[0] for res in results]),
+        peak,
+        field._phi(zeta, cfg.L, x0, ctx.bar.weights),
+        ctx.core_bar_phi,
+        sc,
+    )
+    gap_margin = spectrum._gap_margin(lam[:, 1], peak, sc)
+    w_val = cores.reshape(len(cores), -1).max(axis=1)
+    lo, hi = scales_mod.interval_ILC(a_L, sc.tau_L, _INTERVAL_C)
+    columns = {
+        "in_E1": (margins[:, 0] > 0.0).astype(int),
+        "in_E2": (margins[:, 1] >= 0.0).astype(int),
+        "in_E3": (margins[:, 2] >= 0.0).astype(int),
+        "margin_E1": margins[:, 0],
+        "margin_E2": margins[:, 1],
+        "margin_E3": margins[:, 2],
         "eig_err": eig_err,
         "fun_err": fun_err,
-        "gap": res.gap,
-        "gap_ok": int(gap_ok),
+        "gap": lam[:, 0] - lam[:, 1],
+        "gap_ok": (gap_margin >= 0.0).astype(int),
         "gap_margin": gap_margin,
-        "max_in_interval": int(lo <= w_val <= hi),
+        "max_in_interval": ((lo <= w_val) & (w_val <= hi)).astype(int),
     }
+    cells = zip(*(col.tolist() for col in columns.values()))
+    return [{"value": a_L, **dict(zip(columns, row))} for row in cells]
 
 
 def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
@@ -485,8 +515,8 @@ def _trial_macro_meso(ctx: _Context, sample: field.FieldSample) -> dict:
         out[f"eig_diff_{j + 1}"] = a_L * abs(lam_hat_j - lam)
         phi_hat = np.zeros(V.shape)
         np.put(phi_hat, sites, phi_core)
-        out[f"fun_diff_{j + 1}"] = (a_L / d_L) * spectrum._distance_up_to_sign(
-            res.eigenfunctions[j], phi_hat
+        out[f"fun_diff_{j + 1}"] = (a_L / d_L) * float(
+            spectrum._distance_up_to_sign(res.eigenfunctions[j : j + 1], phi_hat)[0]
         )
     return out
 
@@ -564,9 +594,11 @@ def _plot_bar_sweep_table(rows: list[dict]):
 
 @dataclass(frozen=True)
 class _Experiment:
-    """One experiment.  Exactly one of ``trial`` (run once per trial on
-    the trial's field sample, which _run_trials draws) and ``rows`` (one
-    deterministic table) is set.  ``solve`` gives the sites
+    """One experiment.  Exactly one of ``trial`` (the trial body: run on
+    each block of field samples that _run_trials draws, it returns one row
+    per sample, in order, and a row depends only on its own sample) and
+    ``rows`` (one deterministic table) is set.  A body that works on one
+    sample at a time is wrapped by _each.  ``solve`` gives the sites
     and pairs of the largest eigensolve a trial makes (None: no solver);
     the trial reads the pairs as ``ctx.pairs``, and the k limit and admit
     are drawn from both.  ``check``, if set, rejects a config
@@ -575,7 +607,7 @@ class _Experiment:
     beyond _SCALE_OVERRIDES."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
-    trial: Callable[[_Context, field.FieldSample], dict] | None = None
+    trial: Callable[[_Context, list[field.FieldSample]], list[dict]] | None = None
     rows: Callable[[_Context], list[dict]] | None = None
     solve: Callable[[_Context], tuple[int, int]] | None = None
     check: Callable[[_Context], None] | None = None
@@ -586,7 +618,7 @@ class _Experiment:
 _EXPERIMENTS: dict[str, _Experiment] = {
     "potential_extremes": _Experiment(
         _agg_potential_extremes,
-        trial=_trial_potential_extremes,
+        trial=_each(_trial_potential_extremes),
         check=_check_partition,
         plot=_plot_cdf_vs_gumbel,
     ),
@@ -598,7 +630,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     ),
     "rank_permutation": _Experiment(
         _agg_rank_permutation,
-        trial=_trial_rank_permutation,
+        trial=_each(_trial_rank_permutation),
         solve=lambda ctx: (_box_sites(ctx), max(ctx.k, 2)),  # two for the gap
         plot=_plot_rank_histogram,
         overrides=frozenset({"k"}),
@@ -606,7 +638,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "tail_lemma": _Experiment(_agg_tail_lemma, rows=_rows_tail_lemma),
     "macro_meso": _Experiment(
         _agg_macro_meso,
-        trial=_trial_macro_meso,
+        trial=_each(_trial_macro_meso),
         solve=lambda ctx: (_box_sites(ctx), ctx.k + 1),
         check=_check_partition,
         overrides=frozenset({"k"}),
@@ -718,29 +750,38 @@ def _aggregate(cfg: ExperimentConfig, ctx: _Context, rows: list[dict]) -> dict:
 
 
 def _run_trials(
-    ctx: _Context, body: Callable[[_Context, field.FieldSample], dict], kept: list[dict]
+    ctx: _Context, body: Callable[[_Context, list[field.FieldSample]], list[dict]], kept: list[dict]
 ):
     """The kept rows of trials 0 .. len(kept) - 1, then the rows of the
     trials after them up to trials - 1; a failed trial's row says so.
     RuntimeError when more than 5% of these rows, kept or new, failed.
 
-    The new trials are drawn in batches of field.batch_size seeds, from
-    the first new one on: each trial calls field.sample_field once, naming
-    its batch, before its body runs, and the batch's first call draws the
-    fields of all of them."""
+    The new trials run in blocks of field.batch_size seeds, from the first
+    new one on.  Each trial of a block calls field.sample_field once,
+    naming its block, and the block's first call draws the fields of all
+    of them; then the body runs once on the block's samples.  When it
+    raises, the samples run again one at a time, so only a trial whose own
+    body raises, or whose draw raised, fails."""
     cfg = ctx.cfg
     rows, errors = list(kept), []
     size = field.batch_size(ctx.model, cfg.L)
     for start in range(len(kept), cfg.trials, size):
         stop = min(start + size, cfg.trials)
         seeds = tuple(trial_seed(cfg.master_seed, i) for i in range(start, stop))
-        for seed in seeds:
+        outcomes, samples = {}, {}
+        for i, seed in enumerate(seeds):
             try:
-                s = field.sample_field(ctx.model, cfg.L, seed, _SAMPLER, batch=seeds)
-                rows.append({"seed": seed, **body(ctx, s)})
+                samples[i] = field.sample_field(ctx.model, cfg.L, seed, _SAMPLER, batch=seeds)
             except Exception as exc:  # per-trial failure budget
+                outcomes[i] = exc
+        outcomes.update(_block_rows(ctx, body, samples))
+        for i, seed in enumerate(seeds):
+            out = outcomes[i]
+            if isinstance(out, Exception):
                 rows.append({"seed": seed, "failed": 1})
-                errors.append(repr(exc))
+                errors.append(repr(out))
+            else:
+                rows.append({"seed": seed, **out})
     failed = sum(1 for r in rows if r.get("failed"))
     if failed > 0.05 * cfg.trials:
         raise RuntimeError(
@@ -748,6 +789,25 @@ def _run_trials(
             f"{failed - len(errors)} in kept rows): {errors[:3]}"
         )
     return rows
+
+
+def _block_rows(ctx: _Context, body, samples: dict) -> dict:
+    """Position -> the row of each sample of ``samples`` (position ->
+    sample), from one call of ``body`` on all of them, or, when that
+    raises, from one call per sample; a sample whose own call raises gets
+    the exception in place of its row."""
+    if not samples:
+        return {}
+    try:
+        return dict(zip(samples, body(ctx, list(samples.values())), strict=True))
+    except Exception:
+        out = {}
+        for i, sample in samples.items():
+            try:
+                out[i] = body(ctx, [sample])[0]
+            except Exception as exc:  # per-trial failure budget
+                out[i] = exc
+        return out
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
@@ -760,8 +820,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Path:
     resumed only beside the manifest of the config that wrote them, up to
     ``trials`` (ConfigError otherwise, also when the manifest is missing).
     The records file is rewritten whole, and not at all when more than 5%
-    of the rows it would hold, kept or new, failed.  Trials run one after
-    another; ``workers`` is accepted only as 1."""
+    of the rows it would hold, kept or new, failed.  Trials run in blocks,
+    one block after another (see _run_trials); ``workers`` is accepted
+    only as 1."""
     if workers != 1:
         raise ValueError(f"trials run in one thread; got workers={workers}")
     ctx = _Context(cfg)

@@ -71,6 +71,7 @@ _COUNT_SLACK_ULPS = 16
 RESIDUAL_TOL = 1e-10
 RESIDUAL_ULPS = 16
 TIE_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 # c' of spectral_gap_check: the gap event asks lambda_2 <= xi(x0) - c' a_L/d_L.
 GAP_C_PRIME = 0.25
 
@@ -104,11 +105,13 @@ class SpectralResult:
     solver: str  # top_k_eigs' path: "window", "tridiagonal", "subset" or "arpack"
 
     def __post_init__(self):
-        lam = self.eigenvalues
-        if (lam[1:] - lam[:-1] > TIE_TOL).any():
+        # on Python floats: k is at most MAX_K, and numpy's per-call cost
+        # would outweigh the arithmetic
+        lam = self.eigenvalues.tolist()
+        if any(b - a > TIE_TOL for a, b in zip(lam, lam[1:])):
             raise ValueError("eigenvalues not in non-increasing order")
         flat = self.eigenfunctions.reshape(len(self.eigenfunctions), -1)
-        if (abs(np.sqrt((flat**2).sum(axis=1)) - 1.0) > 1e-12).any():
+        if any(abs(math.sqrt(s) - 1.0) > 1e-12 for s in (flat**2).sum(axis=1).tolist()):
             raise ValueError("eigenfunctions not l2-normalized")
 
     @property
@@ -378,7 +381,7 @@ def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
     # Kahan's bound for the orthonormal polar factor of the Ritz vectors
     bound = (r + 2.0 * float(np.max(np.abs(mu))) * delta) * (1.0 + delta) / (1.0 - delta)
     h_norm = float(np.max(np.abs(V - 2.0))) + 2.0
-    slack = _COUNT_SLACK_ULPS * np.finfo(float).eps * h_norm
+    slack = _COUNT_SLACK_ULPS * _EPS * h_norm
     theta = float(mu[-1]) - bound - slack
     top = float(np.max(V)) + 1.0  # above every eigenvalue (Gershgorin)
     if _count_above(V - 2.0, np.ones(n - 1), theta, top) != k:
@@ -421,10 +424,11 @@ def top_k_eigs(V: np.ndarray, k: int) -> SpectralResult:
         raise ValueError(f"k limited to {MAX_K}")
     if k > n:
         raise ValueError(f"k={k} exceeds {n} sites")
-    if not np.isfinite(V).all():
+    v_max = float(np.max(np.abs(V)))  # inf or NaN unless V is finite
+    if not math.isfinite(v_max):
         raise ValueError("V must not contain infs or NaNs")
-    h_norm = float(np.max(np.abs(V))) + 4.0 * V.ndim
-    tol = max(RESIDUAL_TOL, RESIDUAL_ULPS * np.finfo(float).eps * h_norm)
+    h_norm = v_max + 4.0 * V.ndim
+    tol = max(RESIDUAL_TOL, RESIDUAL_ULPS * _EPS * h_norm)
     try:
         if V.ndim == 1:
             result = _window_eigs(V, k, tol)
@@ -475,7 +479,7 @@ def certify_below(V: np.ndarray, theta: float) -> bool:
     h = V.ravel(order="C") - 2.0 * d
     if float(np.max(h)) >= theta:
         return False  # lambda_1 >= max diagonal of H
-    u = np.finfo(float).eps / 2
+    u = _EPS / 2
     alpha = (n + 1) * u / (1.0 - 2.0 * (n + 1) * u)
     c = 2.0 * alpha * float(np.sum(theta - h))
     shifted = np.nextafter(theta - c, -np.inf)
@@ -557,32 +561,54 @@ def approximation_error(
     where Xi(x0) = xi(x0) + Phi(x0), result was computed on the central
     box of the view's sample, and bar_phi is zero-extended.  x0 is the base
     point of the fluctuation view (expected to be the conditioning point).
+    The one-field case of _approximation_errors.
     """
-    bar_phi = bar.bar_phi
     x0 = view.x0
-    xi_cap_x0 = view.base.at(x0) + field.phi_at(view, bar.weights)
-    lam1 = float(result.eigenvalues[0])
-    eig_err = scales.a_L * abs(lam1 - (xi_cap_x0 + bar.bar_lambda))
+    peak = np.array([view.base.at(x0)])
+    phi = np.array([field.phi_at(view, bar.weights)])
+    prof = _bar_on_grid(bar, result.eigenfunctions.shape[1:], x0)
+    eig_err, fun_err = _approximation_errors(
+        bar, result.eigenvalues[:1], result.eigenfunctions[:1], peak, phi, prof, scales
+    )
+    return float(eig_err[0]), float(fun_err[0])
 
-    phi1 = result.eigenfunctions[0]
-    # bar_phi(. - x0) on the result grid, the central box of the sample
-    prof = np.zeros(phi1.shape)
-    prof[field.window(phi1.shape[0], x0, bar.weights.half)] = bar_phi
+
+def _bar_on_grid(bar: BarSolution, shape: tuple, x0: tuple) -> np.ndarray:
+    """bar_phi(. - x0), zero-extended, on the centred grid of ``shape``;
+    ValueError when bar_phi's window around x0 leaves it."""
+    prof = np.zeros(shape)
+    prof[field.window(shape[0], x0, bar.weights.half)] = bar.bar_phi
+    return prof
+
+
+def _approximation_errors(bar, lam1, phi1, peak, phi, prof, scales):
+    """(eig_err, fun_err) of approximation_error for B solves at once: the
+    top eigenvalues lam1 and eigenfunctions phi1 (stacked on a leading
+    axis), xi(x0) and Phi(x0) of each field, and bar_phi(. - x0) on the
+    solve's grid."""
+    eig_err = scales.a_L * np.abs(lam1 - (peak + phi + bar.bar_lambda))
     fun_err = (scales.a_L / scales.d_L) * _distance_up_to_sign(phi1, prof)
-    return float(eig_err), float(fun_err)
+    return eig_err, fun_err
 
 
-def _distance_up_to_sign(phi: np.ndarray, ref: np.ndarray) -> float:
-    """||phi - ref||_2 with phi's sign flipped when <phi, ref> < 0."""
-    if float(np.sum(phi * ref)) < 0:
-        phi = -phi
-    return math.sqrt(float(np.sum((phi - ref) ** 2)))
+def _distance_up_to_sign(phi: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """||phi - ref||_2 for each function of ``phi``, shape (B,) + ref.shape,
+    its sign flipped when <phi, ref> < 0.  Sums run over each row of a
+    (B, sites) reshape, as a sum over one contiguous grid runs."""
+    flat, ref = phi.reshape(len(phi), -1), ref.reshape(-1)
+    flat = np.where((np.sum(flat * ref, axis=1) < 0)[:, None], -flat, flat)
+    return np.sqrt(np.sum((flat - ref) ** 2, axis=1))
 
 
 def spectral_gap_check(result: SpectralResult, peak_value: float, scales):
-    """Whether lambda_2 <= xi(x0) - GAP_C_PRIME * a_L / d_L; returns (ok, margin)."""
+    """Whether lambda_2 <= xi(x0) - GAP_C_PRIME * a_L / d_L; returns (ok,
+    margin).  The one-field case of _gap_margin."""
     if result.k < 2:
         raise ValueError("gap check needs at least two eigenvalues")
-    bound = peak_value - GAP_C_PRIME * scales.a_L / scales.d_L
-    margin = bound - float(result.eigenvalues[1])
-    return (margin >= 0.0, float(margin))
+    margin = float(_gap_margin(result.eigenvalues[1], peak_value, scales))
+    return (margin >= 0.0, margin)
+
+
+def _gap_margin(lam2, peak, scales):
+    """xi(x0) - GAP_C_PRIME * a_L / d_L - lambda_2, elementwise."""
+    return peak - GAP_C_PRIME * scales.a_L / scales.d_L - lam2

@@ -18,7 +18,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from andex import cli, covariance as cov, extremes, field, harness, scales, spectrum
-from andex.errors import ConfigError, EmbeddingInvalidError
+from andex.errors import ConfigError, EmbeddingInvalidError, SolverConvergenceError
 
 
 def make_cfg(tmp_path, **kw):
@@ -37,13 +37,14 @@ def make_cfg(tmp_path, **kw):
 
 
 def fail_trial(monkeypatch, experiment, index):
-    """Make trial ``index`` of ``experiment`` raise."""
+    """Make trial ``index`` of ``experiment`` raise: the trial body raises
+    on every block that holds its sample."""
     entry = harness._EXPERIMENTS[experiment]
 
-    def body(ctx, sample):
-        if sample.seed == harness.trial_seed(ctx.cfg.master_seed, index):
+    def body(ctx, samples):
+        if harness.trial_seed(ctx.cfg.master_seed, index) in [s.seed for s in samples]:
             raise RuntimeError(f"trial {index}")
-        return entry.trial(ctx, sample)
+        return entry.trial(ctx, samples)
 
     monkeypatch.setitem(
         harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
@@ -305,8 +306,34 @@ class TestRunDeterminism:
         for r in rows:
             assert isinstance(r["lambda_1"], float)
             sample = field.sample_field(ctx.model, cfg.L, r["seed"])
-            fresh = harness._EXPERIMENTS[cfg.experiment].trial(ctx, sample)
+            (fresh,) = harness._EXPERIMENTS[cfg.experiment].trial(ctx, [sample])
             assert {c: r[c] for c in fresh} == fresh
+
+    @pytest.mark.parametrize(
+        "experiment,d",
+        [(n, 1) for n, e in harness._EXPERIMENTS.items() if e.trial is not None]
+        + [("localisation", 2)],
+    )
+    def test_rows_do_not_depend_on_the_block(self, tmp_path, monkeypatch, experiment, d):
+        # 7 trials in blocks of 1, of 3 (3 + 3 + 1) and of the default size
+        # (one block of 7); in d = 2 the row sums run over a reshaped grid
+        geometry = (
+            {"model": {"family": "iid"}, "L": 40, "overrides": {"a_L": 6.0, "R_L": 13, "r_L": 5}}
+            if d == 2
+            else {"overrides": {"a_L": 6.0, "R_L": 9, "r_L": 5}}
+        )
+        records = []
+        for size in (1, 3, field.DRAW_BATCH_MAX):
+            monkeypatch.setattr(field, "DRAW_BATCH_MAX", size)
+            cfg = make_cfg(
+                tmp_path, experiment=experiment, d=d, trials=7,
+                out_dir=str(tmp_path / str(size)), **geometry,
+            )
+            harness.run_experiment(cfg)
+            records.append((Path(cfg.out_dir) / "records.csv").read_bytes())
+        assert field.batch_size(harness._Context(cfg).model, cfg.L) >= 7
+        assert records[0] == records[1] == records[2]
+        assert b"failed" not in records[0].splitlines()[0]
 
     def test_manifest_contents(self, tmp_path):
         cfg = make_cfg(tmp_path)
@@ -330,7 +357,7 @@ class TestDrawHook:
     reads the sampler of every returned sample."""
 
     def _watch(self, monkeypatch, experiment=None):
-        """Log ("draw", sample) per sample_field call and ("body", seed) per
+        """Log ("draw", sample) per sample_field call and ("body", seeds) per
         trial body; trials draw in batches of three seeds."""
         events, sample_field = [], field.sample_field
 
@@ -344,9 +371,9 @@ class TestDrawHook:
         if experiment is not None:
             entry = harness._EXPERIMENTS[experiment]
 
-            def body(ctx, sample):
-                events.append(("body", sample.seed))
-                return entry.trial(ctx, sample)
+            def body(ctx, samples):
+                events.append(("body", [s.seed for s in samples]))
+                return entry.trial(ctx, samples)
 
             monkeypatch.setitem(
                 harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
@@ -365,11 +392,40 @@ class TestDrawHook:
         cfg = self._cfg(tmp_path, experiment, trials=7)
         manifest = json.loads(harness.run_experiment(cfg).read_text())
         assert manifest["trials_failed"] == 0
-        assert [kind for kind, _ in events] == ["draw", "body"] * 7
+        # blocks of 3, 3 and 1 trials: a block's draws, then its body
+        seeds = [harness.trial_seed(7, i) for i in range(7)]
+        blocks = [seeds[0:3], seeds[3:6], seeds[6:7]]
+        assert [(kind, out.seed if kind == "draw" else out) for kind, out in events] == [
+            event
+            for block in blocks
+            for event in [("draw", seed) for seed in block] + [("body", block)]
+        ]
         draws = [out for kind, out in events if kind == "draw"]
         assert all(isinstance(out, field.FieldSample) for out in draws)
-        assert [s.seed for s in draws] == [harness.trial_seed(7, i) for i in range(7)]
         assert manifest["sampler"] == {"name": "circulant", "version": field.SAMPLER_VERSION}
+
+    def test_localisation_draws_and_solves_once_per_trial(self, tmp_path, monkeypatch):
+        # what the benchmark wraps: field.sample_field, whose first call
+        # marks the start of the trials, and spectrum.top_k_eigs, whose
+        # residuals it reads; set-up makes the one solve before that
+        # (the bar problem)
+        events = self._watch(monkeypatch, "localisation")
+        top_k_eigs = spectrum.top_k_eigs
+
+        def observed(*args, **kwargs):
+            out = top_k_eigs(*args, **kwargs)
+            events.append(("solve", float(max(out.residuals))))
+            return out
+
+        monkeypatch.setattr(spectrum, "top_k_eigs", observed)
+        cfg = self._cfg(tmp_path, "localisation", trials=7)
+        manifest = json.loads(harness.run_experiment(cfg).read_text())
+        assert manifest["trials_failed"] == 0
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["solve"] + (["draw"] * 3 + ["body"] + ["solve"] * 3) * 2 + [
+            "draw", "body", "solve",
+        ]
+        assert all(r <= spectrum.RESIDUAL_TOL for kind, r in events if kind == "solve")
 
     @pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
     def test_resume_mid_batch_draws_only_the_new_trials(
@@ -566,13 +622,58 @@ class TestFailureBudget:
     def test_budget_exceeded_raises(self, tmp_path, monkeypatch):
         cfg = make_cfg(tmp_path, trials=5)
 
-        def bomb(ctx, sample):
+        def bomb(ctx, samples):
             raise RuntimeError("boom")
 
         entry = dataclasses.replace(harness._EXPERIMENTS["rank_permutation"], trial=bomb)
         monkeypatch.setitem(harness._EXPERIMENTS, "rank_permutation", entry)
         with pytest.raises(RuntimeError):
             harness.run_experiment(cfg)
+
+    def test_a_failure_inside_a_block_fails_only_its_trial(self, tmp_path, monkeypatch):
+        # trial 10 of one block of 24: its eigensolve raises inside the
+        # block's body, so the block runs again one trial at a time
+        def cfg(name, trials):
+            return make_cfg(
+                tmp_path, experiment="localisation", trials=trials,
+                out_dir=str(tmp_path / name), overrides={"a_L": 6.0, "R_L": 9, "r_L": 5},
+            )
+
+        def rows(path):
+            with open(path, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        clean = cfg("clean", 24)
+        harness.run_experiment(clean)
+        ctx = harness._Context(clean)
+        assert field.batch_size(ctx.model, clean.L) >= 24
+        seed = harness.trial_seed(clean.master_seed, 10)
+        view = field.peak_conditioned_sample(
+            field.sample_field(ctx.model, clean.L, seed), (0,), ctx.scales.a_L
+        )
+        core = view.base.values[field.window(clean.L, (0,), ctx.scales.R_L // 2)]
+        top_k_eigs = spectrum.top_k_eigs
+
+        def failing(V, k):
+            if np.array_equal(V, core):
+                raise SolverConvergenceError("trial 10 does not converge")
+            return top_k_eigs(V, k)
+
+        monkeypatch.setattr(spectrum, "top_k_eigs", failing)
+        broken = cfg("broken", 24)
+        manifest = json.loads(harness.run_experiment(broken).read_text())
+        assert manifest["trials_failed"] == 1
+        want = rows(Path(clean.out_dir) / "records.csv")
+        got = rows(Path(broken.out_dir) / "records.csv")
+        assert len(got) == 24
+        assert got[10]["failed"] == "1" and got[10]["seed"] == str(seed)
+        assert all(got[10][c] == "" for c in want[10] if c not in ("trial", "seed"))
+        for i in set(range(24)) - {10}:
+            assert got[i] == {**want[i], "failed": ""}
+        # on 11 trials the one failure is over the budget
+        message = re.escape(repr(SolverConvergenceError("trial 10 does not converge")))
+        with pytest.raises(RuntimeError, match=rf"^1/11 trials failed .*{message}"):
+            harness.run_experiment(cfg("over", 11))
 
     @pytest.mark.parametrize("first,kept_failed", [(40, 2), (100, 4)])
     def test_budget_counts_the_kept_rows(self, tmp_path, monkeypatch, first, kept_failed):
