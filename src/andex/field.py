@@ -15,21 +15,21 @@ Both draw from the exact law.  The circulant sampler raises
 EmbeddingInvalidError when the embedded spectrum is not nonnegative; it
 neither clips eigenvalues nor switches to the dense sampler.
 
-On top of a sample, fluctuation_view builds the decomposition around a
-base point x0:
+On top of a sample, the fluctuation decomposition around a base point x0:
 
     xi(x) = xi(x0) * v(x - x0) + zeta(x),      zeta(x0) = 0,
 
-with zeta independent of xi(x0).  The view carries v(. - x0) and zeta.
-The peak-conditioned sampler returns the view of its conditioned field,
-and the event check and the profile-weighted correction
-Phi(x0) = sum_x w(x) zeta(x0 + x) read from it; Phi at another point y is
-Phi of the view at y.  The shifted field Xi = xi + Phi, which xi_cap
-forms from a sample, has marginal variance 1 + tau^2.
+with zeta independent of xi(x0).  The localisation functions work on a
+block of fields of Q_L stacked on a leading axis, one field being a block
+of one: fluctuations forms zeta, condition conditions each field on
+xi(x0) = value, event_margins gives the margins of the three-part peak
+event around x0, and phi forms the profile-weighted correction
+Phi(x0) = sum_x w(x) zeta(x0 + x).  The shifted field Xi = xi + Phi,
+which xi_cap forms from a sample, has marginal variance 1 + tau^2.
 
 What does not depend on the seed is built once per run and shared,
 read-only: the sampler factors per (model, L or torus side), the profile
-v(. - x0) per (model, L, x0), the event check's windows with 1 - v and
+v(. - x0) per (model, L, x0), the windows of event_margins with 1 - v and
 sd(zeta) on them per (model, L, x0, R_L), each in an LRU of 8 keyed on the
 model itself, and the offsets and weights of a profile, which
 ProfileWeights holds (BarSolution.weights builds them once per bar
@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,21 +54,19 @@ from .errors import CovarianceInconsistencyError
 
 __all__ = [
     "FieldSample",
-    "FluctuationView",
     "ProfileWeights",
-    "EventReport",
     "box_half",
     "grid_side",
     "torus_side",
     "window",
     "SAMPLERS",
     "sample_field",
-    "peak_conditioned_sample",
-    "fluctuation_view",
+    "fluctuations",
+    "condition",
     "compute_tau",
-    "phi_at",
+    "phi",
     "xi_cap",
-    "event_check",
+    "event_margins",
 ]
 
 DENSE_SITE_LIMIT = 6000
@@ -314,11 +312,7 @@ def _profile_grid(model, L, x0):
     return cov.eval_cov_offsets(model, offs)
 
 
-def _point(x0) -> tuple:
-    return tuple(int(c) for c in np.atleast_1d(x0))
-
-
-def _zeta(values: np.ndarray, L: int, x0: tuple, prof: np.ndarray) -> np.ndarray:
+def fluctuations(values: np.ndarray, L: int, x0: tuple, prof: np.ndarray) -> np.ndarray:
     """zeta = xi - xi(x0) v(. - x0) of each field of Q_L in ``values``,
     stacked on a leading axis, given the profile v(. - x0); zero at x0.
     The only code that forms zeta."""
@@ -328,62 +322,21 @@ def _zeta(values: np.ndarray, L: int, x0: tuple, prof: np.ndarray) -> np.ndarray
     return zeta
 
 
-def _condition(values: np.ndarray, model, L: int, x0: tuple, value: float):
+def condition(values: np.ndarray, model, L: int, x0: tuple, value: float):
     """The fields of Q_L in ``values``, stacked on a leading axis,
     conditioned on xi(x0) = value: (conditioned fields, their zeta), both
-    of the shape of ``values``.  Each field's draw loses its projection onto
-    xi(x0) and gets the prescribed value back.  ValueError when a
-    conditioned field is not finite."""
+    of the shape of ``values``.
+
+    Each field's draw loses its projection onto xi(x0) and gets the
+    prescribed value back.  The residual zeta is independent of xi(x0), so
+    for an exact draw the law is the exact conditional one.  ValueError
+    when a conditioned field is not finite."""
     prof = _profile_grid(model, L, x0)
-    vals = value * prof + _zeta(values, L, x0, prof)
+    vals = value * prof + fluctuations(values, L, x0, prof)
     vals[_at(L, x0)] = value  # exact, no roundoff
     if not np.isfinite(vals).all():
         raise ValueError("non-finite field values")
-    return vals, _zeta(vals, L, x0, prof)
-
-
-def peak_conditioned_sample(sample: FieldSample, x0, value: float) -> FluctuationView:
-    """The draw ``sample`` conditioned on xi(x0) = value, returned as its
-    fluctuation view around x0; the conditioned field is ``view.base``.
-
-    Built from the fluctuation decomposition: strip the draw's projection
-    onto xi(x0) and put the prescribed value back.  The residual zeta is
-    independent of xi(x0), so for an exact draw the law is the exact
-    conditional one.  The returned view shares the unconditioned draw's
-    profile, and its zeta is formed from the conditioned values as
-    fluctuation_view forms it.  The one-field case of _condition, which
-    conditions a block of fields at once.
-    """
-    x0 = _point(x0)
-    vals, zeta = _condition(sample.values[None], sample.model, sample.L, x0, value)
-    return _view(replace(sample, values=vals[0]), x0, zeta[0])
-
-
-@dataclass(frozen=True)
-class FluctuationView:
-    """Fluctuation decomposition of one sample around a base point:
-    base.values = xi(x0) * profile + zeta, with profile = v(. - x0) over
-    the grid and zeta(x0) = 0.  Both arrays are read-only."""
-
-    base: FieldSample
-    x0: tuple
-    profile: np.ndarray
-    zeta: np.ndarray
-
-
-def _view(sample: FieldSample, x0: tuple, zeta: np.ndarray) -> FluctuationView:
-    """The view of ``sample`` around x0 with its zeta, made read-only."""
-    zeta.setflags(write=False)
-    prof = _profile_grid(sample.model, sample.L, x0)
-    return FluctuationView(base=sample, x0=x0, profile=prof, zeta=zeta)
-
-
-def fluctuation_view(sample: FieldSample, x0) -> FluctuationView:
-    """The decomposition of ``sample`` around x0; the only code that builds
-    v(. - x0)."""
-    x0 = _point(x0)
-    prof = _profile_grid(sample.model, sample.L, x0)
-    return _view(sample, x0, _zeta(sample.values[None], sample.L, x0, prof)[0])
+    return vals, fluctuations(vals, L, x0, prof)
 
 
 def _check_profile(bar_phi: np.ndarray, d: int) -> int:
@@ -404,7 +357,7 @@ class ProfileWeights:
     """The checked window of an l2-normalized profile bar_phi on Q_r: its
     half-width, the offsets x != 0 (shape (n, d)) and their weights
     w(x) = bar_phi(x)^2, both arrays read-only.  Built once per profile
-    (BarSolution.weights) and read by phi_at and xi_cap."""
+    (BarSolution.weights) and read by phi and xi_cap."""
 
     half: int
     offsets: np.ndarray
@@ -438,20 +391,14 @@ def compute_tau(model: cov.CovarianceModel, bar_phi: np.ndarray) -> float:
     return math.sqrt(max(tau2, 0.0))
 
 
-def phi_at(view: FluctuationView, weights: ProfileWeights) -> float:
-    """Profile-weighted fluctuation correction at the view's base point.
+def phi(zeta: np.ndarray, L: int, x0: tuple, weights: ProfileWeights) -> np.ndarray:
+    """Profile-weighted fluctuation correction at x0 of each zeta of Q_L
+    stacked on a leading axis:
 
-    Phi(x0) = sum_{x in Q_r, x != 0} bar_phi(x)^2 * zeta(x0 + x), read from
-    view.zeta, with the offsets and weights of bar_phi in ``weights``.  Phi
-    at another point y is phi_at(fluctuation_view(view.base, y), weights).
-    The one-field case of _phi.
-    """
-    return float(_phi(view.zeta[None], view.base.L, view.x0, weights)[0])
+        Phi(x0) = sum_{x in Q_r, x != 0} bar_phi(x)^2 * zeta(x0 + x),
 
-
-def _phi(zeta: np.ndarray, L: int, x0: tuple, weights: ProfileWeights) -> np.ndarray:
-    """Phi(x0) (see phi_at) of each zeta of Q_L stacked on a leading axis.
-    One dot product per field: a matrix product would round differently."""
+    with the offsets and weights of bar_phi in ``weights``.  One dot
+    product per field: a matrix product would round differently."""
     if weights.offsets.shape[1] != zeta.ndim - 1:
         raise ValueError(f"profile must be {zeta.ndim - 1}-dimensional")
     rings = _ring(zeta[(slice(None),) + window(L, x0, weights.half)], batch=1)
@@ -481,7 +428,7 @@ def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, in
 
 
 class _EventWindows(NamedTuple):
-    """What event_check needs of Q_{2R_L, x0} and Q_{R_L, x0} beyond the
+    """What event_margins needs of Q_{2R_L, x0} and Q_{R_L, x0} beyond the
     seed, as flat grid indices; x0 itself is left out of both windows."""
 
     wide: np.ndarray  # sites of Q_{2R_L, x0}
@@ -506,19 +453,10 @@ def _event_windows(model, L, x0, R_L):
     )
 
 
-@dataclass(frozen=True)
-class EventReport:
-    """Membership and worst-case slack for the three-part peak event."""
-
-    x0: tuple
-    in_E1: bool
-    in_E2: bool
-    in_E3: bool
-    margins: tuple  # positive slack <=> membership, one per sub-event
-
-
-def event_check(view: FluctuationView, scales) -> EventReport:
-    """Check the three-part event around the base point x0 of the view.
+def event_margins(peak, zeta, model, L: int, x0: tuple, scales) -> np.ndarray:
+    """The margins of the three-part peak event around x0, shape (B, 3),
+    of B fields of Q_L with the values ``peak`` at x0 and the zeta around
+    x0 stacked on a leading axis.
 
     E1: |xi(x0) - a_L| < theta (theta = 2d+1).
     E2: |zeta(x)| <= EVENT_SHAPE_FACTOR * S(x - x0) on the window Q_{2R_L, x0}.
@@ -528,21 +466,7 @@ def event_check(view: FluctuationView, scales) -> EventReport:
 
     Margins are the minimal slacks (bound minus attained value); their sign
     matches membership: E1 holds when its margin is positive, E2 and E3
-    when theirs are not negative.  The one-field case of _event_margins.
-    """
-    base = view.base
-    peak = np.array([base.at(view.x0)])
-    margins = _event_margins(peak, view.zeta[None], base.model, base.L, view.x0, scales)
-    m1, m2, m3 = margins[0].tolist()
-    return EventReport(
-        x0=view.x0, in_E1=m1 > 0.0, in_E2=m2 >= 0.0, in_E3=m3 >= 0.0, margins=(m1, m2, m3)
-    )
-
-
-def _event_margins(peak, zeta, model, L: int, x0: tuple, scales) -> np.ndarray:
-    """The margins of E1, E2 and E3 (see event_check), shape (B, 3), of B
-    fields of Q_L with the values ``peak`` at x0 and the zeta around x0
-    stacked on a leading axis."""
+    when theirs are not negative."""
     a_L, d_L, kappa, theta = scales.a_L, scales.d_L, scales.kappa, scales.theta
     win = _event_windows(model, L, x0, scales.R_L)
     flat = zeta.reshape(len(zeta), -1)

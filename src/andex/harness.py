@@ -307,7 +307,7 @@ def _plot_cdf_vs_gumbel(rows: list[dict]):
 
 
 def _check_localisation(ctx: _Context):
-    # event_check's window Q_{2R_L} (half-width R_L) around x0 = 0 must lie in Q_L
+    # event_margins' window Q_{2R_L} (half-width R_L) around x0 = 0 must lie in Q_L
     try:
         field.window(ctx.cfg.L, (0,) * ctx.cfg.d, ctx.scales.R_L)
     except ValueError as exc:
@@ -324,22 +324,22 @@ def _trial_localisation(ctx: _Context, samples: list[field.FieldSample]) -> list
     cfg, sc = ctx.cfg, ctx.scales
     x0 = (0,) * cfg.d
     a_L = sc.a_L
-    vals, zeta = field._condition(np.stack([s.values for s in samples]), ctx.model, cfg.L, x0, a_L)
+    vals, zeta = field.condition(np.stack([s.values for s in samples]), ctx.model, cfg.L, x0, a_L)
     peak = vals[field._at(cfg.L, x0)].reshape(-1)
-    margins = field._event_margins(peak, zeta, ctx.model, cfg.L, x0, sc)
+    margins = field.event_margins(peak, zeta, ctx.model, cfg.L, x0, sc)
     cores = vals[(slice(None),) + field.window(cfg.L, x0, sc.R_L // 2)]
     results = [spectrum.top_k_eigs(V, ctx.pairs) for V in cores]
     lam = np.stack([res.eigenvalues for res in results])
-    eig_err, fun_err = spectrum._approximation_errors(
+    eig_err, fun_err = spectrum.approximation_errors(
         ctx.bar,
         lam[:, 0],
         np.stack([res.eigenfunctions[0] for res in results]),
         peak,
-        field._phi(zeta, cfg.L, x0, ctx.bar.weights),
+        field.phi(zeta, cfg.L, x0, ctx.bar.weights),
         ctx.core_bar_phi,
         sc,
     )
-    gap_margin = spectrum._gap_margin(lam[:, 1], peak, sc)
+    gap_margin = spectrum.gap_margin(lam[:, 1], peak, sc)
     w_val = cores.reshape(len(cores), -1).max(axis=1)
     lo, hi = scales_mod.interval_ILC(a_L, sc.tau_L, _INTERVAL_C)
     columns = {

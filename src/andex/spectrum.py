@@ -38,8 +38,8 @@ __all__ = [
     "apply_hamiltonian",
     "top_k_eigs",
     "solve_bar_problem",
-    "approximation_error",
-    "spectral_gap_check",
+    "approximation_errors",
+    "gap_margin",
 ]
 
 MAX_K = 32  # top_k_eigs: most pairs one call returns
@@ -72,7 +72,7 @@ RESIDUAL_TOL = 1e-10
 RESIDUAL_ULPS = 16
 TIE_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
-# c' of spectral_gap_check: the gap event asks lambda_2 <= xi(x0) - c' a_L/d_L.
+# c' of gap_margin: the gap event asks lambda_2 <= xi(x0) - c' a_L/d_L.
 GAP_C_PRIME = 0.25
 
 
@@ -512,7 +512,7 @@ class BarSolution:
 
     @functools.cached_property
     def weights(self) -> field.ProfileWeights:
-        """Offsets and weights of bar_phi, built once, for field.phi_at."""
+        """Offsets and weights of bar_phi, built once, for field.phi."""
         return field.ProfileWeights.of(self.bar_phi, self.bar_phi.ndim)
 
 
@@ -547,32 +547,6 @@ def solve_bar_problem(
     )
 
 
-def approximation_error(
-    bar: BarSolution,
-    result: SpectralResult,
-    view: field.FluctuationView,
-    scales,
-) -> tuple[float, float]:
-    """Scaled eigenpair approximation errors at the conditioning point.
-
-    eig_err = a_L * |lambda_1 - (Xi(x0) + bar_lambda)|
-    fun_err = (a_L / d_L) * ||phi_1 - bar_phi(. - x0)||_2
-
-    where Xi(x0) = xi(x0) + Phi(x0), result was computed on the central
-    box of the view's sample, and bar_phi is zero-extended.  x0 is the base
-    point of the fluctuation view (expected to be the conditioning point).
-    The one-field case of _approximation_errors.
-    """
-    x0 = view.x0
-    peak = np.array([view.base.at(x0)])
-    phi = np.array([field.phi_at(view, bar.weights)])
-    prof = _bar_on_grid(bar, result.eigenfunctions.shape[1:], x0)
-    eig_err, fun_err = _approximation_errors(
-        bar, result.eigenvalues[:1], result.eigenfunctions[:1], peak, phi, prof, scales
-    )
-    return float(eig_err[0]), float(fun_err[0])
-
-
 def _bar_on_grid(bar: BarSolution, shape: tuple, x0: tuple) -> np.ndarray:
     """bar_phi(. - x0), zero-extended, on the centred grid of ``shape``;
     ValueError when bar_phi's window around x0 leaves it."""
@@ -581,11 +555,16 @@ def _bar_on_grid(bar: BarSolution, shape: tuple, x0: tuple) -> np.ndarray:
     return prof
 
 
-def _approximation_errors(bar, lam1, phi1, peak, phi, prof, scales):
-    """(eig_err, fun_err) of approximation_error for B solves at once: the
-    top eigenvalues lam1 and eigenfunctions phi1 (stacked on a leading
-    axis), xi(x0) and Phi(x0) of each field, and bar_phi(. - x0) on the
-    solve's grid."""
+def approximation_errors(bar, lam1, phi1, peak, phi, prof, scales):
+    """Scaled eigenpair approximation errors at the conditioning point x0
+    of B solves, stacked on a leading axis (B = 1 for one solve):
+
+        eig_err = a_L * |lambda_1 - (Xi(x0) + bar_lambda)|
+        fun_err = (a_L / d_L) * ||phi_1 - bar_phi(. - x0)||_2
+
+    given the top eigenvalues lam1 and eigenfunctions phi1, xi(x0) and
+    Phi(x0) of each field, with Xi(x0) = xi(x0) + Phi(x0), and
+    bar_phi(. - x0), zero-extended, on the solve's grid (_bar_on_grid)."""
     eig_err = scales.a_L * np.abs(lam1 - (peak + phi + bar.bar_lambda))
     fun_err = (scales.a_L / scales.d_L) * _distance_up_to_sign(phi1, prof)
     return eig_err, fun_err
@@ -600,15 +579,8 @@ def _distance_up_to_sign(phi: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((flat - ref) ** 2, axis=1))
 
 
-def spectral_gap_check(result: SpectralResult, peak_value: float, scales):
-    """Whether lambda_2 <= xi(x0) - GAP_C_PRIME * a_L / d_L; returns (ok,
-    margin).  The one-field case of _gap_margin."""
-    if result.k < 2:
-        raise ValueError("gap check needs at least two eigenvalues")
-    margin = float(_gap_margin(result.eigenvalues[1], peak_value, scales))
-    return (margin >= 0.0, margin)
-
-
-def _gap_margin(lam2, peak, scales):
-    """xi(x0) - GAP_C_PRIME * a_L / d_L - lambda_2, elementwise."""
+def gap_margin(lam2, peak, scales):
+    """xi(x0) - GAP_C_PRIME * a_L / d_L - lambda_2, elementwise: the gap
+    event lambda_2 <= xi(x0) - GAP_C_PRIME * a_L / d_L holds where it is
+    not negative."""
     return peak - GAP_C_PRIME * scales.a_L / scales.d_L - lam2

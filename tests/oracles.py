@@ -3,9 +3,8 @@
 None of these runs on a program path: the library's one eigensolver is
 ``spectrum.top_k_eigs``.  ``dense_eigs`` is the independent full-``eigh``
 oracle on small boxes, ``tied_blocks`` groups a result's eigenvalues,
-``quadratic_form`` and ``form_gradient`` are the Rayleigh quotient and its
-gradient that criterion 13 checks, and ``in_event`` joins the three parts
-of a ``field.EventReport``.
+and ``quadratic_form`` and ``form_gradient`` are the Rayleigh quotient
+and its gradient that criterion 13 checks.
 """
 
 import numpy as np
@@ -67,7 +66,3 @@ def form_gradient(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
     grad[c] = 0.0
     return grad
 
-
-def in_event(report) -> bool:
-    """Whether a field.EventReport lies in all three sub-events."""
-    return report.in_E1 and report.in_E2 and report.in_E3

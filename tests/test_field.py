@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -7,13 +6,27 @@ import pytest
 
 from andex import covariance as cov, field, scales, spectrum
 
-from oracles import in_event
-
 
 def normalized_profile(side, d, seed=7):
     rng = np.random.default_rng(seed)
     g = np.abs(rng.standard_normal((side,) * d)) + 0.1
     return g / np.linalg.norm(g)
+
+
+def zeta_of(s, x0):
+    """The zeta around x0 of the one field ``s``, a block of one."""
+    return field.fluctuations(s.values[None], s.L, x0, field._profile_grid(s.model, s.L, x0))
+
+
+def phi_of(s, x0, weights):
+    """Phi(x0) of the one field ``s``."""
+    return field.phi(zeta_of(s, x0), s.L, x0, weights).item()
+
+
+def margins_of(s, x0, ss):
+    """The E1, E2 and E3 margins around x0 of the one field ``s``."""
+    peak = np.array([s.at(x0)])
+    return field.event_margins(peak, zeta_of(s, x0), s.model, s.L, x0, ss)[0].tolist()
 
 
 class TestGeometry:
@@ -74,16 +87,16 @@ class TestWindow:
             with pytest.raises(ValueError, match="leaves the box"):
                 field.window(L, beyond, half)
 
-    def test_phi_at_follows_the_window_rule(self, cube4):
+    def test_phi_follows_the_window_rule(self, cube4):
         s = field.sample_field(cube4, 17, seed=4)
         weights = field.ProfileWeights.of(normalized_profile(7, 1), 1)
         for touch, beyond in _face_points(1, 17, 3):
-            view = field.fluctuation_view(s, touch)
+            touch, beyond = tuple(touch), tuple(beyond)
             idx = weights.offsets + np.array(touch) + s.half
-            want = float(weights.weights @ view.zeta[tuple(idx.T)])
-            assert field.phi_at(view, weights) == want
+            want = float(weights.weights @ zeta_of(s, touch)[0][tuple(idx.T)])
+            assert phi_of(s, touch, weights) == want
             with pytest.raises(ValueError, match="leaves the box"):
-                field.phi_at(field.fluctuation_view(s, beyond), weights)
+                phi_of(s, beyond, weights)
 
     def test_event_check_follows_the_window_rule(self):
         model = cov.CovarianceModel("cube_indicator", 2, {"m": 2})
@@ -93,11 +106,11 @@ class TestWindow:
         s = field.sample_field(model, 21, seed=6)
         # Q_{2R_L} has half-width R_L = 5
         for touch, beyond in _face_points(2, 21, 5):
-            view = field.fluctuation_view(s, touch)
-            want, _ = _event_check_uncached(view, ss)
-            assert field.event_check(view, ss) == want
+            touch, beyond = tuple(touch), tuple(beyond)
+            want, _ = _margins_uncached(s, touch, ss)
+            assert margins_of(s, touch, ss) == want
             with pytest.raises(ValueError, match="leaves the box"):
-                field.event_check(field.fluctuation_view(s, beyond), ss)
+                margins_of(s, beyond, ss)
 
     def test_xi_cap_follows_the_window_rule(self, cube4):
         # a profile as wide as the box leaves one admissible point
@@ -105,7 +118,7 @@ class TestWindow:
         touching = field.ProfileWeights.of(normalized_profile(7, 1), 1)
         grid, sub_half = field.xi_cap(s, touching)
         assert sub_half == 0
-        expect = s.at([0]) + field.phi_at(field.fluctuation_view(s, [0]), touching)
+        expect = s.at([0]) + phi_of(s, (0,), touching)
         assert grid.shape == (1,) and grid[0] == pytest.approx(expect, rel=1e-12)
         beyond = field.ProfileWeights.of(normalized_profile(9, 1), 1)
         with pytest.raises(ValueError, match="larger than the box"):
@@ -355,18 +368,16 @@ class TestBatchDraw:
 
 class TestPeakConditioning:
     def test_exact_value_at_x0(self, cube4):
-        view = field.peak_conditioned_sample(field.sample_field(cube4, 33, 3), [2], 6.0)
-        assert view.base.at([2]) == 6.0
-        assert view.x0 == (2,) and view.base.at(view.x0) == 6.0
+        s = field.sample_field(cube4, 33, 3)
+        vals, _ = field.condition(s.values[None], cube4, 33, (2,), 6.0)
+        assert vals[0][field.window(33, [2], 0)].item() == 6.0
 
     def test_conditional_mean_profile(self, cube4):
         # E[xi(x) | xi(0) = v] = v * v_cov(x)
         n = 5000
-        acc = np.zeros(field.grid_side(25))
-        for seed in range(n):
-            s = field.sample_field(cube4, 25, seed)
-            acc += field.peak_conditioned_sample(s, [0], 5.0).base.values
-        mean = acc / n
+        draws = np.stack([field.sample_field(cube4, 25, seed).values for seed in range(n)])
+        vals, _ = field.condition(draws, cube4, 25, (0,), 5.0)
+        mean = np.mean(vals, axis=0)
         h = 12
         prof = cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
         assert np.max(np.abs(mean - 5.0 * prof)) < 5.0 / math.sqrt(n) * 3
@@ -374,12 +385,8 @@ class TestPeakConditioning:
     def test_conditional_variance(self, cube4):
         # Var(xi(x) | xi(0)) = 1 - v(x)^2
         n = 5000
-        vals = np.stack(
-            [
-                field.peak_conditioned_sample(s, [0], 5.0).base.values
-                for s in (field.sample_field(cube4, 25, seed) for seed in range(n))
-            ]
-        )
+        draws = np.stack([field.sample_field(cube4, 25, seed).values for seed in range(n)])
+        vals, _ = field.condition(draws, cube4, 25, (0,), 5.0)
         var = np.var(vals, axis=0)
         h = 12
         prof = cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
@@ -389,27 +396,22 @@ class TestPeakConditioning:
 class TestFluctuation:
     def test_zeta_zero_at_base(self, cube4):
         s = field.sample_field(cube4, 33, seed=1)
-        view = field.fluctuation_view(s, [4])
-        assert view.zeta[field.window(33, [4], 0)] == 0.0
+        assert zeta_of(s, (4,))[0][field.window(33, [4], 0)] == 0.0
 
     def test_decomposition_reassembles(self, cube4):
         s = field.sample_field(cube4, 33, seed=1)
-        view = field.fluctuation_view(s, [4])
         h = s.half
         offs = np.arange(-h, h + 1)[:, None] - np.array([4])
         prof = cov.eval_cov_offsets(cube4, offs)
-        rebuilt = s.at([4]) * prof + view.zeta
+        rebuilt = s.at([4]) * prof + zeta_of(s, (4,))[0]
         assert np.allclose(rebuilt, s.values, atol=1e-12)
 
     def test_cov_zeta_monte_carlo(self, cube4):
         n = 8000
-        z1 = np.empty(n)
-        z2 = np.empty(n)
-        for seed in range(n):
-            s = field.sample_field(cube4, 17, seed=seed)
-            v = field.fluctuation_view(s, [0])
-            z1[seed] = v.zeta[field.window(17, [1], 0)].item()
-            z2[seed] = v.zeta[field.window(17, [3], 0)].item()
+        draws = np.stack([field.sample_field(cube4, 17, seed=seed).values for seed in range(n)])
+        zeta = field.fluctuations(draws, 17, (0,), field._profile_grid(cube4, 17, (0,)))
+        z1 = zeta[(slice(None),) + field.window(17, [1], 0)].ravel()
+        z2 = zeta[(slice(None),) + field.window(17, [3], 0)].ravel()
         emp = float(np.mean(z1 * z2) - np.mean(z1) * np.mean(z2))
         # Cov(zeta(x), zeta(y)) = v(x - y) - v(x - x0) v(y - x0), here x0 = 0
         cv = cov.eval_cov_offsets(cube4, [[1 - 3], [1], [3]])
@@ -417,50 +419,38 @@ class TestFluctuation:
 
     def test_zeta_independent_of_peak(self, cube4):
         # zeta is unchanged when the conditioning value changes
-        v5 = field.peak_conditioned_sample(field.sample_field(cube4, 25, 9), [0], 5.0)
-        v7 = field.peak_conditioned_sample(field.sample_field(cube4, 25, 9), [0], 7.0)
-        assert np.allclose(v5.zeta, v7.zeta, atol=1e-12)
+        draw = field.sample_field(cube4, 25, 9).values[None]
+        _, z5 = field.condition(draw, cube4, 25, (0,), 5.0)
+        _, z7 = field.condition(draw, cube4, 25, (0,), 7.0)
+        assert np.allclose(z5, z7, atol=1e-12)
 
 
-VIEW_FAMILIES = pytest.mark.parametrize(
+BLOCK_FAMILIES = pytest.mark.parametrize(
     "family,params", [("iid", {}), ("cube_indicator", {"m": 2})]
 )
-VIEW_BOXES = pytest.mark.parametrize("d,L,x0", [(1, 33, [3]), (2, 13, [1, -2])])
+BLOCK_BOXES = pytest.mark.parametrize("d,L,x0", [(1, 33, (3,)), (2, 13, (1, -2))])
 
 
-class TestViewConsumers:
-    @VIEW_FAMILIES
-    @VIEW_BOXES
-    def test_peak_conditioned_is_the_view_reassembled(self, family, params, d, L, x0):
+class TestConditioning:
+    @BLOCK_FAMILIES
+    @BLOCK_BOXES
+    def test_conditioned_field_is_the_decomposition_reassembled(self, family, params, d, L, x0):
         model = cov.CovarianceModel(family, d, params)
-        v = field.fluctuation_view(field.sample_field(model, L, seed=5), x0)
-        expect = 5.5 * v.profile + v.zeta
+        s = field.sample_field(model, L, seed=5)
+        expect = 5.5 * field._profile_grid(model, L, x0) + zeta_of(s, x0)[0]
         expect[field.window(L, x0, 0)] = 5.5
-        got_view = field.peak_conditioned_sample(field.sample_field(model, L, 5), x0, 5.5)
-        got = got_view.base
-        assert np.array_equal(got.values, expect)
-        assert got.sampler == v.base.sampler
-        assert got_view.x0 == tuple(x0) and got.at(got_view.x0) == 5.5
+        got, _ = field.condition(s.values[None], model, L, x0, 5.5)
+        assert np.array_equal(got[0], expect)
 
-    @VIEW_FAMILIES
-    @VIEW_BOXES
-    def test_conditioned_view_is_the_view_of_its_field(self, family, params, d, L, x0):
+    @BLOCK_FAMILIES
+    @BLOCK_BOXES
+    def test_conditioned_zeta_is_the_zeta_of_its_field(self, family, params, d, L, x0):
         model = cov.CovarianceModel(family, d, params)
-        got = field.peak_conditioned_sample(field.sample_field(model, L, 5), x0, 5.5)
-        expect = field.fluctuation_view(got.base, x0)
-        assert got.x0 == expect.x0
-        assert np.array_equal(got.profile, expect.profile)
-        assert np.array_equal(got.zeta, expect.zeta)
-        assert not got.profile.flags.writeable and not got.zeta.flags.writeable
-
-    def test_view_is_frozen_and_read_only(self, cube4):
-        view = field.fluctuation_view(field.sample_field(cube4, 33, seed=1), [4])
-        with pytest.raises(ValueError):
-            view.profile[0] = 1.0
-        with pytest.raises(ValueError):
-            view.zeta[0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            view.x0 = (0,)
+        s = field.sample_field(model, L, seed=5)
+        vals, zeta = field.condition(s.values[None], model, L, x0, 5.5)
+        prof = field._profile_grid(model, L, x0)
+        assert np.array_equal(zeta, field.fluctuations(vals, L, x0, prof))
+        assert not prof.flags.writeable
 
 
 class TestTau:
@@ -500,10 +490,9 @@ class TestTau:
         tau = field.compute_tau(cube4, prof)
         weights = field.ProfileWeights.of(prof, 1)
         n = 6000
-        phis = np.empty(n)
-        for seed in range(n):
-            s = field.sample_field(cube4, 17, seed=seed)
-            phis[seed] = field.phi_at(field.fluctuation_view(s, [0]), weights)
+        draws = np.stack([field.sample_field(cube4, 17, seed=seed).values for seed in range(n)])
+        zeta = field.fluctuations(draws, 17, (0,), field._profile_grid(cube4, 17, (0,)))
+        phis = field.phi(zeta, 17, (0,), weights)
         assert np.var(phis) == pytest.approx(tau**2, abs=0.05)
         assert abs(np.mean(phis)) < 0.05
 
@@ -530,16 +519,14 @@ class TestPhiAndXiCap:
                 continue
             zeta_y = s.at([i + y]) - s.at([y]) * v[i + 3]
             acc += w[i + 3] * zeta_y
-        view = field.fluctuation_view(s, [y])
         weights = field.ProfileWeights.of(prof, 1)
-        assert field.phi_at(view, weights) == pytest.approx(acc, rel=1e-12)
+        assert phi_of(s, (y,), weights) == pytest.approx(acc, rel=1e-12)
 
     def test_phi_out_of_box(self, cube4):
         s = field.sample_field(cube4, 17, seed=4)
-        view = field.fluctuation_view(s, [7])
         weights = field.ProfileWeights.of(normalized_profile(7, 1), 1)
         with pytest.raises(ValueError):
-            field.phi_at(view, weights)
+            phi_of(s, (7,), weights)
 
     def test_xi_cap_matches_pointwise(self, cube4):
         s = field.sample_field(cube4, 33, seed=4)
@@ -547,7 +534,7 @@ class TestPhiAndXiCap:
         grid, sub_half = field.xi_cap(s, weights)
         assert sub_half == s.half - 3
         for y in (-sub_half, -2, 0, 5, sub_half):
-            expect = s.at([y]) + field.phi_at(field.fluctuation_view(s, [y]), weights)
+            expect = s.at([y]) + phi_of(s, (y,), weights)
             assert grid[y + sub_half] == pytest.approx(expect, rel=1e-12)
 
     def test_xi_cap_variance(self, cube4):
@@ -570,13 +557,18 @@ class TestEventCheck:
             L=L, d=model.d, a_L=a_L, tau_L=0.0, R_L=R_L, r_L=r_L, d_L=cov.derive_dL(model)
         )
 
+    def _conditioned(self, s, x0, value, ss):
+        """The margins around x0 of ``s`` conditioned on xi(x0) = value."""
+        vals, zeta = field.condition(s.values[None], s.model, s.L, x0, value)
+        peak = vals[(slice(None),) + field.window(s.L, x0, 0)].reshape(-1)
+        return field.event_margins(peak, zeta, s.model, s.L, x0, ss)[0].tolist()
+
     def test_e1_deterministic(self, cube4):
         ss = self._scales(cube4)
-        good = field.peak_conditioned_sample(field.sample_field(cube4, 41, 0), [0], 6.5)
-        rep = field.event_check(good, ss)
-        assert rep.in_E1 and rep.margins[0] == pytest.approx(2.5)
-        bad = field.peak_conditioned_sample(field.sample_field(cube4, 41, 0), [0], 12.0)
-        assert not field.event_check(bad, ss).in_E1
+        s = field.sample_field(cube4, 41, 0)
+        m1 = self._conditioned(s, (0,), 6.5, ss)[0]
+        assert m1 > 0 and m1 == pytest.approx(2.5)
+        assert self._conditioned(s, (0,), 12.0, ss)[0] <= 0
 
     def test_constructed_member(self, cube4):
         # A hand-built field: exact profile plus a tiny admissible wiggle.
@@ -588,9 +580,7 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
-        assert in_event(rep)
-        assert all(m > 0 for m in rep.margins)
+        assert all(m > 0 for m in margins_of(s, (0,), ss))
 
     def test_zero_fluctuation_margins(self, cube4):
         ss = self._scales(cube4)
@@ -599,11 +589,10 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
+        margins = margins_of(s, (0,), ss)
         # zeta vanishes identically, so E2/E3 hold with full slack
-        assert rep.in_E2 and rep.in_E3
-        assert rep.margins[1] == pytest.approx(0.1 * 6.0 * 0.25)  # min shape
-        assert rep.margins[2] > 0
+        assert margins[1] == pytest.approx(0.1 * 6.0 * 0.25)  # min shape
+        assert margins[2] > 0
 
     def test_e2_violated_by_large_wiggle(self, cube4):
         ss = self._scales(cube4)
@@ -613,22 +602,17 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
-        assert not rep.in_E2
-        assert rep.margins[1] == pytest.approx(0.3 - 1.0)
+        assert margins_of(s, (0,), ss)[1] == pytest.approx(0.3 - 1.0)
 
     def test_event_at_offset_base_point(self, cube4):
         ss = self._scales(cube4)
-        view = field.peak_conditioned_sample(field.sample_field(cube4, 61, 2), [7], 6.0)
-        rep = field.event_check(view, ss)
-        assert rep.x0 == (7,)
-        assert rep.in_E1
+        assert self._conditioned(field.sample_field(cube4, 61, 2), (7,), 6.0, ss)[0] > 0
 
     def test_window_leaves_box(self, cube4):
         ss = self._scales(cube4)
         s = field.sample_field(cube4, 41, seed=0)
         with pytest.raises(ValueError):
-            field.event_check(field.fluctuation_view(s, [18]), ss)
+            margins_of(s, (18,), ss)
 
     def test_member_implies_local_max_with_gap(self, cube4):
         # On the event the base point dominates the window by a margin.
@@ -641,20 +625,19 @@ class TestEventCheck:
         s = field.FieldSample(
             values=vals, L=41, model=cube4, seed=0, sampler="dense"
         )
-        rep = field.event_check(field.fluctuation_view(s, [0]), ss)
-        assert in_event(rep)
+        m1, m2, m3 = margins_of(s, (0,), ss)
+        assert m1 > 0 and m2 >= 0 and m3 >= 0
         window = s.values[h - 9 : h + 10]
         gap = s.at([0]) - np.max(np.delete(window, 9))
         assert gap >= 0.5 * ss.a_L / ss.d_L
 
 
-def _event_check_uncached(view, ss):
-    """event_check from a freshly evaluated profile and windows, as every
-    trial computed it before they were cached."""
-    s, x0 = view.base, view.x0
+def _margins_uncached(s, x0, ss):
+    """margins_of from a freshly evaluated profile and windows, as every
+    trial computed them before they were cached: ([m1, m2, m3], profile)."""
     offs = cov._offset_grid(s.d, s.half) - np.asarray(x0)
     prof = cov.eval_cov_offsets(s.model, offs)
-    zeta = view.zeta
+    zeta = zeta_of(s, x0)[0]
     dev = abs(s.at(x0) - ss.a_L)
     sup = np.max(np.abs(offs), axis=-1)
     sel2 = (sup <= (2 * ss.R_L) // 2) & (sup > 0)
@@ -668,13 +651,7 @@ def _event_check_uncached(view, ss):
     l1 = np.sum(np.abs(offs[sel3]), axis=-1)
     bound = (ss.a_L / ss.d_L) ** (ss.kappa * l1) * math.sqrt(max(1.0, dev * ss.a_L))
     margin3 = float(np.min(bound - ratio))
-    return field.EventReport(
-        x0=x0,
-        in_E1=bool(dev < ss.theta),
-        in_E2=bool(margin2 >= 0.0),
-        in_E3=bool(margin3 >= 0.0),
-        margins=(float(ss.theta - dev), margin2, margin3),
-    ), prof
+    return [float(ss.theta - dev), margin2, margin3], prof
 
 
 class TestRunCaches:
@@ -698,18 +675,18 @@ class TestRunCaches:
         ):
             model = cov.CovarianceModel(family, d, params)
             s = field.sample_field(model, L, seed=100 * sweep + L + R_L)
-            view = field.fluctuation_view(s, x0)
             ss = scales.ScaleSet(L=L, d=d, a_L=6.0, tau_L=0.0, R_L=R_L, r_L=3, d_L=cov.derive_dL(model))
-            want, prof = _event_check_uncached(view, ss)
-            assert field.event_check(view, ss) == want
-            assert view.profile.tobytes() == prof.tobytes()
+            want, prof = _margins_uncached(s, x0, ss)
+            assert margins_of(s, x0, ss) == want
+            cached_prof = field._profile_grid(model, L, x0)
+            assert cached_prof.tobytes() == prof.tobytes()
             # Phi(x0) from a fresh zeta and fresh weights
             zeta = s.values - s.at(x0) * prof
             zeta[field.window(L, x0, 0)] = 0.0
             fresh = field.ProfileWeights.of(normalized_profile(5, d), d)
             idx = fresh.offsets + np.array(x0) + s.half
             w = weights[d]
-            assert field.phi_at(view, w) == float(fresh.weights @ zeta[tuple(idx.T)])
+            assert phi_of(s, x0, w) == float(fresh.weights @ zeta[tuple(idx.T)])
             windows = field._event_windows(model, L, x0, R_L)
-            cached = (view.profile, w.offsets, w.weights, *windows)
+            cached = (cached_prof, w.offsets, w.weights, *windows)
             assert not any(a.flags.writeable for a in cached)

@@ -648,10 +648,11 @@ class TestFailureBudget:
         ctx = harness._Context(clean)
         assert field.batch_size(ctx.model, clean.L) >= 24
         seed = harness.trial_seed(clean.master_seed, 10)
-        view = field.peak_conditioned_sample(
-            field.sample_field(ctx.model, clean.L, seed), (0,), ctx.scales.a_L
+        vals, _ = field.condition(
+            field.sample_field(ctx.model, clean.L, seed).values[None],
+            ctx.model, clean.L, (0,), ctx.scales.a_L,
         )
-        core = view.base.values[field.window(clean.L, (0,), ctx.scales.R_L // 2)]
+        core = vals[0][field.window(clean.L, (0,), ctx.scales.R_L // 2)]
         top_k_eigs = spectrum.top_k_eigs
 
         def failing(V, k):
@@ -1016,24 +1017,26 @@ class TestTrialExperiments:
 
     def test_localisation_evaluates_the_profile_once_per_run(self, tmp_path, monkeypatch):
         # the profile v(. - x0) covers the whole 83-site grid; every other
-        # covariance evaluation of the run is on the bar window
-        calls = {"cov": 0, "profile": 0, "cov_in_phi": 0}
+        # covariance evaluation of the run is on the bar window, and Phi
+        # evaluates none
+        calls = {"cov": 0, "profile": 0, "phi": 0, "cov_in_phi": 0}
         real_eval = cov.eval_cov_offsets
-        real_phi_at = field.phi_at
+        real_phi = field.phi
 
         def eval_cov_offsets(model, offsets):
             calls["cov"] += 1
             calls["profile"] += np.shape(offsets)[:-1] == (83,)
             return real_eval(model, offsets)
 
-        def phi_at(*args, **kwargs):
+        def phi(*args, **kwargs):
             before = calls["cov"]
-            out = real_phi_at(*args, **kwargs)
+            out = real_phi(*args, **kwargs)
+            calls["phi"] += 1
             calls["cov_in_phi"] += calls["cov"] - before
             return out
 
         monkeypatch.setattr(cov, "eval_cov_offsets", eval_cov_offsets)
-        monkeypatch.setattr(field, "phi_at", phi_at)
+        monkeypatch.setattr(field, "phi", phi)
         field._profile_grid.cache_clear()
         field._event_windows.cache_clear()
         cfg = make_cfg(
@@ -1046,7 +1049,8 @@ class TestTrialExperiments:
         manifest = json.loads(harness.run_experiment(cfg).read_text())
         assert manifest["trials_failed"] == 0
         assert calls["profile"] == 1
-        assert calls["cov"] < 10 and calls["cov_in_phi"] == 0
+        assert calls["cov"] < 10
+        assert calls["phi"] >= 1 and calls["cov_in_phi"] == 0
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_rank_permutation_rows_are_the_direct_calls(self, tmp_path, k):

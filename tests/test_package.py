@@ -1,5 +1,8 @@
+import ast
+import collections
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import typing
 
@@ -31,3 +34,45 @@ def test_spectrum_exports_one_eigensolver():
         and typing.get_type_hints(fn).get("return") is spectrum.SpectralResult
     ]
     assert solvers == ["top_k_eigs"]
+
+
+# Public names that wait for the studies that will call them (ROADMAP
+# item 7): the Xi field for item 1's references, the hypothesis check and
+# the rank-one probability for item 19.
+AWAITING_CALLERS = {
+    "field": {"xi_cap"},
+    "covariance": {"check_hypotheses"},
+    "extremes": {"ppp_rank_one_probability"},
+}
+
+
+def _references():
+    """name -> (module, names of the enclosing definitions) of each read of
+    the name, bare or as an attribute, in the package's source."""
+    refs = collections.defaultdict(list)
+    for path in pathlib.Path(andex.__path__[0]).glob("*.py"):
+
+        def walk(node, enclosing):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                enclosing = enclosing | {node.name}
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs[node.id].append((path.stem, enclosing))
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append((path.stem, enclosing))
+            for child in ast.iter_child_nodes(node):
+                walk(child, enclosing)
+
+        walk(ast.parse(path.read_text()), frozenset())
+    return refs
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # a public name that only tests call is library surface nothing uses;
+    # a read inside the name's own definition is not a caller
+    refs = _references()
+    unused = collections.defaultdict(set)
+    for module in MODULES:
+        for name in getattr(importlib.import_module(f"andex.{module}"), "__all__", []):
+            if all(m == module and name in enclosing for m, enclosing in refs[name]):
+                unused[module].add(name)
+    assert dict(unused) == AWAITING_CALLERS

@@ -1066,17 +1066,24 @@ class TestApproximationPipeline:
         )
         h = field.box_half(L)
         vals = a_L * cov.eval_cov_offsets(cube2, np.arange(-h, h + 1)[:, None])
-        s = field.FieldSample(
-            values=vals, L=L, model=cube2, seed=0, sampler="dense"
-        )
         bar = spectrum.solve_bar_problem(cube2, a_L, r_L)
-        view = field.fluctuation_view(s, [0])
-        res = dense_eigs(s.values.copy(), 2)
-        eig_err, fun_err = spectrum.approximation_error(bar, res, view, ss)
+        x0 = (0,)
+        zeta = field.fluctuations(vals[None], L, x0, field._profile_grid(cube2, L, x0))
+        res = dense_eigs(vals.copy(), 2)
+        eig_err, fun_err = spectrum.approximation_errors(
+            bar,
+            res.eigenvalues[:1],
+            res.eigenfunctions[:1],
+            vals[field.window(L, x0, 0)],
+            field.phi(zeta, L, x0, bar.weights),
+            spectrum._bar_on_grid(bar, vals.shape, x0),
+            ss,
+        )
         # zeta = 0 so Phi = 0 and Xi(0) = a_L; the only error left is the
         # Dirichlet-window truncation of the profile
-        assert eig_err < 1e-3
-        assert fun_err < 0.6
+        assert eig_err.shape == fun_err.shape == (1,)
+        assert eig_err[0] < 1e-3
+        assert fun_err[0] < 0.6
 
     def test_profile_window_follows_the_window_rule(self, cube2):
         # the result lives on the central box of side 9 (half-width 4) of
@@ -1088,22 +1095,22 @@ class TestApproximationPipeline:
         s = field.sample_field(cube2, 41, seed=2)
         res = dense_eigs(s.values[field.window(41, [0], 4)].copy(), 2)
         for x0 in (-3, 3):
-            view = field.fluctuation_view(s, [x0])
-            _, fun_err = spectrum.approximation_error(bar, res, view, ss)
             prof = np.zeros(9)
             prof[x0 + 3 : x0 + 6] = bar.bar_phi
+            on_grid = spectrum._bar_on_grid(bar, (9,), (x0,))
+            assert np.array_equal(on_grid, prof)
+            _, fun_err = spectrum.approximation_errors(
+                bar, res.eigenvalues[:1], res.eigenfunctions[:1], 0.0, 0.0, on_grid, ss
+            )
             phi1 = res.eigenfunctions[0] * np.sign(res.eigenfunctions[0] @ prof)
-            assert fun_err == (6.0 / ss.d_L) * math.sqrt(float(np.sum((phi1 - prof) ** 2)))
+            assert fun_err[0] == (6.0 / ss.d_L) * math.sqrt(float(np.sum((phi1 - prof) ** 2)))
         for x0 in (-4, 4):
             with pytest.raises(ValueError, match="leaves the box"):
-                spectrum.approximation_error(
-                    bar, res, field.fluctuation_view(s, [x0]), ss
-                )
+                spectrum._bar_on_grid(bar, (9,), (x0,))
 
     def test_gap_check(self):
         res = dense_eigs(np.array([5.0, 0.0, 0.0, 0.0, 0.0]), k=2)
         ss = scales.ScaleSet(L=41, d=1, a_L=5.0, tau_L=0.0, R_L=9, r_L=3, d_L=1.0)
-        ok, margin = spectrum.spectral_gap_check(res, 5.0, ss)
+        margin = spectrum.gap_margin(res.eigenvalues[1:2], np.array([5.0]), ss)
         bound = 5.0 - 0.25 * 5.0
-        assert margin == pytest.approx(bound - res.eigenvalues[1])
-        assert ok == (margin >= 0)
+        assert margin.tolist() == pytest.approx([bound - res.eigenvalues[1]])
