@@ -176,7 +176,7 @@ class _Context:
                 r_L=r_L,
                 d_L=d_L,
             )
-            sites, self.pairs = exp.solve(self) if exp.solve else (0, 0)
+            sites, self.pairs, fields = exp.solve(self) if exp.solve else (0, 0, 0)
             if self.pairs > spectrum.MAX_K:
                 # k is the one override that moves the pair count
                 raise ConfigError(
@@ -184,7 +184,7 @@ class _Context:
                     f"for {cfg.experiment}, got {self.k}"
                 )
             # trials draw their fields; row tables draw none
-            admit(self.model, cfg.L, _SAMPLER if exp.trial else None, sites, self.pairs)
+            admit(self.model, cfg.L, _SAMPLER if exp.trial else None, sites, self.pairs, fields)
             if exp.check is not None:
                 exp.check(self)
         except ValueError as exc:
@@ -202,19 +202,22 @@ class _Context:
         return spectrum._bar_on_grid(self.bar, shape, (0,) * self.cfg.d)
 
 
-def admit(model: cov.CovarianceModel, L: int, sampler: str | None, sites=0, pairs=0) -> None:
+def admit(
+    model: cov.CovarianceModel, L: int, sampler: str | None, sites=0, pairs=0, fields=1
+) -> None:
     """ConfigError, before any draw, unless a draw on Q_L with ``sampler``
     (None: no draw) and a solve of ``pairs`` pairs on ``sites`` sites (0: no
-    solve) would run: no more pairs than sites, a dense draw on at most
-    field.DENSE_SITE_LIMIT sites, and a working set, field.draw_bytes of
-    circulant draws plus spectrum.solver_bytes, within the memory budget."""
+    solve) for each of ``fields`` potentials at once would run: no more
+    pairs than sites, a dense draw on at most field.DENSE_SITE_LIMIT sites,
+    and a working set, field.draw_bytes of circulant draws plus
+    spectrum.solver_bytes, within the memory budget."""
     n = field.grid_side(L) ** model.d
     if pairs > sites:
         raise ConfigError(f"{pairs} pairs exceed the {sites} sites of the solve")
     if sampler == "dense" and n > field.DENSE_SITE_LIMIT:
         raise ConfigError(f"dense sampler limited to {field.DENSE_SITE_LIMIT} sites, got {n}")
     need = field.draw_bytes(model, L) if sampler == "circulant" else 0
-    need += spectrum.solver_bytes(sites, model.d, pairs)
+    need += spectrum.solver_bytes(sites, model.d, pairs, fields)
     if need > _MEMORY_BUDGET_BYTES:
         raise ConfigError(f"estimated working set {need} bytes exceeds budget")
 
@@ -319,8 +322,8 @@ def _check_localisation(ctx: _Context):
 def _trial_localisation(ctx: _Context, samples: list[field.FieldSample]) -> list[dict]:
     """The rows of a block of fields, worked on stacked, one row per field:
     each conditioned on xi(0) = a_L, with its event margins, the top pairs
-    on the core Q_{R_L} and their errors.  Only the eigensolve and Phi(0)
-    run once per field."""
+    on the core Q_{R_L} and their errors.  One block solve finds the pairs
+    of every core; only its LAPACK call and Phi(0) run once per field."""
     cfg, sc = ctx.cfg, ctx.scales
     x0 = (0,) * cfg.d
     a_L = sc.a_L
@@ -328,12 +331,11 @@ def _trial_localisation(ctx: _Context, samples: list[field.FieldSample]) -> list
     peak = vals[field._at(cfg.L, x0)].reshape(-1)
     margins = field.event_margins(peak, zeta, ctx.model, cfg.L, x0, sc)
     cores = vals[(slice(None),) + field.window(cfg.L, x0, sc.R_L // 2)]
-    results = [spectrum.top_k_eigs(V, ctx.pairs) for V in cores]
-    lam = np.stack([res.eigenvalues for res in results])
+    lam, phi, _, _, _ = spectrum._top_k_block(cores, ctx.pairs)
     eig_err, fun_err = spectrum.approximation_errors(
         ctx.bar,
         lam[:, 0],
-        np.stack([res.eigenfunctions[0] for res in results]),
+        phi[:, 0],
         peak,
         field.phi(zeta, cfg.L, x0, ctx.bar.weights),
         ctx.core_bar_phi,
@@ -598,10 +600,11 @@ class _Experiment:
     each block of field samples that _run_trials draws, it returns one row
     per sample, in order, and a row depends only on its own sample) and
     ``rows`` (one deterministic table) is set.  A body that works on one
-    sample at a time is wrapped by _each.  ``solve`` gives the sites
-    and pairs of the largest eigensolve a trial makes (None: no solver);
-    the trial reads the pairs as ``ctx.pairs``, and the k limit and admit
-    are drawn from both.  ``check``, if set, rejects a config
+    sample at a time is wrapped by _each.  ``solve`` gives the sites and
+    pairs of the largest eigensolve a trial body makes, and the number of
+    potentials it solves at once (None: no solver); the trial reads the
+    pairs as ``ctx.pairs``, the k limit is drawn from them, and admit from
+    all three.  ``check``, if set, rejects a config
     with ConfigError before any draw; ``plot``, if set, gives the plot-data
     file that ``report`` writes; ``overrides`` names the keys it reads
     beyond _SCALE_OVERRIDES."""
@@ -625,13 +628,14 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "localisation": _Experiment(
         _agg_localisation,
         trial=_trial_localisation,
-        solve=lambda ctx: (_core_sites(ctx), 2),
+        # one block solve on the cores of a block of draws
+        solve=lambda ctx: (_core_sites(ctx), 2, field.batch_size(ctx.model, ctx.cfg.L)),
         check=_check_localisation,
     ),
     "rank_permutation": _Experiment(
         _agg_rank_permutation,
         trial=_each(_trial_rank_permutation),
-        solve=lambda ctx: (_box_sites(ctx), max(ctx.k, 2)),  # two for the gap
+        solve=lambda ctx: (_box_sites(ctx), max(ctx.k, 2), 1),  # two for the gap
         plot=_plot_rank_histogram,
         overrides=frozenset({"k"}),
     ),
@@ -639,7 +643,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "macro_meso": _Experiment(
         _agg_macro_meso,
         trial=_each(_trial_macro_meso),
-        solve=lambda ctx: (_box_sites(ctx), ctx.k + 1),
+        solve=lambda ctx: (_box_sites(ctx), ctx.k + 1, 1),
         check=_check_partition,
         overrides=frozenset({"k"}),
     ),

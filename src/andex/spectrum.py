@@ -9,6 +9,11 @@ One solver: top_k_eigs, the one entry point for the top of the spectrum,
 backed by LAPACK (tridiagonal and subset solvers) and ARPACK, with a
 certified solve on windows around the highest sites in d = 1 and a
 Chebyshev filter, applied with a DIA matrix, in front of ARPACK in d >= 2.
+It is the case of one potential of the block solve _top_k_block, which
+takes potentials stacked on a leading axis: it runs each one's LAPACK or
+ARPACK call in turn, and the checks, the finalizing pass and its residual
+matvec (apply_hamiltonian on the block) once over the block, so a caller
+with many small boxes pays numpy's per-call cost once.
 certify_below proves, by a banded Cholesky factorisation, that no
 eigenvalue reaches a given level, so a caller can skip a solve whose pairs
 it would not keep.
@@ -79,14 +84,15 @@ GAP_C_PRIME = 0.25
 def apply_hamiltonian(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(Delta psi)(x) + V(x) psi(x), psi extended by zero outside the box.
 
-    psi has V's shape, or a leading batch axis, shape (k,) + V.shape, to
-    apply H to k functions at once.
+    psi has V's shape; or V stacks B potentials, shape (B,) + grid, and psi
+    k functions for each, shape (B, k) + grid, to apply each potential's H
+    to its own k functions at once.
     """
-    batch = psi.ndim - V.ndim
-    if batch not in (0, 1) or psi.shape[batch:] != V.shape:
+    block = psi.ndim - V.ndim
+    if block not in (0, 1) or psi.shape[:block] + psi.shape[2 * block :] != V.shape:
         raise ValueError(f"shape mismatch: {V.shape} vs {psi.shape}")
-    out = (V - 2.0 * V.ndim) * psi
-    for axis in range(batch, psi.ndim):
+    out = ((V[:, None] if block else V) - 2.0 * (V.ndim - block)) * psi
+    for axis in range(2 * block, psi.ndim):
         lead = (slice(None),) * axis
         lo, hi = lead + (slice(0, -1),), lead + (slice(1, None),)
         out[lo] += psi[hi]
@@ -96,23 +102,15 @@ def apply_hamiltonian(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Top eigenpairs of one operator, eigenvalues non-increasing."""
+    """Top eigenpairs of one operator: top_k_eigs' result, from pairs its
+    block solve has checked (_check_pairs), so eigenvalues non-increasing
+    and eigenfunctions of unit norm."""
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # shape (k,) + grid shape
     centers: tuple  # flat C-order grid indices of argmax |phi|
     residuals: np.ndarray
     solver: str  # top_k_eigs' path: "window", "tridiagonal", "subset" or "arpack"
-
-    def __post_init__(self):
-        # on Python floats: k is at most MAX_K, and numpy's per-call cost
-        # would outweigh the arithmetic
-        lam = self.eigenvalues.tolist()
-        if any(b - a > TIE_TOL for a, b in zip(lam, lam[1:])):
-            raise ValueError("eigenvalues not in non-increasing order")
-        flat = self.eigenfunctions.reshape(len(self.eigenfunctions), -1)
-        if any(abs(math.sqrt(s) - 1.0) > 1e-12 for s in (flat**2).sum(axis=1).tolist()):
-            raise ValueError("eigenfunctions not l2-normalized")
 
     @property
     def k(self) -> int:
@@ -141,30 +139,43 @@ class SpectralResult:
         )
 
 
-def _finalize(lams, phis, V, solver: str) -> SpectralResult:
-    """Order, sign-fix and package eigenpairs; compute true residuals.
+def _check_pairs(lams: np.ndarray, phis: np.ndarray) -> None:
+    """ValueError unless each row of lams, shape (B, k), is non-increasing
+    up to TIE_TOL and each function of phis, shape (B, k) + grid, has unit
+    l2 norm up to 1e-12.  On Python floats: a block holds few pairs, and
+    numpy's per-call cost would outweigh the arithmetic."""
+    for lam in lams.tolist():
+        if any(b - a > TIE_TOL for a, b in zip(lam, lam[1:])):
+            raise ValueError("eigenvalues not in non-increasing order")
+    sums = (phis.reshape(lams.shape + (-1,)) ** 2).sum(axis=-1)
+    if any(abs(math.sqrt(s) - 1.0) > 1e-12 for s in sums.ravel().tolist()):
+        raise ValueError("eigenfunctions not l2-normalized")
 
-    phis holds the eigenfunctions as rows, shape (k,) + V.shape; all k are
-    normalized, centred, sign-fixed and residual-checked in one pass.
+
+def _finalize(lams: np.ndarray, phis: np.ndarray, V: np.ndarray) -> tuple:
+    """Order, normalize, centre and sign-fix the eigenpairs of a block of B
+    potentials V, shape (B,) + grid, and compute their true residuals, all
+    in one pass.
+
+    lams, shape (B, k), and phis, shape (B, k) + grid, hold each
+    potential's k pairs.  Returns the stacked eigenvalues (B, k),
+    non-increasing in each row; eigenfunctions (B, k) + grid, each of unit
+    norm and positive at its centre; centres (B, k), the flat C-order grid
+    index of argmax |phi|, the first on ties; and residuals (B, k).
     """
-    order = (-lams).argsort(kind="stable")
-    lams = np.asarray(lams, dtype=float)[order]
-    k = lams.size
-    flat = np.asarray(phis)[order].reshape(k, -1)  # a copy, one row per pair
-    flat /= np.sqrt((flat**2).sum(axis=1))[:, None]
-    # argmax of |phi|, first in C order on ties; positive there
-    peak = abs(flat).argmax(axis=1)
-    np.negative(flat, out=flat, where=(flat[np.arange(k), peak] < 0)[:, None])
-    P = flat.reshape((k,) + V.shape)
-    R = apply_hamiltonian(V, P).reshape(k, -1)
-    R -= lams[:, None] * flat
-    return SpectralResult(
-        eigenvalues=lams,
-        eigenfunctions=P,
-        centers=tuple(peak.tolist()),
-        residuals=np.sqrt((R**2).sum(axis=1)),
-        solver=solver,
-    )
+    B, k = lams.shape
+    rows = np.arange(B)[:, None]
+    order = (-lams).argsort(axis=1, kind="stable")
+    lams = lams[rows, order]
+    flat = phis.reshape(B, k, -1)[rows, order]  # a copy, one row per pair
+    flat /= np.sqrt((flat**2).sum(axis=2))[:, :, None]
+    peak = abs(flat).argmax(axis=2)
+    flip = flat[rows, np.arange(k), peak] < 0
+    np.negative(flat, out=flat, where=flip[:, :, None])
+    P = flat.reshape(phis.shape)
+    R = apply_hamiltonian(V, P).reshape(B, k, -1)
+    R -= lams[:, :, None] * flat
+    return lams, P, peak, np.sqrt((R**2).sum(axis=2))
 
 
 def _bonds(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -212,17 +223,25 @@ def _arpack_ncv(n: int, k: int) -> int:
     return min(n, max(2 * k + 1, 20))
 
 
-def solver_bytes(n: int, d: int, k: int) -> int:
-    """Bytes top_k_eigs holds for k pairs on n sites in dimension d: O(n)
-    for the tridiagonal solver; the dense subset-eigh matrix (n x n); or,
-    on the ARPACK path, the Lanczos basis (ncv x n), the filter's three work
-    vectors and its DIA matrix (2d + 1 diagonals of n values and one offset
-    each, at most 8 bytes apiece)."""
+def solver_bytes(n: int, d: int, k: int, fields: int = 1) -> int:
+    """Bytes _top_k_block holds for k pairs on each of ``fields`` potentials
+    of n sites in dimension d (top_k_eigs: one potential).
+
+    Each potential is solved on its own, with O(n) for the tridiagonal
+    solver; the dense subset-eigh matrix (n x n); or, on the ARPACK path,
+    the Lanczos basis (ncv x n), the filter's three work vectors and its
+    DIA matrix (2d + 1 diagonals of n values and one offset each, at most 8
+    bytes apiece).  The block's pairs, k x n doubles a potential, are held
+    at once: _finalize holds four such blocks (the pairs as solved and
+    finalized, the residual block and one temporary), and a window solve
+    that fails its certificate finalizes one potential more beside two."""
     if d == 1:
-        return 8 * n * (k + 4)
-    if n <= SUBSET_SITE_LIMIT:
-        return 8 * n * n
-    return 8 * n * (_arpack_ncv(n, k) + 3) + 8 * (2 * d + 1) * (n + 1)
+        one = 8 * n * (k + 4)
+    elif n <= SUBSET_SITE_LIMIT:
+        one = 8 * n * n
+    else:
+        one = 8 * n * (_arpack_ncv(n, k) + 3) + 8 * (2 * d + 1) * (n + 1)
+    return one + 8 * k * n * (4 * fields + 1)
 
 
 def _filter_interval(V: np.ndarray, k: int) -> tuple[float, float]:
@@ -342,20 +361,15 @@ def _count_above(diag: np.ndarray, off: np.ndarray, theta: float, top: float) ->
     return count if info == 0 else None
 
 
-def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
-    """Certified top-k pairs of the d = 1 operator from windows around its
-    highest sites, or None when the windows cannot be certified.
+def _window_pairs(V: np.ndarray, k: int, phis: np.ndarray) -> np.ndarray | None:
+    """The top k Ritz values, ascending, of the d = 1 operator on windows
+    around its highest sites, with their vectors, zero-extended, written to
+    the rows of phis, shape (k, n); or None, phis untouched, when the
+    windows would cover half the sites.
 
     One _tridiagonal_top call solves the principal submatrix of H on the
     union of the windows; windows that do not touch are not coupled.
-    Zero-extended, the k top Ritz vectors have residual block R on the full
-    H.  Were they orthonormal, k eigenvalues of H would lie within
-    r = ||R||_F of the Ritz values mu_1 >= ... >= mu_k (Kahan).  A loss delta of
-    orthonormality widens r to bound = (r + 2 max|mu| delta)(1 + delta) /
-    (1 - delta), so all k lie above theta = mu_k - bound - slack.  A Sturm
-    count of the eigenvalues of H above theta (_count_above, the only use
-    of dstebz by value) decides: if it finds exactly k, they are the top k
-    and the pairs are returned.
+    _window_certified decides whether the pairs are the top k of H.
     """
     n = V.size
     if 2 * (2 * WINDOW_HALF_WIDTH + 1) >= n:
@@ -369,24 +383,115 @@ def _window_eigs(V: np.ndarray, k: int, tol: float) -> SpectralResult | None:
     if 2 * sites.size >= n:
         return None
     mu, U = _tridiagonal_top(V[sites] - 2.0, (np.diff(sites) == 1).astype(float), k)
-    phis = np.zeros((k, n))
+    phis.fill(0.0)
     phis[:, sites] = U.T
-    result = _finalize(mu, phis, V, "window")
-    gram = result.eigenfunctions @ result.eigenfunctions.T
-    delta = float(np.linalg.norm(gram - np.eye(k)))
-    if (result.residuals > tol).any() or delta > tol:
-        return None
-    r = math.sqrt(float(np.sum(result.residuals**2)))
-    mu = result.eigenvalues
+    return mu
+
+
+def _window_certified(V, mu, phis, residuals, tol: float) -> bool:
+    """True when the finalized window pairs of the d = 1 potential V, Ritz
+    values mu_1 >= ... >= mu_k, vectors phis and residuals on the full H,
+    are certified as the top k pairs of H.
+
+    Were the Ritz vectors orthonormal, k eigenvalues of H would lie within
+    r = ||R||_F of the Ritz values, R the residual block (Kahan).  A loss
+    delta of orthonormality widens r to bound = (r + 2 max|mu| delta)(1 +
+    delta) / (1 - delta), so all k lie above theta = mu_k - bound - slack.
+    A Sturm count of the eigenvalues of H above theta (_count_above, the
+    only use of dstebz by value) decides: the pairs are certified when it
+    finds exactly k, and residuals and delta are within tol.
+    """
+    k = mu.size
+    delta = float(np.linalg.norm(phis @ phis.T - np.eye(k)))
+    if (residuals > tol).any() or delta > tol:
+        return False
+    r = math.sqrt(float(np.sum(residuals**2)))
     # Kahan's bound for the orthonormal polar factor of the Ritz vectors
     bound = (r + 2.0 * float(np.max(np.abs(mu))) * delta) * (1.0 + delta) / (1.0 - delta)
     h_norm = float(np.max(np.abs(V - 2.0))) + 2.0
     slack = _COUNT_SLACK_ULPS * _EPS * h_norm
     theta = float(mu[-1]) - bound - slack
     top = float(np.max(V)) + 1.0  # above every eigenvalue (Gershgorin)
-    if _count_above(V - 2.0, np.ones(n - 1), theta, top) != k:
-        return None
-    return result
+    return _count_above(V - 2.0, np.ones(V.size - 1), theta, top) == k
+
+
+def _solve(V: np.ndarray, k: int, phis: np.ndarray, windows: bool = True) -> tuple:
+    """k eigenpairs of Delta + V on the path top_k_eigs describes, not yet
+    finalized: the eigenvalues and the path's name, the eigenfunctions
+    written to the rows of phis, shape (k, n).  With ``windows`` false,
+    d = 1 skips the window solve."""
+    n = V.size
+    if V.ndim == 1:
+        mu = _window_pairs(V, k, phis) if windows else None
+        if mu is not None:
+            return mu, "window"
+        lams, U = _tridiagonal_top(V - 2.0, np.ones(n - 1), k)
+        solver = "tridiagonal"
+    elif n <= SUBSET_SITE_LIMIT:
+        lams, U = eigh(_assemble_dense(V), subset_by_index=[n - k, n - 1])
+        solver = "subset"
+    else:
+        p_of_H = _chebyshev_filter(V, *_filter_interval(V, k))
+        v0 = np.random.default_rng(_ARPACK_V0_SEED).standard_normal(n)
+        _, U = eigsh(p_of_H, k, which="LA", tol=0, ncv=_arpack_ncv(n, k), v0=v0)
+        P = U.T.reshape((1, k) + V.shape)
+        lams = np.sum((P * apply_hamiltonian(V[None], P)).reshape(k, -1), axis=1)
+        solver = "arpack"
+    phis[...] = U.T
+    return lams, solver
+
+
+def _top_k_block(V: np.ndarray, k: int) -> tuple:
+    """Top-k eigenpairs of Delta + V for each potential of the block V,
+    shape (B,) + grid: (eigenvalues, eigenfunctions, centres, residuals),
+    stacked as _finalize returns them, and the list of the B solvers' paths.
+    top_k_eigs is the case B = 1, and gives each potential the same bits.
+
+    Each potential's eigensolve runs on its own (_solve).  The input
+    checks, _finalize, the residual check, the check of the invariants of
+    a SpectralResult (_check_pairs) and, in d = 1, the window certificates
+    run once over the block.  The window pairs of a potential whose
+    certificate fails are solved again on the whole chain and finalized
+    again, one potential at a time.
+    """
+    B, grid = V.shape[0], V.shape[1:]
+    n = math.prod(grid)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > MAX_K:
+        raise ValueError(f"k limited to {MAX_K}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds {n} sites")
+    # per potential, on Python floats: numpy's per-call cost would outweigh
+    # the arithmetic on B values
+    v_max = np.abs(V).reshape(B, -1).max(axis=1).tolist()  # inf or NaN unless V is finite
+    if not all(map(math.isfinite, v_max)):
+        raise ValueError("V must not contain infs or NaNs")
+    tol = [max(RESIDUAL_TOL, RESIDUAL_ULPS * _EPS * (v + 4.0 * len(grid))) for v in v_max]
+    lams, phis, solvers = np.empty((B, k)), np.empty((B, k, n)), []
+    try:
+        for b in range(B):
+            lams[b], solver = _solve(V[b], k, phis[b])
+            solvers.append(solver)
+    except (ArpackNoConvergence, LinAlgError) as exc:
+        raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    out = _finalize(lams, phis.reshape((B, k) + grid), V)
+    mu, P, _, residuals = out
+    redo = [
+        b
+        for b, solver in enumerate(solvers)
+        if solver == "window" and not _window_certified(V[b], mu[b], P[b], residuals[b], tol[b])
+    ]
+    for b in redo:
+        lams[b], solvers[b] = _solve(V[b], k, phis[b], windows=False)
+        again = _finalize(lams[b : b + 1], phis[b : b + 1].reshape((1, k) + grid), V[b : b + 1])
+        for block, row in zip(out, again):
+            block[b] = row[0]
+    for b, (row, t) in enumerate(zip(residuals.tolist(), tol)):
+        if any(r > t for r in row):
+            raise SolverConvergenceError(f"eigenpair residuals {residuals[b]} exceed tol={t}")
+    _check_pairs(mu, P)
+    return out + (solvers,)
 
 
 def top_k_eigs(V: np.ndarray, k: int) -> SpectralResult:
@@ -395,12 +500,13 @@ def top_k_eigs(V: np.ndarray, k: int) -> SpectralResult:
     a bound on the rounding of H phi, or SolverConvergenceError is raised.
     The result's solver field names the path that produced it.
 
-    d = 1: a solve on windows around the highest sites, kept only when a
-    Sturm count certifies that no eigenvalue was missed (_window_eigs);
-    otherwise, and when the windows would cover half the sites, LAPACK
-    bisection and inverse iteration (dstebz, dstein) on the whole
-    tridiagonal H (_tridiagonal_top).  Both d = 1 solves call LAPACK
-    directly, not through scipy's eigh_tridiagonal, with the same bits.
+    d = 1: a solve on windows around the highest sites (_window_pairs),
+    kept only when a Sturm count certifies that no eigenvalue was missed
+    (_window_certified); otherwise, and when the windows would cover half
+    the sites, LAPACK bisection and inverse iteration (dstebz, dstein) on
+    the whole tridiagonal H (_tridiagonal_top).  Both d = 1 solves call
+    LAPACK directly, not through scipy's eigh_tridiagonal, with the same
+    bits.
     d >= 2 up to SUBSET_SITE_LIMIT sites: dense LAPACK eigh restricted to
     the top k indices.  Larger d >= 2 boxes: ARPACK (eigsh) from a fixed
     start vector, so results are deterministic, on
@@ -416,44 +522,18 @@ def top_k_eigs(V: np.ndarray, k: int) -> SpectralResult:
     grows.  A site near 1e5 or 1e6 above the rest leaves residuals above
     1e-10 from rounding alone, which the eps ||H|| term of the tolerance
     accepts.
+
+    top_k_eigs is the case B = 1 of _top_k_block, the solve of a block of
+    potentials.
     """
-    n = V.size
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > MAX_K:
-        raise ValueError(f"k limited to {MAX_K}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds {n} sites")
-    v_max = float(np.max(np.abs(V)))  # inf or NaN unless V is finite
-    if not math.isfinite(v_max):
-        raise ValueError("V must not contain infs or NaNs")
-    h_norm = v_max + 4.0 * V.ndim
-    tol = max(RESIDUAL_TOL, RESIDUAL_ULPS * _EPS * h_norm)
-    try:
-        if V.ndim == 1:
-            result = _window_eigs(V, k, tol)
-            if result is not None:
-                return result
-            solver = "tridiagonal"
-            lams, U = _tridiagonal_top(V - 2.0, np.ones(n - 1), k)
-        elif n <= SUBSET_SITE_LIMIT:
-            solver = "subset"
-            lams, U = eigh(_assemble_dense(V), subset_by_index=[n - k, n - 1])
-        else:
-            solver = "arpack"
-            p_of_H = _chebyshev_filter(V, *_filter_interval(V, k))
-            v0 = np.random.default_rng(_ARPACK_V0_SEED).standard_normal(n)
-            _, U = eigsh(p_of_H, k, which="LA", tol=0, ncv=_arpack_ncv(n, k), v0=v0)
-            P = U.T.reshape((k,) + V.shape)
-            lams = np.sum((P * apply_hamiltonian(V, P)).reshape(k, -1), axis=1)
-    except (ArpackNoConvergence, LinAlgError) as exc:
-        raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    result = _finalize(lams, U.T.reshape((k,) + V.shape), V, solver)
-    if (result.residuals > tol).any():
-        raise SolverConvergenceError(
-            f"eigenpair residuals {result.residuals} exceed tol={tol}"
-        )
-    return result
+    lams, P, centers, residuals, (solver,) = _top_k_block(V[None], k)
+    return SpectralResult(
+        eigenvalues=lams[0],
+        eigenfunctions=P[0],
+        centers=tuple(centers[0].tolist()),
+        residuals=residuals[0],
+        solver=solver,
+    )
 
 
 def certify_below(V: np.ndarray, theta: float) -> bool:

@@ -23,7 +23,12 @@ def dense_eigs(V: np.ndarray, k: int | None = None) -> spectrum.SpectralResult:
     w, U = np.linalg.eigh(H)
     k = n if k is None else min(k, n)
     sel = np.argsort(-w)[:k]
-    return spectrum._finalize(w[sel], U[:, sel].T.reshape((k,) + V.shape), V, "dense")
+    lams, P, centers, residuals = spectrum._finalize(
+        w[sel][None], U[:, sel].T.reshape((1, k) + V.shape), V[None]
+    )
+    return spectrum.SpectralResult(
+        lams[0], P[0], tuple(centers[0].tolist()), residuals[0], "dense"
+    )
 
 
 def tied_blocks(result: spectrum.SpectralResult, tol: float = spectrum.TIE_TOL):

@@ -405,27 +405,29 @@ class TestDrawHook:
         assert manifest["sampler"] == {"name": "circulant", "version": field.SAMPLER_VERSION}
 
     def test_localisation_draws_and_solves_once_per_trial(self, tmp_path, monkeypatch):
-        # what the benchmark wraps: field.sample_field, whose first call
-        # marks the start of the trials, and spectrum.top_k_eigs, whose
-        # residuals it reads; set-up makes the one solve before that
-        # (the bar problem)
+        # field.sample_field's first call marks the start of the trials;
+        # each block's cores are solved by one block solve after the
+        # block's draws, set-up's bar problem by one solve of one potential
+        # before them, and every pair's residual is within RESIDUAL_TOL
         events = self._watch(monkeypatch, "localisation")
-        top_k_eigs = spectrum.top_k_eigs
+        block_solve = spectrum._top_k_block
 
-        def observed(*args, **kwargs):
-            out = top_k_eigs(*args, **kwargs)
-            events.append(("solve", float(max(out.residuals))))
+        def observed(V, k):
+            out = block_solve(V, k)
+            events.append(("solve", out[3]))
             return out
 
-        monkeypatch.setattr(spectrum, "top_k_eigs", observed)
+        monkeypatch.setattr(spectrum, "_top_k_block", observed)
         cfg = self._cfg(tmp_path, "localisation", trials=7)
         manifest = json.loads(harness.run_experiment(cfg).read_text())
         assert manifest["trials_failed"] == 0
         kinds = [kind for kind, _ in events]
-        assert kinds == ["solve"] + (["draw"] * 3 + ["body"] + ["solve"] * 3) * 2 + [
+        assert kinds == ["solve"] + (["draw"] * 3 + ["body", "solve"]) * 2 + [
             "draw", "body", "solve",
         ]
-        assert all(r <= spectrum.RESIDUAL_TOL for kind, r in events if kind == "solve")
+        residuals = [r for kind, r in events if kind == "solve"]
+        assert [r.shape for r in residuals] == [(1, 1), (3, 2), (3, 2), (1, 2)]
+        assert all(r.max() <= spectrum.RESIDUAL_TOL for r in residuals)
 
     @pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
     def test_resume_mid_batch_draws_only_the_new_trials(
@@ -631,8 +633,9 @@ class TestFailureBudget:
             harness.run_experiment(cfg)
 
     def test_a_failure_inside_a_block_fails_only_its_trial(self, tmp_path, monkeypatch):
-        # trial 10 of one block of 24: its eigensolve raises inside the
-        # block's body, so the block runs again one trial at a time
+        # trial 10 of one block of 24: the block solve on its core raises
+        # inside the block's body, so the block runs again one trial at a
+        # time
         def cfg(name, trials):
             return make_cfg(
                 tmp_path, experiment="localisation", trials=trials,
@@ -653,14 +656,14 @@ class TestFailureBudget:
             ctx.model, clean.L, (0,), ctx.scales.a_L,
         )
         core = vals[0][field.window(clean.L, (0,), ctx.scales.R_L // 2)]
-        top_k_eigs = spectrum.top_k_eigs
+        block_solve = spectrum._top_k_block
 
         def failing(V, k):
-            if np.array_equal(V, core):
+            if any(np.array_equal(c, core) for c in V):
                 raise SolverConvergenceError("trial 10 does not converge")
-            return top_k_eigs(V, k)
+            return block_solve(V, k)
 
-        monkeypatch.setattr(spectrum, "top_k_eigs", failing)
+        monkeypatch.setattr(spectrum, "_top_k_block", failing)
         broken = cfg("broken", 24)
         manifest = json.loads(harness.run_experiment(broken).read_text())
         assert manifest["trials_failed"] == 1
@@ -862,20 +865,25 @@ class TestMemoryCheck:
         # 61 x 61 sites: above the subset-eigh limit, so ARPACK holds
         # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles, the
         # filter 3 work vectors, and its DIA matrix 5 diagonals of 3721
-        # values and an offset each, 8 bytes apiece
-        solver = (20 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
+        # values and an offset each, 8 bytes apiece; and the solve of one
+        # potential 4 * 1 + 1 = 5 blocks of its k + 1 = 4 pairs
+        solver = (20 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8 + 5 * 4 * 61**2 * 8
         self._needs(tmp_path, monkeypatch, self.GRIDS + solver, "macro_meso", k=3)
 
     def test_sizes_the_pairs_the_trial_solves(self, tmp_path, monkeypatch):
         # rank_permutation solves max(k, 2) = 10 pairs: ARPACK holds
-        # ncv = 2 * 10 + 1 = 21 basis vectors, not the 25 of 12 pairs
-        budget = self.GRIDS + (21 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8
+        # ncv = 2 * 10 + 1 = 21 basis vectors, not the 25 of 12 pairs, and
+        # 5 blocks of the 10 pairs
+        budget = self.GRIDS + (21 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8 + 5 * 10 * 61**2 * 8
         ctx = self._needs(tmp_path, monkeypatch, budget, "rank_permutation", k=10)
         assert ctx.pairs == 10
 
     def test_counts_the_subset_eigh_matrix(self, tmp_path, monkeypatch):
-        # localisation solves on the 13 x 13 core with a dense n x n matrix
-        self._needs(tmp_path, monkeypatch, self.GRIDS + 169**2 * 8, "localisation")
+        # localisation solves on the 13 x 13 core with a dense n x n matrix,
+        # one core at a time, and holds the 2 pairs of the 32 cores of a
+        # block of draws at once, 4 * 32 + 1 blocks of them
+        pairs = (4 * 32 + 1) * 2 * 169 * 8
+        self._needs(tmp_path, monkeypatch, self.GRIDS + 169**2 * 8 + pairs, "localisation")
 
     def test_no_solver_no_solver_bytes(self, tmp_path, monkeypatch):
         ctx = self._needs(tmp_path, monkeypatch, self.GRIDS, "potential_extremes")
@@ -883,12 +891,14 @@ class TestMemoryCheck:
 
     def test_admit_sums_the_draw_and_the_solve(self, monkeypatch):
         # a batch of circulant draws holds GRIDS, a subset eigh on 169 sites
-        # its 169 x 169 matrix; a dense draw, or none, holds no torus grid
+        # its 169 x 169 matrix and 5 blocks of its 2 pairs; a dense draw, or
+        # none, holds no torus grid
         iid2 = cov.CovarianceModel("iid", 2, {})
+        solve = 169**2 * 8 + 5 * 2 * 169 * 8
         for sampler, need in (
-            ("circulant", self.GRIDS + 169**2 * 8),
-            ("dense", 169**2 * 8),
-            (None, 169**2 * 8),
+            ("circulant", self.GRIDS + solve),
+            ("dense", solve),
+            (None, solve),
         ):
             monkeypatch.setattr(harness, "_MEMORY_BUDGET_BYTES", need)
             harness.admit(iid2, 60, sampler, 169, 2)
@@ -929,10 +939,13 @@ class TestMemoryCheck:
         assert manifest["config"]["L"] == L and manifest["summary"]
 
     def test_solver_bytes_per_path(self):
-        assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8
-        assert spectrum.solver_bytes(169, 2, 4) == 8 * 169**2
-        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 23 + 8 * 5 * 3722
-        assert spectrum.solver_bytes(729, 3, 4) == 8 * 729 * 23 + 8 * 7 * 730
+        # one potential's solver, and 4 * fields + 1 blocks of k x n pairs
+        pairs = 8 * 4 * 5
+        assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8 + pairs * 10**6
+        assert spectrum.solver_bytes(169, 2, 4) == 8 * 169**2 + pairs * 169
+        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 23 + 8 * 5 * 3722 + pairs * 3721
+        assert spectrum.solver_bytes(729, 3, 4) == 8 * 729 * 23 + 8 * 7 * 730 + pairs * 729
+        assert spectrum.solver_bytes(41, 1, 2, 32) == 8 * 41 * 6 + 8 * 2 * 41 * 129
 
 
 class TestRowExperiments:

@@ -54,15 +54,25 @@ class TestApplyHamiltonian:
             spectrum.apply_hamiltonian(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
             spectrum.apply_hamiltonian(np.zeros(3), np.zeros((2, 2, 3)))
+        # a block of 2 potentials needs 2 blocks of functions on its grid
+        with pytest.raises(ValueError):
+            spectrum.apply_hamiltonian(np.zeros((2, 3)), np.zeros((3, 2, 3)))
+        with pytest.raises(ValueError):
+            spectrum.apply_hamiltonian(np.zeros((2, 3)), np.zeros((2, 4, 4)))
 
     @pytest.mark.parametrize("shape", [(9,), (5, 6), (3, 4, 5)])
     def test_batch_axis_is_one_call_per_row(self, shape):
+        # a block of 3 potentials, 4 functions each: each function is
+        # one call with its own potential
         rng = np.random.default_rng(3)
-        V = rng.standard_normal(shape)
-        psi = rng.standard_normal((4,) + shape)
+        V = rng.standard_normal((3,) + shape)
+        psi = rng.standard_normal((3, 4) + shape)
         got = spectrum.apply_hamiltonian(V, psi)
-        for row, p in zip(got, psi):
-            assert row.tobytes() == spectrum.apply_hamiltonian(V, p).tobytes()
+        assert got.shape == psi.shape
+        for b in range(3):
+            for j in range(4):
+                one = spectrum.apply_hamiltonian(V[b], psi[b, j])
+                assert got[b, j].tobytes() == one.tobytes()
 
 
 class TestDenseEigs:
@@ -825,9 +835,10 @@ class TestTridiagonalTop:
                 spectrum.top_k_eigs(V, 2)
 
 
-def _finalize_per_pair(lams, phis, V, solver):
-    """_finalize one pair at a time: the reference the batched pass must
-    reproduce bit for bit."""
+def _finalize_per_pair(lams, phis, V):
+    """_finalize of one potential, one pair at a time: the reference the
+    batched pass must reproduce bit for bit, as (eigenvalues,
+    eigenfunctions, centres, residuals)."""
     order = np.argsort(-lams, kind="stable")
     lams = np.asarray(lams, dtype=float)[order]
     centers, residuals, fixed = [], [], []
@@ -842,13 +853,7 @@ def _finalize_per_pair(lams, phis, V, solver):
         centers.append(c)
         residuals.append(math.sqrt(float(np.sum(r**2))))
         fixed.append(phi)
-    return spectrum.SpectralResult(
-        eigenvalues=lams,
-        eigenfunctions=np.stack(fixed),
-        centers=tuple(centers),
-        residuals=np.asarray(residuals),
-        solver=solver,
-    )
+    return lams, np.stack(fixed), centers, np.asarray(residuals)
 
 
 # (shape of V, the path that solves it): every top_k_eigs path, and the
@@ -873,9 +878,12 @@ class TestFinalize:
         real = spectrum._finalize
         pairs = []
 
-        def recording(lams, phis, V, solver):
-            out = real(lams, phis, V, solver)
-            pairs.append((out, _finalize_per_pair(lams, phis, V, solver)))
+        def recording(lams, phis, V):
+            out = real(lams, phis, V)
+            pairs.extend(
+                (tuple(block[b] for block in out), _finalize_per_pair(lams[b], phis[b], V[b]))
+                for b in range(len(V))
+            )
             return out
 
         monkeypatch.setattr(spectrum, "_finalize", recording)
@@ -885,13 +893,15 @@ class TestFinalize:
         else:
             res = spectrum.top_k_eigs(V, k)
         assert res.solver == solver and pairs
-        for got, want in pairs:
-            for name in ("eigenvalues", "eigenfunctions", "residuals"):
-                a, b = getattr(got, name), getattr(want, name)
+        for (lam, phi, centers, residuals), want in pairs:
+            for name, a, b in (
+                ("eigenvalues", lam, want[0]),
+                ("eigenfunctions", phi, want[1]),
+                ("residuals", residuals, want[3]),
+            ):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-            assert got.centers == want.centers
-            assert all(type(c) is int for c in got.centers)
-            assert got.solver == want.solver
+            assert centers.tolist() == want[2]
+        assert all(type(c) is int for c in res.centers)
 
 
 class TestSpectralResult:
@@ -912,16 +922,110 @@ class TestSpectralResult:
         assert len(data["eigenvalues"]) == 2
         assert "gap" in data
 
-    def test_ordering_enforced(self):
-        res = dense_eigs(np.zeros(9), k=3)
-        with pytest.raises(ValueError):
-            spectrum.SpectralResult(
-                eigenvalues=res.eigenvalues[::-1].copy(),
-                eigenfunctions=res.eigenfunctions,
-                centers=res.centers,
-                residuals=res.residuals,
-                solver=res.solver,
-            )
+
+
+def _fallback_chain():
+    """A 4097-site chain whose windows are solved and then fail their
+    certificate: a plateau of 300 sites at 0 that no window covers whole,
+    below spikes of 1.5."""
+    V = np.full(4097, -10.0)
+    V[1000:1300] = 0.0
+    V[2000:4000:50] = 1.5
+    return V
+
+
+def _block_cases():
+    """(name, block of potentials, path of each): every path of
+    top_k_eigs, d = 1 windows mixed with a potential that falls back."""
+    rng = np.random.default_rng(34)
+    chains = [np.array(field.sample_field(WINDOW_MODELS[1], 4096, s).values) for s in (1, 2)]
+    return [
+        ("tridiagonal-41", 3.0 * rng.standard_normal((5, 41)), ["tridiagonal"] * 5),
+        (
+            "window-and-fallback-4097",
+            np.stack([chains[0], _fallback_chain(), chains[1]]),
+            ["window", "tridiagonal", "window"],
+        ),
+        ("subset-13x13", 3.0 * rng.standard_normal((3, 13, 13)), ["subset"] * 3),
+        ("arpack-21x21", 3.0 * rng.standard_normal((3, 21, 21)), ["arpack"] * 3),
+    ]
+
+
+BLOCK_CASES = _block_cases()
+
+
+class TestTopKBlock:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name,V,paths", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+    def test_each_potential_gets_the_bits_of_top_k_eigs(self, name, V, paths, k):
+        lams, P, centers, residuals, solvers = spectrum._top_k_block(V, k)
+        assert solvers == paths
+        assert lams.shape == residuals.shape == centers.shape == (len(V), k)
+        assert P.shape == (len(V), k) + V.shape[1:]
+        for b in range(len(V)):
+            one = spectrum.top_k_eigs(V[b], k)
+            assert one.solver == paths[b]
+            assert lams[b].tobytes() == one.eigenvalues.tobytes()
+            assert P[b].tobytes() == one.eigenfunctions.tobytes()
+            assert residuals[b].tobytes() == one.residuals.tobytes()
+            assert tuple(centers[b].tolist()) == one.centers
+            if paths[b] == "tridiagonal":
+                # the whole chain's pairs, also where windows were tried first
+                n = V[b].size
+                w, U = spectrum._tridiagonal_top(V[b] - 2.0, np.ones(n - 1), k)
+                want = spectrum._finalize(w[None], U.T[None], V[b][None])
+                assert lams[b].tobytes() == want[0][0].tobytes()
+                assert P[b].tobytes() == want[1][0].tobytes()
+
+    def test_input_checks_cover_every_potential(self):
+        V = np.zeros((3, 41))
+        V[2, 7] = math.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectrum._top_k_block(V, 2)
+        with pytest.raises(ValueError, match="k=10 exceeds 9 sites"):
+            spectrum._top_k_block(np.zeros((3, 9)), 10)
+
+    def test_residual_above_tol_in_one_potential_raises(self, monkeypatch):
+        # the second of three solves is off by 1e-6: the block is refused,
+        # naming that potential's residuals and tolerance
+        real, calls = spectrum._tridiagonal_top, []
+
+        def second_off(*args):
+            w, U = real(*args)
+            calls.append(1)
+            return (w + 1e-6 if len(calls) == 2 else w), U
+
+        monkeypatch.setattr(spectrum, "_tridiagonal_top", second_off)
+        V = 3.0 * np.random.default_rng(35).standard_normal((3, 41))
+        with pytest.raises(SolverConvergenceError, match=r"exceed tol=1e-10$"):
+            spectrum._top_k_block(V, 2)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "spoil,message",
+        [
+            (lambda lam, phi: (lam[:, ::-1].copy(), phi), "non-increasing order"),
+            (lambda lam, phi: (lam, 2.0 * phi), "l2-normalized"),
+        ],
+        ids=["order", "norm"],
+    )
+    def test_invariants_are_checked_on_the_stacked_pairs(self, monkeypatch, spoil, message):
+        # SpectralResult's invariants, eigenvalues non-increasing within
+        # TIE_TOL and eigenfunctions of unit norm, hold for every potential
+        # of a block: a finalize that breaks them for one is refused
+        real = spectrum._finalize
+
+        def spoiled(lams, phis, V):
+            lam, phi, centers, residuals = real(lams, phis, V)
+            bad_lam, bad_phi = spoil(lam[1:2], phi[1:2])
+            lam, phi = lam.copy(), phi.copy()
+            lam[1:2], phi[1:2] = bad_lam, bad_phi
+            return lam, phi, centers, residuals
+
+        monkeypatch.setattr(spectrum, "_finalize", spoiled)
+        V = 3.0 * np.random.default_rng(36).standard_normal((3, 13, 13))
+        with pytest.raises(ValueError, match=message):
+            spectrum._top_k_block(V, 3)
 
 
 class TestBarProblem:
