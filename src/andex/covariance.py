@@ -1,4 +1,4 @@
-"""Stationary lattice covariance families and their structural diagnostics.
+"""Stationary lattice covariance families.
 
 Each family is one entry of ``FAMILIES``: the name of its one parameter,
 v at integer offsets, the short-range scale d_L and the radius beyond which
@@ -14,7 +14,6 @@ All evaluation is pure and a model is immutable after construction.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -29,11 +28,9 @@ __all__ = [
     "FAMILIES",
     "Family",
     "CovarianceModel",
-    "HypothesisReport",
     "eval_cov_offsets",
     "derive_dL",
     "effective_radius",
-    "check_hypotheses",
     "circulant_spectrum",
 ]
 
@@ -163,84 +160,6 @@ def effective_radius(model: CovarianceModel) -> int:
     """Smallest integer r with v(x) < RADIUS_EPS whenever |x| >= r along an axis."""
     fam = FAMILIES[model.family]
     return fam.radius(model.params.get(fam.param))
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Diagnostic check of the structural hypotheses on v.
-
-    tail_stat: max of v(x)*ln|x| over the far annulus (long-range decay).
-    shortrange_ok / witnesses: unit-scale lower/upper envelope constants.
-    assumption14_ratio: d_L / a_L (should be small).
-    assumption15_ratio: tau_L / ((1/a_L) * sqrt(a_L/d_L)) (should be <= O(1)).
-    """
-
-    tail_stat: float
-    shortrange_ok: bool
-    c_lower: float
-    c_prime: float
-    assumption14_ok: bool
-    assumption14_ratio: float
-    assumption15_ok: bool
-    assumption15_ratio: float
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
-
-
-def check_hypotheses(model: CovarianceModel, L: int, scales) -> HypothesisReport:
-    """Evaluate the long-range / short-range hypotheses on Q_{3L}.
-
-    tail_stat scans v(x)*ln|x| for |x| >= exp(sqrt(ln L)); the witness
-    constants are fitted, not assumed.  Purely diagnostic: never raises on
-    a failed hypothesis.
-    """
-    if L < 4:
-        raise ValueError("L too small for a meaningful scan")
-    d = model.d
-    half = (3 * L) // 2
-    r_min = math.exp(math.sqrt(math.log(L)))
-    d_L = derive_dL(model)
-
-    # Scan along a set of rays plus random lattice points: exact for the
-    # isotropic families, cheap in all dimensions.
-    rng = np.random.default_rng(0)
-    pts = [np.eye(d, dtype=int)[i] * k for i in range(d) for k in range(1, half + 1)]
-    diag = np.ones(d, dtype=int)
-    pts += [diag * k for k in range(1, half + 1)]
-    pts += list(rng.integers(-half, half + 1, size=(512, d)))
-    pts = np.array([p for p in pts if np.any(p != 0)])
-    norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
-    vals = eval_cov_offsets(model, pts)
-
-    far = norms >= r_min
-    tail_stat = float(np.max(vals[far] * np.log(norms[far]))) if far.any() else 0.0
-    tail_stat = max(tail_stat, 0.0)
-
-    one_minus = 1.0 - vals
-    c_lower = float(d_L * np.min(one_minus))
-    # Upper envelope 1 - v(x) <= e^{c'|x|}/d_L, fitted only where it is
-    # non-vacuous (1 - v <= 1).
-    sup_norm = np.max(np.abs(pts), axis=-1)
-    ok = one_minus > 0
-    rates = np.log(d_L * one_minus[ok]) / sup_norm[ok]
-    c_prime = float(max(np.max(rates), 0.0)) if rates.size else 0.0
-    shortrange_ok = c_lower > 0.0 and np.isfinite(c_prime)
-
-    a_L = scales.a_L
-    r14 = d_L / a_L
-    tau_budget = (1.0 / a_L) * math.sqrt(a_L / d_L)
-    r15 = scales.tau_L / tau_budget if tau_budget > 0 else math.inf
-    return HypothesisReport(
-        tail_stat=tail_stat,
-        shortrange_ok=bool(shortrange_ok),
-        c_lower=c_lower,
-        c_prime=c_prime,
-        assumption14_ok=bool(r14 < 1.0),
-        assumption14_ratio=float(r14),
-        assumption15_ok=bool(np.isfinite(r15)),
-        assumption15_ratio=float(r15),
-    )
 
 
 def _fftn(x: np.ndarray, d: int) -> np.ndarray:

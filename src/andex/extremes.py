@@ -25,12 +25,7 @@ __all__ = [
     "box_maxima",
     "site_ranks",
     "sample_ppp_reference",
-    "ppp_rank_one_probability",
 ]
-
-# Seeds per batch of ppp_rank_one_probability; its draws depend on it.
-PPP_CHUNK = 20000
-
 
 @dataclass(frozen=True, eq=False)
 class MesoPartition:
@@ -157,35 +152,3 @@ def sample_ppp_reference(b: float, K: int, seed: int) -> PPPReference:
     return PPPReference(
         b=b, K=K, u=u, v=v, p=p, ell=ell, k_max_safe=k_max_safe
     )
-
-
-def ppp_rank_one_probability(
-    b: float, K: int, n_seeds: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of P(ell(1) = 1) for the K-truncated decorated
-    process, with binomial standard error.
-
-    Vectorized over seeds.  For very large b the truncation inflates the
-    estimate (the true argmax may fall past K points); this is documented
-    behaviour and fine for monotonicity checks, where the truncated value
-    upper-bounds an already tiny probability.
-    """
-    if K < 50 or n_seeds < 1:
-        raise ValueError("K >= 50 and n_seeds >= 1 required")
-    if not b >= 0:
-        raise ValueError(f"decoration variance must be >= 0, got {b}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    hits = 0
-    done = 0
-    sd = math.sqrt(b)
-    while done < n_seeds:
-        m = min(PPP_CHUNK, n_seeds - done)
-        gamma = np.cumsum(rng.exponential(size=(m, K)), axis=1)
-        s = -np.log(gamma)
-        if b > 0:
-            s = s + rng.normal(0.0, sd, size=(m, K))
-        hits += int(np.sum(np.argmax(s, axis=1) == 0))
-        done += m
-    p = hits / n_seeds
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_seeds) / n_seeds)
-    return p, se

@@ -24,8 +24,8 @@ block of fields of Q_L stacked on a leading axis, one field being a block
 of one: fluctuations forms zeta, condition conditions each field on
 xi(x0) = value, event_margins gives the margins of the three-part peak
 event around x0, and phi forms the profile-weighted correction
-Phi(x0) = sum_x w(x) zeta(x0 + x).  The shifted field Xi = xi + Phi,
-which xi_cap forms from a sample, has marginal variance 1 + tau^2.
+Phi(x0) = sum_x w(x) zeta(x0 + x).  The shifted field Xi = xi + Phi has
+marginal variance 1 + tau^2.
 
 What does not depend on the seed is built once per run and shared,
 read-only: the sampler factors per (model, L or torus side), the profile
@@ -36,7 +36,11 @@ ProfileWeights holds (BarSolution.weights builds them once per bar
 solution).  A trial then only draws, forms zeta and gathers it.  The one
 state a draw keeps is the fields of the last batch of seeds, drawn
 together by the first sample_field call that names the batch and served to
-the others; each equals the single draw of its seed bit for bit.
+the others; each equals the single draw of its seed bit for bit.  A seed's
+generator is numpy's default_rng(SeedSequence(seed)); the PCG64 words of a
+batch's seeds come from one vectorised pass, _seed_state, which equals
+numpy's SeedSequence bit for bit (tests/test_field.py::TestSeedingPass), and
+the hash constants it runs are built once.
 """
 
 from __future__ import annotations
@@ -44,10 +48,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import covariance as cov
 from .errors import CovarianceInconsistencyError
@@ -65,7 +71,6 @@ __all__ = [
     "condition",
     "compute_tau",
     "phi",
-    "xi_cap",
     "event_margins",
 ]
 
@@ -268,11 +273,113 @@ def draw_bytes(model: cov.CovarianceModel, L: int) -> int:
     return grid_bytes * (6 + 2 * batch_size(model, L))
 
 
+# numpy's SeedSequence (pool of 4 words) on the columns of a uint32 array at
+# once: its mix_entropy and generate_state, bit for bit.  Each runs a hash
+# constant h from a fixed start, h <- h * mult mod 2^32 a step, and its step
+# k turns a word w into f((w ^ h_k) * h_{k+1}), f(x) = x ^ (x >> 16).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_steps(init: int, mult: int, n: int) -> np.ndarray:
+    """h_0 .. h_n of the hash constant from ``init``, as a read-only uint32
+    column.  Array products wrap mod 2^32 without the overflow warning
+    that numpy's uint32 scalars give."""
+    h = np.multiply.accumulate(np.array([init] + [mult] * n, np.uint32), dtype=np.uint32)[:, None]
+    h.setflags(write=False)
+    return h
+
+
+def _hashmix(words: np.ndarray, h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Hash steps on the rows of words, one a row: row i is xored with
+    h[i] and multiplied by m[i], the constants before and after its step."""
+    w = (words ^ h) * m
+    return w ^ (w >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _pool_steps() -> tuple[np.ndarray, np.ndarray]:
+    """The (h, m) constants of mix_entropy's steps that mix each pool word
+    into the others, each of shape (_POOL, _POOL, 1): row dst of src holds
+    those of the step that mixes word src into word dst; row src, a step
+    numpy skips, holds spare ones."""
+    h = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL + 1)
+    k = [[_POOL + 3 * src + dst - (dst > src) for dst in range(_POOL)] for src in range(_POOL)]
+    return h[k], h[np.add(k, 1)]
+
+
+_POOL_H, _POOL_M = _pool_steps()
+
+
+def _seed_state(entropy: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
+    """SeedSequence(e).generate_state(n, np.uint64) of each column e of the
+    uint32 array ``entropy``, shape (E, B), cut to its length in
+    ``lengths``: a C-ordered (B, n) uint64 array.  Each column holds zeros
+    past its length."""
+    E, B = entropy.shape
+    h = _hash_steps(_INIT_A, _MULT_A, _POOL * max(E, _POOL))
+    pool = np.zeros((_POOL, B), np.uint32)
+    pool[: min(E, _POOL)] = entropy[:_POOL]  # a short column hashes zeros, as numpy does
+    pool = _hashmix(pool, h[:_POOL], h[1 : _POOL + 1])
+    for src in range(_POOL):  # every pool word into each other one
+        mixed = _mix(pool, _hashmix(pool[src], _POOL_H[src], _POOL_M[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for src in range(_POOL, E):  # each further word into every pool word
+        k = _POOL * src
+        mixed = _mix(pool, _hashmix(entropy[src], h[k : k + _POOL], h[k + 1 : k + _POOL + 1]))
+        pool = np.where(src < lengths, mixed, pool)
+    h = _hash_steps(_INIT_B, _MULT_B, 2 * n)
+    words = _hashmix(pool[np.arange(2 * n) % _POOL], h[:-1], h[1:]).astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words SeedSequence makes of each nonnegative int of
+    ``values``, low word first, as the columns of a (W, B) array padded
+    with zeros, and the number of words of each (1 for 0).  ValueError, as
+    SeedSequence gives, for a negative int."""
+    values = [operator.index(v) for v in values]
+    if min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    counts = np.array([max(1, -(-v.bit_length() // 32)) for v in values])
+    W = int(counts.max())
+    raw = b"".join(v.to_bytes(4 * W, "little") for v in values)
+    return np.frombuffer(raw, "<u4").reshape(-1, W).T.astype(np.uint32), counts
+
+
+class _State(ISeedSequence):
+    """A seed sequence whose state is already drawn: the PCG64 words of
+    one seed, which PCG64 seeds itself with."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.words.size:
+            raise ValueError(f"holds {self.words.size} words, asked for {n_words}")
+        return self.words
+
+
+def _generators(seeds) -> list[np.random.Generator]:
+    """np.random.default_rng(np.random.SeedSequence(s)) of each seed s, bit
+    for bit, the PCG64 words of all of them from one _seed_state pass."""
+    words, counts = _int_words(seeds)
+    state = _seed_state(words, counts, 4)
+    return [np.random.Generator(np.random.PCG64(_State(w))) for w in state]
+
+
 @functools.lru_cache(maxsize=1)
 def _draw_batch(model, L, batch, sampler):
     """The read-only stacked fields of the seeds in ``batch``."""
-    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in batch]
-    out = SAMPLERS[sampler](model, L, rngs)
+    out = SAMPLERS[sampler](model, L, _generators(batch))
     out.setflags(write=False)
     return out
 
@@ -357,7 +464,7 @@ class ProfileWeights:
     """The checked window of an l2-normalized profile bar_phi on Q_r: its
     half-width, the offsets x != 0 (shape (n, d)) and their weights
     w(x) = bar_phi(x)^2, both arrays read-only.  Built once per profile
-    (BarSolution.weights) and read by phi and xi_cap."""
+    (BarSolution.weights) and read by phi."""
 
     half: int
     offsets: np.ndarray
@@ -403,28 +510,6 @@ def phi(zeta: np.ndarray, L: int, x0: tuple, weights: ProfileWeights) -> np.ndar
         raise ValueError(f"profile must be {zeta.ndim - 1}-dimensional")
     rings = _ring(zeta[(slice(None),) + window(L, x0, weights.half)], batch=1)
     return np.array([weights.weights @ ring for ring in rings])
-
-
-def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, int]:
-    """Shifted field Xi = xi + Phi of ``sample`` on the admissible sub-box.
-
-    Returns (grid, sub_half) where the grid covers the points y with
-    Q_{r,y} inside Q_L, i.e. |y_i| <= sub_half = h - r_half.
-
-    Vectorized as a correlation: Xi(y) = xi(y) (1 - sum w v) + sum w xi(.+y).
-    """
-    offs, w, rh = weights.offsets, weights.weights, weights.half
-    if offs.shape[1] != sample.d:
-        raise ValueError(f"profile must be {sample.d}-dimensional")
-    sub_half = sample.half - rh
-    if sub_half < 0:
-        raise ValueError("profile window larger than the box")
-    v_offs = cov.eval_cov_offsets(sample.model, offs)
-    L, vals = sample.L, sample.values
-    out = (1.0 - float(w @ v_offs)) * vals[window(L, (0,) * sample.d, sub_half)]
-    for off, weight in zip(offs.tolist(), w):
-        out += weight * vals[window(L, off, sub_half)]
-    return out, sub_half
 
 
 class _EventWindows(NamedTuple):

@@ -4,7 +4,10 @@ Experiments confront the asymptotic theorems with finite-size simulation.
 Each experiment is one entry of ``_EXPERIMENTS``; ``rank_permutation`` is the
 one that records the top of the unconditioned spectrum (eigenvalues, centre,
 ranks of the centres among the sites).  Each trial's seed is a
-fixed counter-based function of (master_seed, trial_index).  Records are flat
+fixed counter-based function of (master_seed, trial_index), numpy's
+SeedSequence((master_seed, trial_index, 0)) word; a block's trial seeds come
+from one vectorised pass, field._seed_state, which equals numpy's
+SeedSequence bit for bit (tests/test_field.py::TestSeedingPass).  Records are flat
 rows in a CSV written whole, when the run ends (a crash loses the run's new
 rows and leaves the old file; streaming writes are an open ROADMAP item); a
 re-run of the same config, beside the manifest of the run that wrote the
@@ -51,10 +54,25 @@ _INTERVAL_C = 3.0
 _SAMPLER = "circulant"
 
 
+def trial_seeds(master_seed: int, start: int, stop: int) -> list[int]:
+    """The seeds of trials start .. stop - 1: for trial i,
+    SeedSequence((master_seed, i, 0)).generate_state(1, np.uint64)[0], the
+    seeds of all of them from one field._seed_state pass."""
+    master, _ = field._int_words([master_seed])
+    index, counts = field._int_words(range(start, stop))
+    B = stop - start
+    # an index of fewer words than the widest has its trailing 0 in the
+    # padding, and the last row lies past its length
+    entropy = np.concatenate(
+        (np.broadcast_to(master, (len(master), B)), index, np.zeros((1, B), np.uint32))
+    )
+    return field._seed_state(entropy, len(master) + counts + 1, 1)[:, 0].tolist()
+
+
 def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Counter-based per-trial seed; documented, fixed derivation."""
-    ss = np.random.SeedSequence((master_seed, trial_index, 0))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Counter-based per-trial seed; documented, fixed derivation: the
+    one-trial case of trial_seeds."""
+    return trial_seeds(master_seed, trial_index, trial_index + 1)[0]
 
 
 @dataclass
@@ -771,7 +789,7 @@ def _run_trials(
     size = field.batch_size(ctx.model, cfg.L)
     for start in range(len(kept), cfg.trials, size):
         stop = min(start + size, cfg.trials)
-        seeds = tuple(trial_seed(cfg.master_seed, i) for i in range(start, stop))
+        seeds = tuple(trial_seeds(cfg.master_seed, start, stop))
         outcomes, samples = {}, {}
         for i, seed in enumerate(seeds):
             try:

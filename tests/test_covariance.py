@@ -7,6 +7,7 @@ from andex import covariance as cov, field, scales
 from andex.errors import EmbeddingInvalidError
 
 from conftest import random_lattice_points
+from oracles import check_hypotheses
 
 ALL_FAMILIES = [
     ("iid", 1, {}),
@@ -139,22 +140,22 @@ class TestCheckHypotheses:
         )
 
     def test_iid_tail_zero(self, iid1):
-        rep = cov.check_hypotheses(iid1, 1024, self._scales_for(iid1, 1024))
+        rep = check_hypotheses(iid1, 1024, self._scales_for(iid1, 1024))
         assert rep.tail_stat == 0.0
         assert rep.shortrange_ok
 
     def test_cube_compact_support(self, cube4):
-        rep = cov.check_hypotheses(cube4, 1024, self._scales_for(cube4, 1024))
+        rep = check_hypotheses(cube4, 1024, self._scales_for(cube4, 1024))
         assert rep.tail_stat == 0.0
 
     def test_exponential_positive_tail(self):
         m = cov.CovarianceModel("exponential", 1, {"alpha": 0.05})
-        rep = cov.check_hypotheses(m, 64, self._scales_for(m, 64))
+        rep = check_hypotheses(m, 64, self._scales_for(m, 64))
         assert rep.tail_stat > 0.0
         assert np.isfinite(rep.assumption14_ratio)
 
     def test_json(self, iid1):
-        rep = cov.check_hypotheses(iid1, 256, self._scales_for(iid1, 256))
+        rep = check_hypotheses(iid1, 256, self._scales_for(iid1, 256))
         import json
 
         assert "tail_stat" in json.loads(rep.to_json())

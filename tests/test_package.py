@@ -36,14 +36,9 @@ def test_spectrum_exports_one_eigensolver():
     assert solvers == ["top_k_eigs"]
 
 
-# Public names that wait for the studies that will call them (ROADMAP
-# item 7): the Xi field for item 1's references, the hypothesis check and
-# the rank-one probability for item 19.
-AWAITING_CALLERS = {
-    "field": {"xi_cap"},
-    "covariance": {"check_hypotheses"},
-    "extremes": {"ppp_rank_one_probability"},
-}
+# Public names exempt from having a caller in the package: none.  A name
+# that only tests read lives in tests/oracles.py.
+AWAITING_CALLERS = {}
 
 
 def _references():

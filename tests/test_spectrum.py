@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,6 +506,22 @@ class TestChebyshevFilter:
         for seed in range(5):
             x = np.random.default_rng(seed).standard_normal(n)
             assert np.array_equal(S @ x, C @ x)
+
+    @pytest.mark.parametrize(
+        "shape,k", [((32, 41), 2), ((320, 41), 2), ((32, 13, 13), 4), ((2, 61, 61), 4), ((2, 4097), 4)]
+    )
+    def test_solver_bytes_bounds_the_block_solve(self, shape, k):
+        # the memory model of a block solve against its measured peak: the
+        # tridiagonal, subset, ARPACK and window paths
+        V = 3.0 * np.random.default_rng(math.prod(shape)).standard_normal(shape)
+        spectrum._top_k_block(V, k)  # scipy's first-call imports are not the solve's
+        tracemalloc.start()
+        try:
+            spectrum._top_k_block(V, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spectrum.solver_bytes(math.prod(shape[1:]), len(shape) - 1, k, shape[0])
 
     def test_dia_bytes_within_solver_bytes(self):
         for shape in ((21, 21), (9, 9, 9)):
