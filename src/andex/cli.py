@@ -74,9 +74,9 @@ def _model_from_args(args) -> cov.CovarianceModel:
 
 
 def _draw(args, k: int | None = None, sampler: str = "circulant") -> field.FieldSample:
-    """The field of the model flags on Q_L at --seed, for a solve of k
-    pairs unless k is None.  ConfigError before any draw unless --L and k
-    take values an experiment config accepts, L >= 2 and
+    """The field of the model flags on Q_L at --seed, a block of one, for a
+    solve of k pairs unless k is None.  ConfigError before any draw unless
+    --L and k take values an experiment config accepts, L >= 2 and
     1 <= k <= spectrum.MAX_K, and harness.admit admits the draw and the
     solve."""
     if args.L < 2:
@@ -86,7 +86,7 @@ def _draw(args, k: int | None = None, sampler: str = "circulant") -> field.Field
     model = _model_from_args(args)
     sites = 0 if k is None else field.grid_side(args.L) ** args.d
     harness.admit(model, args.L, sampler, sites, k or 0)
-    return field.sample_field(model, args.L, args.seed, sampler)
+    return field.sample_field(model, args.L, [args.seed], sampler)
 
 
 def _sample_field(args) -> dict:
@@ -100,7 +100,7 @@ def _sample_field(args) -> dict:
 
 
 def _spectrum(args) -> str:
-    return spectrum.top_k_eigs(_draw(args, k=args.k).values, args.k).to_json()
+    return spectrum.top_k_eigs(_draw(args, k=args.k).values[0], args.k).to_json()
 
 
 def _bar_problem(args) -> dict:

@@ -83,12 +83,13 @@ def descending_sites(flat: np.ndarray, top: int | None = None) -> np.ndarray:
     return idx[np.argsort(-flat[idx], kind="stable")[:top]]
 
 
-def box_maxima(sample, partition: MesoPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Per-core argmax of the field: (sites, values), one entry per core in
-    core order; of tied sites the first in the core's C order."""
-    if sample.L // 2 != partition.L // 2 or sample.d != partition.d:
+def box_maxima(values: np.ndarray, partition: MesoPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Per-core argmax of the field ``values`` on Q_L: (sites, values), one
+    entry per core in core order; of tied sites the first in the core's C
+    order."""
+    if values.shape != (2 * (partition.L // 2) + 1,) * partition.d:
         raise ValueError("partition was built for another box")
-    flat = sample.values.ravel()
+    flat = values.ravel()
     sites = partition.core_sites
     best = sites[np.arange(len(sites)), np.argmax(flat[sites], axis=1)]
     return best, flat[best]

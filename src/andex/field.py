@@ -33,12 +33,11 @@ v(. - x0) per (model, L, x0), the windows of event_margins with 1 - v and
 sd(zeta) on them per (model, L, x0, R_L), each in an LRU of 8 keyed on the
 model itself, and the offsets and weights of a profile, which
 ProfileWeights holds (BarSolution.weights builds them once per bar
-solution).  A trial then only draws, forms zeta and gathers it.  The one
-state a draw keeps is the fields of the last batch of seeds, drawn
-together by the first sample_field call that names the batch and served to
-the others; each equals the single draw of its seed bit for bit.  A seed's
-generator is numpy's default_rng(SeedSequence(seed)); the PCG64 words of a
-batch's seeds come from one vectorised pass, _seed_state, which equals
+solution).  A trial then only draws, forms zeta and gathers it.  A draw
+keeps no state: one sample_field call draws a block of seeds together, and
+each field of the block equals the draw of its seed alone bit for bit.  A
+seed's generator is numpy's default_rng(SeedSequence(seed)); the PCG64 words
+of a block's seeds come from one vectorised pass, _seed_state, which equals
 numpy's SeedSequence bit for bit (tests/test_field.py::TestSeedingPass), and
 the hash constants it runs are built once.
 """
@@ -110,10 +109,10 @@ def window(L: int, x0, half: int) -> tuple[slice, ...]:
     return tuple(out)
 
 
-def _ring(cube: np.ndarray, batch: int = 0) -> np.ndarray:
+def _ring(cube: np.ndarray, lead: int = 0) -> np.ndarray:
     """The entries of an odd cube in C order, its centre left out; with
-    batch = 1, of each cube stacked on a leading axis, one row per cube."""
-    flat = cube.reshape(cube.shape[:batch] + (-1,))
+    lead = 1, of each cube stacked on a leading axis, one row per cube."""
+    flat = cube.reshape(cube.shape[:lead] + (-1,))
     mid = flat.shape[-1] // 2
     return np.concatenate((flat[..., :mid], flat[..., mid + 1 :]), axis=-1)
 
@@ -125,18 +124,19 @@ def _at(L: int, x0) -> tuple[slice, ...]:
 
 @dataclass(frozen=True)
 class FieldSample:
-    values: np.ndarray  # shape (side,)*d, read-only
+    """The fields of Q_L drawn for ``seeds``, one a seed, stacked on the
+    leading axis of ``values``; a single field is a block of one."""
+
+    values: np.ndarray  # shape (len(seeds),) + (side,)*d, read-only
     L: int
     model: cov.CovarianceModel
-    seed: int
+    seeds: tuple
     sampler: str  # "dense" | "circulant"
 
     def __post_init__(self):
-        side = grid_side(self.L)
-        if self.values.shape != (side,) * self.d:
-            raise ValueError(
-                f"grid shape {self.values.shape} != {(side,) * self.d}"
-            )
+        shape = (len(self.seeds),) + (grid_side(self.L),) * self.d
+        if self.values.shape != shape:
+            raise ValueError(f"grid shape {self.values.shape} != {shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite field values")
         self.values.setflags(write=False)
@@ -149,17 +149,16 @@ class FieldSample:
     def half(self) -> int:
         return box_half(self.L)
 
-    def at(self, point) -> float:
-        return self.values[window(self.L, point, 0)].item()
-
     def export_binary(self, path_prefix: str) -> None:
-        """Row-major little-endian float64 grid plus a JSON sidecar."""
+        """The field of a block of one: its row-major little-endian float64
+        grid plus a JSON sidecar."""
+        (seed,) = self.seeds
         self.values.astype("<f8").tofile(path_prefix + ".bin")
         meta = {
             "L": self.L,
             "d": self.d,
             "model": self.model.to_config(),
-            "seed": self.seed,
+            "seed": seed,
             "sampler": self.sampler,
         }
         with open(path_prefix + ".json", "w") as fh:
@@ -251,26 +250,30 @@ SAMPLERS = {"circulant": _circulant_draw, "dense": _dense_draw}
 # manifest records.
 SAMPLER_VERSION = 1
 
-# A batch of seeds stacks its complex torus grids in at most
+# A block of seeds stacks its complex torus grids in at most
 # DRAW_BATCH_BYTES, and holds at most DRAW_BATCH_MAX seeds (batch_size).
 DRAW_BATCH_BYTES = 2 * 1024 * 1024
 DRAW_BATCH_MAX = 32
 
 
 def batch_size(model: cov.CovarianceModel, L: int) -> int:
-    """Seeds per batch of circulant draws on Q_L: as many torus grids as
+    """Seeds per block of circulant draws on Q_L: as many torus grids as
     fit DRAW_BATCH_BYTES, clamped to 1..DRAW_BATCH_MAX."""
     grid_bytes = 16 * torus_side(model, L) ** model.d
     return min(max(DRAW_BATCH_BYTES // grid_bytes, 1), DRAW_BATCH_MAX)
 
 
 def draw_bytes(model: cov.CovarianceModel, L: int) -> int:
-    """Bytes a batch of batch_size circulant draws on Q_L holds: six complex
-    torus grids for one seed's draw, and two for each seed of the batch,
-    its slot in the stacked transform and its real part in this batch and
-    the last one, which the draw memo holds."""
+    """Bytes a block of batch_size circulant draws on Q_L holds: six complex
+    torus grids for one seed's draw; for each seed of the block its slot in
+    the stacked transform, its real part on Q_L and 1 KiB for its
+    generator; and numpy's buffer of at most np.getbufsize() doubles for
+    the strided real part."""
+    B = batch_size(model, L)
     grid_bytes = 16 * torus_side(model, L) ** model.d
-    return grid_bytes * (6 + 2 * batch_size(model, L))
+    sites = grid_side(L) ** model.d
+    buffer = 8 * min(np.getbufsize(), B * sites)
+    return 6 * grid_bytes + B * (grid_bytes + 8 * sites + 1024) + buffer
 
 
 # numpy's SeedSequence (pool of 4 words) on the columns of a uint32 array at
@@ -376,40 +379,24 @@ def _generators(seeds) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_State(w))) for w in state]
 
 
-@functools.lru_cache(maxsize=1)
-def _draw_batch(model, L, batch, sampler):
-    """The read-only stacked fields of the seeds in ``batch``."""
-    out = SAMPLERS[sampler](model, L, _generators(batch))
-    out.setflags(write=False)
-    return out
-
-
 def sample_field(
-    model: cov.CovarianceModel,
-    L: int,
-    seed: int,
-    sampler: str = "circulant",
-    batch: tuple | None = None,
+    model: cov.CovarianceModel, L: int, seeds, sampler: str = "circulant"
 ) -> FieldSample:
-    """Exact draw of the stationary field on Q_L with the sampler that
-    SAMPLERS names, and no other.
+    """Exact draws of the stationary field on Q_L, one for each seed of
+    ``seeds``, together, with the sampler that SAMPLERS names, and no
+    other: one read-only FieldSample stacking them in the order of
+    ``seeds``.  Each field equals the draw of its seed alone bit for bit.
 
-    Deterministic given (seed, model, L, sampler).  ``batch``, a tuple of
-    seeds that holds ``seed`` (default: ``seed`` alone), is drawn whole by
-    the first call that names it and kept until another batch is drawn, so
-    the calls for its other seeds draw nothing; every field equals its
-    single draw bit for bit.  ValueError when ``seed`` is not in
-    ``batch``.  The circulant sampler raises EmbeddingInvalidError when the
-    embedding of the model on its padded torus is not nonnegative; the
-    dense sampler raises ValueError above DENSE_SITE_LIMIT sites.
+    Deterministic given (seeds, model, L, sampler).  The circulant sampler
+    raises EmbeddingInvalidError when the embedding of the model on its
+    padded torus is not nonnegative; the dense sampler raises ValueError
+    above DENSE_SITE_LIMIT sites.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
-    batch = (seed,) if batch is None else tuple(batch)
-    if seed not in batch:
-        raise ValueError(f"seed {seed} is not in its batch {batch}")
-    values = _draw_batch(model, L, batch, sampler)[batch.index(seed)]
-    return FieldSample(values=values, L=L, model=model, seed=seed, sampler=sampler)
+    seeds = tuple(seeds)
+    values = SAMPLERS[sampler](model, L, _generators(seeds))
+    return FieldSample(values=values, L=L, model=model, seeds=seeds, sampler=sampler)
 
 
 @_per_model_cache
@@ -508,7 +495,7 @@ def phi(zeta: np.ndarray, L: int, x0: tuple, weights: ProfileWeights) -> np.ndar
     product per field: a matrix product would round differently."""
     if weights.offsets.shape[1] != zeta.ndim - 1:
         raise ValueError(f"profile must be {zeta.ndim - 1}-dimensional")
-    rings = _ring(zeta[(slice(None),) + window(L, x0, weights.half)], batch=1)
+    rings = _ring(zeta[(slice(None),) + window(L, x0, weights.half)], lead=1)
     return np.array([weights.weights @ ring for ring in rings])
 
 

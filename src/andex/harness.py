@@ -69,12 +69,6 @@ def trial_seeds(master_seed: int, start: int, stop: int) -> list[int]:
     return field._seed_state(entropy, len(master) + counts + 1, 1)[:, 0].tolist()
 
 
-def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Counter-based per-trial seed; documented, fixed derivation: the
-    one-trial case of trial_seeds."""
-    return trial_seeds(master_seed, trial_index, trial_index + 1)[0]
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -241,17 +235,17 @@ def admit(
 
 
 # ---------------------------------------------------------------------------
-# per-experiment code: trial body (ctx, a block of field samples) -> one dict
-# per sample, or row table (ctx) -> list[dict]; aggregate (ctx, rows) ->
-# (tests, summary); plot data rows -> (file name, header, cells).  The table
-# _EXPERIMENTS joins them.
+# per-experiment code: trial body (ctx, a block of fields stacked on a
+# leading axis) -> one dict per field, or row table (ctx) -> list[dict];
+# aggregate (ctx, rows) -> (tests, summary); plot data rows -> (file name,
+# header, cells).  The table _EXPERIMENTS joins them.
 
 
-def _each(trial: Callable[[_Context, field.FieldSample], dict]):
-    """The trial body that runs ``trial`` on each sample of its block."""
+def _each(trial: Callable[[_Context, np.ndarray], dict]):
+    """The trial body that runs ``trial`` on each field of its block."""
 
-    def body(ctx: _Context, samples: list[field.FieldSample]) -> list[dict]:
-        return [trial(ctx, s) for s in samples]
+    def body(ctx: _Context, values: np.ndarray) -> list[dict]:
+        return [trial(ctx, V) for V in values]
 
     return body
 
@@ -278,10 +272,10 @@ def _check_partition(ctx: _Context):
     ctx.partition
 
 
-def _trial_potential_extremes(ctx: _Context, s: field.FieldSample) -> dict:
+def _trial_potential_extremes(ctx: _Context, V: np.ndarray) -> dict:
     part = ctx.partition
-    _, values = extremes.box_maxima(s, part)
-    m = float(np.max(s.values))
+    _, values = extremes.box_maxima(V, part)
+    m = float(np.max(V))
     a_L = ctx.scales.a_L
     n_exceed = int(np.count_nonzero(a_L * (values - a_L) > 0.0))
     return {
@@ -337,7 +331,7 @@ def _check_localisation(ctx: _Context):
         ) from exc
 
 
-def _trial_localisation(ctx: _Context, samples: list[field.FieldSample]) -> list[dict]:
+def _trial_localisation(ctx: _Context, values: np.ndarray) -> list[dict]:
     """The rows of a block of fields, worked on stacked, one row per field:
     each conditioned on xi(0) = a_L, with its event margins, the top pairs
     on the core Q_{R_L} and their errors.  One block solve finds the pairs
@@ -345,7 +339,7 @@ def _trial_localisation(ctx: _Context, samples: list[field.FieldSample]) -> list
     cfg, sc = ctx.cfg, ctx.scales
     x0 = (0,) * cfg.d
     a_L = sc.a_L
-    vals, zeta = field.condition(np.stack([s.values for s in samples]), ctx.model, cfg.L, x0, a_L)
+    vals, zeta = field.condition(values, ctx.model, cfg.L, x0, a_L)
     peak = vals[field._at(cfg.L, x0)].reshape(-1)
     margins = field.event_margins(peak, zeta, ctx.model, cfg.L, x0, sc)
     cores = vals[(slice(None),) + field.window(cfg.L, x0, sc.R_L // 2)]
@@ -409,8 +403,7 @@ def _agg_localisation(ctx: _Context, rows: list[dict]) -> tuple[dict, dict]:
     return {}, summary
 
 
-def _trial_rank_permutation(ctx: _Context, sample: field.FieldSample) -> dict:
-    V = sample.values
+def _trial_rank_permutation(ctx: _Context, V: np.ndarray) -> dict:
     res = spectrum.top_k_eigs(V, ctx.pairs)
     lam1 = float(res.eigenvalues[0])
     out = {
@@ -505,8 +498,7 @@ def _pooled_box_eigs(V: np.ndarray, part: extremes.MesoPartition, k: int):
     return pool[:k]
 
 
-def _trial_macro_meso(ctx: _Context, sample: field.FieldSample) -> dict:
-    V = sample.values
+def _trial_macro_meso(ctx: _Context, V: np.ndarray) -> dict:
     k = ctx.k
     res = spectrum.top_k_eigs(V, ctx.pairs)
     part = ctx.partition
@@ -615,20 +607,20 @@ def _plot_bar_sweep_table(rows: list[dict]):
 @dataclass(frozen=True)
 class _Experiment:
     """One experiment.  Exactly one of ``trial`` (the trial body: run on
-    each block of field samples that _run_trials draws, it returns one row
-    per sample, in order, and a row depends only on its own sample) and
-    ``rows`` (one deterministic table) is set.  A body that works on one
-    sample at a time is wrapped by _each.  ``solve`` gives the sites and
-    pairs of the largest eigensolve a trial body makes, and the number of
-    potentials it solves at once (None: no solver); the trial reads the
-    pairs as ``ctx.pairs``, the k limit is drawn from them, and admit from
-    all three.  ``check``, if set, rejects a config
+    each block of fields that _run_trials draws, stacked on a leading axis,
+    it returns one row per field, in order, and a row depends only on its
+    own field) and ``rows`` (one deterministic table) is set.  A body that
+    works on one field at a time is wrapped by _each.  ``solve`` gives the
+    sites and pairs of the largest eigensolve a trial body makes, and the
+    number of potentials it solves at once (None: no solver); the trial
+    reads the pairs as ``ctx.pairs``, the k limit is drawn from them, and
+    admit from all three.  ``check``, if set, rejects a config
     with ConfigError before any draw; ``plot``, if set, gives the plot-data
     file that ``report`` writes; ``overrides`` names the keys it reads
     beyond _SCALE_OVERRIDES."""
 
     aggregate: Callable[[_Context, list[dict]], tuple[dict, dict]]
-    trial: Callable[[_Context, list[field.FieldSample]], list[dict]] | None = None
+    trial: Callable[[_Context, np.ndarray], list[dict]] | None = None
     rows: Callable[[_Context], list[dict]] | None = None
     solve: Callable[[_Context], tuple[int, int]] | None = None
     check: Callable[[_Context], None] | None = None
@@ -772,33 +764,22 @@ def _aggregate(cfg: ExperimentConfig, ctx: _Context, rows: list[dict]) -> dict:
 
 
 def _run_trials(
-    ctx: _Context, body: Callable[[_Context, list[field.FieldSample]], list[dict]], kept: list[dict]
+    ctx: _Context, body: Callable[[_Context, np.ndarray], list[dict]], kept: list[dict]
 ):
     """The kept rows of trials 0 .. len(kept) - 1, then the rows of the
     trials after them up to trials - 1; a failed trial's row says so.
     RuntimeError when more than 5% of these rows, kept or new, failed.
 
     The new trials run in blocks of field.batch_size seeds, from the first
-    new one on.  Each trial of a block calls field.sample_field once,
-    naming its block, and the block's first call draws the fields of all
-    of them; then the body runs once on the block's samples.  When it
-    raises, the samples run again one at a time, so only a trial whose own
-    body raises, or whose draw raised, fails."""
+    new one on.  One field.sample_field call draws a block's fields, and the
+    body runs once on them (see _block_rows).  A draw that raises fails
+    every trial of its block."""
     cfg = ctx.cfg
     rows, errors = list(kept), []
     size = field.batch_size(ctx.model, cfg.L)
     for start in range(len(kept), cfg.trials, size):
-        stop = min(start + size, cfg.trials)
-        seeds = tuple(trial_seeds(cfg.master_seed, start, stop))
-        outcomes, samples = {}, {}
-        for i, seed in enumerate(seeds):
-            try:
-                samples[i] = field.sample_field(ctx.model, cfg.L, seed, _SAMPLER, batch=seeds)
-            except Exception as exc:  # per-trial failure budget
-                outcomes[i] = exc
-        outcomes.update(_block_rows(ctx, body, samples))
-        for i, seed in enumerate(seeds):
-            out = outcomes[i]
+        seeds = trial_seeds(cfg.master_seed, start, min(start + size, cfg.trials))
+        for seed, out in zip(seeds, _block_rows(ctx, body, seeds), strict=True):
             if isinstance(out, Exception):
                 rows.append({"seed": seed, "failed": 1})
                 errors.append(repr(out))
@@ -813,22 +794,25 @@ def _run_trials(
     return rows
 
 
-def _block_rows(ctx: _Context, body, samples: dict) -> dict:
-    """Position -> the row of each sample of ``samples`` (position ->
-    sample), from one call of ``body`` on all of them, or, when that
-    raises, from one call per sample; a sample whose own call raises gets
-    the exception in place of its row."""
-    if not samples:
-        return {}
+def _block_rows(ctx: _Context, body, seeds: list[int]) -> list:
+    """The row of each trial of ``seeds``, in order, from one draw of their
+    fields and one call of ``body`` on all of them, or, when the body
+    raises, from one call per field.  A trial whose own call raises gets
+    the exception in place of its row; every trial does when the draw
+    raises.  The block's fields are not held once this returns."""
     try:
-        return dict(zip(samples, body(ctx, list(samples.values())), strict=True))
+        values = field.sample_field(ctx.model, ctx.cfg.L, seeds, _SAMPLER).values
+    except Exception as exc:  # per-trial failure budget
+        return [exc] * len(seeds)
+    try:
+        return body(ctx, values)
     except Exception:
-        out = {}
-        for i, sample in samples.items():
+        out = []
+        for i in range(len(values)):
             try:
-                out[i] = body(ctx, [sample])[0]
+                out.append(body(ctx, values[i : i + 1])[0])
             except Exception as exc:  # per-trial failure budget
-                out[i] = exc
+                out.append(exc)
         return out
 
 

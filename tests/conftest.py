@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from andex import covariance as cov, field
-
-
-@pytest.fixture(autouse=True)
-def cold_draw_memo():
-    """Each test starts without the fields the last one drew, so a test
-    that patches a sampler's internals sees them run."""
-    field._draw_batch.cache_clear()
+from andex import covariance as cov
 
 
 @pytest.fixture

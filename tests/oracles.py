@@ -82,7 +82,8 @@ def form_gradient(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, int]:
-    """Shifted field Xi = xi + Phi of ``sample`` on the admissible sub-box.
+    """Shifted field Xi = xi + Phi of the one field of ``sample``, a block of
+    one, on the admissible sub-box.
 
     Returns (grid, sub_half) where the grid covers the points y with
     Q_{r,y} inside Q_L, i.e. |y_i| <= sub_half = h - r_half.
@@ -96,7 +97,7 @@ def xi_cap(sample: FieldSample, weights: ProfileWeights) -> tuple[np.ndarray, in
     if sub_half < 0:
         raise ValueError("profile window larger than the box")
     v_offs = cov.eval_cov_offsets(sample.model, offs)
-    L, vals = sample.L, sample.values
+    L, (vals,) = sample.L, sample.values
     out = (1.0 - float(w @ v_offs)) * vals[window(L, (0,) * sample.d, sub_half)]
     for off, weight in zip(offs.tolist(), w):
         out += weight * vals[window(L, off, sub_half)]

@@ -115,16 +115,16 @@ class TestDescendingSites:
             assert got.tolist() == want.tolist()
 
     def test_descending_invariant(self, iid1):
-        flat = field.sample_field(iid1, 257, seed=1).values
+        (flat,) = field.sample_field(iid1, 257, [1]).values
         vals = flat[extremes.descending_sites(flat)]
         assert np.all(vals[:-1] >= vals[1:])
         assert vals.size == 257
 
 
-def box_maxima_coords(s, p):
-    """box_maxima as ((coords...), value) per core."""
-    sites, values = extremes.box_maxima(s, p)
-    coords = np.stack(np.unravel_index(sites, s.values.shape), axis=1) - s.half
+def box_maxima_coords(V, p):
+    """box_maxima of the field V as ((coords...), value) per core."""
+    sites, values = extremes.box_maxima(V, p)
+    coords = np.stack(np.unravel_index(sites, V.shape), axis=1) - V.shape[0] // 2
     return tuple(
         (tuple(int(c) for c in x), float(v)) for x, v in zip(coords, values)
     )
@@ -142,15 +142,15 @@ def hand_cores(L, R, d):
 
 class TestBoxMaxima:
     def test_per_core_argmax(self, iid1):
-        s = field.sample_field(iid1, 64, seed=3)
+        (V,) = field.sample_field(iid1, 64, [3]).values
         p = extremes.build_partition(64, 15, 1)
-        maxima = box_maxima_coords(s, p)
+        maxima = box_maxima_coords(V, p)
         assert len(maxima) == 3
         for j, (coord, val) in enumerate(maxima):
             # cores at grid indices 2-16, 20-34, 38-52
-            block = s.values[2 + 18 * j : 17 + 18 * j]
+            block = V[2 + 18 * j : 17 + 18 * j]
             assert val == np.max(block)
-            assert s.at(coord) == val
+            assert V[field.window(64, coord, 0)].item() == val
 
 
 def brute_core_max(grid, sl, h):
@@ -172,27 +172,21 @@ BOXES = list(CORE_STARTS)
 class TestBoxMaximaBrute:
     def _sample(self, L, d, seed):
         model = cov.CovarianceModel("cube_indicator", d, {"m": 2})
-        return field.sample_field(model, L, seed)
-
-    def _with_values(self, s, values):
-        return field.FieldSample(
-            values=values, L=s.L, model=s.model, seed=s.seed, sampler=s.sampler
-        )
+        return field.sample_field(model, L, [seed]).values[0]
 
     @pytest.mark.parametrize("L,R,d", BOXES)
     def test_matches_brute_argmax(self, L, R, d):
         p = extremes.build_partition(L, R, d)
         for seed in range(3):
-            s = self._sample(L, d, seed)
-            assert box_maxima_coords(s, p) == tuple(
-                brute_core_max(s.values, sl, s.half) for sl in hand_cores(L, R, d)
+            V = self._sample(L, d, seed)
+            assert box_maxima_coords(V, p) == tuple(
+                brute_core_max(V, sl, L // 2) for sl in hand_cores(L, R, d)
             )
 
     @pytest.mark.parametrize("L,R,d", BOXES)
     def test_tie_goes_to_first_site_in_c_order(self, L, R, d):
         p = extremes.build_partition(L, R, d)
-        s = self._sample(L, d, 0)
-        values = np.array(s.values)
+        values = np.array(self._sample(L, d, 0))
         sl = hand_cores(L, R, d)[1]
         # (0, last, 0, ...) precedes (1, 0, 0, ...) in C order but not in
         # Fortran order
@@ -204,8 +198,8 @@ class TestBoxMaximaBrute:
         top = float(np.max(values)) + 1.0
         values[tuple(later)] = top
         values[tuple(first)] = top
-        maxima = box_maxima_coords(self._with_values(s, values), p)
-        assert maxima[1] == (tuple(i - s.half for i in first), top)
+        maxima = box_maxima_coords(values, p)
+        assert maxima[1] == (tuple(i - L // 2 for i in first), top)
 
     @pytest.mark.parametrize("L,R,d", BOXES)
     def test_core_sites_rows_are_the_cores_in_c_order(self, L, R, d):
@@ -225,9 +219,11 @@ class TestBoxMaximaBrute:
             assert row.tolist() == expected
 
     def test_partition_of_another_box_rejected(self):
-        s = self._sample(64, 1, 0)
+        V = self._sample(64, 1, 0)
         with pytest.raises(ValueError):
-            extremes.box_maxima(s, extremes.build_partition(70, 15, 1))
+            extremes.box_maxima(V, extremes.build_partition(70, 15, 1))
+        with pytest.raises(ValueError):
+            extremes.box_maxima(V.reshape(5, 13), extremes.build_partition(64, 15, 2))
 
 
 class TestSiteRanks:

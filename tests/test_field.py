@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,19 +16,24 @@ def normalized_profile(side, d, seed=7):
     return g / np.linalg.norm(g)
 
 
+def at(s, x):
+    """The value at x of the one field of ``s``, a block of one."""
+    return s.values[field._at(s.L, x)].item()
+
+
 def zeta_of(s, x0):
-    """The zeta around x0 of the one field ``s``, a block of one."""
-    return field.fluctuations(s.values[None], s.L, x0, field._profile_grid(s.model, s.L, x0))
+    """The zeta around x0 of the one field of ``s``, a block of one."""
+    return field.fluctuations(s.values, s.L, x0, field._profile_grid(s.model, s.L, x0))
 
 
 def phi_of(s, x0, weights):
-    """Phi(x0) of the one field ``s``."""
+    """Phi(x0) of the one field of ``s``."""
     return field.phi(zeta_of(s, x0), s.L, x0, weights).item()
 
 
 def margins_of(s, x0, ss):
-    """The E1, E2 and E3 margins around x0 of the one field ``s``."""
-    peak = np.array([s.at(x0)])
+    """The E1, E2 and E3 margins around x0 of the one field of ``s``."""
+    peak = np.array([at(s, x0)])
     return field.event_margins(peak, zeta_of(s, x0), s.model, s.L, x0, ss)[0].tolist()
 
 
@@ -90,7 +96,7 @@ class TestWindow:
                 field.window(L, beyond, half)
 
     def test_phi_follows_the_window_rule(self, cube4):
-        s = field.sample_field(cube4, 17, seed=4)
+        s = field.sample_field(cube4, 17, [4])
         weights = field.ProfileWeights.of(normalized_profile(7, 1), 1)
         for touch, beyond in _face_points(1, 17, 3):
             touch, beyond = tuple(touch), tuple(beyond)
@@ -105,7 +111,7 @@ class TestWindow:
         ss = scales.ScaleSet(
             L=21, d=2, a_L=6.0, tau_L=0.0, R_L=5, r_L=3, d_L=cov.derive_dL(model)
         )
-        s = field.sample_field(model, 21, seed=6)
+        s = field.sample_field(model, 21, [6])
         # Q_{2R_L} has half-width R_L = 5
         for touch, beyond in _face_points(2, 21, 5):
             touch, beyond = tuple(touch), tuple(beyond)
@@ -116,11 +122,11 @@ class TestWindow:
 
     def test_xi_cap_follows_the_window_rule(self, cube4):
         # a profile as wide as the box leaves one admissible point
-        s = field.sample_field(cube4, 7, seed=4)
+        s = field.sample_field(cube4, 7, [4])
         touching = field.ProfileWeights.of(normalized_profile(7, 1), 1)
         grid, sub_half = xi_cap(s, touching)
         assert sub_half == 0
-        expect = s.at([0]) + phi_of(s, (0,), touching)
+        expect = at(s, [0]) + phi_of(s, (0,), touching)
         assert grid.shape == (1,) and grid[0] == pytest.approx(expect, rel=1e-12)
         beyond = field.ProfileWeights.of(normalized_profile(9, 1), 1)
         with pytest.raises(ValueError, match="larger than the box"):
@@ -129,15 +135,15 @@ class TestWindow:
 
 class TestSamplers:
     def test_deterministic(self, cube4):
-        s1 = field.sample_field(cube4, 32, seed=11)
-        s2 = field.sample_field(cube4, 32, seed=11)
+        s1 = field.sample_field(cube4, 32, [11])
+        s2 = field.sample_field(cube4, 32, [11])
         assert np.array_equal(s1.values, s2.values)
-        s3 = field.sample_field(cube4, 32, seed=12)
+        s3 = field.sample_field(cube4, 32, [12])
         assert not np.array_equal(s1.values, s3.values)
 
     def test_iid_matches_raw_normals_statistics(self, iid1):
-        s = field.sample_field(iid1, 4096, seed=0)
-        assert s.values.shape == (4097,)
+        s = field.sample_field(iid1, 4096, [0])
+        assert s.values.shape == (1, 4097)
         assert abs(np.mean(s.values)) < 0.1
         assert abs(np.var(s.values) - 1.0) < 0.1
 
@@ -155,12 +161,7 @@ class TestSamplers:
         m = cov.CovarianceModel(family, d, params)
         n = 4000
         for sampler in ("dense", "circulant"):
-            draws = np.stack(
-                [
-                    field.sample_field(m, L, seed=s, sampler=sampler).values
-                    for s in range(n)
-                ]
-            )
+            draws = field.sample_field(m, L, range(n), sampler=sampler).values
             flat = draws.reshape(n, -1)
             emp = flat.T @ flat / n
             h = field.box_half(L)
@@ -175,18 +176,16 @@ class TestSamplers:
 
     def test_circulant_exact_marginal_variance(self, gauss5):
         n = 3000
-        vals = np.array(
-            [field.sample_field(gauss5, 65, seed=s).at([0]) for s in range(n)]
-        )
+        vals = field.sample_field(gauss5, 65, range(n)).values[:, 32]
         assert abs(np.var(vals) - 1.0) < 5.0 / math.sqrt(n)
 
     def test_dense_site_limit(self, iid1):
         with pytest.raises(ValueError):
-            field.sample_field(iid1, 10**5, seed=0, sampler="dense")
+            field.sample_field(iid1, 10**5, [0], sampler="dense")
 
     def test_bad_hint(self, iid1):
         with pytest.raises(ValueError):
-            field.sample_field(iid1, 32, seed=0, sampler="magic")
+            field.sample_field(iid1, 32, [0], sampler="magic")
 
     def test_dense_factor_falls_back_to_eigh(self):
         # gaussian_kernel ell = 4 on 41 sites is positive semi-definite only
@@ -199,7 +198,7 @@ class TestSamplers:
             np.linalg.cholesky(C)
         F = field._dense_factor(model, 41)
         assert np.max(np.abs(F @ F.T - C)) < 1e-12
-        s = field.sample_field(model, 41, seed=0, sampler="dense")
+        s = field.sample_field(model, 41, [0], sampler="dense")
         assert np.isfinite(s.values).all()
 
     def test_dense_factor_refuses_an_indefinite_covariance(self, monkeypatch):
@@ -214,7 +213,7 @@ class TestSamplers:
         model = cov.CovarianceModel("exponential", 1, {"alpha": 0.37})
         field._dense_factor.cache_clear()
         with pytest.raises(CovarianceInconsistencyError, match="eigenvalue"):
-            field.sample_field(model, 9, seed=0, sampler="dense")
+            field.sample_field(model, 9, [0], sampler="dense")
 
     def test_invalid_embedding_raises(self, cube4, monkeypatch):
         # the default sampler is the circulant one, and an invalid
@@ -227,10 +226,10 @@ class TestSamplers:
         monkeypatch.setattr(field, "_circulant_amplitude", invalid)
         monkeypatch.setitem(field.SAMPLERS, "dense", None)
         with pytest.raises(EmbeddingInvalidError, match="forced"):
-            field.sample_field(cube4, 9, seed=0)
+            field.sample_field(cube4, 9, [0])
 
     def test_values_read_only(self, iid1):
-        s = field.sample_field(iid1, 32, seed=0)
+        s = field.sample_field(iid1, 32, [0])
         with pytest.raises(ValueError):
             s.values[0] = 1.0
 
@@ -238,16 +237,18 @@ class TestSamplers:
         # a d = 2 model's sample is a 5 x 5 grid for L = 4, not a line
         iid2 = cov.CovarianceModel("iid", 2)
         with pytest.raises(ValueError, match="grid shape"):
-            field.FieldSample(values=np.zeros(5), L=4, model=iid2, seed=0, sampler="dense")
-        s = field.FieldSample(values=np.zeros(5), L=4, model=iid1, seed=0, sampler="dense")
+            field.FieldSample(values=np.zeros((1, 5)), L=4, model=iid2, seeds=(0,), sampler="dense")
+        with pytest.raises(ValueError, match="grid shape"):
+            field.FieldSample(values=np.zeros((1, 5)), L=4, model=iid1, seeds=(0, 1), sampler="dense")
+        s = field.FieldSample(values=np.zeros((1, 5)), L=4, model=iid1, seeds=(0,), sampler="dense")
         assert s.d == 1
 
     def test_export_binary(self, iid1, tmp_path):
-        s = field.sample_field(iid1, 8, seed=5)
+        s = field.sample_field(iid1, 8, [5])
         prefix = str(tmp_path / "f")
         s.export_binary(prefix)
         back = np.fromfile(prefix + ".bin", dtype="<f8")
-        assert np.array_equal(back, s.values)
+        assert np.array_equal(back, s.values[0])
         import json
 
         with open(prefix + ".json") as fh:
@@ -282,8 +283,8 @@ class TestSamplerContract:
     def test_circulant_draw_equals_v1(self, family, params, d, L):
         m = cov.CovarianceModel(family, d, params)
         for seed in (0, 1, 2024, 2**32, 2**64 - 1):
-            s = field.sample_field(m, L, seed, sampler="circulant")
-            assert np.array_equal(s.values, v1_circulant_values(m, L, seed))
+            s = field.sample_field(m, L, [seed], sampler="circulant")
+            assert np.array_equal(s.values[0], v1_circulant_values(m, L, seed))
 
     def test_cached_factors_are_shared_and_read_only(self, cube4):
         same = cov.CovarianceModel("cube_indicator", 1, {"m": 4})
@@ -304,7 +305,7 @@ def seed_words(entropy, n):
 class TestSeedingPass:
     """The block seeding pass (field._seed_state) gives numpy's SeedSequence
     words bit for bit: the trial seeds of a block and the PCG64 words of a
-    batch's generators."""
+    block's generators."""
 
     MASTERS = (0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3)  # 2**64 + 3: five entropy words
 
@@ -317,7 +318,6 @@ class TestSeedingPass:
         # entropy words at 2**32
         want = [int(seed_words((master, i, 0), 1)[0]) for i in range(start, stop)]
         assert harness.trial_seeds(master, start, stop) == want
-        assert harness.trial_seed(master, stop - 1) == want[-1]
 
     def test_generator_words(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -347,7 +347,7 @@ class TestSeedingPass:
 
     def test_negative_seed_rejected_as_numpy_does(self):
         with pytest.raises(ValueError, match="non-negative"):
-            field.sample_field(cov.CovarianceModel("iid", 1, {}), 9, -1)
+            field.sample_field(cov.CovarianceModel("iid", 1, {}), 9, [-1])
 
 
 BATCH_SEEDS = (3, 11, 2024, 0, 7, 123456789, 42)
@@ -360,15 +360,14 @@ BATCH_FAMILIES = [
 
 
 def assert_batches_equal_single_draws(model, L, sampler):
-    """Batches of 1, 2 and 7 seeds give, at every position, the single
-    draw of the seed byte for byte."""
-    singles = {s: field.sample_field(model, L, s, sampler).values for s in BATCH_SEEDS}
+    """Each field of a block of 1, 2 or 7 seeds equals the block of one of
+    its seed byte for byte."""
+    singles = {s: field.sample_field(model, L, [s], sampler).values[0] for s in BATCH_SEEDS}
     for n in (1, 2, 7):
-        batch = BATCH_SEEDS[:n]
-        for seed in batch:
-            got = field.sample_field(model, L, seed, sampler, batch=batch)
-            assert (got.seed, got.sampler) == (seed, sampler)
-            assert got.values.tobytes() == singles[seed].tobytes()
+        block = field.sample_field(model, L, BATCH_SEEDS[:n], sampler)
+        assert (block.seeds, block.sampler) == (BATCH_SEEDS[:n], sampler)
+        for seed, values in zip(block.seeds, block.values, strict=True):
+            assert values.tobytes() == singles[seed].tobytes()
 
 
 class TestBatchDraw:
@@ -394,26 +393,32 @@ class TestBatchDraw:
         assert field.torus_side(model, L) == M
         assert_batches_equal_single_draws(model, L, "circulant")
 
-    def test_one_draw_per_batch(self, iid1, monkeypatch):
-        drawn = []
-        circulant = field.SAMPLERS["circulant"]
-
-        def counted(model, L, rngs):
-            drawn.append(len(rngs))
-            return circulant(model, L, rngs)
-
-        monkeypatch.setitem(field.SAMPLERS, "circulant", counted)
-        batch = (5, 6, 7, 8)
-        for seed in batch:
-            field.sample_field(iid1, 64, seed, batch=batch)
-        assert drawn == [4]
-        field.sample_field(iid1, 64, 9)  # the memo holds one batch
-        field.sample_field(iid1, 64, 5, batch=batch)
-        assert drawn == [4, 1, 4]
-
-    def test_seed_outside_its_batch(self, iid1):
-        with pytest.raises(ValueError, match="not in its batch"):
-            field.sample_field(iid1, 32, 5, batch=(1, 2))
+    @pytest.mark.parametrize(
+        "family,d,params,L",
+        [
+            ("iid", 1, {}, 8192),
+            ("cube_indicator", 1, {"m": 2}, 83),
+            ("iid", 1, {}, 200000),
+            ("cube_indicator", 2, {"m": 2}, 40),
+            ("iid", 2, {}, 128),
+            ("iid", 3, {}, 16),
+        ],
+    )
+    def test_draw_bytes_bounds_the_block_draw(self, family, d, params, L):
+        # the memory model of a block of circulant draws against its
+        # measured peak: blocks of 32 small grids (the generators and
+        # numpy's buffer for the real part count there), of 15 and 7, and
+        # of one large one
+        model = cov.CovarianceModel(family, d, params)
+        B = field.batch_size(model, L)
+        field.sample_field(model, L, range(B))  # the cached factors are not the draw's
+        tracemalloc.start()
+        try:
+            field.sample_field(model, L, range(B, 2 * B))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= field.draw_bytes(model, L)
 
     def test_batch_size(self, iid1):
         # a complex grid of 8193 sites takes 131088 bytes: 15 fit in 2 MiB
@@ -425,14 +430,14 @@ class TestBatchDraw:
 
 class TestPeakConditioning:
     def test_exact_value_at_x0(self, cube4):
-        s = field.sample_field(cube4, 33, 3)
-        vals, _ = field.condition(s.values[None], cube4, 33, (2,), 6.0)
+        s = field.sample_field(cube4, 33, [3])
+        vals, _ = field.condition(s.values, cube4, 33, (2,), 6.0)
         assert vals[0][field.window(33, [2], 0)].item() == 6.0
 
     def test_conditional_mean_profile(self, cube4):
         # E[xi(x) | xi(0) = v] = v * v_cov(x)
         n = 5000
-        draws = np.stack([field.sample_field(cube4, 25, seed).values for seed in range(n)])
+        draws = field.sample_field(cube4, 25, range(n)).values
         vals, _ = field.condition(draws, cube4, 25, (0,), 5.0)
         mean = np.mean(vals, axis=0)
         h = 12
@@ -442,7 +447,7 @@ class TestPeakConditioning:
     def test_conditional_variance(self, cube4):
         # Var(xi(x) | xi(0)) = 1 - v(x)^2
         n = 5000
-        draws = np.stack([field.sample_field(cube4, 25, seed).values for seed in range(n)])
+        draws = field.sample_field(cube4, 25, range(n)).values
         vals, _ = field.condition(draws, cube4, 25, (0,), 5.0)
         var = np.var(vals, axis=0)
         h = 12
@@ -452,20 +457,20 @@ class TestPeakConditioning:
 
 class TestFluctuation:
     def test_zeta_zero_at_base(self, cube4):
-        s = field.sample_field(cube4, 33, seed=1)
+        s = field.sample_field(cube4, 33, [1])
         assert zeta_of(s, (4,))[0][field.window(33, [4], 0)] == 0.0
 
     def test_decomposition_reassembles(self, cube4):
-        s = field.sample_field(cube4, 33, seed=1)
+        s = field.sample_field(cube4, 33, [1])
         h = s.half
         offs = np.arange(-h, h + 1)[:, None] - np.array([4])
         prof = cov.eval_cov_offsets(cube4, offs)
-        rebuilt = s.at([4]) * prof + zeta_of(s, (4,))[0]
-        assert np.allclose(rebuilt, s.values, atol=1e-12)
+        rebuilt = at(s, [4]) * prof + zeta_of(s, (4,))[0]
+        assert np.allclose(rebuilt, s.values[0], atol=1e-12)
 
     def test_cov_zeta_monte_carlo(self, cube4):
         n = 8000
-        draws = np.stack([field.sample_field(cube4, 17, seed=seed).values for seed in range(n)])
+        draws = field.sample_field(cube4, 17, range(n)).values
         zeta = field.fluctuations(draws, 17, (0,), field._profile_grid(cube4, 17, (0,)))
         z1 = zeta[(slice(None),) + field.window(17, [1], 0)].ravel()
         z2 = zeta[(slice(None),) + field.window(17, [3], 0)].ravel()
@@ -476,7 +481,7 @@ class TestFluctuation:
 
     def test_zeta_independent_of_peak(self, cube4):
         # zeta is unchanged when the conditioning value changes
-        draw = field.sample_field(cube4, 25, 9).values[None]
+        draw = field.sample_field(cube4, 25, [9]).values
         _, z5 = field.condition(draw, cube4, 25, (0,), 5.0)
         _, z7 = field.condition(draw, cube4, 25, (0,), 7.0)
         assert np.allclose(z5, z7, atol=1e-12)
@@ -493,18 +498,18 @@ class TestConditioning:
     @BLOCK_BOXES
     def test_conditioned_field_is_the_decomposition_reassembled(self, family, params, d, L, x0):
         model = cov.CovarianceModel(family, d, params)
-        s = field.sample_field(model, L, seed=5)
+        s = field.sample_field(model, L, [5])
         expect = 5.5 * field._profile_grid(model, L, x0) + zeta_of(s, x0)[0]
         expect[field.window(L, x0, 0)] = 5.5
-        got, _ = field.condition(s.values[None], model, L, x0, 5.5)
+        got, _ = field.condition(s.values, model, L, x0, 5.5)
         assert np.array_equal(got[0], expect)
 
     @BLOCK_FAMILIES
     @BLOCK_BOXES
     def test_conditioned_zeta_is_the_zeta_of_its_field(self, family, params, d, L, x0):
         model = cov.CovarianceModel(family, d, params)
-        s = field.sample_field(model, L, seed=5)
-        vals, zeta = field.condition(s.values[None], model, L, x0, 5.5)
+        s = field.sample_field(model, L, [5])
+        vals, zeta = field.condition(s.values, model, L, x0, 5.5)
         prof = field._profile_grid(model, L, x0)
         assert np.array_equal(zeta, field.fluctuations(vals, L, x0, prof))
         assert not prof.flags.writeable
@@ -547,7 +552,7 @@ class TestTau:
         tau = field.compute_tau(cube4, prof)
         weights = field.ProfileWeights.of(prof, 1)
         n = 6000
-        draws = np.stack([field.sample_field(cube4, 17, seed=seed).values for seed in range(n)])
+        draws = field.sample_field(cube4, 17, range(n)).values
         zeta = field.fluctuations(draws, 17, (0,), field._profile_grid(cube4, 17, (0,)))
         phis = field.phi(zeta, 17, (0,), weights)
         assert np.var(phis) == pytest.approx(tau**2, abs=0.05)
@@ -565,7 +570,7 @@ class TestTau:
 
 class TestPhiAndXiCap:
     def test_phi_brute_force(self, cube4):
-        s = field.sample_field(cube4, 33, seed=4)
+        s = field.sample_field(cube4, 33, [4])
         prof = normalized_profile(7, 1, seed=2)
         w = prof**2
         y = 3
@@ -574,24 +579,24 @@ class TestPhiAndXiCap:
         for i in range(-3, 4):
             if i == 0:
                 continue
-            zeta_y = s.at([i + y]) - s.at([y]) * v[i + 3]
+            zeta_y = at(s, [i + y]) - at(s, [y]) * v[i + 3]
             acc += w[i + 3] * zeta_y
         weights = field.ProfileWeights.of(prof, 1)
         assert phi_of(s, (y,), weights) == pytest.approx(acc, rel=1e-12)
 
     def test_phi_out_of_box(self, cube4):
-        s = field.sample_field(cube4, 17, seed=4)
+        s = field.sample_field(cube4, 17, [4])
         weights = field.ProfileWeights.of(normalized_profile(7, 1), 1)
         with pytest.raises(ValueError):
             phi_of(s, (7,), weights)
 
     def test_xi_cap_matches_pointwise(self, cube4):
-        s = field.sample_field(cube4, 33, seed=4)
+        s = field.sample_field(cube4, 33, [4])
         weights = field.ProfileWeights.of(normalized_profile(7, 1, seed=2), 1)
         grid, sub_half = xi_cap(s, weights)
         assert sub_half == s.half - 3
         for y in (-sub_half, -2, 0, 5, sub_half):
-            expect = s.at([y]) + phi_of(s, (y,), weights)
+            expect = at(s, [y]) + phi_of(s, (y,), weights)
             assert grid[y + sub_half] == pytest.approx(expect, rel=1e-12)
 
     def test_xi_cap_variance(self, cube4):
@@ -602,7 +607,7 @@ class TestPhiAndXiCap:
         n = 6000
         vals = np.empty(n)
         for seed in range(n):
-            s = field.sample_field(cube4, 17, seed=seed)
+            s = field.sample_field(cube4, 17, [seed])
             grid, sh = xi_cap(s, weights)
             vals[seed] = grid[sh]
         assert np.var(vals) == pytest.approx(1.0 + tau**2, abs=0.08)
@@ -616,13 +621,13 @@ class TestEventCheck:
 
     def _conditioned(self, s, x0, value, ss):
         """The margins around x0 of ``s`` conditioned on xi(x0) = value."""
-        vals, zeta = field.condition(s.values[None], s.model, s.L, x0, value)
+        vals, zeta = field.condition(s.values, s.model, s.L, x0, value)
         peak = vals[(slice(None),) + field.window(s.L, x0, 0)].reshape(-1)
         return field.event_margins(peak, zeta, s.model, s.L, x0, ss)[0].tolist()
 
     def test_e1_deterministic(self, cube4):
         ss = self._scales(cube4)
-        s = field.sample_field(cube4, 41, 0)
+        s = field.sample_field(cube4, 41, [0])
         m1 = self._conditioned(s, (0,), 6.5, ss)[0]
         assert m1 > 0 and m1 == pytest.approx(2.5)
         assert self._conditioned(s, (0,), 12.0, ss)[0] <= 0
@@ -634,18 +639,14 @@ class TestEventCheck:
         offs = np.arange(-h, h + 1)[:, None]
         vals = 6.0 * cov.eval_cov_offsets(cube4, offs)
         vals[h + 5] += 0.01
-        s = field.FieldSample(
-            values=vals, L=41, model=cube4, seed=0, sampler="dense"
-        )
+        s = field.FieldSample(values=vals[None], L=41, model=cube4, seeds=(0,), sampler="dense")
         assert all(m > 0 for m in margins_of(s, (0,), ss))
 
     def test_zero_fluctuation_margins(self, cube4):
         ss = self._scales(cube4)
         h = field.box_half(41)
         vals = 6.0 * cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
-        s = field.FieldSample(
-            values=vals, L=41, model=cube4, seed=0, sampler="dense"
-        )
+        s = field.FieldSample(values=vals[None], L=41, model=cube4, seeds=(0,), sampler="dense")
         margins = margins_of(s, (0,), ss)
         # zeta vanishes identically, so E2/E3 hold with full slack
         assert margins[1] == pytest.approx(0.1 * 6.0 * 0.25)  # min shape
@@ -656,18 +657,16 @@ class TestEventCheck:
         h = field.box_half(41)
         vals = 6.0 * cov.eval_cov_offsets(cube4, np.arange(-h, h + 1)[:, None])
         vals[h + 2] += 1.0  # S(2) = 6 * 0.5 = 3; bound is 0.3
-        s = field.FieldSample(
-            values=vals, L=41, model=cube4, seed=0, sampler="dense"
-        )
+        s = field.FieldSample(values=vals[None], L=41, model=cube4, seeds=(0,), sampler="dense")
         assert margins_of(s, (0,), ss)[1] == pytest.approx(0.3 - 1.0)
 
     def test_event_at_offset_base_point(self, cube4):
         ss = self._scales(cube4)
-        assert self._conditioned(field.sample_field(cube4, 61, 2), (7,), 6.0, ss)[0] > 0
+        assert self._conditioned(field.sample_field(cube4, 61, [2]), (7,), 6.0, ss)[0] > 0
 
     def test_window_leaves_box(self, cube4):
         ss = self._scales(cube4)
-        s = field.sample_field(cube4, 41, seed=0)
+        s = field.sample_field(cube4, 41, [0])
         with pytest.raises(ValueError):
             margins_of(s, (18,), ss)
 
@@ -679,13 +678,11 @@ class TestEventCheck:
         rng = np.random.default_rng(8)
         vals += 0.01 * rng.standard_normal(vals.shape)
         vals[h] = 6.0
-        s = field.FieldSample(
-            values=vals, L=41, model=cube4, seed=0, sampler="dense"
-        )
+        s = field.FieldSample(values=vals[None], L=41, model=cube4, seeds=(0,), sampler="dense")
         m1, m2, m3 = margins_of(s, (0,), ss)
         assert m1 > 0 and m2 >= 0 and m3 >= 0
-        window = s.values[h - 9 : h + 10]
-        gap = s.at([0]) - np.max(np.delete(window, 9))
+        window = vals[h - 9 : h + 10]
+        gap = at(s, [0]) - np.max(np.delete(window, 9))
         assert gap >= 0.5 * ss.a_L / ss.d_L
 
 
@@ -695,7 +692,7 @@ def _margins_uncached(s, x0, ss):
     offs = cov._offset_grid(s.d, s.half) - np.asarray(x0)
     prof = cov.eval_cov_offsets(s.model, offs)
     zeta = zeta_of(s, x0)[0]
-    dev = abs(s.at(x0) - ss.a_L)
+    dev = abs(at(s, x0) - ss.a_L)
     sup = np.max(np.abs(offs), axis=-1)
     sel2 = (sup <= (2 * ss.R_L) // 2) & (sup > 0)
     S = ss.a_L * (1.0 - prof)
@@ -731,14 +728,14 @@ class TestRunCaches:
             range(2), self.MODELS, self.GEOMETRIES
         ):
             model = cov.CovarianceModel(family, d, params)
-            s = field.sample_field(model, L, seed=100 * sweep + L + R_L)
+            s = field.sample_field(model, L, [100 * sweep + L + R_L])
             ss = scales.ScaleSet(L=L, d=d, a_L=6.0, tau_L=0.0, R_L=R_L, r_L=3, d_L=cov.derive_dL(model))
             want, prof = _margins_uncached(s, x0, ss)
             assert margins_of(s, x0, ss) == want
             cached_prof = field._profile_grid(model, L, x0)
             assert cached_prof.tobytes() == prof.tobytes()
             # Phi(x0) from a fresh zeta and fresh weights
-            zeta = s.values - s.at(x0) * prof
+            zeta = s.values[0] - at(s, x0) * prof
             zeta[field.window(L, x0, 0)] = 0.0
             fresh = field.ProfileWeights.of(normalized_profile(5, d), d)
             idx = fresh.offsets + np.array(x0) + s.half

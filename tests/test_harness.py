@@ -36,15 +36,23 @@ def make_cfg(tmp_path, **kw):
     return harness.ExperimentConfig(**base)
 
 
+@functools.cache
+def _field_of(model, L, seed):
+    """The field of ``seed`` on Q_L, drawn as a block of one."""
+    return field.sample_field(model, L, [seed]).values[0]
+
+
 def fail_trial(monkeypatch, experiment, index):
     """Make trial ``index`` of ``experiment`` raise: the trial body raises
-    on every block that holds its sample."""
+    on every block that holds its field."""
     entry = harness._EXPERIMENTS[experiment]
 
-    def body(ctx, samples):
-        if harness.trial_seed(ctx.cfg.master_seed, index) in [s.seed for s in samples]:
+    def body(ctx, values):
+        (seed,) = harness.trial_seeds(ctx.cfg.master_seed, index, index + 1)
+        mine = _field_of(ctx.model, ctx.cfg.L, seed)
+        if any(np.array_equal(V, mine) for V in values):
             raise RuntimeError(f"trial {index}")
-        return entry.trial(ctx, samples)
+        return entry.trial(ctx, values)
 
     monkeypatch.setitem(
         harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
@@ -53,10 +61,10 @@ def fail_trial(monkeypatch, experiment, index):
 
 class TestSeeding:
     def test_deterministic(self):
-        assert harness.trial_seed(1, 2) == harness.trial_seed(1, 2)
+        assert harness.trial_seeds(1, 2, 3) == harness.trial_seeds(1, 2, 3)
 
     def test_trials_distinct(self):
-        seeds = {harness.trial_seed(5, i) for i in range(1000)}
+        seeds = set(harness.trial_seeds(5, 0, 1000))
         assert len(seeds) == 1000
 
 
@@ -305,8 +313,8 @@ class TestRunDeterminism:
         ctx = harness._Context(cfg)
         for r in rows:
             assert isinstance(r["lambda_1"], float)
-            sample = field.sample_field(ctx.model, cfg.L, r["seed"])
-            (fresh,) = harness._EXPERIMENTS[cfg.experiment].trial(ctx, [sample])
+            values = field.sample_field(ctx.model, cfg.L, [r["seed"]]).values
+            (fresh,) = harness._EXPERIMENTS[cfg.experiment].trial(ctx, values)
             assert {c: r[c] for c in fresh} == fresh
 
     @pytest.mark.parametrize(
@@ -351,14 +359,16 @@ TRIAL_EXPERIMENTS = [n for n, e in harness._EXPERIMENTS.items() if e.trial is no
 
 
 class TestDrawHook:
-    """What a wrapper on field.sample_field sees of a run: one call per new
-    trial, the first before any trial body, and a FieldSample from each.
-    The benchmark marks the start of the trials at the first call and
-    reads the sampler of every returned sample."""
+    """What a wrapper on field.sample_field sees of a run: no call while the
+    _Context is built, then one call per block, before that block's body,
+    each returning a FieldSample of the block's trial seeds.  The benchmark
+    marks the start of the trials at the first call and reads the sampler
+    of every returned sample."""
 
     def _watch(self, monkeypatch, experiment=None):
-        """Log ("draw", sample) per sample_field call and ("body", seeds) per
-        trial body; trials draw in batches of three seeds."""
+        """Log ("context", ctx) once the _Context is built, ("draw", sample)
+        per sample_field call and ("body", fields) per trial body; trials
+        draw in blocks of three seeds."""
         events, sample_field = [], field.sample_field
 
         def counted(*args, **kwargs):
@@ -366,14 +376,20 @@ class TestDrawHook:
             events.append(("draw", out))
             return out
 
+        class Context(harness._Context):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                events.append(("context", self))
+
         monkeypatch.setattr(field, "sample_field", counted)
+        monkeypatch.setattr(harness, "_Context", Context)
         monkeypatch.setattr(field, "DRAW_BATCH_MAX", 3)
         if experiment is not None:
             entry = harness._EXPERIMENTS[experiment]
 
-            def body(ctx, samples):
-                events.append(("body", [s.seed for s in samples]))
-                return entry.trial(ctx, samples)
+            def body(ctx, values):
+                events.append(("body", values))
+                return entry.trial(ctx, values)
 
             monkeypatch.setitem(
                 harness._EXPERIMENTS, experiment, dataclasses.replace(entry, trial=body)
@@ -387,28 +403,27 @@ class TestDrawHook:
         )
 
     @pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
-    def test_one_draw_per_trial_before_its_body(self, tmp_path, monkeypatch, experiment):
+    def test_one_draw_per_block_before_its_body(self, tmp_path, monkeypatch, experiment):
         events = self._watch(monkeypatch, experiment)
         cfg = self._cfg(tmp_path, experiment, trials=7)
         manifest = json.loads(harness.run_experiment(cfg).read_text())
         assert manifest["trials_failed"] == 0
-        # blocks of 3, 3 and 1 trials: a block's draws, then its body
-        seeds = [harness.trial_seed(7, i) for i in range(7)]
-        blocks = [seeds[0:3], seeds[3:6], seeds[6:7]]
-        assert [(kind, out.seed if kind == "draw" else out) for kind, out in events] == [
-            event
-            for block in blocks
-            for event in [("draw", seed) for seed in block] + [("body", block)]
-        ]
+        # blocks of 3, 3 and 1 trials: a block's draw, then its body on the
+        # draw's fields
+        assert [kind for kind, _ in events] == ["context"] + ["draw", "body"] * 3
         draws = [out for kind, out in events if kind == "draw"]
-        assert all(isinstance(out, field.FieldSample) for out in draws)
+        bodies = [out for kind, out in events if kind == "body"]
+        seeds = harness.trial_seeds(7, 0, 7)
+        assert [d.seeds for d in draws] == [tuple(seeds[0:3]), tuple(seeds[3:6]), (seeds[6],)]
+        assert all(isinstance(d, field.FieldSample) and d.sampler == "circulant" for d in draws)
+        assert all(values is d.values for values, d in zip(bodies, draws, strict=True))
         assert manifest["sampler"] == {"name": "circulant", "version": field.SAMPLER_VERSION}
 
-    def test_localisation_draws_and_solves_once_per_trial(self, tmp_path, monkeypatch):
+    def test_localisation_draws_and_solves_once_per_block(self, tmp_path, monkeypatch):
         # field.sample_field's first call marks the start of the trials;
         # each block's cores are solved by one block solve after the
-        # block's draws, set-up's bar problem by one solve of one potential
-        # before them, and every pair's residual is within RESIDUAL_TOL
+        # block's draw, set-up's bar problem by one solve of one potential
+        # before it, and every pair's residual is within RESIDUAL_TOL
         events = self._watch(monkeypatch, "localisation")
         block_solve = spectrum._top_k_block
 
@@ -422,9 +437,7 @@ class TestDrawHook:
         manifest = json.loads(harness.run_experiment(cfg).read_text())
         assert manifest["trials_failed"] == 0
         kinds = [kind for kind, _ in events]
-        assert kinds == ["solve"] + (["draw"] * 3 + ["body", "solve"]) * 2 + [
-            "draw", "body", "solve",
-        ]
+        assert kinds == ["solve", "context"] + ["draw", "body", "solve"] * 3
         residuals = [r for kind, r in events if kind == "solve"]
         assert [r.shape for r in residuals] == [(1, 1), (3, 2), (3, 2), (1, 2)]
         assert all(r.max() <= spectrum.RESIDUAL_TOL for r in residuals)
@@ -433,7 +446,7 @@ class TestDrawHook:
     def test_resume_mid_batch_draws_only_the_new_trials(
         self, tmp_path, monkeypatch, experiment
     ):
-        # a fresh 8-trial run draws in batches 0-2, 3-5, 6-7; the resume
+        # a fresh 8-trial run draws in blocks 0-2, 3-5, 6-7; the resume
         # keeps trials 0-3 and draws 4-6 and 7
         harness.run_experiment(self._cfg(tmp_path, experiment, trials=4))
         drawn = []
@@ -447,7 +460,8 @@ class TestDrawHook:
         events = self._watch(monkeypatch)
         resumed = self._cfg(tmp_path, experiment, trials=8)
         harness.run_experiment(resumed)
-        assert [s.seed for _, s in events] == [harness.trial_seed(7, i) for i in range(4, 8)]
+        seeds = harness.trial_seeds(7, 4, 8)
+        assert [s.seeds for kind, s in events if kind == "draw"] == [tuple(seeds[:3]), (seeds[3],)]
         assert drawn == [3, 1]
         fresh = self._cfg(tmp_path, experiment, trials=8, name="fresh")
         harness.run_experiment(fresh)
@@ -510,7 +524,7 @@ class TestResume:
         for old, new in zip(before, after[:20]):
             assert new == {**old, "failed": ""}
         assert after[25]["failed"] == 1
-        assert after[25]["seed"] == harness.trial_seed(7, 25)
+        assert after[25]["seed"] == harness.trial_seeds(7, 25, 26)[0]
         assert all(r["failed"] == "" for i, r in enumerate(after) if i != 25)
         # the same file as a run that was never interrupted
         fresh = make_cfg(tmp_path, trials=40, out_dir=str(tmp_path / "fresh"))
@@ -650,9 +664,9 @@ class TestFailureBudget:
         harness.run_experiment(clean)
         ctx = harness._Context(clean)
         assert field.batch_size(ctx.model, clean.L) >= 24
-        seed = harness.trial_seed(clean.master_seed, 10)
+        (seed,) = harness.trial_seeds(clean.master_seed, 10, 11)
         vals, _ = field.condition(
-            field.sample_field(ctx.model, clean.L, seed).values[None],
+            field.sample_field(ctx.model, clean.L, [seed]).values,
             ctx.model, clean.L, (0,), ctx.scales.a_L,
         )
         core = vals[0][field.window(clean.L, (0,), ctx.scales.R_L // 2)]
@@ -678,6 +692,48 @@ class TestFailureBudget:
         message = re.escape(repr(SolverConvergenceError("trial 10 does not converge")))
         with pytest.raises(RuntimeError, match=rf"^1/11 trials failed .*{message}"):
             harness.run_experiment(cfg("over", 11))
+
+    @pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
+    def test_a_draw_that_raises_fails_its_block(self, tmp_path, monkeypatch, experiment):
+        # blocks of 2 seeds, and the draw of the second block raises: its
+        # trials 2 and 3 fail, which 40 trials admit and 7 do not
+        def cfg(name, trials):
+            return make_cfg(
+                tmp_path, experiment=experiment, trials=trials,
+                out_dir=str(tmp_path / name), overrides={"a_L": 6.0, "R_L": 9, "r_L": 5},
+            )
+
+        def rows(path):
+            with open(path, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        monkeypatch.setattr(field, "DRAW_BATCH_MAX", 2)
+        clean = cfg("clean", 40)
+        harness.run_experiment(clean)
+        circulant, blocks = field.SAMPLERS["circulant"], []
+
+        def second_raises(model, L, rngs):
+            blocks.append(len(rngs))
+            if len(blocks) == 2:
+                raise EmbeddingInvalidError("the second block")
+            return circulant(model, L, rngs)
+
+        monkeypatch.setitem(field.SAMPLERS, "circulant", second_raises)
+        broken = cfg("broken", 40)
+        manifest = json.loads(harness.run_experiment(broken).read_text())
+        assert manifest["trials_failed"] == 2
+        want = rows(Path(clean.out_dir) / "records.csv")
+        got = rows(Path(broken.out_dir) / "records.csv")
+        assert len(got) == 40
+        for i in (2, 3):
+            assert got[i]["failed"] == "1" and got[i]["seed"] == want[i]["seed"]
+            assert all(got[i][c] == "" for c in want[i] if c not in ("trial", "seed"))
+        for i in set(range(40)) - {2, 3}:
+            assert got[i] == {**want[i], "failed": ""}
+        blocks.clear()
+        message = re.escape(repr(EmbeddingInvalidError("the second block")))
+        with pytest.raises(RuntimeError, match=rf"^2/7 trials failed .*{message}"):
+            harness.run_experiment(cfg("over", 7))
 
     @pytest.mark.parametrize("first,kept_failed", [(40, 2), (100, 4)])
     def test_budget_counts_the_kept_rows(self, tmp_path, monkeypatch, first, kept_failed):
@@ -841,9 +897,11 @@ TestRunContract.settings = settings(
 
 class TestMemoryCheck:
     # the iid torus of side 61 in d = 2: 2 MiB holds 35 complex grids of it,
-    # so trials draw in batches of DRAW_BATCH_MAX = 32 seeds; one seed's
-    # draw takes six grids and each seed of a batch two more
-    GRIDS = 61**2 * 16 * (6 + 2 * 32)
+    # so trials draw in blocks of DRAW_BATCH_MAX = 32 seeds; one seed's draw
+    # takes six grids, each seed of a block one more, its real part on the
+    # 61 x 61 box and 1 KiB of generator, and the real parts numpy's buffer
+    # of 8192 doubles
+    GRIDS = 61**2 * 16 * 6 + 32 * (61**2 * 16 + 61**2 * 8 + 1024) + 8 * 8192
 
     def _ctx(self, tmp_path, monkeypatch, budget, experiment, **overrides):
         """The _Context of an iid d = 2 config under a budget of ``budget`` bytes."""
@@ -901,7 +959,7 @@ class TestMemoryCheck:
         assert field.batch_size(ctx.model, 60) == 32
 
     def test_admit_sums_the_draw_and_the_solve(self, monkeypatch):
-        # a batch of circulant draws holds GRIDS, a subset eigh on 169 sites
+        # a block of circulant draws holds GRIDS, a subset eigh on 169 sites
         # its 169 x 169 matrix, LAPACK's copy and its work arrays, 5 blocks
         # of its 2 pairs, two of its sites, eight arrays of 2 values and
         # numpy's buffers of 2 * 169 doubles; a dense draw, or none, holds
@@ -1137,9 +1195,8 @@ class TestTrialExperiments:
         assert cols == sorted(["lambda_1", "rescaled_lambda_1", "gap", "center_0", *ells])
         ctx = harness._Context(cfg)
         s = ctx.scales
-        for i, row in enumerate(rows):
-            seed = harness.trial_seed(cfg.master_seed, i)
-            V = field.sample_field(ctx.model, cfg.L, seed).values
+        seeds = harness.trial_seeds(cfg.master_seed, 0, len(rows))
+        for row, seed, V in zip(rows, seeds, field.sample_field(ctx.model, cfg.L, seeds).values):
             res = spectrum.top_k_eigs(V, max(k, 2))
             lam1 = float(res.eigenvalues[0])
             # read back from the CSV bit for bit
@@ -1279,8 +1336,7 @@ class TestPooledBoxEigs:
     def test_equals_all_cores_bit_for_bit(self, solved_cores, d, L, R_L, fields, model):
         part = extremes.build_partition(L, R_L, d)
         m = cov.CovarianceModel.from_config(model, d)
-        for i in range(fields):
-            V = field.sample_field(m, L, harness.trial_seed(31, i)).values
+        for V in field.sample_field(m, L, harness.trial_seeds(31, 0, fields)).values:
             want = _all_cores_pool(V, part, 3)
             solved_cores.clear()
             got = harness._pooled_box_eigs(V, part, 3)
@@ -1732,10 +1788,10 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv",
         [
-            # an 811^3 torus: field.draw_bytes is 6.8e10 bytes
+            # an 811^3 torus: field.draw_bytes is 6.0e10 bytes
             ["sample-field", "--family", "gaussian_kernel", "--param", "50", "--d", "3", "--L", "5"],
             ["spectrum", "--family", "gaussian_kernel", "--param", "50", "--d", "3", "--L", "5"],
-            # the draw (1.3e9 bytes) fits, the 32-pair ARPACK solve (5.8e9) does not
+            # the draw (1.2e9 bytes) fits, the 32-pair ARPACK solve (5.8e9) does not
             ["spectrum", "--d", "2", "--L", "3163", "--k", "32"],
         ],
     )

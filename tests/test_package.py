@@ -36,8 +36,8 @@ def test_spectrum_exports_one_eigensolver():
     assert solvers == ["top_k_eigs"]
 
 
-# Public names exempt from having a caller in the package: none.  A name
-# that only tests read lives in tests/oracles.py.
+# Names exempt from having a caller in the package: none.  A name that only
+# tests read lives in tests/oracles.py.
 AWAITING_CALLERS = {}
 
 
@@ -61,13 +61,22 @@ def _references():
     return refs
 
 
+def _definitions(module):
+    """Names of the module-level functions and classes of andex.<module>."""
+    tree = ast.parse(pathlib.Path(andex.__path__[0], f"{module}.py").read_text())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in tree.body if isinstance(node, kinds)}
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    # a public name that only tests call is library surface nothing uses;
-    # a read inside the name's own definition is not a caller
+    # a public name, or a module-level function or class, that only tests
+    # call is code nothing uses; a read inside the name's own definition is
+    # not a caller
     refs = _references()
     unused = collections.defaultdict(set)
     for module in MODULES:
-        for name in getattr(importlib.import_module(f"andex.{module}"), "__all__", []):
+        public = getattr(importlib.import_module(f"andex.{module}"), "__all__", [])
+        for name in set(public) | _definitions(module):
             if all(m == module and name in enclosing for m, enclosing in refs[name]):
                 unused[module].add(name)
     assert dict(unused) == AWAITING_CALLERS

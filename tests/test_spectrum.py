@@ -207,8 +207,7 @@ class TestLanczos:
         # trial 0: lambda_4 and lambda_5 lie 6e-4 apart, and lambda_4 needs
         # more than 300 Lanczos steps to reach tol
         model = cov.CovarianceModel("iid", 2, {})
-        s = field.sample_field(model, 60, harness.trial_seed(710005, 0))
-        V = np.array(s.values)
+        V = np.array(field.sample_field(model, 60, harness.trial_seeds(710005, 0, 1)).values[0])
         top = spectrum.top_k_eigs(V, 4)
         oracle = dense_eigs(V, 4)
         assert top.k == 4
@@ -367,7 +366,7 @@ class TestChebyshevFilter:
             for i in range(2)
         ]
         for model, L, i in cases:
-            V = np.array(field.sample_field(model, L, harness.trial_seed(99, i)).values)
+            V = np.array(field.sample_field(model, L, harness.trial_seeds(99, i, i + 1)).values[0])
             assert V.size > spectrum.SUBSET_SITE_LIMIT
             _assert_interval_below(V, (1, 2, 4, 8)[i % 4])
 
@@ -473,8 +472,7 @@ class TestChebyshevFilter:
         # the fields the d = 2 macro-meso experiment solves (iid, L = 60,
         # top 4) stay at FILTER_DEGREE, so their records do not change
         model = cov.CovarianceModel("iid", 2, {})
-        for i in range(200):
-            V = np.array(field.sample_field(model, 60, harness.trial_seed(2024, i)).values)
+        for V in field.sample_field(model, 60, harness.trial_seeds(2024, 0, 200)).values:
             a, c = spectrum._filter_interval(V, 4)
             assert spectrum._filter_degree(float(V.max()), a, c) == spectrum.FILTER_DEGREE
 
@@ -581,7 +579,7 @@ class TestFilteredMatchesDense:
     def test_441_sites(self, k):
         for fam, params in FILTER_FAMILIES:
             model = cov.CovarianceModel(fam, 2, params)
-            V = np.array(field.sample_field(model, 20, harness.trial_seed(17, k)).values)
+            V = np.array(field.sample_field(model, 20, harness.trial_seeds(17, k, k + 1)).values[0])
             _assert_matches(spectrum.top_k_eigs(V, k), dense_eigs(V, k), k)
 
     @pytest.mark.parametrize("k", [1, 4, 8])
@@ -645,7 +643,7 @@ class TestWindowPath:
     def test_agrees_with_global_solver(self, model, k, sturm_counts):
         # at seed 1 the windows certify in every case; a draw where they do
         # not takes the whole-chain path, as in the fallback tests below
-        V = np.array(field.sample_field(model, 4096, 1).values)
+        V = np.array(field.sample_field(model, 4096, [1]).values[0])
         assert V.size == 4097
         res = spectrum.top_k_eigs(V, k)
         assert res.solver == "window"
@@ -698,7 +696,7 @@ class TestWindowPath:
             return w, U
 
         monkeypatch.setattr(spectrum, "_tridiagonal_top", skewed)
-        V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, 1).values)
+        V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, [1]).values[0])
         res = spectrum.top_k_eigs(V, 2)
         assert res.solver == "window"
         phi = res.eigenfunctions
@@ -715,7 +713,7 @@ class TestWindowPath:
             return real(*args) + 1
 
         monkeypatch.setattr(spectrum, "_count_above", one_too_many)
-        V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, 1).values)
+        V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, [1]).values[0])
         res = spectrum.top_k_eigs(V, 2)
         assert res.solver == "tridiagonal"
         _assert_agrees_with_global(res, V, 2)
@@ -751,7 +749,7 @@ def _tridiagonal_cases():
         ("n3-split", 3.0 * rng.standard_normal(3) - 2.0, np.array([1.0, 0.0])),
         ("n5-split", 3.0 * rng.standard_normal(5) - 2.0, np.array([0.0, 1.0, 1.0, 0.0])),
     ]
-    V = np.array(field.sample_field(WINDOW_MODELS[0], 4096, 3).values)
+    V = np.array(field.sample_field(WINDOW_MODELS[0], 4096, [3]).values[0])
     cases.append(("n4097", V - 2.0, np.ones(V.size - 1)))
     return cases
 
@@ -786,7 +784,7 @@ class TestTridiagonalTop:
             return real(diag, off, k)
 
         monkeypatch.setattr(spectrum, "_tridiagonal_top", recording)
-        V = np.array(field.sample_field(WINDOW_MODELS[0], 4096, 3).values)
+        V = np.array(field.sample_field(WINDOW_MODELS[0], 4096, [3]).values[0])
         assert spectrum.top_k_eigs(V, 2).solver == "window"
         monkeypatch.undo()
         (diag, off), = unions
@@ -955,7 +953,7 @@ def _block_cases():
     """(name, block of potentials, path of each): every path of
     top_k_eigs, d = 1 windows mixed with a potential that falls back."""
     rng = np.random.default_rng(34)
-    chains = [np.array(field.sample_field(WINDOW_MODELS[1], 4096, s).values) for s in (1, 2)]
+    chains = list(field.sample_field(WINDOW_MODELS[1], 4096, [1, 2]).values)
     return [
         ("tridiagonal-41", 3.0 * rng.standard_normal((5, 41)), ["tridiagonal"] * 5),
         (
@@ -1213,8 +1211,8 @@ class TestApproximationPipeline:
             L=41, d=1, a_L=6.0, tau_L=0.0, R_L=9, r_L=3, d_L=cov.derive_dL(cube2)
         )
         bar = spectrum.solve_bar_problem(cube2, 6.0, 3)
-        s = field.sample_field(cube2, 41, seed=2)
-        res = dense_eigs(s.values[field.window(41, [0], 4)].copy(), 2)
+        (V,) = field.sample_field(cube2, 41, [2]).values
+        res = dense_eigs(V[field.window(41, [0], 4)].copy(), 2)
         for x0 in (-3, 3):
             prof = np.zeros(9)
             prof[x0 + 3 : x0 + 6] = bar.bar_phi
