@@ -146,11 +146,11 @@ def shape_grid(model: CovarianceModel, a_L: float, half: int) -> np.ndarray:
     """Shape profile a_L * (1 - v) >= 0 on the centered box [-half, half]^d."""
     if not a_L >= 0.0:
         raise ValueError("a_L must be nonnegative")
-    offs = _offset_grid(model.d, half)
+    offs = offset_grid(model.d, half)
     return a_L * (1.0 - eval_cov_offsets(model, offs))
 
 
-def _offset_grid(d: int, half: int) -> np.ndarray:
+def offset_grid(d: int, half: int) -> np.ndarray:
     """Integer offsets of the centered box, shape (side,)*d + (d,)."""
     axes = [np.arange(-half, half + 1)] * d
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -162,7 +162,7 @@ def effective_radius(model: CovarianceModel) -> int:
     return fam.radius(model.params.get(fam.param))
 
 
-def _fftn(x: np.ndarray, d: int) -> np.ndarray:
+def fftn(x: np.ndarray, d: int) -> np.ndarray:
     """Complex DFT over the trailing d axes of the complex array ``x``, in
     place; each transformed slice is bit-identical to ``np.fft.fftn`` of it.
 
@@ -192,7 +192,7 @@ def circulant_spectrum(model: CovarianceModel, torus_side: int) -> np.ndarray:
     axes = [signed] * model.d
     offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     c = eval_cov_offsets(model, offs)
-    spec = _fftn(c.astype(complex), model.d)
+    spec = fftn(c.astype(complex), model.d)
     if np.max(np.abs(spec.imag)) > 1e-10 * max(np.max(np.abs(spec.real)), 1.0):
         raise EmbeddingInvalidError("wrapped covariance DFT not real")
     spec = spec.real

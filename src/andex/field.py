@@ -36,10 +36,12 @@ ProfileWeights holds (BarSolution.weights builds them once per bar
 solution).  A trial then only draws, forms zeta and gathers it.  A draw
 keeps no state: one sample_field call draws a block of seeds together, and
 each field of the block equals the draw of its seed alone bit for bit.  A
-seed's generator is numpy's default_rng(SeedSequence(seed)); the PCG64 words
-of a block's seeds come from one vectorised pass, _seed_state, which equals
-numpy's SeedSequence bit for bit (tests/test_field.py::TestSeedingPass), and
-the hash constants it runs are built once.
+seed's generator is numpy's default_rng(SeedSequence(seed)), and trial i of
+a run has the seed SeedSequence((master_seed, i, 0))'s first uint64 word
+(trial_seeds).  Both come from one vectorised pass over a block, _seed_state,
+which equals numpy's SeedSequence bit for bit
+(tests/test_field.py::TestSeedingPass) and runs hash constants built once;
+no other module knows SeedSequence's word layout.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def _dense_factor(model, L):
     h = box_half(L)
     side = 2 * h + 1
     n = side**model.d
-    pts = cov._offset_grid(model.d, h).reshape(n, model.d)
+    pts = cov.offset_grid(model.d, h).reshape(n, model.d)
     diffs = pts[:, None, :] - pts[None, :, :]
     C = cov.eval_cov_offsets(model, diffs)
     try:
@@ -233,7 +235,7 @@ def _circulant_draw(model, L, rngs):
         a, b = rng.standard_normal((2,) + shape)
         np.multiply(amp, a, out=x.real)
         np.multiply(amp, b, out=x.imag)
-    X = cov._fftn(X, model.d)
+    X = cov.fftn(X, model.d)
     # Real and imaginary parts are independent exact draws; keep the real
     # one.  Scaling the real part alone equals (X / M^(d/2)).real bit for
     # bit: numpy divides a complex by a real scalar as a product with its
@@ -371,6 +373,21 @@ class _State(ISeedSequence):
         return self.words
 
 
+def trial_seeds(master_seed: int, start: int, stop: int) -> list[int]:
+    """The seeds of trials start .. stop - 1: for trial i,
+    SeedSequence((master_seed, i, 0)).generate_state(1, np.uint64)[0], the
+    seeds of all of them from one _seed_state pass."""
+    master, _ = _int_words([master_seed])
+    index, counts = _int_words(range(start, stop))
+    B = stop - start
+    # an index of fewer words than the widest has its trailing 0 in the
+    # padding, and the last row lies past its length
+    entropy = np.concatenate(
+        (np.broadcast_to(master, (len(master), B)), index, np.zeros((1, B), np.uint32))
+    )
+    return _seed_state(entropy, len(master) + counts + 1, 1)[:, 0].tolist()
+
+
 def _generators(seeds) -> list[np.random.Generator]:
     """np.random.default_rng(np.random.SeedSequence(s)) of each seed s, bit
     for bit, the PCG64 words of all of them from one _seed_state pass."""
@@ -402,7 +419,7 @@ def sample_field(
 @_per_model_cache
 def _profile_grid(model, L, x0):
     """v(x - x0) over the whole grid of Q_L; x0 is a tuple of ints."""
-    offs = cov._offset_grid(model.d, box_half(L)) - np.asarray(x0)
+    offs = cov.offset_grid(model.d, box_half(L)) - np.asarray(x0)
     return cov.eval_cov_offsets(model, offs)
 
 
@@ -460,7 +477,7 @@ class ProfileWeights:
     @classmethod
     def of(cls, bar_phi: np.ndarray, d: int) -> "ProfileWeights":
         rh = _check_profile(bar_phi, d)
-        offs = cov._offset_grid(d, rh).reshape(-1, d)
+        offs = cov.offset_grid(d, rh).reshape(-1, d)
         w = (bar_phi**2).reshape(-1)
         keep = ~np.all(offs == 0, axis=-1)
         offs, w = offs[keep], w[keep]
@@ -520,7 +537,7 @@ def _event_windows(model, L, x0, R_L):
         wide=wide,
         wide_dip=1.0 - prof[wide],
         narrow=narrow,
-        narrow_l1=_ring(np.sum(np.abs(cov._offset_grid(model.d, R_L // 2)), axis=-1)),
+        narrow_l1=_ring(np.sum(np.abs(cov.offset_grid(model.d, R_L // 2)), axis=-1)),
         narrow_sd=np.sqrt(np.clip(1.0 - prof[narrow] ** 2, 0.0, None)),
     )
 

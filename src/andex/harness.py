@@ -5,16 +5,14 @@ Each experiment is one entry of ``_EXPERIMENTS``; ``rank_permutation`` is the
 one that records the top of the unconditioned spectrum (eigenvalues, centre,
 ranks of the centres among the sites).  Each trial's seed is a
 fixed counter-based function of (master_seed, trial_index), numpy's
-SeedSequence((master_seed, trial_index, 0)) word; a block's trial seeds come
-from one vectorised pass, field._seed_state, which equals numpy's
-SeedSequence bit for bit (tests/test_field.py::TestSeedingPass).  Records are flat
-rows in a CSV written whole, when the run ends (a crash loses the run's new
-rows and leaves the old file; streaming writes are an open ROADMAP item); a
-re-run of the same config, beside the manifest of the run that wrote the
-records, resumes after the whole rows already written and runs the trial of
-a partial row again.  Aggregates land in a manifest JSON.
-``ExperimentConfig`` checks every config value; the rest of the module reads
-them as given.
+SeedSequence((master_seed, trial_index, 0)) word, and field.trial_seeds
+gives a block's seeds at once.  Records are flat rows in a CSV written
+whole, when the run ends (a crash loses the run's new rows and leaves the
+old file; streaming writes are an open ROADMAP item); a re-run of the same
+config, beside the manifest of the run that wrote the records, resumes
+after the whole rows already written and runs the trial of a partial row
+again.  Aggregates land in a manifest JSON.  ``ExperimentConfig`` checks
+every config value; the rest of the module reads them as given.
 """
 
 from __future__ import annotations
@@ -52,21 +50,6 @@ _INTERVAL_C = 3.0
 
 # The sampler every trial draws its field with; the manifest records it.
 _SAMPLER = "circulant"
-
-
-def trial_seeds(master_seed: int, start: int, stop: int) -> list[int]:
-    """The seeds of trials start .. stop - 1: for trial i,
-    SeedSequence((master_seed, i, 0)).generate_state(1, np.uint64)[0], the
-    seeds of all of them from one field._seed_state pass."""
-    master, _ = field._int_words([master_seed])
-    index, counts = field._int_words(range(start, stop))
-    B = stop - start
-    # an index of fewer words than the widest has its trailing 0 in the
-    # padding, and the last row lies past its length
-    entropy = np.concatenate(
-        (np.broadcast_to(master, (len(master), B)), index, np.zeros((1, B), np.uint32))
-    )
-    return field._seed_state(entropy, len(master) + counts + 1, 1)[:, 0].tolist()
 
 
 @dataclass
@@ -211,7 +194,7 @@ class _Context:
         """bar_phi(. - x0) at x0 = 0 on the core Q_{R_L}, the box of
         localisation's solves."""
         shape = (field.grid_side(self.scales.R_L),) * self.cfg.d
-        return spectrum._bar_on_grid(self.bar, shape, (0,) * self.cfg.d)
+        return self.bar.on_grid(shape, (0,) * self.cfg.d)
 
 
 def admit(
@@ -340,7 +323,7 @@ def _trial_localisation(ctx: _Context, values: np.ndarray) -> list[dict]:
     x0 = (0,) * cfg.d
     a_L = sc.a_L
     vals, zeta = field.condition(values, ctx.model, cfg.L, x0, a_L)
-    peak = vals[field._at(cfg.L, x0)].reshape(-1)
+    peak = np.full(len(vals), a_L)  # condition writes a_L exactly at x0
     margins = field.event_margins(peak, zeta, ctx.model, cfg.L, x0, sc)
     cores = vals[(slice(None),) + field.window(cfg.L, x0, sc.R_L // 2)]
     lam, phi, _, _, _ = spectrum._top_k_block(cores, ctx.pairs)
@@ -528,7 +511,7 @@ def _trial_macro_meso(ctx: _Context, V: np.ndarray) -> dict:
         phi_hat = np.zeros(V.shape)
         np.put(phi_hat, sites, phi_core)
         out[f"fun_diff_{j + 1}"] = (a_L / d_L) * float(
-            spectrum._distance_up_to_sign(res.eigenfunctions[j : j + 1], phi_hat)[0]
+            spectrum.distance_up_to_sign(res.eigenfunctions[j : j + 1], phi_hat)[0]
         )
     return out
 
@@ -778,7 +761,7 @@ def _run_trials(
     rows, errors = list(kept), []
     size = field.batch_size(ctx.model, cfg.L)
     for start in range(len(kept), cfg.trials, size):
-        seeds = trial_seeds(cfg.master_seed, start, min(start + size, cfg.trials))
+        seeds = field.trial_seeds(cfg.master_seed, start, min(start + size, cfg.trials))
         for seed, out in zip(seeds, _block_rows(ctx, body, seeds), strict=True):
             if isinstance(out, Exception):
                 rows.append({"seed": seed, "failed": 1})

@@ -609,6 +609,13 @@ class BarSolution:
         """Offsets and weights of bar_phi, built once, for field.phi."""
         return field.ProfileWeights.of(self.bar_phi, self.bar_phi.ndim)
 
+    def on_grid(self, shape: tuple, x0: tuple) -> np.ndarray:
+        """bar_phi(. - x0), zero-extended, on the centred grid of ``shape``;
+        ValueError when bar_phi's window around x0 leaves it."""
+        prof = np.zeros(shape)
+        prof[field.window(shape[0], x0, self.weights.half)] = self.bar_phi
+        return prof
+
 
 def solve_bar_problem(
     model: cov.CovarianceModel, a_L: float, r_L: int
@@ -641,14 +648,6 @@ def solve_bar_problem(
     )
 
 
-def _bar_on_grid(bar: BarSolution, shape: tuple, x0: tuple) -> np.ndarray:
-    """bar_phi(. - x0), zero-extended, on the centred grid of ``shape``;
-    ValueError when bar_phi's window around x0 leaves it."""
-    prof = np.zeros(shape)
-    prof[field.window(shape[0], x0, bar.weights.half)] = bar.bar_phi
-    return prof
-
-
 def approximation_errors(bar, lam1, phi1, peak, phi, prof, scales):
     """Scaled eigenpair approximation errors at the conditioning point x0
     of B solves, stacked on a leading axis (B = 1 for one solve):
@@ -658,13 +657,13 @@ def approximation_errors(bar, lam1, phi1, peak, phi, prof, scales):
 
     given the top eigenvalues lam1 and eigenfunctions phi1, xi(x0) and
     Phi(x0) of each field, with Xi(x0) = xi(x0) + Phi(x0), and
-    bar_phi(. - x0), zero-extended, on the solve's grid (_bar_on_grid)."""
+    bar_phi(. - x0), zero-extended, on the solve's grid (bar.on_grid)."""
     eig_err = scales.a_L * np.abs(lam1 - (peak + phi + bar.bar_lambda))
-    fun_err = (scales.a_L / scales.d_L) * _distance_up_to_sign(phi1, prof)
+    fun_err = (scales.a_L / scales.d_L) * distance_up_to_sign(phi1, prof)
     return eig_err, fun_err
 
 
-def _distance_up_to_sign(phi: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def distance_up_to_sign(phi: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """||phi - ref||_2 for each function of ``phi``, shape (B,) + ref.shape,
     its sign flipped when <phi, ref> < 0.  Sums run over each row of a
     (B, sites) reshape, as a sum over one contiguous grid runs."""

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from andex import covariance as cov, field, harness, scales, spectrum
+from andex import covariance as cov, field, scales, spectrum
 
 from oracles import xi_cap
 
@@ -79,7 +79,7 @@ class TestWindow:
     def test_selects_the_offset_block_in_c_order(self, d, L, x0, half):
         side = field.grid_side(L)
         sites = np.arange(side**d).reshape((side,) * d)
-        idx = cov._offset_grid(d, half) + np.asarray(x0) + L // 2
+        idx = cov.offset_grid(d, half) + np.asarray(x0) + L // 2
         want = sites[tuple(np.moveaxis(idx, -1, 0))]
         got = sites[field.window(L, x0, half)]
         assert got.shape == (2 * half + 1,) * d
@@ -317,7 +317,7 @@ class TestSeedingPass:
         # blocks from 0 and from mid-run, and one whose indices reach two
         # entropy words at 2**32
         want = [int(seed_words((master, i, 0), 1)[0]) for i in range(start, stop)]
-        assert harness.trial_seeds(master, start, stop) == want
+        assert field.trial_seeds(master, start, stop) == want
 
     def test_generator_words(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -689,7 +689,7 @@ class TestEventCheck:
 def _margins_uncached(s, x0, ss):
     """margins_of from a freshly evaluated profile and windows, as every
     trial computed them before they were cached: ([m1, m2, m3], profile)."""
-    offs = cov._offset_grid(s.d, s.half) - np.asarray(x0)
+    offs = cov.offset_grid(s.d, s.half) - np.asarray(x0)
     prof = cov.eval_cov_offsets(s.model, offs)
     zeta = zeta_of(s, x0)[0]
     dev = abs(at(s, x0) - ss.a_L)

@@ -48,7 +48,7 @@ def fail_trial(monkeypatch, experiment, index):
     entry = harness._EXPERIMENTS[experiment]
 
     def body(ctx, values):
-        (seed,) = harness.trial_seeds(ctx.cfg.master_seed, index, index + 1)
+        (seed,) = field.trial_seeds(ctx.cfg.master_seed, index, index + 1)
         mine = _field_of(ctx.model, ctx.cfg.L, seed)
         if any(np.array_equal(V, mine) for V in values):
             raise RuntimeError(f"trial {index}")
@@ -61,10 +61,10 @@ def fail_trial(monkeypatch, experiment, index):
 
 class TestSeeding:
     def test_deterministic(self):
-        assert harness.trial_seeds(1, 2, 3) == harness.trial_seeds(1, 2, 3)
+        assert field.trial_seeds(1, 2, 3) == field.trial_seeds(1, 2, 3)
 
     def test_trials_distinct(self):
-        seeds = set(harness.trial_seeds(5, 0, 1000))
+        seeds = set(field.trial_seeds(5, 0, 1000))
         assert len(seeds) == 1000
 
 
@@ -413,7 +413,7 @@ class TestDrawHook:
         assert [kind for kind, _ in events] == ["context"] + ["draw", "body"] * 3
         draws = [out for kind, out in events if kind == "draw"]
         bodies = [out for kind, out in events if kind == "body"]
-        seeds = harness.trial_seeds(7, 0, 7)
+        seeds = field.trial_seeds(7, 0, 7)
         assert [d.seeds for d in draws] == [tuple(seeds[0:3]), tuple(seeds[3:6]), (seeds[6],)]
         assert all(isinstance(d, field.FieldSample) and d.sampler == "circulant" for d in draws)
         assert all(values is d.values for values, d in zip(bodies, draws, strict=True))
@@ -460,7 +460,7 @@ class TestDrawHook:
         events = self._watch(monkeypatch)
         resumed = self._cfg(tmp_path, experiment, trials=8)
         harness.run_experiment(resumed)
-        seeds = harness.trial_seeds(7, 4, 8)
+        seeds = field.trial_seeds(7, 4, 8)
         assert [s.seeds for kind, s in events if kind == "draw"] == [tuple(seeds[:3]), (seeds[3],)]
         assert drawn == [3, 1]
         fresh = self._cfg(tmp_path, experiment, trials=8, name="fresh")
@@ -524,7 +524,7 @@ class TestResume:
         for old, new in zip(before, after[:20]):
             assert new == {**old, "failed": ""}
         assert after[25]["failed"] == 1
-        assert after[25]["seed"] == harness.trial_seeds(7, 25, 26)[0]
+        assert after[25]["seed"] == field.trial_seeds(7, 25, 26)[0]
         assert all(r["failed"] == "" for i, r in enumerate(after) if i != 25)
         # the same file as a run that was never interrupted
         fresh = make_cfg(tmp_path, trials=40, out_dir=str(tmp_path / "fresh"))
@@ -664,7 +664,7 @@ class TestFailureBudget:
         harness.run_experiment(clean)
         ctx = harness._Context(clean)
         assert field.batch_size(ctx.model, clean.L) >= 24
-        (seed,) = harness.trial_seeds(clean.master_seed, 10, 11)
+        (seed,) = field.trial_seeds(clean.master_seed, 10, 11)
         vals, _ = field.condition(
             field.sample_field(ctx.model, clean.L, [seed]).values,
             ctx.model, clean.L, (0,), ctx.scales.a_L,
@@ -1091,6 +1091,27 @@ class TestTrialExperiments:
         assert "eig_err" in manifest["summary"]
 
     @pytest.mark.parametrize(
+        "model,L,d,overrides",
+        [
+            ({"family": "cube_indicator", "m": 2}, 83, 1, {"a_L": 6.0, "R_L": 41, "r_L": 9}),
+            ({"family": "iid"}, 40, 2, {}),
+        ],
+    )
+    def test_localisation_peak_is_a_L_exactly(self, tmp_path, model, L, d, overrides):
+        # condition writes a_L exactly at x0, so every row's xi(x0) is a_L:
+        # E1 holds with its whole margin theta = 2d + 1
+        cfg = make_cfg(
+            tmp_path, experiment="localisation", model=model, L=L, d=d, trials=40,
+            overrides=overrides,
+        )
+        harness.run_experiment(cfg)
+        with open(Path(cfg.out_dir) / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 40
+        assert {row["in_E1"] for row in rows} == {"1"}
+        assert {float(row["margin_E1"]) for row in rows} == {2.0 * d + 1}
+
+    @pytest.mark.parametrize(
         "experiment,model,L,overrides",
         [
             ("localisation", {"family": "cube_indicator", "m": 2}, 83, {"a_L": 6.0, "R_L": 41, "r_L": 9}),
@@ -1195,7 +1216,7 @@ class TestTrialExperiments:
         assert cols == sorted(["lambda_1", "rescaled_lambda_1", "gap", "center_0", *ells])
         ctx = harness._Context(cfg)
         s = ctx.scales
-        seeds = harness.trial_seeds(cfg.master_seed, 0, len(rows))
+        seeds = field.trial_seeds(cfg.master_seed, 0, len(rows))
         for row, seed, V in zip(rows, seeds, field.sample_field(ctx.model, cfg.L, seeds).values):
             res = spectrum.top_k_eigs(V, max(k, 2))
             lam1 = float(res.eigenvalues[0])
@@ -1336,7 +1357,7 @@ class TestPooledBoxEigs:
     def test_equals_all_cores_bit_for_bit(self, solved_cores, d, L, R_L, fields, model):
         part = extremes.build_partition(L, R_L, d)
         m = cov.CovarianceModel.from_config(model, d)
-        for V in field.sample_field(m, L, harness.trial_seeds(31, 0, fields)).values:
+        for V in field.sample_field(m, L, field.trial_seeds(31, 0, fields)).values:
             want = _all_cores_pool(V, part, 3)
             solved_cores.clear()
             got = harness._pooled_box_eigs(V, part, 3)

@@ -80,3 +80,45 @@ def test_every_public_name_has_a_caller_in_the_package():
             if all(m == module and name in enclosing for m, enclosing in refs[name]):
                 unused[module].add(name)
     assert dict(unused) == AWAITING_CALLERS
+
+
+# Private names of a sibling module that a module still reads, by reader:
+# spectrum._top_k_block waits for ROADMAP item 21, which makes the block
+# solve the one public solve once the benchmark's residual observer reads a
+# stacked result.
+FOREIGN_PRIVATE_READS = {"harness": {"spectrum._top_k_block"}}
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_reads(module):
+    """'sibling._name' of each private name of a sibling module that
+    andex.<module> reads: as an attribute of a sibling imported by
+    ``from . import sibling [as alias]``, or by ``from .sibling import _name``."""
+    tree = ast.parse(pathlib.Path(andex.__path__[0], f"{module}.py").read_text())
+    aliases, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif node.module is not None and _is_private(alias.name):
+                    reads.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and _is_private(node.attr)
+        ):
+            reads.add(f"{aliases[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name read outside its module is a decision two modules
+    # have to know: the reader uses the owner's public names instead
+    reads = {module: r for module in MODULES if (r := _foreign_private_reads(module))}
+    assert reads == FOREIGN_PRIVATE_READS

@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from andex import covariance as cov, field, harness, scales, spectrum
+from andex import covariance as cov, field, scales, spectrum
 from andex.errors import SolverConvergenceError
 
 from oracles import dense_eigs, form_gradient, quadratic_form, tied_blocks
@@ -207,7 +207,7 @@ class TestLanczos:
         # trial 0: lambda_4 and lambda_5 lie 6e-4 apart, and lambda_4 needs
         # more than 300 Lanczos steps to reach tol
         model = cov.CovarianceModel("iid", 2, {})
-        V = np.array(field.sample_field(model, 60, harness.trial_seeds(710005, 0, 1)).values[0])
+        V = np.array(field.sample_field(model, 60, field.trial_seeds(710005, 0, 1)).values[0])
         top = spectrum.top_k_eigs(V, 4)
         oracle = dense_eigs(V, 4)
         assert top.k == 4
@@ -366,7 +366,7 @@ class TestChebyshevFilter:
             for i in range(2)
         ]
         for model, L, i in cases:
-            V = np.array(field.sample_field(model, L, harness.trial_seeds(99, i, i + 1)).values[0])
+            V = np.array(field.sample_field(model, L, field.trial_seeds(99, i, i + 1)).values[0])
             assert V.size > spectrum.SUBSET_SITE_LIMIT
             _assert_interval_below(V, (1, 2, 4, 8)[i % 4])
 
@@ -472,7 +472,7 @@ class TestChebyshevFilter:
         # the fields the d = 2 macro-meso experiment solves (iid, L = 60,
         # top 4) stay at FILTER_DEGREE, so their records do not change
         model = cov.CovarianceModel("iid", 2, {})
-        for V in field.sample_field(model, 60, harness.trial_seeds(2024, 0, 200)).values:
+        for V in field.sample_field(model, 60, field.trial_seeds(2024, 0, 200)).values:
             a, c = spectrum._filter_interval(V, 4)
             assert spectrum._filter_degree(float(V.max()), a, c) == spectrum.FILTER_DEGREE
 
@@ -579,7 +579,7 @@ class TestFilteredMatchesDense:
     def test_441_sites(self, k):
         for fam, params in FILTER_FAMILIES:
             model = cov.CovarianceModel(fam, 2, params)
-            V = np.array(field.sample_field(model, 20, harness.trial_seeds(17, k, k + 1)).values[0])
+            V = np.array(field.sample_field(model, 20, field.trial_seeds(17, k, k + 1)).values[0])
             _assert_matches(spectrum.top_k_eigs(V, k), dense_eigs(V, k), k)
 
     @pytest.mark.parametrize("k", [1, 4, 8])
@@ -1195,7 +1195,7 @@ class TestApproximationPipeline:
             res.eigenfunctions[:1],
             vals[field.window(L, x0, 0)],
             field.phi(zeta, L, x0, bar.weights),
-            spectrum._bar_on_grid(bar, vals.shape, x0),
+            bar.on_grid(vals.shape, x0),
             ss,
         )
         # zeta = 0 so Phi = 0 and Xi(0) = a_L; the only error left is the
@@ -1216,7 +1216,7 @@ class TestApproximationPipeline:
         for x0 in (-3, 3):
             prof = np.zeros(9)
             prof[x0 + 3 : x0 + 6] = bar.bar_phi
-            on_grid = spectrum._bar_on_grid(bar, (9,), (x0,))
+            on_grid = bar.on_grid((9,), (x0,))
             assert np.array_equal(on_grid, prof)
             _, fun_err = spectrum.approximation_errors(
                 bar, res.eigenvalues[:1], res.eigenfunctions[:1], 0.0, 0.0, on_grid, ss
@@ -1225,7 +1225,7 @@ class TestApproximationPipeline:
             assert fun_err[0] == (6.0 / ss.d_L) * math.sqrt(float(np.sum((phi1 - prof) ** 2)))
         for x0 in (-4, 4):
             with pytest.raises(ValueError, match="leaves the box"):
-                spectrum._bar_on_grid(bar, (9,), (x0,))
+                bar.on_grid((9,), (x0,))
 
     def test_gap_check(self):
         res = dense_eigs(np.array([5.0, 0.0, 0.0, 0.0, 0.0]), k=2)
