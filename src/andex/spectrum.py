@@ -9,11 +9,14 @@ One solver: top_k_eigs, the one entry point for the top of the spectrum,
 backed by LAPACK (tridiagonal and subset solvers) and ARPACK, with a
 certified solve on windows around the highest sites in d = 1 and a
 Chebyshev filter, applied with a DIA matrix, in front of ARPACK in d >= 2.
-It is the case of one potential of the block solve _top_k_block, which
-takes potentials stacked on a leading axis: it runs each one's LAPACK or
-ARPACK call in turn, and the checks, the finalizing pass and its residual
-matvec (apply_hamiltonian on the block) once over the block, so a caller
-with many small boxes pays numpy's per-call cost once.
+The window certificate is an LDL^T inertia count of theta I - H in one
+pass of LAPACK dpttrf, exact for a tridiagonal within a few ulps of H.
+top_k_eigs is the case of one potential of the block solve _top_k_block,
+which takes potentials stacked on a leading axis.  It runs each one's
+LAPACK or ARPACK call in turn; the checks, and the finalizing pass with
+its residual matvec (apply_hamiltonian on the block) for the potentials
+solved on the whole box, run once over the block, so a caller with many
+small boxes pays numpy's per-call cost once.
 certify_below proves, by a banded Cholesky factorisation, that no
 eigenvalue reaches a given level, so a caller can skip a solve whose pairs
 it would not keep.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, eigh
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dpttrf, dstebz, dstein
 from scipy.sparse import dia_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -69,7 +72,7 @@ WINDOW_HALF_WIDTH = 24
 WINDOW_PEAKS_PER_PAIR = 4
 WINDOW_SPARE_PEAKS = 8
 # Slack of the completeness count, in units of eps * ||H||: covers the
-# rounding of the residuals and the backward error of the Sturm count.
+# rounding of the residuals and the backward error of the inertia count.
 _COUNT_SLACK_ULPS = 16
 # top_k_eigs accepts residuals up to max(RESIDUAL_TOL, RESIDUAL_ULPS eps ||H||),
 # with ||H|| <= max|V| + 4d, so that rounding alone never fails a large field.
@@ -229,21 +232,24 @@ def solver_bytes(n: int, d: int, k: int, fields: int = 1) -> int:
     tracemalloc checks on each path (tests/test_spectrum.py).
 
     Each potential is solved on its own:
-    - d = 1: V - 2 and the off-diagonal of ones, the outputs and work
-      arrays of dstebz and dstein (about 8n doubles), the k eigenvectors
-      and their reordered copy; the window solve and the window
-      certificate's Sturm count hold less;
+    - d = 1: on the whole chain, V - 2 and the off-diagonal of ones, the
+      outputs and work arrays of dstebz and dstein (about 8n doubles), the
+      k eigenvectors and their reordered copy; the window solve holds less,
+      its inertia count dpttrf's two n-vectors, the diagonal of
+      theta I - H and its off-diagonal;
     - the subset eigh: the n x n matrix, LAPACK's copy of it, and its work
       arrays;
     - ARPACK: the Lanczos basis and the copy of it that the eigenvector
       extraction makes (2 ncv x n), ARPACK's work vectors, the start
       vector, the k Ritz vectors, the filter's three work vectors and its
       DIA matrix (2d + 1 diagonals of n values and one offset each).
-    The block holds at once its pairs, k x n doubles a potential: four
-    blocks in _finalize (the pairs as solved and finalized, the residual
-    block and one temporary), and one potential more when a window
-    certificate fails.  It also holds two blocks of the potentials' sites,
-    |V| for the tolerances and V - 2 in apply_hamiltonian; eight arrays of
+    The block holds at once at most four blocks of its pairs, k x n
+    doubles a potential: in _finalize, the pairs as solved and finalized,
+    the residual block and one temporary; a window solve holds four for its
+    one potential beside the rows finalized before it, and stacking the
+    rows two.  One potential more is margin.  The block also holds two
+    blocks of the potentials' sites: |V| for the tolerances, then V - 2 in
+    apply_hamiltonian beside the rows of V that fall back; eight arrays of
     k values a potential (eigenvalues, order, centres, norms, signs,
     residuals); and the buffers numpy's strided in-place adds allocate,
     three operands of up to np.getbufsize() doubles each, and no more
@@ -366,24 +372,59 @@ def _tridiagonal_top(
     return w[order], U[:, order]
 
 
-def _count_above(diag: np.ndarray, off: np.ndarray, theta: float, top: float) -> int | None:
-    """How many eigenvalues of the symmetric tridiagonal matrix lie in
-    (theta, top], by LAPACK dstebz, or None when LAPACK fails.  An abstol
-    as wide as the interval stops its bisection at once, leaving only the
-    count."""
-    count, _, _, _, info = dstebz(diag, off, 1, theta, top, 0, 0, top - theta, b"E")
-    return count if info == 0 else None
+def _count_above(V: np.ndarray, theta: float) -> int | None:
+    """How many eigenvalues of the d = 1 operator H = Delta + V lie above
+    theta, or None when the count is not reliable.
+
+    By Sylvester's law of inertia, the number of negative pivots of an
+    LDL^T factorisation of theta I - H, diagonal (theta + 2) - V and
+    off-diagonal -1.  LAPACK dpttrf factors it in one pass and stops at a
+    pivot p <= 0 at site i; the count counts p, sets d[i + 1] -= 1/p, the
+    update dpttrf would have made, and restarts dpttrf at i + 1.  The
+    pivots are those of the Sturm sequence, so the count is exact for a
+    tridiagonal within a few ulps of H (Kahan 1966; Demmel, Applied
+    Numerical Linear Algebra, 5.3.4).  A zero or non-finite pivot, or a
+    LAPACK argument error, gives None.
+    """
+    n = V.size
+    d, e = (theta + 2.0) - V, np.full(n - 1, -1.0)
+    count = i = 0
+    while True:
+        if i < n - 1:  # f2py's dpttrf refuses a single site
+            info = dpttrf(d[i:], e[i:], overwrite_d=1, overwrite_e=1)[2]
+            if info <= 0:
+                return count if info == 0 else None
+            i += info - 1
+        p = float(d[i])  # <= 0, unless i is the last site
+        if p == 0.0 or not math.isfinite(p):
+            return None
+        if p > 0.0:
+            return count
+        count += 1
+        i += 1
+        if i == n:
+            return count
+        d[i] -= 1.0 / p
 
 
-def _window_pairs(V: np.ndarray, k: int, phis: np.ndarray) -> np.ndarray | None:
-    """The top k Ritz values, ascending, of the d = 1 operator on windows
-    around its highest sites, with their vectors, zero-extended, written to
-    the rows of phis, shape (k, n); or None, phis untouched, when the
-    windows would cover half the sites.
+def _window_solve(V: np.ndarray, k: int, tol: float) -> tuple | None:
+    """The top k pairs of the d = 1 operator H = Delta + V from windows
+    around its highest sites, finalized as _finalize returns them for a
+    block of one potential, when a certificate proves them the top k of H;
+    None when the windows would cover half the sites or the certificate
+    fails.
 
     One _tridiagonal_top call solves the principal submatrix of H on the
-    union of the windows; windows that do not touch are not coupled.
-    _window_certified decides whether the pairs are the top k of H.
+    union of the windows; windows that do not touch are not coupled.  The
+    Ritz pairs, zero-extended, are finalized on the whole chain.  Were the
+    Ritz vectors orthonormal, k eigenvalues of H would lie within
+    r = ||R||_F of the Ritz values mu_1 >= ... >= mu_k, R the residual
+    block (Kahan).  A loss delta of orthonormality, read off their k x k
+    Gram matrix on the window sites, widens r to bound = (r + 2 max|mu|
+    delta)(1 + delta) / (1 - delta), so all k lie above
+    theta = mu_k - bound - slack.  The pairs are certified when residuals
+    and delta are within tol and the inertia count (_count_above) finds
+    exactly k eigenvalues above theta.
     """
     n = V.size
     if 2 * (2 * WINDOW_HALF_WIDTH + 1) >= n:
@@ -397,48 +438,33 @@ def _window_pairs(V: np.ndarray, k: int, phis: np.ndarray) -> np.ndarray | None:
     if 2 * sites.size >= n:
         return None
     mu, U = _tridiagonal_top(V[sites] - 2.0, (np.diff(sites) == 1).astype(float), k)
-    phis.fill(0.0)
-    phis[:, sites] = U.T
-    return mu
-
-
-def _window_certified(V, mu, phis, residuals, tol: float) -> bool:
-    """True when the finalized window pairs of the d = 1 potential V, Ritz
-    values mu_1 >= ... >= mu_k, vectors phis and residuals on the full H,
-    are certified as the top k pairs of H.
-
-    Were the Ritz vectors orthonormal, k eigenvalues of H would lie within
-    r = ||R||_F of the Ritz values, R the residual block (Kahan).  A loss
-    delta of orthonormality widens r to bound = (r + 2 max|mu| delta)(1 +
-    delta) / (1 - delta), so all k lie above theta = mu_k - bound - slack.
-    A Sturm count of the eigenvalues of H above theta (_count_above, the
-    only use of dstebz by value) decides: the pairs are certified when it
-    finds exactly k, and residuals and delta are within tol.
-    """
-    k = mu.size
-    delta = float(np.linalg.norm(phis @ phis.T - np.eye(k)))
-    if (residuals > tol).any() or delta > tol:
-        return False
-    r = math.sqrt(float(np.sum(residuals**2)))
+    phis = np.zeros((1, k, n))
+    phis[0][:, sites] = U.T
+    out = _finalize(mu[None], phis, V[None])
+    # on Python floats: k values, where numpy's per-call cost would
+    # outweigh the arithmetic
+    mu, residuals = out[0][0].tolist(), out[3][0].tolist()
+    W = out[1][0][:, sites]
+    gram = (W @ W.T).tolist()
+    delta = math.sqrt(
+        sum((g - (i == j)) ** 2 for i, row in enumerate(gram) for j, g in enumerate(row))
+    )
+    if max(residuals) > tol or delta > tol:
+        return None
+    r = math.sqrt(sum(x * x for x in residuals))
     # Kahan's bound for the orthonormal polar factor of the Ritz vectors
-    bound = (r + 2.0 * float(np.max(np.abs(mu))) * delta) * (1.0 + delta) / (1.0 - delta)
-    h_norm = float(np.max(np.abs(V - 2.0))) + 2.0
-    slack = _COUNT_SLACK_ULPS * _EPS * h_norm
-    theta = float(mu[-1]) - bound - slack
-    top = float(np.max(V)) + 1.0  # above every eigenvalue (Gershgorin)
-    return _count_above(V - 2.0, np.ones(V.size - 1), theta, top) == k
+    bound = (r + 2.0 * max(map(abs, mu)) * delta) * (1.0 + delta) / (1.0 - delta)
+    h_norm = max(float(V.max()) - 2.0, 2.0 - float(V.min())) + 2.0  # max|V - 2| + 2
+    theta = mu[-1] - bound - _COUNT_SLACK_ULPS * _EPS * h_norm
+    return out if _count_above(V, theta) == k else None
 
 
-def _solve(V: np.ndarray, k: int, phis: np.ndarray, windows: bool = True) -> tuple:
-    """k eigenpairs of Delta + V on the path top_k_eigs describes, not yet
-    finalized: the eigenvalues and the path's name, the eigenfunctions
-    written to the rows of phis, shape (k, n).  With ``windows`` false,
-    d = 1 skips the window solve."""
+def _solve(V: np.ndarray, k: int, phis: np.ndarray) -> tuple:
+    """k eigenpairs of Delta + V on the whole box, on the path top_k_eigs
+    describes, not yet finalized: the eigenvalues and the path's name, the
+    eigenfunctions written to the rows of phis, shape (k, n)."""
     n = V.size
     if V.ndim == 1:
-        mu = _window_pairs(V, k, phis) if windows else None
-        if mu is not None:
-            return mu, "window"
         lams, U = _tridiagonal_top(V - 2.0, np.ones(n - 1), k)
         solver = "tridiagonal"
     elif n <= SUBSET_SITE_LIMIT:
@@ -461,12 +487,12 @@ def _top_k_block(V: np.ndarray, k: int) -> tuple:
     stacked as _finalize returns them, and the list of the B solvers' paths.
     top_k_eigs is the case B = 1, and gives each potential the same bits.
 
-    Each potential's eigensolve runs on its own (_solve).  The input
-    checks, _finalize, the residual check, the check of the invariants of
-    a SpectralResult (_check_pairs) and, in d = 1, the window certificates
-    run once over the block.  The window pairs of a potential whose
-    certificate fails are solved again on the whole chain and finalized
-    again, one potential at a time.
+    A d = 1 potential is first solved on windows (_window_solve), which
+    finalizes and certifies its pairs.  Every other potential, and one
+    whose windows fail, is solved on its own on the whole box (_solve),
+    and all of them are finalized in one pass.  The input checks, the
+    residual check and the check of the invariants of a SpectralResult
+    (_check_pairs) run once over the block.
     """
     B, grid = V.shape[0], V.shape[1:]
     n = math.prod(grid)
@@ -482,29 +508,27 @@ def _top_k_block(V: np.ndarray, k: int) -> tuple:
     if not all(map(math.isfinite, v_max)):
         raise ValueError("V must not contain infs or NaNs")
     tol = [max(RESIDUAL_TOL, RESIDUAL_ULPS * _EPS * (v + 4.0 * len(grid))) for v in v_max]
-    lams, phis, solvers = np.empty((B, k)), np.empty((B, k, n)), []
-    try:
-        for b in range(B):
-            lams[b], solver = _solve(V[b], k, phis[b])
-            solvers.append(solver)
-    except (ArpackNoConvergence, LinAlgError) as exc:
-        raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    out = _finalize(lams, phis.reshape((B, k) + grid), V)
-    mu, P, _, residuals = out
-    redo = [
-        b
-        for b, solver in enumerate(solvers)
-        if solver == "window" and not _window_certified(V[b], mu[b], P[b], residuals[b], tol[b])
-    ]
-    for b in redo:
-        lams[b], solvers[b] = _solve(V[b], k, phis[b], windows=False)
-        again = _finalize(lams[b : b + 1], phis[b : b + 1].reshape((1, k) + grid), V[b : b + 1])
-        for block, row in zip(out, again):
-            block[b] = row[0]
+    rows = [_window_solve(V[b], k, t) if len(grid) == 1 else None for b, t in enumerate(tol)]
+    rest = [b for b, row in enumerate(rows) if row is None]
+    solvers = ["window"] * B
+    if rest:
+        lams, phis = np.empty((len(rest), k)), np.empty((len(rest), k, n))
+        try:
+            for i, b in enumerate(rest):
+                lams[i], solvers[b] = _solve(V[b], k, phis[i])
+        except (ArpackNoConvergence, LinAlgError) as exc:
+            raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
+        phis = phis.reshape((len(rest), k) + grid)
+        out = done = _finalize(lams, phis, V[rest] if len(rest) < B else V)
+    if len(rest) < B:
+        for i, b in enumerate(rest):
+            rows[b] = tuple(a[i : i + 1] for a in done)
+        out = tuple(map(np.concatenate, zip(*rows)))
+    residuals = out[3]
     for b, (row, t) in enumerate(zip(residuals.tolist(), tol)):
         if any(r > t for r in row):
             raise SolverConvergenceError(f"eigenpair residuals {residuals[b]} exceed tol={t}")
-    _check_pairs(mu, P)
+    _check_pairs(out[0], out[1])
     return out + (solvers,)
 
 
@@ -514,9 +538,10 @@ def top_k_eigs(V: np.ndarray, k: int) -> SpectralResult:
     a bound on the rounding of H phi, or SolverConvergenceError is raised.
     The result's solver field names the path that produced it.
 
-    d = 1: a solve on windows around the highest sites (_window_pairs),
-    kept only when a Sturm count certifies that no eigenvalue was missed
-    (_window_certified); otherwise, and when the windows would cover half
+    d = 1: a solve on windows around the highest sites (_window_solve),
+    kept only when an LDL^T inertia count of theta I - H (_count_above),
+    exact for a tridiagonal within a few ulps of H, certifies that no
+    eigenvalue was missed; otherwise, and when the windows would cover half
     the sites, LAPACK bisection and inverse iteration (dstebz, dstein) on
     the whole tridiagonal H (_tridiagonal_top).  Both d = 1 solves call
     LAPACK directly, not through scipy's eigh_tridiagonal, with the same

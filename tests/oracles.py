@@ -2,9 +2,11 @@
 
 None of these runs on a program path: the library's one eigensolver is
 ``spectrum.top_k_eigs``.  ``dense_eigs`` is the independent full-``eigh``
-oracle on small boxes, ``tied_blocks`` groups a result's eigenvalues,
-and ``quadratic_form`` and ``form_gradient`` are the Rayleigh quotient
-and its gradient that criterion 13 checks.  ``xi_cap`` forms the shifted
+oracle on small boxes, ``dstebz_count_above`` the bisection count that
+the d = 1 window certificate's inertia count must equal, ``tied_blocks``
+groups a result's eigenvalues, and ``quadratic_form`` and
+``form_gradient`` are the Rayleigh quotient and its gradient that
+criterion 13 checks.  ``xi_cap`` forms the shifted
 field, ``check_hypotheses`` the structural diagnostics of a covariance,
 and ``ppp_rank_one_probability`` the rank-one probability of the decorated
 point process.
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstebz
 
 from andex import covariance as cov, spectrum
 from andex.covariance import CovarianceModel, derive_dL, eval_cov_offsets
@@ -38,6 +41,21 @@ def dense_eigs(V: np.ndarray, k: int | None = None) -> spectrum.SpectralResult:
     return spectrum.SpectralResult(
         lams[0], P[0], tuple(centers[0].tolist()), residuals[0], "dense"
     )
+
+
+def dstebz_count_above(V: np.ndarray, theta: float) -> int | None:
+    """How many eigenvalues of the d = 1 operator Delta + V lie above theta,
+    by LAPACK dstebz counting at both ends of (theta, top], top above every
+    eigenvalue (Gershgorin) and theta; None when LAPACK fails.  An abstol
+    as wide as the interval stops its bisection at once, leaving only the
+    count.  The window certificate counted this way before its one-pass
+    count, spectrum._count_above."""
+    n = V.size
+    if n == 1:  # f2py's dstebz refuses an empty off-diagonal
+        return int(float(V[0]) - 2.0 > theta)
+    top = max(float(V.max()), theta) + 1.0
+    count, _, _, _, info = dstebz(V - 2.0, np.ones(n - 1), 1, theta, top, 0, 0, top - theta, b"E")
+    return count if info == 0 else None
 
 
 def tied_blocks(result: spectrum.SpectralResult, tol: float = spectrum.TIE_TOL):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -10,7 +11,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from andex import covariance as cov, field, scales, spectrum
 from andex.errors import SolverConvergenceError
 
-from oracles import dense_eigs, form_gradient, quadratic_form, tied_blocks
+from oracles import dense_eigs, dstebz_count_above, form_gradient, quadratic_form, tied_blocks
 
 
 def laplacian_matrix_1d(n):
@@ -353,6 +354,18 @@ def _assert_interval_below(V, k):
     assert c >= weyl - spectrum._FILTER_MARGIN * (weyl - a)
 
 
+def _traced_block_solve(V, k):
+    """tracemalloc's peak over _top_k_block(V, k), and the solvers' paths."""
+    spectrum._top_k_block(V, k)  # scipy's first-call imports are not the solve's
+    tracemalloc.start()
+    try:
+        solvers = spectrum._top_k_block(V, k)[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, solvers
+
+
 class TestChebyshevFilter:
     def test_cut_below_lambda_k_across_families(self):
         # 200 d = 2 fields, 50 per family, and 8 d = 3 fields
@@ -512,14 +525,23 @@ class TestChebyshevFilter:
         # the memory model of a block solve against its measured peak: the
         # tridiagonal, subset, ARPACK and window paths
         V = 3.0 * np.random.default_rng(math.prod(shape)).standard_normal(shape)
-        spectrum._top_k_block(V, k)  # scipy's first-call imports are not the solve's
-        tracemalloc.start()
-        try:
-            spectrum._top_k_block(V, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = _traced_block_solve(V, k)
         assert peak <= spectrum.solver_bytes(math.prod(shape[1:]), len(shape) - 1, k, shape[0])
+
+    @pytest.mark.parametrize(
+        "shape,k,reliable",
+        [((2, 4097), 4, False), ((1, 2**20 + 1), 2, True), ((1, 2**20 + 1), 2, False)],
+        ids=["4097-fallback", "2p20-window", "2p20-fallback"],
+    )
+    def test_solver_bytes_bounds_the_window_paths(self, monkeypatch, shape, k, reliable):
+        # windows certified, or refused by an unreliable count and solved
+        # again on the whole chain (the window case at 4097 sites is above)
+        if not reliable:
+            monkeypatch.setattr(spectrum, "dpttrf", lambda d, e, **kw: (d, e, -1))
+        V = 3.0 * np.random.default_rng(math.prod(shape)).standard_normal(shape)
+        peak, solvers = _traced_block_solve(V, k)
+        assert solvers == [("window" if reliable else "tridiagonal")] * shape[0]
+        assert peak <= spectrum.solver_bytes(shape[1], 1, k, shape[0])
 
     def test_dia_bytes_within_solver_bytes(self):
         for shape in ((21, 21), (9, 9, 9)):
@@ -621,8 +643,8 @@ def sturm_counts(monkeypatch):
     calls = []
     real = spectrum._count_above
 
-    def recording(diag, off, theta, top):
-        count = real(diag, off, theta, top)
+    def recording(V, theta):
+        count = real(V, theta)
         calls.append((theta, count))
         return count
 
@@ -709,8 +731,8 @@ class TestWindowPath:
     def test_count_other_than_k_falls_back(self, monkeypatch):
         real = spectrum._count_above
 
-        def one_too_many(*args):
-            return real(*args) + 1
+        def one_too_many(V, theta):
+            return real(V, theta) + 1
 
         monkeypatch.setattr(spectrum, "_count_above", one_too_many)
         V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, [1]).values[0])
@@ -738,6 +760,154 @@ class TestWindowPath:
         assert spectrum.top_k_eigs(rng.standard_normal((19, 19)), 2).solver == "subset"
         assert spectrum.top_k_eigs(rng.standard_normal((21, 21)), 2).solver == "arpack"
         assert dense_eigs(rng.standard_normal(9), 2).solver == "dense"
+
+
+def _whole_chain_reference(V, k):
+    """The whole chain's pairs as top_k_eigs finalizes them."""
+    w, U = spectrum._tridiagonal_top(V - 2.0, np.ones(V.size - 1), k)
+    return spectrum._finalize(w[None], U.T[None], V[None])
+
+
+def _window_reference(V, k):
+    """The pairs of the windows around the 4k + 8 highest sites, solved and
+    finalized as the window path did before its one-pass solve: one
+    _tridiagonal_top call on the union of the windows, the Ritz vectors
+    zero-extended, then _finalize on the whole chain."""
+    n, h = V.size, spectrum.WINDOW_HALF_WIDTH
+    m = spectrum.WINDOW_PEAKS_PER_PAIR * k + spectrum.WINDOW_SPARE_PEAKS
+    peaks = np.argsort(V)[-m:].tolist()
+    sites = np.array(sorted({min(max(p + o, 0), n - 1) for p in peaks for o in range(-h, h + 1)}))
+    mu, U = spectrum._tridiagonal_top(V[sites] - 2.0, (np.diff(sites) == 1).astype(float), k)
+    phis = np.zeros((k, n))
+    phis[:, sites] = U.T
+    return spectrum._finalize(mu[None], phis[None], V[None])
+
+
+def _assert_same_bits(res, want):
+    lams, P, centers, residuals = (a[0] for a in want)
+    assert res.eigenvalues.tobytes() == lams.tobytes()
+    assert res.eigenfunctions.tobytes() == P.tobytes()
+    assert res.centers == tuple(centers.tolist())
+    assert res.residuals.tobytes() == residuals.tobytes()
+
+
+class TestWindowBits:
+    # the one-pass window solve returns the pairs of the solve it replaced
+    # bit for bit: the same kernel call on the same union, finalized alike
+    @pytest.mark.parametrize(
+        "model",
+        WINDOW_MODELS + [cov.CovarianceModel("exponential", 1, {"alpha": 0.5})],
+        ids=lambda m: m.family,
+    )
+    def test_equal_to_the_union_solve_at_4096(self, model):
+        fields = field.sample_field(model, 4096, list(range(10))).values
+        paths = []
+        for V in fields:
+            res = spectrum.top_k_eigs(V, 2)
+            paths.append(res.solver)
+            reference = _window_reference if res.solver == "window" else _whole_chain_reference
+            _assert_same_bits(res, reference(V, 2))
+        assert paths.count("window") >= 8
+
+    def test_equal_to_the_union_solve_at_2p20(self):
+        V = field.sample_field(WINDOW_MODELS[0], 2**20, [0]).values[0]
+        res = spectrum.top_k_eigs(V, 2)
+        assert res.solver == "window"
+        _assert_same_bits(res, _window_reference(V, 2))
+
+
+def _chain_hamiltonian(V):
+    n = V.size
+    return np.diag(V - 2.0) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+
+
+@st.composite
+def _count_cases(draw):
+    """(V, theta, where): a chain, random, tied (values from a set of four),
+    clustered (within 1e-9 of one value) or split into copies of one block
+    by sites of -1e6; and theta below every eigenvalue, above every one,
+    on a computed one, or midway between two apart."""
+    kind = draw(st.sampled_from(["random", "tied", "clustered", "block-split"]))
+    n = draw(st.integers(1, 40))
+    if kind == "random":
+        V = draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+    elif kind == "tied":
+        V = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n))
+    elif kind == "clustered":
+        base = draw(st.floats(-4.0, 4.0))
+        V = [base + 1e-9 * x for x in draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))]
+    else:
+        block = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+        V = (block + [-1e6]) * draw(st.integers(2, 4))
+        V = V[:-1]
+    V = np.array(V, dtype=float)
+    w = np.linalg.eigvalsh(_chain_hamiltonian(V))
+    where = draw(st.sampled_from(["below", "above", "on", "between"]))
+    shift = draw(st.floats(0.0, 10.0))
+    if where == "below":
+        theta = float(w[0]) - 1.0 - shift
+    elif where == "above":
+        theta = float(w[-1]) + 1.0 + shift
+    elif where == "on":
+        theta = float(w[draw(st.integers(0, w.size - 1))])
+    else:
+        apart = np.flatnonzero(np.diff(w) > 1e-6)
+        if apart.size == 0:
+            where, theta = "below", float(w[0]) - 1.0 - shift
+        else:
+            j = int(apart[draw(st.integers(0, apart.size - 1))])
+            theta = 0.5 * (float(w[j]) + float(w[j + 1]))
+    return V, theta, where
+
+
+class TestInertiaCount:
+    @given(_count_cases())
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    def test_equals_the_bisection_count(self, case):
+        V, theta, where = case
+        count = spectrum._count_above(V, theta)
+        want = dstebz_count_above(V, theta)
+        H = _chain_hamiltonian(V)
+        # both counts are exact for a matrix within a few ulps of H, and
+        # eigvalsh is within a few ulps of H's eigenvalues
+        s = 64 * spectrum._EPS * (float(np.max(np.abs(V - 2.0))) + 2.0)
+        if count is None:
+            # a zero pivot: theta sits on an eigenvalue of a leading
+            # principal submatrix of H, within rounding
+            assert where in ("on", "between")
+            assert any(
+                np.min(np.abs(np.linalg.eigvalsh(H[:i, :i]) - theta)) <= s
+                for i in range(1, V.size + 1)
+            )
+        elif where == "on":
+            w = np.linalg.eigvalsh(H)
+            lo, hi = int(np.sum(w > theta + s)), int(np.sum(w > theta - s))
+            assert lo <= count <= hi and lo <= want <= hi
+        else:
+            assert count == want
+            assert count == {"below": V.size, "above": 0}.get(where, count)
+
+    @pytest.mark.parametrize(
+        "V", [[2.5, 0.0, 1.0], [1.5, 1.5, 0.0], [3.5, 3.5, 0.0], [3.5, 3.5]],
+        ids=["first", "in-pass", "at-restart", "last-alone"],
+    )
+    def test_zero_pivot_is_unreliable(self, V):
+        # pivots of 0.5 I - H, diagonal 2.5 - V: 0 at once; 1, then
+        # 1 - 1/1 = 0 within dpttrf's pass; -1, then -1 - 1/(-1) = 0 where
+        # dpttrf restarts, or on the last site, which the count takes alone
+        assert spectrum._count_above(np.array(V), 0.5) is None
+
+    def test_lapack_argument_error_is_unreliable(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "dpttrf", lambda d, e, **kw: (d, e, -1))
+        assert spectrum._count_above(np.zeros(9), 0.5) is None
+
+    def test_unreliable_count_falls_back_to_the_whole_chain(self, monkeypatch, sturm_counts):
+        monkeypatch.setattr(spectrum, "dpttrf", lambda d, e, **kw: (d, e, -1))
+        V = np.array(field.sample_field(WINDOW_MODELS[1], 4096, [1]).values[0])
+        res = spectrum.top_k_eigs(V, 2)
+        assert [count for _, count in sturm_counts] == [None]
+        assert res.solver == "tridiagonal"
+        _assert_same_bits(res, _whole_chain_reference(V, 2))
 
 
 def _tridiagonal_cases():
@@ -986,9 +1156,7 @@ class TestTopKBlock:
             assert tuple(centers[b].tolist()) == one.centers
             if paths[b] == "tridiagonal":
                 # the whole chain's pairs, also where windows were tried first
-                n = V[b].size
-                w, U = spectrum._tridiagonal_top(V[b] - 2.0, np.ones(n - 1), k)
-                want = spectrum._finalize(w[None], U.T[None], V[b][None])
+                want = _whole_chain_reference(V[b], k)
                 assert lams[b].tobytes() == want[0][0].tobytes()
                 assert P[b].tobytes() == want[1][0].tobytes()
 
